@@ -678,15 +678,18 @@ let plans_run sf seed tbl_dir spec =
   let q = Wj_tpch.Queries.build ~variant:Standard spec d in
   let reg = Wj_tpch.Queries.registry q in
   let prng = Wj_util.Prng.create seed in
+  let t0 = Unix.gettimeofday () in
   let r = Wj_core.Optimizer.choose q reg prng in
-  Printf.printf "%d plans enumerated; optimizer trials: %d walks\n"
-    (List.length r.reports) r.total_trial_walks;
+  (* The trials only pick the plan, so their time is pure overhead. *)
+  Printf.printf "%d plans enumerated; optimizer trials: %d walks in %.1f ms\n"
+    (List.length r.reports) r.total_trial_walks
+    (1000.0 *. (Unix.gettimeofday () -. t0));
   List.iter
     (fun (p : Wj_core.Optimizer.plan_report) ->
-      Printf.printf "%s %-60s  success %4d/%-5d  Var*E[T] %.4g\n"
+      Printf.printf "%s %-60s  success %4d/%-5d  Var[X] %.4g  E[T] %.4g  Var*E[T] %.4g\n"
         (if p.chosen then "*" else " ")
         (Wj_core.Walk_plan.describe q p.plan)
-        p.trial_successes p.trial_walks p.objective)
+        p.trial_successes p.trial_walks p.var_x p.cost_t p.objective)
     r.reports;
   0
 

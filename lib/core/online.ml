@@ -48,22 +48,13 @@ let make_report ~confidence ~elapsed est =
 
 let pick_plan ~plan_choice ~eager_checks ~tracer ~sink ?convergence q registry prng
     clock =
+  let prepare plan = Walker.prepare ~eager_checks ?tracer ~sink q registry plan in
   match plan_choice with
-  | Fixed plan ->
-    ( Walker.prepare ~eager_checks ?tracer ~sink q registry plan,
-      plan,
-      Estimator.create q.Query.agg,
-      0.0,
-      0 )
+  | Fixed plan -> (prepare plan, plan, 0.0, 0)
   | First_enumerated -> (
     match Walk_plan.enumerate ~max_plans:1 q registry with
     | [] -> invalid_arg "Online.run: query admits no walk plan"
-    | plan :: _ ->
-      ( Walker.prepare ~eager_checks ?tracer ~sink q registry plan,
-        plan,
-        Estimator.create q.Query.agg,
-        0.0,
-        0 ))
+    | plan :: _ -> (prepare plan, plan, 0.0, 0))
   | Optimize config ->
     let t0 = Timer.elapsed clock in
     let r =
@@ -71,7 +62,7 @@ let pick_plan ~plan_choice ~eager_checks ~tracer ~sink ?convergence q registry p
         prng
     in
     let dt = Timer.elapsed clock -. t0 in
-    (r.best, r.best_plan, r.trial_estimator, dt, r.total_trial_walks)
+    (r.best, r.best_plan, dt, r.total_trial_walks)
 
 module Session = struct
   type t = {
@@ -116,16 +107,14 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
     Option.map (fun r -> Wj_obs.Recorder.convergence r ~scope) cfg.recorder
   in
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
-  let prepared, plan, est, optimizer_time, optimizer_walks =
+  let prepared, plan, optimizer_time, optimizer_walks =
     pick_plan ~plan_choice:cfg.plan_choice ~eager_checks ~tracer ~sink ?convergence
       q registry prng clock
   in
-  (* Trial walks are already inside [est] (the merged trial estimator) and
-     already attributed per plan by the optimizer; snapshot them so the
-     main loop's walks can be bulk-credited to the chosen plan at the end
-     without any per-walk recorder work. *)
-  let trial_walks = Estimator.n est in
-  let trial_successes = Estimator.successes est in
+  (* Trial walks only pick the plan: a pool of every candidate's walks has
+     many times the chosen plan's per-walk variance, so the estimate is
+     built from main-loop walks of the chosen plan alone. *)
+  let est = Estimator.create q.Query.agg in
   if Sink.wants_reports sink then
     Sink.emit sink
       (Wj_obs.Event.Plan_chosen
@@ -168,15 +157,14 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
     in
     (match convergence with
     | Some c when not !credited ->
-      (* Main-loop walks all ran the chosen plan; crediting the delta over
-         the trial snapshot makes per-plan attempts sum exactly to
-         [final.walks].  Also pin the trajectory's last point to the final
-         CI — report ticks stop before the loop does. *)
+      (* Main-loop walks all ran the chosen plan; the optimizer already
+         attributed the trials, so per-plan attempts sum exactly to
+         [final.walks + optimizer_walks].  Also pin the trajectory's last
+         point to the final CI — report ticks stop before the loop does. *)
       credited := true;
       Wj_obs.Convergence.register_plan c (Walk_plan.describe q plan);
       Wj_obs.Convergence.credit c ~plan:(Walk_plan.describe q plan)
-        ~attempts:(final.walks - trial_walks)
-        ~successes:(final.successes - trial_successes);
+        ~attempts:final.walks ~successes:final.successes;
       Wj_obs.Convergence.note_ci c ~walks:final.walks ~half_width:final.half_width
     | Some _ | None -> ());
     {
@@ -239,7 +227,7 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
      contributes metrics sampling and tracing here — no convergence scope. *)
   let sink = Run_config.resolved_sink cfg in
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
-  let prepared, plan, _trials, _, _ =
+  let prepared, plan, _, _ =
     pick_plan ~plan_choice:cfg.plan_choice ~eager_checks:true ~tracer:None ~sink q
       registry prng clock
   in
@@ -251,8 +239,6 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
            granularity = Walk_plan.granularity plan;
          });
   let engine = Engine.create ~batch:cfg.batch ~prefetch:cfg.prefetch prepared in
-  (* The optimizer's trial estimator cannot be split by group (it does not
-     retain paths), so group estimators start from zero walks here. *)
   let groups : (Value.t, Estimator.t) Hashtbl.t = Hashtbl.create 16 in
   let total = ref 0 in
   let group_est key =

@@ -39,6 +39,8 @@ type outcome = {
   plan_description : string;
   optimizer_time : float;  (** seconds spent on trial walks (0 with a fixed plan) *)
   optimizer_walks : int;
+      (** trial walks; they pick the plan and are not in [final.walks],
+          [estimator] or the [max_walks] budget *)
   stopped_because : stop_reason;
   history : report list;  (** periodic reports, oldest first *)
 }

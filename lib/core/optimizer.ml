@@ -17,7 +17,6 @@ type plan_report = {
 type result = {
   best : Walker.prepared;
   best_plan : Walk_plan.t;
-  trial_estimator : Estimator.t;
   total_trial_walks : int;
   reports : plan_report list;
 }
@@ -139,12 +138,6 @@ let choose ?(config = default_config) ?(eager_checks = true) ?tracer
         (fun b t -> if Estimator.successes t.est > Estimator.successes b.est then t else b)
         (List.hd trials) trials
   in
-  let merged =
-    List.fold_left
-      (fun acc t -> Estimator.merge acc t.est)
-      (Estimator.create q.Query.agg)
-      trials
-  in
   let reports =
     List.map
       (fun t ->
@@ -162,7 +155,6 @@ let choose ?(config = default_config) ?(eager_checks = true) ?tracer
   {
     best = best_trial.prepared;
     best_plan = best_trial.tplan;
-    trial_estimator = merged;
     total_trial_walks = List.fold_left (fun a t -> a + t.walks) 0 trials;
     reports;
   }

@@ -7,8 +7,13 @@
     until some plan accumulates τ successful walks; among plans with at
     least τ/2 successes the one minimising Var[X₁]·E[T] wins.
 
-    None of the trial work is wasted: every trial walk is an unbiased
-    observation, so the merged trial estimator seeds the final run. *)
+    Trial walks pick the plan and nothing else.  Each is an unbiased
+    observation, but of its own plan: pooled, the candidates' per-walk
+    variances average in, and the pool's σ̃² dwarfs the chosen plan's
+    (TPC-H Q7 at SF 0.1: 13–17×; a 200k-row cyclic triangle: 150–790×).
+    A session seeded with that pool spends most of its walks diluting it,
+    so every driver starts a fresh estimator on the chosen plan; the
+    trials' cost ([total_trial_walks]) is pure overhead. *)
 
 type config = {
   tau : int;  (** success threshold; paper default 100 *)
@@ -32,8 +37,6 @@ type plan_report = {
 type result = {
   best : Walker.prepared;
   best_plan : Walk_plan.t;
-  trial_estimator : Wj_stats.Estimator.t;
-      (** all trial walks merged — feed this to the online driver *)
   total_trial_walks : int;
   reports : plan_report list;
 }

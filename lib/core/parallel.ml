@@ -23,16 +23,15 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
   let sink = cfg.sink in
   let prng = Prng.create (cfg.seed lxor 0x504152) (* "PAR" *) in
   (* Plan selection happens once, sequentially, with the full sink. *)
-  let plan, seed_estimator =
+  let plan =
     match cfg.plan_choice with
-    | Run_config.Fixed plan -> (plan, Estimator.create q.Query.agg)
+    | Run_config.Fixed plan -> plan
     | Run_config.First_enumerated -> (
       match Walk_plan.enumerate ~max_plans:1 q registry with
       | [] -> invalid_arg "Parallel.run: query admits no walk plan"
-      | plan :: _ -> (plan, Estimator.create q.Query.agg))
+      | plan :: _ -> plan)
     | Run_config.Optimize config ->
-      let r = Optimizer.choose ~config ~sink q registry prng in
-      (r.best_plan, r.trial_estimator)
+      (Optimizer.choose ~config ~sink q registry prng).best_plan
   in
   if Sink.wants_reports sink then
     Sink.emit sink
@@ -67,7 +66,7 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
   let own, own_reason = worker 0 () in
   let parts = own :: List.map (fun h -> fst (Domain.join h)) handles in
   let per_domain_walks = Array.of_list (List.map Estimator.n parts) in
-  let merged = List.fold_left Estimator.merge seed_estimator parts in
+  let merged = List.fold_left Estimator.merge (Estimator.create q.Query.agg) parts in
   {
     final =
       Wj_obs.Progress.make ~elapsed:(Timer.elapsed clock) ~walks:(Estimator.n merged)

@@ -7,8 +7,9 @@
     are additive).
 
     The plan is chosen once (optionally by the optimizer) before spawning;
-    the optimizer's trial walks seed the merged estimator like in the
-    sequential driver. *)
+    as in the sequential driver, the optimizer's trial walks only pick the
+    plan, so the merged estimator holds the domains' walks and nothing
+    else. *)
 
 type outcome = {
   final : Online.report;

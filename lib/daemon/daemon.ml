@@ -25,7 +25,7 @@ type stream = {
   chunks : Json.t Queue.t;
   mutable live : int;
   s_submit : float;  (* Unix.gettimeofday at submission *)
-  s_target : float;  (* relative CI target fraction, for the latency histogram *)
+  s_target : Wj_stats.Target.t;  (* the CI target of the latency histogram *)
   mutable s_first_report : float;  (* seconds to first report; < 0 = none yet *)
   mutable s_target_pending : int;  (* sessions not yet at the CI target *)
   mutable s_target_at : float;  (* seconds to ±target CI; < 0 = not reached *)
@@ -144,8 +144,8 @@ let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
         if
           st.s_target_at < 0.0
           && (not (Hashtbl.mem at_target session))
-          && progress.half_width
-             <= st.s_target *. Float.abs progress.estimate
+          && Wj_stats.Target.reached st.s_target ~estimate:progress.estimate
+               ~half_width:progress.half_width
         then begin
           Hashtbl.replace at_target session ();
           st.s_target_pending <- st.s_target_pending - 1;
@@ -355,7 +355,10 @@ let item_json (item, pending) =
       Json.Obj
         ([ label; ("kind", Json.Str "online"); state; reason ]
         @ progress_fields o.Online.final
-        @ [ ("plan", Json.Str o.Online.plan_description) ])
+        @ [
+            ("plan", Json.Str o.Online.plan_description);
+            ("optimizer_walks", Json.Int o.Online.optimizer_walks);
+          ])
     | Some (Wj_core.Session.Groups g) ->
       Json.Obj
         [
@@ -495,7 +498,9 @@ let submit_fresh t req ~traced statement key epoch =
       chunks = Queue.create ();
       live = 0;
       s_submit = Unix.gettimeofday ();
-      s_target = (match req.target_pct with Some p -> p /. 100. | None -> 0.01);
+      s_target =
+        Wj_stats.Target.relative
+          (match req.target_pct with Some p -> p /. 100. | None -> 0.01);
       s_first_report = -1.0;
       s_target_pending = 0;
       s_target_at = -1.0;

@@ -60,8 +60,11 @@ let variance_of_walk t =
   if Moments.n m < 2 then 0.0
   else begin
     match t.agg with
-    | Sum -> Moments.sample_variance m iuv
-    | Count -> Moments.sample_variance m iu
+    (* The power-sum variance of constant observations (every walk with the
+       same weight, as on a chain of foreign keys) can cancel to a tiny
+       negative value, which would make the half-width nan. *)
+    | Sum -> Float.max 0.0 (Moments.sample_variance m iuv)
+    | Count -> Float.max 0.0 (Moments.sample_variance m iu)
     | Avg ->
       (* σ² = (Tn2(uv) − 2R·Tn11(uv,u) + R²·Tn2(u)) / Tn(u)²  (Appendix A) *)
       let tu = Moments.mean m iu in
@@ -104,7 +107,7 @@ let variance_of_walk t =
 
 let half_width t ~confidence =
   let count = n t in
-  if count < 2 then infinity
+  if count < 2 || t.successes = 0 then infinity
   else begin
     let z = Wj_util.Normal.z_of_confidence confidence in
     z *. sqrt (variance_of_walk t) /. sqrt (float_of_int count)

@@ -46,12 +46,17 @@ val variance_of_walk : t -> float
     negative. *)
 
 val half_width : t -> confidence:float -> float
-(** z_α σ̃_n / √n; [infinity] when fewer than 2 walks. *)
+(** z_α σ̃_n / √n; [infinity] when fewer than 2 walks or no successful
+    walk: all-zero observations have zero sample variance, and 0 ± 0 is
+    not an interval. *)
 
 val interval : t -> confidence:float -> float * float
 (** [estimate ± half_width]. *)
 
 val merge : t -> t -> t
-(** Combine estimators of the same aggregate from independent walk streams
-    (e.g. the optimizer's per-plan trial walks).
-    Raises [Invalid_argument] when the aggregates differ. *)
+(** Combine estimators of the same aggregate from independent, identically
+    distributed walk streams — the same plan, e.g. the per-domain streams
+    of a parallel run.  Streams of different plans are each unbiased but
+    have different per-walk variances, and the merged σ̃² is then dominated
+    by the worst of them; the optimizer's trial walks are not merged for
+    that reason.  Raises [Invalid_argument] when the aggregates differ. *)

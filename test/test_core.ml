@@ -8,6 +8,7 @@ module Walk_plan = Wj_core.Walk_plan
 module Walker = Wj_core.Walker
 module Optimizer = Wj_core.Optimizer
 module Online = Wj_core.Online
+module Parallel = Wj_core.Parallel
 module Run_config = Wj_core.Run_config
 module Engine = Wj_core.Engine
 module Decompose = Wj_core.Decompose
@@ -549,8 +550,9 @@ let test_optimizer_prefers_reverse_direction () =
   (* Plans starting at r1 almost always fail (48/50 of its rows dead-end);
      r2- and r3-rooted plans always succeed.  The optimizer must avoid r1. *)
   Alcotest.(check bool) "avoids the bad start" true (result.best_plan.order.(0) <> 0);
-  Alcotest.(check bool) "trial walks recycled" true
-    (Estimator.n result.trial_estimator = result.total_trial_walks);
+  Alcotest.(check int) "trial walks counted"
+    (List.fold_left (fun a (r : Optimizer.plan_report) -> a + r.trial_walks) 0 result.reports)
+    result.total_trial_walks;
   let chosen = List.filter (fun (r : Optimizer.plan_report) -> r.chosen) result.reports in
   Alcotest.(check int) "exactly one chosen" 1 (List.length chosen)
 
@@ -563,6 +565,26 @@ let test_optimizer_no_plans () =
     (fun () -> ignore (Optimizer.choose q reg prng))
 
 (* ---- Online ---------------------------------------------------------- *)
+
+(* Trial walks pick the plan and nothing else: under [Optimize] the
+   session's estimator, its walk count and its walk budget cover the
+   chosen plan's main-loop walks alone, in both drivers. *)
+let test_session_estimator_excludes_trials () =
+  let q = chain_query () in
+  let reg = Registry.build_for_query q in
+  let out =
+    Online.run_session (Run_config.make ~seed:4 ~max_walks:64 ~max_time:30.0 ()) q reg
+  in
+  Alcotest.(check bool) "Online ran trials" true (out.optimizer_walks > 64);
+  Alcotest.(check int) "Online estimator walks" 64 (Estimator.n out.estimator);
+  Alcotest.(check int) "Online report walks" 64 out.final.walks;
+  let par =
+    Parallel.run_session ~domains:2 ~walks_per_domain:64
+      (Run_config.make ~seed:4 ~max_time:30.0 ())
+      q reg
+  in
+  Alcotest.(check int) "Parallel estimator walks" 128 (Estimator.n par.estimator);
+  Alcotest.(check int) "Parallel report walks" 128 par.final.walks
 
 let test_online_converges_and_stops () =
   let q = chain_query () in
@@ -588,6 +610,28 @@ let test_online_stop_reasons () =
   Alcotest.(check bool) "walks close to budget" true (out.final.walks >= 100);
   let out2 = Online.run_session (Run_config.make ~seed:4 ~max_time:0.05 ()) q reg in
   Alcotest.(check bool) "time up" true (out2.stopped_because = Online.Time_up)
+
+(* An empty join fails every walk: 0 ± 0 is no interval, so an absolute
+   target must not count it as reached. *)
+let test_online_absolute_target_needs_success () =
+  let r1 = int_table "r1" [ "a"; "b" ] (List.init 20 (fun i -> [ i; i ])) in
+  let r2 = int_table "r2" [ "b"; "c" ] (List.init 20 (fun i -> [ 100 + i; i ])) in
+  let q =
+    Query.make
+      ~tables:[ ("r1", r1); ("r2", r2) ]
+      ~joins:[ { left = (0, 1); right = (1, 0); op = Eq } ]
+      ~agg:Estimator.Count ~expr:(Const 1.0) ()
+  in
+  let reg = Registry.build_for_query q in
+  let out =
+    Online.run_session
+      (Run_config.make ~seed:4 ~max_walks:500 ~max_time:30.0
+         ~target:(Wj_stats.Target.absolute 1.0) ~plan_choice:Online.First_enumerated ())
+      q reg
+  in
+  Alcotest.(check int) "no successes" 0 out.final.successes;
+  Alcotest.(check bool) "stopped on the walk budget" true
+    (out.stopped_because = Online.Walk_budget_exhausted)
 
 let test_online_reports () =
   let q = chain_query () in
@@ -1010,6 +1054,10 @@ let () =
         [
           Alcotest.test_case "converges + target stop" `Slow test_online_converges_and_stops;
           Alcotest.test_case "stop reasons" `Quick test_online_stop_reasons;
+          Alcotest.test_case "estimator holds only main-loop walks" `Quick
+            test_session_estimator_excludes_trials;
+          Alcotest.test_case "absolute target needs a success" `Quick
+            test_online_absolute_target_needs_success;
           Alcotest.test_case "periodic reports" `Quick test_online_reports;
           Alcotest.test_case "COUNT aggregate" `Slow test_online_count_agg;
           Alcotest.test_case "fixed and first plans" `Quick test_online_fixed_vs_first;

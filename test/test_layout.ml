@@ -6,7 +6,9 @@
    refactor — and any future storage change — must reproduce them bit for
    bit: same PRNG draw order, same float arithmetic order, same plan
    choice.  Values are compared through their "%h" hex rendering so a
-   mismatch shows the exact bits that moved. *)
+   mismatch shows the exact bits that moved.  The optimized rows cover the
+   chosen plan's 20k main-loop walks alone: the optimizer's trial walks
+   pick the plan but are neither in the estimate nor in the budget. *)
 
 module Queries = Wj_tpch.Queries
 module Generator = Wj_tpch.Generator
@@ -39,9 +41,9 @@ let goldens =
       first = "0x1.1e3fa44c264bfp+25";
       first_walks = 20_000;
       first_successes = 444;
-      opt = "0x1.26061ca1373b6p+25";
+      opt = "0x1.28ff4734a80a9p+25";
       opt_walks = 20_000;
-      opt_successes = 287;
+      opt_successes = 460;
       plan = "customer -> orders -> lineitem";
       exact = "0x1.21f739febf5ep+25";
       join_size = 323;
@@ -51,9 +53,9 @@ let goldens =
       first = "0x1.7c9e39dd48132p+20";
       first_walks = 20_000;
       first_successes = 5;
-      opt = "0x1.7303108c68dcap+21";
-      opt_walks = 160_000;
-      opt_successes = 250;
+      opt = "0x1.9a8126c7f4792p+21";
+      opt_walks = 20_000;
+      opt_successes = 189;
       plan = "n1 -> supplier -> lineitem -> orders -> customer -> n2";
       exact = "0x1.753f47f4ac20fp+21";
       join_size = 28;
@@ -63,9 +65,9 @@ let goldens =
       first = "0x1.b89e452c5131cp+26";
       first_walks = 20_000;
       first_successes = 345;
-      opt = "0x1.094dceba44ae2p+27";
+      opt = "0x1.09fff32d40d71p+27";
       opt_walks = 20_000;
-      opt_successes = 9148;
+      opt_successes = 9637;
       plan = "orders -> lineitem -> customer -> nation";
       exact = "0x1.060c316ba4fd6p+27";
       join_size = 1163;

@@ -183,13 +183,23 @@ let test_estimator_all_failures () =
     Estimator.add_failure est
   done;
   Alcotest.(check (float 0.0)) "estimate 0" 0.0 (Estimator.estimate est);
-  Alcotest.(check (float 0.0)) "half width 0" 0.0
+  Alcotest.(check (float 0.0)) "half width infinite" infinity
     (Estimator.half_width est ~confidence:0.95);
   let avg = Estimator.create Estimator.Avg in
   Estimator.add_failure avg;
   Estimator.add_failure avg;
   Alcotest.(check bool) "AVG nan on no success" true
     (Float.is_nan (Estimator.estimate avg))
+
+(* Every walk with the same weight: the power sums cancel, and a tiny
+   negative variance must not turn the half-width into nan. *)
+let test_estimator_constant_weights () =
+  let est = Estimator.create Estimator.Count in
+  for _ = 1 to 100 do
+    Estimator.add est ~u:3.3 ~v:1.0
+  done;
+  Alcotest.(check (float 0.0)) "variance 0" 0.0 (Estimator.variance_of_walk est);
+  Alcotest.(check (float 0.0)) "half width 0" 0.0 (Estimator.half_width est ~confidence:0.95)
 
 let test_estimator_validation () =
   let est = Estimator.create Estimator.Sum in
@@ -304,6 +314,7 @@ let () =
           Alcotest.test_case "CI coverage" `Slow test_estimator_coverage;
           Alcotest.test_case "CI shrinks" `Slow test_estimator_shrinks;
           Alcotest.test_case "all failures" `Quick test_estimator_all_failures;
+          Alcotest.test_case "constant weights" `Quick test_estimator_constant_weights;
           Alcotest.test_case "validation" `Quick test_estimator_validation;
           Alcotest.test_case "merge" `Quick test_estimator_merge;
           Alcotest.test_case "merge associativity" `Quick
