@@ -1,5 +1,7 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 5), plus ablations and bechamel micro-benchmarks.
+(* Paper reproduction: regenerates every table and figure of the paper's
+   evaluation (Section 5), plus ablations beyond it.  Performance of the
+   implementation itself (per-layer costs, time to CI, daemon latency) is
+   measured by wjbench instead; see bench/ledger/README.md.
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- --only fig9  -- one experiment
@@ -70,8 +72,8 @@ let rel_err est truth =
 (* Every online cell below runs through the Run_config session path; these
    forward the bench's global seed and the legacy defaults. *)
 let online_run ?target ?max_time ?max_walks ?report_every ?clock ?plan_choice
-    ?batch ?sink ?eager_checks ?tracer ?on_report q reg =
-  Online.run_session ?eager_checks ?tracer ?on_report
+    ?batch ?sink ?eager_checks ?on_report q reg =
+  Online.run_session ?eager_checks ?on_report
     (Wj_core.Run_config.make ~seed ?target ?max_time ?max_walks ?report_every
        ?clock ?plan_choice ?batch ?sink ())
     q reg
@@ -82,7 +84,7 @@ let online_run_group_by ?max_time ?max_walks ?report_every ?on_group_report q re
     q reg
 
 (* Time for wander join to reach a relative CI target; the optimizer runs
-   inside (its trial walks feed the final estimator, as in the paper). *)
+   inside (its trial walks pick the plan and count toward the time). *)
 let wj_time_to_ci ?(plan_choice = Online.Optimize Optimizer.default_config) ~target ~cap q
     reg =
   let out =
@@ -377,7 +379,7 @@ let fig13 () =
           let sim2 = Sim.create ~model ~pool_pages ~clock:clock2 () in
           let wj =
             online_run ~clock:clock2 ~max_time:vcap
-              ~target:(Target.relative target) ~tracer:(Sim.walker_tracer sim2) q reg
+              ~target:(Target.relative target) ~sink:(Sim.sink sim2) q reg
           in
           (* Wander join with data resident (the "sufficient memory" side of
              the paper's one-time-cost observation). *)
@@ -390,7 +392,7 @@ let fig13 () =
             q.Query.tables;
           let wj_warm =
             online_run ~clock:clock3 ~max_time:vcap
-              ~target:(Target.relative target) ~tracer:(Sim.walker_tracer sim3) q reg
+              ~target:(Target.relative target) ~sink:(Sim.sink sim3) q reg
           in
           Printf.printf "%-4s %-5s  %14.1f %14s %14s %16s\n%!" (Queries.name_of spec)
             label t_full
@@ -441,7 +443,7 @@ let tab2 () =
             let clock = Timer.hybrid () in
             let sim = Sim.create ~model ~pool_pages ~clock () in
             online_run ~clock ~max_time:vcap ~target:(Target.relative 0.05)
-              ~plan_choice ~tracer:(Sim.walker_tracer sim) q reg
+              ~plan_choice ~sink:(Sim.sink sim) q reg
           in
           let o1 = run_sim (Online.Optimize Optimizer.default_config) in
           let o2 = run_sim (Online.Fixed (pg_plan q reg)) in
@@ -512,7 +514,7 @@ let tab3 () =
           let clock = Timer.hybrid () in
           let sim = Sim.create ~model ~pool_pages ~clock () in
           let wjv =
-            online_run ~clock ~max_time:budget_v ~tracer:(Sim.walker_tracer sim) q
+            online_run ~clock ~max_time:budget_v ~sink:(Sim.sink sim) q
               reg
           in
           let clock2 = Timer.hybrid () in
@@ -741,1065 +743,6 @@ let abl_cardinality () =
     specs
 
 (* ======================================================================= *)
-(* Engine throughput: walks/sec by batch size. *)
-(* ======================================================================= *)
-
-let engine_bench () =
-  header "Engine: walks/sec by batch size (fixed PG plan, 2GB)";
-  let d = Data.get 0.02 in
-  let horizon = if !quick then 0.3 else 1.0 in
-  let batches = [ 1; 8; 64 ] in
-  let entries = ref [] in
-  Printf.printf "%-4s" "qry";
-  List.iter (fun b -> Printf.printf "  %12s" (Printf.sprintf "batch %d" b)) batches;
-  Printf.printf "   (walks/sec)\n";
-  List.iter
-    (fun spec ->
-      let q = Queries.build ~variant:Barebone spec d in
-      let reg = Queries.registry q in
-      let plan = pg_plan q reg in
-      Printf.printf "%-4s" (Queries.name_of spec);
-      let rates =
-        List.map
-          (fun batch ->
-            let out =
-              online_run ~max_time:horizon ~plan_choice:(Online.Fixed plan)
-                ~batch q reg
-            in
-            let rate = float_of_int out.final.walks /. out.final.elapsed in
-            Printf.printf "  %12.0f%!" rate;
-            (batch, rate))
-          batches
-      in
-      print_newline ();
-      entries := (Queries.name_of spec, rates) :: !entries)
-    specs;
-  (* Machine-readable drop for regression tracking. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "{\n  \"experiment\": \"engine\",\n  \"unit\": \"walks_per_sec\",\n  \"queries\": {\n";
-  let entries = List.rev !entries in
-  List.iteri
-    (fun i (name, rates) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: {" name);
-      List.iteri
-        (fun j (b, r) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\"batch_%d\": %.1f" (if j = 0 then " " else ", ") b r))
-        rates;
-      Buffer.add_string buf
-        (Printf.sprintf " }%s\n" (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [engine] wrote BENCH_engine.json\n%!"
-
-(* ======================================================================= *)
-(* Observability overhead: walks/sec by sink mode. *)
-(* ======================================================================= *)
-
-let obs_bench () =
-  header "Observability: walks/sec by sink mode (fixed PG plan, 2GB)";
-  (* Pay-for-what-you-use check: the no-op sink must sit within noise of
-     the plain run; metrics-only and full-event sinks show the real cost
-     of counting and of the typed event stream. *)
-  let d = Data.get 0.02 in
-  let horizon = if !quick then 0.3 else 1.0 in
-  let entries = ref [] in
-  Printf.printf "%-4s  %12s %12s %12s %12s   (walks/sec)\n" "qry" "baseline" "noop"
-    "metrics" "events";
-  List.iter
-    (fun spec ->
-      let q = Queries.build ~variant:Barebone spec d in
-      let reg = Queries.registry q in
-      let plan = pg_plan q reg in
-      let rate ?sink () =
-        let out =
-          online_run ~max_time:horizon ~plan_choice:(Online.Fixed plan) ?sink q
-            reg
-        in
-        float_of_int out.final.walks /. out.final.elapsed
-      in
-      (* Best of 3 per configuration, reps interleaved round-robin after a
-         shared warm-up: a single sequential pass is noisy enough that the
-         no-op sink used to show a −14% "overhead" on Q10 — heap growth and
-         cache warming favour whichever configuration runs last.  Round-robin
-         spreads that drift evenly; the max of three is what the machine can
-         actually do in each mode. *)
-      ignore (rate ());
-      let configs =
-        [|
-          (fun () -> rate ());
-          (fun () -> rate ~sink:Wj_obs.Sink.noop ());
-          (fun () ->
-            rate ~sink:(Wj_obs.Sink.of_metrics (Wj_obs.Metrics.create ())) ());
-          (fun () ->
-            let m = Wj_obs.Metrics.create () in
-            let seen = ref 0 in
-            rate
-              ~sink:(Wj_obs.Sink.make ~on_event:(fun _ -> incr seen) ~metrics:m ())
-              ());
-        |]
-      in
-      let best = Array.make (Array.length configs) 0.0 in
-      for _ = 1 to 5 do
-        Array.iteri
-          (fun i f -> best.(i) <- Float.max best.(i) (f ()))
-          configs
-      done;
-      let baseline = best.(0) in
-      let noop = best.(1) in
-      let metrics_rate = best.(2) in
-      let events_rate = best.(3) in
-      let overhead r = 100.0 *. (1.0 -. (r /. baseline)) in
-      Printf.printf "%-4s  %12.0f %12.0f %12.0f %12.0f   (noop %+.1f%%, metrics %+.1f%%, events %+.1f%%)\n%!"
-        (Queries.name_of spec) baseline noop metrics_rate events_rate (overhead noop)
-        (overhead metrics_rate) (overhead events_rate);
-      entries :=
-        (Queries.name_of spec, baseline, noop, metrics_rate, events_rate) :: !entries)
-    specs;
-  (* Tiny-scale daemon run: does scraping /metrics in a tight loop while a
-     query streams slow the query down?  Fixed walk budget, wall time to
-     the final chunk, best of 3 each way. *)
-  let scrape_walks = if !quick then 20_000 else 100_000 in
-  let scrape_plain, scrape_loaded, scrape_count =
-    let module Daemon = Wj_daemon.Daemon in
-    let module Http = Wj_daemon.Http in
-    let module Json = Wj_daemon.Json in
-    let catalog = Generator.catalog (Data.get 0.005) in
-    let body =
-      Json.to_string
-        (Json.Obj
-           [
-             ( "sql",
-               Json.Str
-                 "SELECT ONLINE COUNT(*) FROM orders, lineitem WHERE \
-                  o_orderkey = l_orderkey" );
-             ("seed", Json.Int 99);
-             ("max_walks", Json.Int scrape_walks);
-             ("time", Json.Float 600.0);
-           ])
-    in
-    let run ~scrape =
-      let daemon = Daemon.create ~quantum:256 ~max_live:4 ~port:0 catalog in
-      Daemon.start daemon;
-      let url = Daemon.url daemon in
-      let stop = Atomic.make false in
-      let scrapes = ref 0 in
-      let scraper =
-        if scrape then
-          Some
-            (Thread.create
-               (fun () ->
-                 (* 200 scrapes/s — orders of magnitude past any real
-                    Prometheus cadence, but paced: a zero-delay loop
-                    measures connection DoS, not scrape cost. *)
-                 while not (Atomic.get stop) do
-                   ignore (Http.fetch (url ^ "/metrics"));
-                   incr scrapes;
-                   Thread.delay 0.005
-                 done)
-               ())
-        else None
-      in
-      let t0 = Unix.gettimeofday () in
-      ignore (Http.fetch ~body (url ^ "/query"));
-      let dt = Unix.gettimeofday () -. t0 in
-      Atomic.set stop true;
-      Option.iter Thread.join scraper;
-      Daemon.stop daemon;
-      (dt, !scrapes)
-    in
-    (* Warm-up (page in the catalog, JIT the first daemon through its
-       cold path), then alternate plain/scraped so drift hits both. *)
-    ignore (run ~scrape:false);
-    let plain = ref infinity and loaded = ref infinity and scrapes = ref 0 in
-    for _ = 1 to 3 do
-      let d, _ = run ~scrape:false in
-      if d < !plain then plain := d;
-      let d, s = run ~scrape:true in
-      if d < !loaded then (
-        loaded := d;
-        scrapes := s)
-    done;
-    (!plain, !loaded, !scrapes)
-  in
-  let scrape_overhead =
-    100.0 *. ((scrape_loaded /. scrape_plain) -. 1.0)
-  in
-  Printf.printf
-    "scrape-under-load: %d walks in %.3fs plain, %.3fs with %d /metrics \
-     scrapes (%+.1f%%)\n%!"
-    scrape_walks scrape_plain scrape_loaded scrape_count scrape_overhead;
-  (* Machine-readable drop for regression tracking. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "{\n  \"experiment\": \"obs\",\n  \"unit\": \"walks_per_sec\",\n  \"queries\": {\n";
-  let entries = List.rev !entries in
-  List.iteri
-    (fun i (name, baseline, noop, metrics_rate, events_rate) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    %S: { \"baseline\": %.1f, \"noop\": %.1f, \"metrics\": %.1f, \
-            \"events\": %.1f, \"noop_overhead_pct\": %.2f }%s\n"
-           name baseline noop metrics_rate events_rate
-           (100.0 *. (1.0 -. (noop /. baseline)))
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"scrape_under_load\": { \"walks\": %d, \"plain_s\": %.4f, \
-        \"scraped_s\": %.4f, \"scrapes\": %d, \"overhead_pct\": %.2f }\n"
-       scrape_walks scrape_plain scrape_loaded scrape_count scrape_overhead);
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [obs] wrote BENCH_obs.json\n%!"
-
-(* ======================================================================= *)
-(* Storage layout: walk and exact-scan throughput over the columnar store. *)
-(* ======================================================================= *)
-
-let layout_bench () =
-  header "Layout: columnar-store throughput (standard queries, 2GB)";
-  let d = Data.get 0.02 in
-  let horizon = if !quick then 0.3 else 1.0 in
-  let entries = ref [] in
-  Printf.printf "%-4s  %14s %16s\n" "qry" "walks/sec" "exact rows/sec";
-  List.iter
-    (fun spec ->
-      let q = Queries.build ~variant:Standard spec d in
-      let reg = Queries.registry q in
-      let plan = pg_plan q reg in
-      let out =
-        online_run ~max_time:horizon ~plan_choice:(Online.Fixed plan) q reg
-      in
-      let walk_rate = float_of_int out.final.walks /. out.final.elapsed in
-      let exact, t_exact = Timer.time_it (fun () -> Exact.aggregate q reg) in
-      let scan_rate = float_of_int exact.rows_visited /. t_exact in
-      Printf.printf "%-4s  %14.0f %16.0f\n%!" (Queries.name_of spec) walk_rate
-        scan_rate;
-      entries := (Queries.name_of spec, walk_rate, scan_rate) :: !entries)
-    specs;
-  (* Machine-readable drop for regression tracking across layout changes. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\n  \"experiment\": \"layout\",\n  \"queries\": {\n";
-  let entries = List.rev !entries in
-  List.iteri
-    (fun i (name, w, s) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    %S: { \"walks_per_sec\": %.1f, \"exact_rows_per_sec\": %.1f }%s\n"
-           name w s
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_layout.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [layout] wrote BENCH_layout.json\n%!"
-
-(* ======================================================================= *)
-(* Service layer: aggregate throughput and fairness across sessions. *)
-(* ======================================================================= *)
-
-let service_bench () =
-  header "Service: scheduler throughput and fairness by session count (Q3 barebone)";
-  (* Each session runs the same query shape under its own seed for a fixed
-     wall-time budget; the scheduler multiplexes them over one shared
-     registry.  Two things to watch: aggregate walks/sec (scheduling
-     overhead vs a single session owning the loop) and the fairness
-     spread (max-min)/mean of per-session walks when every session had
-     the same time budget. *)
-  let module Scheduler = Wj_service.Scheduler in
-  let d = Data.get (if !quick then 0.01 else 0.02) in
-  let horizon = if !quick then 0.3 else 1.0 in
-  let q = Queries.build ~variant:Barebone Queries.Q3 d in
-  let reg = Queries.registry q in
-  let plan = pg_plan q reg in
-  let entries = ref [] in
-  Printf.printf "%10s  %14s %14s %12s\n" "sessions" "agg walks/sec" "per-session"
-    "spread";
-  List.iter
-    (fun n ->
-      let sched = Scheduler.create ~quantum:256 ~max_live:n () in
-      let sessions =
-        List.init n (fun i ->
-            let cfg =
-              Wj_core.Run_config.make ~seed:(seed + i) ~max_time:horizon
-                ~plan_choice:(Wj_core.Run_config.Fixed plan) ()
-            in
-            Scheduler.submit sched cfg q reg)
-      in
-      let (), elapsed = Timer.time_it (fun () -> Scheduler.drain sched) in
-      let walks =
-        List.map
-          (fun s ->
-            match Scheduler.result s with
-            | Some (Wj_core.Session.Scalar o) -> float_of_int o.final.walks
-            | _ -> 0.0)
-          sessions
-      in
-      let total = List.fold_left ( +. ) 0.0 walks in
-      let mean = total /. float_of_int n in
-      let mx = List.fold_left Float.max neg_infinity walks in
-      let mn = List.fold_left Float.min infinity walks in
-      let spread = if mean > 0.0 then (mx -. mn) /. mean else 0.0 in
-      let rate = total /. elapsed in
-      Printf.printf "%10d  %14.0f %14.0f %11.1f%%\n%!" n rate mean (pct spread);
-      entries := (n, rate, mean, spread) :: !entries)
-    [ 1; 4; 16 ];
-  (* Machine-readable drop for regression tracking. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "{\n  \"experiment\": \"service\",\n  \"unit\": \"walks_per_sec\",\n  \"fleets\": {\n";
-  let entries = List.rev !entries in
-  List.iteri
-    (fun i (n, rate, mean, spread) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    \"sessions_%d\": { \"agg_walks_per_sec\": %.1f, \
-            \"mean_walks_per_session\": %.1f, \"fairness_spread\": %.4f }%s\n"
-           n rate mean spread
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_service.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [service] wrote BENCH_service.json\n%!"
-
-(* ======================================================================= *)
-(* Multicore: domain-sharded scheduler x interleaved prefetching engine. *)
-(* ======================================================================= *)
-
-let mcore_bench () =
-  header "Multicore: walks/sec by domains x batch x prefetch";
-  (* Fleets of 16 pinned walk-budget sessions drained on 1/2/4/N domains,
-     each session running the batched engine with prefetch on or off.
-     Fixed plans and walk budgets: every cell does identical work, so
-     walks/sec differences are pure scheduling + engine effects.  The
-     sharded drain is estimate-transparent (test_service pins that), so
-     only throughput is interesting here. *)
-  let module Scheduler = Wj_service.Scheduler in
-  let d = Data.get (if !quick then 0.01 else 0.02) in
-  let ncores = Stdlib.Domain.recommended_domain_count () in
-  let domain_counts = List.sort_uniq compare [ 1; 2; 4; max 1 ncores ] in
-  let batches = [ 1; 8; 64 ] in
-  let fleet = 16 in
-  let walks = if !quick then 1_500 else 10_000 in
-  let mk_triangle () =
-    let module T = Wj_storage.Table in
-    let module S = Wj_storage.Schema in
-    let rows = if !quick then 5_000 else 20_000 in
-    let dom = if !quick then 20 else 40 in
-    let prng = Wj_util.Prng.create 17 in
-    let mk name c1 c2 =
-      let t =
-        T.create ~name
-          ~schema:(S.make [ { S.name = c1; ty = TInt }; { name = c2; ty = TInt } ])
-          ()
-      in
-      for _ = 1 to rows do
-        ignore
-          (T.insert t
-             [| Int (Wj_util.Prng.int prng dom); Int (Wj_util.Prng.int prng dom) |])
-      done;
-      t
-    in
-    let f = mk "f" "a" "b" and g = mk "g" "b" "c" and h = mk "h" "c" "a" in
-    Query.make
-      ~tables:[ ("f", f); ("g", g); ("h", h) ]
-      ~joins:
-        [
-          { left = (0, 1); right = (1, 0); op = Eq };
-          { left = (1, 1); right = (2, 0); op = Eq };
-          { left = (2, 1); right = (0, 0); op = Eq };
-        ]
-      ~agg:Wj_stats.Estimator.Count ~expr:(Query.Const 1.0) ()
-  in
-  let cases =
-    let tpch spec =
-      let q = Queries.build ~variant:Barebone spec d in
-      (Queries.name_of spec, q, Queries.registry q)
-    in
-    let qt = mk_triangle () in
-    [ tpch Queries.Q3; tpch Queries.Q7;
-      ("triangle", qt, Wj_core.Registry.build_for_query qt) ]
-  in
-  let cell ~q ~reg ~plan ~domains ~batch ~prefetch =
-    let sched = Scheduler.create ~quantum:256 ~max_live:fleet ~domains () in
-    let sessions =
-      List.init fleet (fun i ->
-          let cfg =
-            Wj_core.Run_config.make ~seed:(seed + i) ~max_walks:walks
-              ~max_time:3600.0 ~batch ~prefetch
-              ~plan_choice:(Wj_core.Run_config.Fixed plan) ()
-          in
-          Scheduler.submit sched ~pin:i cfg q reg)
-    in
-    let (), elapsed = Timer.time_it (fun () -> Scheduler.drain sched) in
-    let total =
-      List.fold_left
-        (fun acc s ->
-          match Scheduler.result s with
-          | Some (Wj_core.Session.Scalar o) -> acc + o.Online.final.walks
-          | _ -> acc)
-        0 sessions
-    in
-    float_of_int total /. Float.max elapsed 1e-9
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"experiment\": \"mcore\",\n  \"unit\": \"walks_per_sec\",\n\
-       \  \"cores\": %d,\n  \"fleet\": %d,\n  \"walks_per_session\": %d,\n\
-       \  \"queries\": {\n"
-       ncores fleet walks);
-  List.iteri
-    (fun qi (name, q, reg) ->
-      let plan = pg_plan q reg in
-      Printf.printf "%-9s %8s %6s  %s\n" name "domains" "batch" "on / off walks/sec";
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
-      let base_1 = ref 0.0 and best_n = ref 0.0 in
-      let gain64 = ref 0.0 in
-      List.iteri
-        (fun di domains ->
-          Buffer.add_string buf (Printf.sprintf "      \"domains_%d\": {" domains);
-          List.iteri
-            (fun bi batch ->
-              let on = cell ~q ~reg ~plan ~domains ~batch ~prefetch:true in
-              let off = cell ~q ~reg ~plan ~domains ~batch ~prefetch:false in
-              if batch = 64 then begin
-                if domains = 1 then base_1 := on;
-                if on > !best_n then best_n := on;
-                if domains = 1 then gain64 := on /. Float.max off 1e-9
-              end;
-              Printf.printf "%-9s %8d %6d  %10.0f / %10.0f\n%!" "" domains batch on
-                off;
-              Buffer.add_string buf
-                (Printf.sprintf
-                   " \"batch_%d\": { \"prefetch_on\": %.0f, \"prefetch_off\": \
-                    %.0f }%s"
-                   batch on off
-                   (if bi = List.length batches - 1 then "" else ",")))
-            batches;
-          Buffer.add_string buf
-            (Printf.sprintf " }%s\n"
-               (if di = List.length domain_counts - 1 then "" else ",")))
-        domain_counts;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      ,\"summary\": { \"scaling_best_over_1_batch64\": %.2f, \
-            \"prefetch_gain_1dom_batch64\": %.3f }\n    }%s\n"
-           (!best_n /. Float.max !base_1 1e-9)
-           !gain64
-           (if qi = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_mcore.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [mcore] wrote BENCH_mcore.json\n%!"
-
-(* ======================================================================= *)
-(* Flight recorder: walks/sec by recorder mode. *)
-(* ======================================================================= *)
-
-let trace_bench () =
-  header "Flight recorder: walks/sec by recorder mode (fixed PG plan, 2GB)";
-  (* The recorder's overhead ladder: off (plain run), timeseries-only
-     (reports-only sink sampling counters into ring buffers), and full
-     span tracing (a span per driver quantum plus per-probe walker
-     spans).  Timeseries mode must sit within a few percent of the
-     uninstrumented run — the recorder never subscribes to hot-path
-     events, so its cost is the shared metrics registry plus O(reports)
-     sampling. *)
-  let module Run_config = Wj_core.Run_config in
-  let module Recorder = Wj_obs.Recorder in
-  let d = Data.get 0.02 in
-  let horizon = if !quick then 0.3 else 1.0 in
-  let entries = ref [] in
-  Printf.printf "%-4s  %12s %12s %12s   (walks/sec)\n" "qry" "off" "timeseries"
-    "tracing";
-  List.iter
-    (fun spec ->
-      let q = Queries.build ~variant:Barebone spec d in
-      let reg = Queries.registry q in
-      let plan = pg_plan q reg in
-      (* Machine drift across a multi-second bench is larger than the
-         effect measured, so the modes run interleaved round-robin and
-         each mode's rate is total walks over total elapsed across all
-         repetitions — slow drift then cancels out of the overhead
-         ratios instead of being charged to whichever mode ran last. *)
-      let reps = if !quick then 1 else 5 in
-      let one mk_recorder =
-        let cfg =
-          Run_config.make ~seed ~max_time:horizon
-            ~plan_choice:(Run_config.Fixed plan) ?recorder:(mk_recorder ()) ()
-        in
-        let out = Online.run_session cfg q reg in
-        (float_of_int out.final.walks, out.final.elapsed)
-      in
-      let modes =
-        [|
-          (fun () -> None);
-          (fun () -> Some (Recorder.create ()));
-          (fun () -> Some (Recorder.create ~tracing:true ()));
-        |]
-      in
-      let walks = [| 0.0; 0.0; 0.0 |] and secs = [| 0.0; 0.0; 0.0 |] in
-      for _ = 1 to reps do
-        Array.iteri
-          (fun i mk ->
-            let w, s = one mk in
-            walks.(i) <- walks.(i) +. w;
-            secs.(i) <- secs.(i) +. s)
-          modes
-      done;
-      let rate i = walks.(i) /. secs.(i) in
-      let off = rate 0 and ts = rate 1 and tracing = rate 2 in
-      let overhead r = 100.0 *. (1.0 -. (r /. off)) in
-      Printf.printf
-        "%-4s  %12.0f %12.0f %12.0f   (timeseries %+.1f%%, tracing %+.1f%%)\n%!"
-        (Queries.name_of spec) off ts tracing (overhead ts) (overhead tracing);
-      entries := (Queries.name_of spec, off, ts, tracing) :: !entries)
-    specs;
-  (* With no recorder the observability plumbing must be allocation-free:
-     resolving the configured sink and testing event granularity — the
-     exact gates the driver evaluates every tick — may not create a
-     single minor word. *)
-  let cfg = Run_config.make ~seed () in
-  let live = ref 0 in
-  let before = Gc.minor_words () in
-  for _ = 1 to 100_000 do
-    let sink = Run_config.resolved_sink cfg in
-    if Wj_obs.Sink.wants_events sink then incr live;
-    if Wj_obs.Sink.wants_reports sink then incr live
-  done;
-  let off_words = Gc.minor_words () -. before in
-  Printf.printf "  [trace] off-state sink gating: %.0f minor words / 100k checks%s\n%!"
-    off_words
-    (if off_words = 0.0 then " (allocation-free)" else "");
-  if off_words > 0.0 then
-    failwith
-      (Printf.sprintf
-         "recorder-off sink gating allocated %.0f minor words; expected 0" off_words);
-  (* Machine-readable drop for regression tracking. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "{\n  \"experiment\": \"trace\",\n  \"unit\": \"walks_per_sec\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"off_state_minor_words\": %.0f,\n  \"queries\": {\n" off_words);
-  let entries = List.rev !entries in
-  List.iteri
-    (fun i (name, off, ts, tracing) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    %S: { \"off\": %.1f, \"timeseries\": %.1f, \"tracing\": %.1f, \
-            \"timeseries_overhead_pct\": %.2f, \"tracing_overhead_pct\": %.2f }%s\n"
-           name off ts tracing
-           (100.0 *. (1.0 -. (ts /. off)))
-           (100.0 *. (1.0 -. (tracing /. off)))
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [trace] wrote BENCH_trace.json\n%!"
-
-(* ======================================================================= *)
-(* WCOJ substrate: pre-intersection reject suppression on cyclic walks,
-   and the leapfrog exact executor against the nested loop. *)
-(* ======================================================================= *)
-
-let wcoj_bench () =
-  header "WCOJ: constraint pre-intersection and leapfrog exact (triangle query)";
-  let module T = Wj_storage.Table in
-  let module S = Wj_storage.Schema in
-  let mk_triangle rows dom =
-    let prng = Wj_util.Prng.create 17 in
-    let mk name c1 c2 =
-      let t =
-        T.create ~name
-          ~schema:(S.make [ { S.name = c1; ty = TInt }; { name = c2; ty = TInt } ])
-          ()
-      in
-      for _ = 1 to rows do
-        ignore
-          (T.insert t
-             [| Int (Wj_util.Prng.int prng dom); Int (Wj_util.Prng.int prng dom) |])
-      done;
-      t
-    in
-    let f = mk "f" "a" "b" and g = mk "g" "b" "c" and h = mk "h" "c" "a" in
-    Query.make
-      ~tables:[ ("f", f); ("g", g); ("h", h) ]
-      ~joins:
-        [
-          { left = (0, 1); right = (1, 0); op = Eq };
-          { left = (1, 1); right = (2, 0); op = Eq };
-          { left = (2, 1); right = (0, 0); op = Eq };
-        ]
-      ~agg:Wj_stats.Estimator.Count ~expr:(Query.Const 1.0) ()
-  in
-  (* Walk side: the abl-failfast shape, where hash-only walks reject ~97%
-     of the time on the non-tree edge. *)
-  let wrows = if !quick then 5_000 else 20_000 in
-  let wdom = if !quick then 20 else 40 in
-  let q = mk_triangle wrows wdom in
-  let reg = Wj_core.Registry.build_for_query q in
-  let plans =
-    Walk_plan.enumerate ~max_plans:1 q reg
-    |> List.concat_map (Walk_plan.intersect_variants q reg)
-  in
-  let base = List.hd plans in
-  let variant = List.hd (List.rev plans) in
-  let probe_walks = if !quick then 10_000 else 50_000 in
-  let reject_rate plan =
-    let prepared = Wj_core.Walker.prepare q reg plan in
-    let prng = Wj_util.Prng.create seed in
-    let fails = ref 0 in
-    for _ = 1 to probe_walks do
-      match Wj_core.Walker.walk prepared prng with
-      | Wj_core.Walker.Success _ -> ()
-      | Wj_core.Walker.Failure _ -> incr fails
-    done;
-    float_of_int !fails /. float_of_int probe_walks
-  in
-  let walks_to_ci plan =
-    let out =
-      online_run ~max_time:(if !quick then 10.0 else 30.0)
-        ~max_walks:5_000_000 ~target:(Target.relative 0.01)
-        ~plan_choice:(Online.Fixed plan) q reg
-    in
-    (out.final.walks, out.final.estimate, out.stopped_because = Online.Target_reached)
-  in
-  Printf.printf "%-20s %12s %14s %14s\n" "plan" "reject%" "walks to ±1%" "estimate";
-  let measure plan =
-    let rr = reject_rate plan in
-    let walks, est, reached = walks_to_ci plan in
-    Printf.printf "%-20s %12.2f %14s %14.0f\n%!" (Walk_plan.granularity plan)
-      (pct rr)
-      (if reached then string_of_int walks else Printf.sprintf "%d (cap)" walks)
-      est;
-    (rr, walks, est)
-  in
-  let rr_base, walks_base, est_base = measure base in
-  let rr_isect, walks_isect, est_isect = measure variant in
-  Printf.printf "  reject cut: %.1fx   walk cut: %.1fx\n%!"
-    (rr_base /. Float.max rr_isect 1e-9)
-    (float_of_int walks_base /. float_of_int (max walks_isect 1));
-  (* Exact side: smaller triangle (the nested loop pays the full
-     intermediate blow-up, ~n^2/dom row visits per start row). *)
-  let erows = if !quick then 1_000 else 2_000 in
-  let edom = if !quick then 25 else 40 in
-  let qe = mk_triangle erows edom in
-  let rege = Wj_core.Registry.build_for_query qe in
-  let time_exact strategy =
-    let t0 = Unix.gettimeofday () in
-    let r = Exact.aggregate ~strategy qe rege in
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt, r)
-  in
-  let nl_dt, nl = time_exact Exact.Nested_loop in
-  let lf_dt, lf = time_exact Exact.Leapfrog in
-  assert (nl.join_size = lf.join_size);
-  Printf.printf "%-20s %12s %14s %14s\n" "exact strategy" "seconds" "rows visited"
-    "rows/sec";
-  List.iter
-    (fun (name, dt, (r : Exact.result)) ->
-      Printf.printf "%-20s %12.3f %14d %14.0f\n%!" name dt r.rows_visited
-        (float_of_int r.rows_visited /. dt))
-    [ ("nested-loop", nl_dt, nl); ("leapfrog", lf_dt, lf) ];
-  Printf.printf "  triangles: %d   leapfrog speedup: %.1fx\n%!" lf.join_size
-    (nl_dt /. Float.max lf_dt 1e-9);
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"experiment\": \"wcoj\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"walk_triangle\": { \"rows\": %d, \"domain\": %d },\n" wrows
-       wdom);
-  Buffer.add_string buf "  \"walks\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"hash\": { \"reject_rate\": %.4f, \"walks_to_1pct\": %d, \"estimate\": \
-        %.1f },\n"
-       rr_base walks_base est_base);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"trie_intersect\": { \"reject_rate\": %.6f, \"walks_to_1pct\": %d, \
-        \"estimate\": %.1f },\n"
-       rr_isect walks_isect est_isect);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"reject_cut\": %.1f,\n" (rr_base /. Float.max rr_isect 1e-9));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"walk_cut\": %.1f\n  },\n"
-       (float_of_int walks_base /. float_of_int (max walks_isect 1)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"exact_triangle\": { \"rows\": %d, \"domain\": %d },\n" erows
-       edom);
-  Buffer.add_string buf "  \"exact\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"nested_loop\": { \"seconds\": %.4f, \"rows_visited\": %d },\n" nl_dt
-       nl.rows_visited);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"leapfrog\": { \"seconds\": %.4f, \"rows_visited\": %d },\n"
-       lf_dt lf.rows_visited);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"join_size\": %d,\n    \"speedup\": %.1f\n  }\n}\n"
-       lf.join_size
-       (nl_dt /. Float.max lf_dt 1e-9));
-  let oc = open_out "BENCH_wcoj.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [wcoj] wrote BENCH_wcoj.json\n%!"
-
-(* ======================================================================= *)
-(* External memory: the paged backend under shrinking buffer pools. *)
-(* ======================================================================= *)
-
-(* Walks/sec and time-to-±1%-CI with the pool at 100% / 25% / 5% of the
-   dataset's data pages, plus the measured fault count against the iosim
-   cost-model prediction (the old simulation is the oracle for the real
-   pager).  Writes BENCH_extmem.json. *)
-let extmem_bench () =
-  let module Backend = Wj_storage.Backend in
-  let module Buffer_pool = Wj_storage.Buffer_pool in
-  let module Table = Wj_storage.Table in
-  header "External memory: paged backend vs buffer pool size (Q3)";
-  let d = Data.get (if !quick then 0.01 else 0.02) in
-  let spec = Queries.Q3 in
-  let q = Queries.build ~variant:Standard spec d in
-  let tables = Array.to_list q.Query.tables in
-  let distinct =
-    List.fold_left
-      (fun acc t -> if List.memq t acc then acc else t :: acc)
-      [] tables
-  in
-  let rpp = Cost_model.default.Cost_model.rows_per_page in
-  let data_pages t =
-    Wj_storage.Schema.arity (Table.schema t) * ((Table.length t + rpp - 1) / rpp)
-  in
-  let total_pages = List.fold_left (fun acc t -> acc + data_pages t) 0 distinct in
-  Printf.printf "  dataset: %d column-segment pages (%d bytes each)\n%!" total_pages
-    Backend.page_bytes;
-  let dir = Filename.temp_dir "wj_extmem_bench" "" in
-  let cap = if !quick then 5.0 else 20.0 in
-  let oracle_walks = if !quick then 5_000 else 20_000 in
-  let fracs = [ ("100pct", 1.0); ("25pct", 0.25); ("5pct", 0.05) ] in
-  Printf.printf "%-8s %10s %12s %10s %12s %9s %11s %11s %7s\n" "pool" "pages"
-    "t to ±1%" "walks" "walks/sec" "hit%" "faults" "predicted" "ratio";
-  let rows =
-    List.map
-      (fun (label, frac) ->
-        let pool_pages =
-          max 4 (int_of_float (Float.round (frac *. float_of_int total_pages)))
-        in
-        let ptables, pool =
-          Backend.prepare_tables (Backend.Paged { dir; pool_pages }) tables
-        in
-        let pool = Option.get pool in
-        let pq = { q with Query.tables = Array.of_list ptables } in
-        let reg = Queries.registry pq in
-        (* Index builds scanned every segment; measure runs from cold. *)
-        Buffer_pool.clear pool;
-        let out =
-          online_run ~max_time:cap ~target:(Target.relative 0.01)
-            ~plan_choice:Online.First_enumerated pq reg
-        in
-        let elapsed = out.final.elapsed in
-        let walks_per_sec = float_of_int out.final.walks /. Float.max elapsed 1e-9 in
-        let hit_rate =
-          float_of_int (Buffer_pool.hits pool)
-          /. float_of_int (max 1 (Buffer_pool.accesses pool))
-        in
-        (* Fault oracle: replay a fixed walk budget on both sides.  The
-           in-memory run feeds the walker's row accesses into the iosim
-           cost model; the paged run counts real segment faults. *)
-        let reg_mem = Queries.registry q in
-        let sim = Sim.create ~pool_pages ~clock:(Timer.virtual_ ()) () in
-        ignore
-          (online_run ~max_time:infinity ~max_walks:oracle_walks
-             ~plan_choice:Online.First_enumerated ~sink:(Sim.sink sim) q reg_mem);
-        let predicted = Buffer_pool.misses (Sim.pool sim) in
-        Buffer_pool.clear pool;
-        ignore
-          (online_run ~max_time:infinity ~max_walks:oracle_walks
-             ~plan_choice:Online.First_enumerated pq reg);
-        let measured = Buffer_pool.misses pool in
-        let ratio = float_of_int measured /. float_of_int (max 1 predicted) in
-        Printf.printf "%-8s %10d %12s %10d %12.0f %9.1f %11d %11d %7.2f\n%!" label
-          pool_pages
-          (fmt_time ~cap elapsed)
-          out.final.walks walks_per_sec (pct hit_rate) measured predicted ratio;
-        (label, pool_pages, elapsed, out.final.walks, walks_per_sec, hit_rate,
-         measured, predicted, ratio))
-      fracs
-  in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"experiment\": \"extmem\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"query\": \"%s\",\n  \"dataset_pages\": %d,\n"
-       (Queries.name_of spec) total_pages);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"page_bytes\": %d,\n  \"oracle_walks\": %d,\n"
-       Backend.page_bytes oracle_walks);
-  Buffer.add_string buf "  \"pools\": [\n";
-  List.iteri
-    (fun i (label, pages, t, walks, wps, hr, measured, predicted, ratio) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"label\": \"%s\", \"pool_pages\": %d, \"time_to_1pct\": %.4f, \
-            \"walks\": %d, \"walks_per_sec\": %.0f, \"hit_rate\": %.4f, \
-            \"faults\": %d, \"predicted_faults\": %d, \
-            \"measured_over_predicted\": %.3f }%s\n"
-           label pages t walks wps hr measured predicted ratio
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_extmem.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [extmem] wrote BENCH_extmem.json\n%!"
-
-(* ======================================================================= *)
-(* Daemon: open-loop load against the HTTP front end. *)
-(* ======================================================================= *)
-
-(* Open-loop: each client has a *scheduled* arrival time and latency is
-   measured from that schedule, not from when the thread got around to
-   sending — the standard guard against coordinated omission.  Every
-   request asks for a ±1% relative CI (the session self-terminates on
-   target), so time-to-target IS the request latency for completed
-   queries.  Seeds differ per client, so each request is real work; a
-   separate pass measures the cache-hit fast path. *)
-
-let serve_load_bench () =
-  header "Daemon: open-loop HTTP load, time to ±1% CI (Q3 chain, loopback)";
-  let module Daemon = Wj_daemon.Daemon in
-  let module Http = Wj_daemon.Http in
-  let module Json = Wj_daemon.Json in
-  let d = Data.get (if !quick then 0.005 else 0.01) in
-  let catalog = Generator.catalog d in
-  let sql =
-    "SELECT ONLINE SUM(l_quantity) FROM orders, lineitem WHERE o_orderkey = \
-     l_orderkey"
-  in
-  let levels = if !quick then [ 5; 20 ] else [ 10; 100; 1000 ] in
-  let time_cap = if !quick then 10.0 else 60.0 in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else sorted.(min (n - 1) (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1))
-  in
-  let body ~seed' =
-    Json.to_string
-      (Json.Obj
-         [
-           ("sql", Json.Str sql);
-           ("seed", Json.Int seed');
-           ("target_pct", Json.Float 1.0);
-           ("time", Json.Float time_cap);
-         ])
-  in
-  (* One client: POST the query, watch the stream, record when the CI
-     first crosses ±1% and how the request ended. *)
-  let run_client url ~seed' =
-    let t_ci = ref None in
-    let status = ref "error" in
-    let partial = Buffer.create 256 in
-    let jstr name j = Option.bind (Json.member name j) Json.to_str in
-    let jfloat name j = Option.bind (Json.member name j) Json.to_float in
-    let on_line line =
-      match Json.parse line with
-      | j -> (
-        match jstr "type" j with
-        | Some "progress" when !t_ci = None -> (
-          match (jfloat "estimate" j, jfloat "half_width" j) with
-          | Some est, Some hw when est <> 0.0 && hw /. Float.abs est <= 0.01 ->
-            t_ci := Some (Unix.gettimeofday ())
-          | _ -> ())
-        | Some "final" ->
-          status := Option.value (jstr "status" j) ~default:"error"
-        | _ -> ())
-      | exception _ -> ()
-    in
-    let on_chunk data =
-      Buffer.add_string partial data;
-      let rec drain () =
-        let s = Buffer.contents partial in
-        match String.index_opt s '\n' with
-        | None -> ()
-        | Some i ->
-          Buffer.clear partial;
-          Buffer.add_string partial (String.sub s (i + 1) (String.length s - i - 1));
-          on_line (String.sub s 0 i);
-          drain ()
-      in
-      drain ()
-    in
-    match Http.fetch ~body:(body ~seed') ~on_chunk (url ^ "/query") with
-    | { Http.status = 200; _ } -> (!status, !t_ci)
-    | { Http.status = 429; _ } -> ("rejected", None)
-    | _ -> ("error", None)
-    | exception _ -> ("error", None)
-  in
-  let entries = ref [] in
-  Printf.printf "%8s %9s %9s %8s %9s %9s %9s\n" "clients" "completed" "rejected"
-    "no_ci" "p50_s" "p95_s" "p99_s";
-  List.iter
-    (fun n ->
-      (* A bounded queue so the 1000-client burst actually exercises load
-         shedding (429 + Retry-After) instead of queueing forever. *)
-      let daemon =
-        Daemon.create ~quantum:256 ~max_live:4 ~max_queued:256 ~port:0 catalog
-      in
-      Daemon.start daemon;
-      let url = Daemon.url daemon in
-      let mu = Mutex.create () in
-      let results = ref [] in
-      let t0 = Unix.gettimeofday () +. 0.05 in
-      (* Arrivals spread uniformly over one second: an n req/s open-loop
-         burst, whatever the server's pace. *)
-      let threads =
-        List.init n (fun i ->
-            Thread.create
-              (fun () ->
-                let arrival = t0 +. (float_of_int i /. float_of_int n) in
-                let now = Unix.gettimeofday () in
-                if arrival > now then Thread.delay (arrival -. now);
-                let status, t_ci = run_client url ~seed':(seed + i) in
-                let lat =
-                  Option.map (fun t -> t -. arrival) t_ci
-                in
-                Mutex.protect mu (fun () -> results := (status, lat) :: !results))
-              ())
-      in
-      List.iter Thread.join threads;
-      Daemon.stop daemon;
-      let results = !results in
-      let completed =
-        List.length (List.filter (fun (s, _) -> s = "done") results)
-      in
-      let rejected =
-        List.length (List.filter (fun (s, _) -> s = "rejected") results)
-      in
-      let lats =
-        List.filter_map (fun ((_ : string), l) -> l) results |> Array.of_list
-      in
-      Array.sort compare lats;
-      (* Completed but never crossed ±1% inside the time cap. *)
-      let no_ci = List.length results - Array.length lats - rejected in
-      let p50 = percentile lats 50.0
-      and p95 = percentile lats 95.0
-      and p99 = percentile lats 99.0 in
-      Printf.printf "%8d %9d %9d %8d %9.3f %9.3f %9.3f\n%!" n completed rejected
-        no_ci p50 p95 p99;
-      entries := (n, completed, rejected, no_ci, p50, p95, p99) :: !entries)
-    levels;
-  (* Cache-hit fast path: the same statement+seed twice — first run pays
-     for the walks, every later one is a lookup. *)
-  let daemon = Daemon.create ~quantum:256 ~max_live:4 ~port:0 catalog in
-  Daemon.start daemon;
-  let url = Daemon.url daemon in
-  ignore (run_client url ~seed':seed);
-  let hit_lats =
-    Array.init 20 (fun _ ->
-        let t = Unix.gettimeofday () in
-        ignore (run_client url ~seed':seed);
-        Unix.gettimeofday () -. t)
-  in
-  Daemon.stop daemon;
-  Array.sort compare hit_lats;
-  let hit_p50 = percentile hit_lats 50.0 in
-  Printf.printf "  cache hit p50: %.1f us\n%!" (hit_p50 *. 1e6);
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\n  \"experiment\": \"serve_load\",\n  \"unit\": \"seconds_to_1pct_ci\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_hit_p50_us\": %.1f,\n  \"levels\": {\n"
-       (hit_p50 *. 1e6));
-  let entries = List.rev !entries in
-  List.iteri
-    (fun i (n, completed, rejected, no_ci, p50, p95, p99) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    \"clients_%d\": { \"issued\": %d, \"completed\": %d, \
-            \"rejected\": %d, \"no_ci\": %d, \"p50_s\": %.4f, \"p95_s\": %.4f, \
-            \"p99_s\": %.4f }%s\n"
-           n n completed rejected no_ci p50 p95 p99
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_serve_load.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [serve_load] wrote BENCH_serve_load.json\n%!"
-
-(* ======================================================================= *)
-(* Bechamel micro-benchmarks. *)
-(* ======================================================================= *)
-
-let micro () =
-  header "Micro-benchmarks (bechamel, ns per operation)";
-  let open Bechamel in
-  let d = Data.get 0.01 in
-  let q = Queries.build ~variant:Barebone Queries.Q3 d in
-  let reg = Queries.registry q in
-  let plan = List.hd (Walk_plan.enumerate ~max_plans:1 q reg) in
-  let prepared = Wj_core.Walker.prepare q reg plan in
-  let prng = Wj_util.Prng.create 3 in
-  let est = Wj_stats.Estimator.create Wj_stats.Estimator.Sum in
-  let btree = Wj_index.Btree.create () in
-  for i = 0 to 99_999 do
-    Wj_index.Btree.insert btree ~key:(i * 7 mod 65536) ~value:i
-  done;
-  let hash = Wj_index.Hash_index.build d.Generator.lineitem ~column:0 in
-  let tests =
-    Test.make_grouped ~name:"wander-join"
-      [
-        Test.make ~name:"random walk (Q3 barebone)"
-          (Staged.stage (fun () -> ignore (Wj_core.Walker.walk prepared prng)));
-        Test.make ~name:"estimator add"
-          (Staged.stage (fun () -> Wj_stats.Estimator.add est ~u:1234.5 ~v:42.0));
-        Test.make ~name:"btree count_range"
-          (Staged.stage (fun () ->
-               ignore (Wj_index.Btree.count_range btree ~lo:100 ~hi:5000)));
-        Test.make ~name:"btree sample_range (Olken)"
-          (Staged.stage (fun () ->
-               ignore (Wj_index.Btree.sample_range btree prng ~lo:100 ~hi:5000)));
-        Test.make ~name:"hash index probe"
-          (Staged.stage (fun () -> ignore (Wj_index.Hash_index.count hash 123)));
-        Test.make ~name:"prng int"
-          (Staged.stage (fun () -> ignore (Wj_util.Prng.int prng 1_000_000)));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) () in
-  let results = Benchmark.all cfg [ instance ] tests in
-  let analyzed =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance results
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ ns ] -> rows := (name, ns) :: !rows
-      | Some _ | None -> rows := (name, nan) :: !rows)
-    analyzed;
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-42s %12.1f ns/op\n" name ns)
-    (List.sort compare !rows)
-
-(* ======================================================================= *)
 
 let experiments =
   [
@@ -1817,16 +760,6 @@ let experiments =
     ("abl-failfast", abl_failfast);
     ("abl-strat", abl_stratified);
     ("abl-card", abl_cardinality);
-    ("engine", engine_bench);
-    ("obs", obs_bench);
-    ("layout", layout_bench);
-    ("service", service_bench);
-    ("mcore", mcore_bench);
-    ("trace", trace_bench);
-    ("wcoj", wcoj_bench);
-    ("extmem", extmem_bench);
-    ("serve_load", serve_load_bench);
-    ("micro", micro);
   ]
 
 let () =

@@ -781,7 +781,7 @@ let suggest_term = Term.(const suggest_run $ sf_arg $ seed_arg $ tbl_dir_arg $ s
 
 (* --- wjd (network daemon) ---------------------------------------------- *)
 
-module Json = Wj_daemon.Json
+module Json = Wj_util.Json
 
 let wjd_run sf seed tbl_dir port quantum max_live max_queued tenant_quota cache
     access_log slow_query_ms trace_cap time =

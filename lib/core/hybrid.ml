@@ -288,9 +288,3 @@ let run_session ?config ?max_rounds (cfg : Run_config.t) q registry =
   let s = start_session ?config ?max_rounds cfg q registry in
   let (_ : Engine.Driver.stop_reason) = Engine.Driver.drain s.Session.driver in
   Session.outcome s
-
-let run ?(seed = 2024) ?(confidence = 0.95) ?(config = default_config)
-    ?(max_time = 10.0) ?(max_rounds = max_int) ?clock ?(batch = 1) ?sink q registry =
-  run_session ~config ~max_rounds
-    (Run_config.make ~seed ~confidence ~max_time ?clock ~batch ?sink ())
-    q registry

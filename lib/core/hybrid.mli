@@ -85,20 +85,3 @@ val run_session :
     each chosen component plan ([Plan_chosen]) and the stop reason.
     Raises [Invalid_argument] if some component admits no walk plan (a
     table with no usable index at all). *)
-
-val run :
-  ?seed:int ->
-  ?confidence:float ->
-  ?config:config ->
-  ?max_time:float ->
-  ?max_rounds:int ->
-  ?clock:Wj_util.Timer.t ->
-  ?batch:int ->
-  ?sink:Wj_obs.Sink.t ->
-  Query.t ->
-  Registry.t ->
-  outcome
-  [@@deprecated "use Hybrid.run_session with a Run_config (or Session.run)"]
-(** Thin shim over {!run_session}.  [batch] (default 1) sets each
-    component engine's number of in-flight walks; with [batch > 1] a
-    component's walks interleave across replicates (see {!Engine}). *)

@@ -46,9 +46,8 @@ let make_report ~confidence ~elapsed est =
     half_width = Estimator.half_width est ~confidence;
   }
 
-let pick_plan ~plan_choice ~eager_checks ~tracer ~sink ?convergence q registry prng
-    clock =
-  let prepare plan = Walker.prepare ~eager_checks ?tracer ~sink q registry plan in
+let pick_plan ~plan_choice ~eager_checks ~sink ?convergence q registry prng clock =
+  let prepare plan = Walker.prepare ~eager_checks ~sink q registry plan in
   match plan_choice with
   | Fixed plan -> (prepare plan, plan, 0.0, 0)
   | First_enumerated -> (
@@ -58,8 +57,7 @@ let pick_plan ~plan_choice ~eager_checks ~tracer ~sink ?convergence q registry p
   | Optimize config ->
     let t0 = Timer.elapsed clock in
     let r =
-      Optimizer.choose ~config ~eager_checks ?tracer ~sink ?convergence q registry
-        prng
+      Optimizer.choose ~config ~eager_checks ~sink ?convergence q registry prng
     in
     let dt = Timer.elapsed clock -. t0 in
     (r.best, r.best_plan, dt, r.total_trial_walks)
@@ -85,8 +83,7 @@ module Session = struct
     t.result ()
 end
 
-let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t) q
-    registry =
+let start_session ?(eager_checks = true) ?on_report (cfg : Run_config.t) q registry =
   let clock = Run_config.clock_or_wall cfg in
   (* The recorder scope is derived from the configured sink BEFORE the
      recorder is teed in: under the scheduler the session sink already
@@ -108,8 +105,8 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
   in
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
   let prepared, plan, optimizer_time, optimizer_walks =
-    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks ~tracer ~sink ?convergence
-      q registry prng clock
+    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks ~sink ?convergence q
+      registry prng clock
   in
   (* Trial walks only pick the plan: a pool of every candidate's walks has
      many times the chosen plan's per-walk variance, so the estimate is
@@ -180,18 +177,10 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
   in
   { Session.driver; confidence = cfg.confidence; clock; est; result }
 
-let run_session ?eager_checks ?tracer ?on_report (cfg : Run_config.t) q registry =
-  let s = start_session ?eager_checks ?tracer ?on_report cfg q registry in
+let run_session ?eager_checks ?on_report (cfg : Run_config.t) q registry =
+  let s = start_session ?eager_checks ?on_report cfg q registry in
   let (_ : stop_reason) = Engine.Driver.drain s.Session.driver in
   Session.outcome s
-
-let run ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
-    ?report_every ?on_report ?clock ?(plan_choice = Optimize Optimizer.default_config)
-    ?(eager_checks = true) ?tracer ?should_stop ?(batch = 1) ?sink q registry =
-  run_session ~eager_checks ?tracer ?on_report
-    (Run_config.make ~seed ~confidence ?target ~max_time ?max_walks ?report_every
-       ~batch ?clock ?should_stop ~plan_choice ?sink ())
-    q registry
 
 (* ---- Group-by -------------------------------------------------------- *)
 
@@ -228,8 +217,8 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   let sink = Run_config.resolved_sink cfg in
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
   let prepared, plan, _, _ =
-    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks:true ~tracer:None ~sink q
-      registry prng clock
+    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks:true ~sink q registry prng
+      clock
   in
   if Sink.wants_reports sink then
     Sink.emit sink
@@ -296,12 +285,3 @@ let run_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   let s = start_group_by_session ?on_group_report cfg q registry in
   let (_ : stop_reason) = Engine.Driver.drain s.Group_session.driver in
   Group_session.outcome s
-
-let run_group_by ?(seed = 42) ?(confidence = 0.95) ?(max_time = 10.0) ?max_walks
-    ?report_every ?on_group_report ?clock
-    ?(plan_choice = Optimize Optimizer.default_config) ?should_stop ?(batch = 1)
-    ?sink q registry =
-  run_group_by_session ?on_group_report
-    (Run_config.make ~seed ~confidence ~max_time ?max_walks ?report_every ~batch
-       ?clock ?should_stop ~plan_choice ?sink ())
-    q registry

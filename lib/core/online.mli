@@ -11,8 +11,7 @@
 
     {!run_session} is the canonical entry point: one {!Run_config.t}
     carries every shared knob (seed, budgets, reporting, clock,
-    cancellation, plan choice, observability sink).  {!run} is the legacy
-    optional-argument shim over it. *)
+    cancellation, plan choice, observability sink). *)
 
 type report = Wj_obs.Progress.t = {
   elapsed : float;
@@ -84,7 +83,6 @@ end
 
 val start_session :
   ?eager_checks:bool ->
-  ?tracer:(Walker.event -> unit) ->
   ?on_report:(report -> unit) ->
   Run_config.t ->
   Query.t ->
@@ -96,7 +94,6 @@ val start_session :
 
 val run_session :
   ?eager_checks:bool ->
-  ?tracer:(Walker.event -> unit) ->
   ?on_report:(report -> unit) ->
   Run_config.t ->
   Query.t ->
@@ -109,33 +106,6 @@ val run_session :
     is given.  A no-op sink changes nothing: fixed-seed estimates are
     bit-for-bit those of the uninstrumented driver.  Raises
     [Invalid_argument] when the query admits no walk plan. *)
-
-val run :
-  ?seed:int ->
-  ?confidence:float ->
-  ?target:Wj_stats.Target.t ->
-  ?max_time:float ->
-  ?max_walks:int ->
-  ?report_every:float ->
-  ?on_report:(report -> unit) ->
-  ?clock:Wj_util.Timer.t ->
-  ?plan_choice:plan_choice ->
-  ?eager_checks:bool ->
-  ?tracer:(Walker.event -> unit) ->
-  ?should_stop:(unit -> bool) ->
-  ?batch:int ->
-  ?sink:Wj_obs.Sink.t ->
-  Query.t ->
-  Registry.t ->
-  outcome
-  [@@deprecated "use Online.run_session with a Run_config (or Session.run)"]
-(** Thin shim over {!run_session}.  Defaults: seed 42, confidence 0.95, no
-    target, [max_time] 10 s, [max_walks] unlimited, wall clock, optimizer
-    with default config, no-op sink.  [batch] (default 1) sets the walk
-    engine's number of in-flight walks; 1 reproduces the historical
-    fixed-seed results bit for bit, larger batches interleave PRNG draws
-    across walks (see {!Engine}).  Raises [Invalid_argument] when the
-    query admits no walk plan. *)
 
 type group_outcome = {
   groups : (Wj_storage.Value.t * report) list;  (** sorted by group key *)
@@ -178,23 +148,3 @@ val run_group_by_session :
     keeping each group's estimator unbiased.  [cfg.target] is ignored
     (there is no single CI to test).  Raises [Invalid_argument] when the
     query has no GROUP BY clause. *)
-
-val run_group_by :
-  ?seed:int ->
-  ?confidence:float ->
-  ?max_time:float ->
-  ?max_walks:int ->
-  ?report_every:float ->
-  ?on_group_report:(float -> (Wj_storage.Value.t * report) list -> unit) ->
-  ?clock:Wj_util.Timer.t ->
-  ?plan_choice:plan_choice ->
-  ?should_stop:(unit -> bool) ->
-  ?batch:int ->
-  ?sink:Wj_obs.Sink.t ->
-  Query.t ->
-  Registry.t ->
-  group_outcome
-  [@@deprecated "use Online.run_group_by_session with a Run_config (or Session.run)"]
-(** Thin shim over {!run_group_by_session}.  [should_stop] is polled on
-    the same cadence as in {!run} and aborts the loop early; [batch] as in
-    {!run}. *)

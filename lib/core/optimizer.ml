@@ -55,8 +55,8 @@ let run_one_walk ?convergence q trial prng =
     | Some c -> Wj_obs.Convergence.observe c ~plan:trial.tlabel ~success:false 0.0));
   trial.steps <- trial.steps + Walker.steps_of_last_walk trial.prepared
 
-let choose ?(config = default_config) ?(eager_checks = true) ?tracer
-    ?(sink = Wj_obs.Sink.noop) ?convergence ?plans q registry prng =
+let choose ?(config = default_config) ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop)
+    ?convergence ?plans q registry prng =
   let plans =
     match plans with
     | Some ps -> ps
@@ -74,7 +74,7 @@ let choose ?(config = default_config) ?(eager_checks = true) ?tracer
     List.map
       (fun plan ->
         {
-          prepared = Walker.prepare ~eager_checks ?tracer ~sink q registry plan;
+          prepared = Walker.prepare ~eager_checks ~sink q registry plan;
           tplan = plan;
           tlabel = Walk_plan.describe q plan;
           est = Estimator.create q.Query.agg;

@@ -44,7 +44,6 @@ type result = {
 val choose :
   ?config:config ->
   ?eager_checks:bool ->
-  ?tracer:(Walker.event -> unit) ->
   ?sink:Wj_obs.Sink.t ->
   ?convergence:Wj_obs.Convergence.t ->
   ?plans:Walk_plan.t list ->

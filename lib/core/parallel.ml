@@ -81,13 +81,6 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
     stopped_because = own_reason;
   }
 
-let run ?(seed = 77) ?(confidence = 0.95) ?domains ?(max_time = 1.0) ?walks_per_domain
-    ?(plan_choice = Online.Optimize Optimizer.default_config) ?(batch = 1) ?sink q
-    registry =
-  run_session ?domains ?walks_per_domain
-    (Run_config.make ~seed ~confidence ~max_time ~plan_choice ~batch ?sink ())
-    q registry
-
 (* A parallel run blocks on its spawned domains, so its session handle is
    one-shot: the first [advance] executes the entire fan-out regardless of
    [max_steps].  [interrupt] before that first advance skips the run; once

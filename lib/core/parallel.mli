@@ -42,22 +42,6 @@ val run_session :
     approximate under contention (never torn: each cell is one word).
     Raises [Invalid_argument] when the query admits no walk plan. *)
 
-val run :
-  ?seed:int ->
-  ?confidence:float ->
-  ?domains:int ->
-  ?max_time:float ->
-  ?walks_per_domain:int ->
-  ?plan_choice:Online.plan_choice ->
-  ?batch:int ->
-  ?sink:Wj_obs.Sink.t ->
-  Query.t ->
-  Registry.t ->
-  outcome
-  [@@deprecated "use Parallel.run_session with a Run_config (or Session.run)"]
-(** Thin shim over {!run_session}; defaults seed 77, confidence 0.95,
-    [max_time] 1 s, optimizer plan choice, batch 1, no-op sink. *)
-
 module Session : sig
   type t
   (** A {b one-shot} session handle: a parallel run blocks on its spawned

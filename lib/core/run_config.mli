@@ -1,11 +1,10 @@
 (** One record for everything a run session shares across drivers.
 
     The Online, Parallel and Hybrid drivers (and {!Wj_sql.Engine} above
-    them) historically grew the same optional arguments independently:
-    seed, confidence, budgets, reporting cadence, clock, cancellation,
-    plan choice.  [Run_config.t] is the single source of truth for those
-    knobs plus the observability {!Wj_obs.Sink.t}; the legacy
-    optional-argument entry points are thin shims over [make]. *)
+    them) share the same knobs: seed, confidence, budgets, reporting
+    cadence, clock, cancellation, plan choice.  [Run_config.t] is the
+    single source of truth for those knobs plus the observability
+    {!Wj_obs.Sink.t}; every driver's [run_session] takes one. *)
 
 type plan_choice =
   | Optimize of Optimizer.config

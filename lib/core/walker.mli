@@ -12,10 +12,6 @@
     edge.  Failed walks are part of the probability space and must be fed
     to the estimator as zeros (§3.1). *)
 
-type event =
-  | Row_access of int * int  (** (table position, row id) *)
-  | Index_probe of int * int  (** (table position, abstract probe cost) *)
-
 type outcome =
   | Success of { path : int array; inv_p : float }
   | Failure of { depth : int }
@@ -25,7 +21,6 @@ type prepared
 
 val prepare :
   ?eager_checks:bool ->
-  ?tracer:(event -> unit) ->
   ?sink:Wj_obs.Sink.t ->
   Query.t ->
   Registry.t ->
@@ -38,13 +33,13 @@ val prepare :
 
     [sink] (default {!Wj_obs.Sink.noop}) receives the walker's typed
     events ([Walk_started] / [Walk_succeeded] / [Walk_failed] /
-    [Row_access] / [Index_probe], fired at exactly the points the legacy
-    [tracer] fired) and, when it carries a metrics registry, per-phase
+    [Row_access] / [Index_probe]) and, when it carries a metrics registry, per-phase
     step counts, rejection causes and a failure-depth histogram under the
     ["walker.*"] families.  Handles are resolved here, once: a no-op sink
     costs one branch per site and changes no PRNG draw, so fixed-seed
-    results are bit-for-bit those of an unobserved run.  [tracer] is the
-    legacy untyped hook, kept for the I/O simulator; both may be given. *)
+    results are bit-for-bit those of an unobserved run.  The I/O
+    simulator ([Wj_iosim.Sim.sink]) charges its page accesses from the
+    [Row_access] and [Index_probe] events. *)
 
 val start_cardinality : prepared -> int
 (** The |R_{λ(1)}| (or Olken-reduced qualifying count) used in the
@@ -62,7 +57,7 @@ val query : prepared -> Query.t
 val plan : prepared -> Walk_plan.t
 
 val walk : prepared -> Wj_util.Prng.t -> outcome
-(** One random walk.  Also drives the tracer/sink, if any, and records the
+(** One random walk.  Also drives the sink, if any, and records the
     walk's outcome (see {!record_outcome}) — callers composing walks out of
     the phases below must do both themselves. *)
 

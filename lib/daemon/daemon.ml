@@ -1,3 +1,4 @@
+module Json = Wj_util.Json
 module Scheduler = Wj_service.Scheduler
 module Token = Wj_service.Token
 module Metrics = Wj_obs.Metrics
@@ -306,7 +307,7 @@ let cache_key req norm =
 (* ---- result rendering ------------------------------------------------- *)
 
 type pending_item =
-  | D_session of Wj_core.Session.outcome Scheduler.session
+  | D_session of Scheduler.session
   | D_exact of Engine.item_outcome
 
 let progress_fields (p : Wj_obs.Progress.t) =

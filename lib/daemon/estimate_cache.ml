@@ -1,3 +1,4 @@
+module Json = Wj_util.Json
 module Metrics = Wj_obs.Metrics
 module Counter = Wj_obs.Counter
 

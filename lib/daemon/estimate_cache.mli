@@ -32,7 +32,7 @@
 type t
 
 type entry = {
-  results : Json.t;  (** the final per-item results array, as streamed *)
+  results : Wj_util.Json.t;  (** the final per-item results array, as streamed *)
   epoch : int;  (** catalog epoch the estimate was computed under *)
 }
 

@@ -31,7 +31,6 @@ val leapfrog_applicable : Wj_core.Query.t -> bool
 val aggregate :
   ?strategy:strategy ->
   ?plan:Wj_core.Walk_plan.t ->
-  ?tracer:(Wj_core.Walker.event -> unit) ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
   result

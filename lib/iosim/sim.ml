@@ -1,4 +1,5 @@
 module Timer = Wj_util.Timer
+module Buffer_pool = Wj_storage.Buffer_pool
 
 type t = {
   model : Cost_model.t;
@@ -27,11 +28,6 @@ let touch_row t table row =
   if Buffer_pool.touch t.pool ~table ~page then
     charge_seconds t t.model.Cost_model.ram_access
   else charge_seconds t t.model.Cost_model.random_io
-
-let walker_tracer t = function
-  | Wj_core.Walker.Row_access (pos, row) -> touch_row t pos row
-  | Wj_core.Walker.Index_probe (_, levels) ->
-    charge_seconds t (float_of_int levels *. t.model.Cost_model.index_level_cost)
 
 (* Random-order ripple scans its shuffled table in storage order — the
    first touch of each storage page pays one sequential I/O, later rows of

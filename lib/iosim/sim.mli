@@ -1,7 +1,7 @@
 (** Glue: turn walker/ripple access streams into virtual-clock time.
 
-    A simulation owns a buffer pool and a virtual clock.  The tracers it
-    hands out charge the clock per access: buffer-pool hits cost RAM time,
+    A simulation owns a buffer pool and a virtual clock.  Its {!sink}
+    (walker events) and {!ripple_tracer} charge the clock per access: buffer-pool hits cost RAM time,
     misses cost a random I/O; index probes cost cached-interior traversal
     time.  Running any driver (wander join, ripple join) against the
     virtual clock then reproduces the paper's limited-memory setting. *)
@@ -13,12 +13,8 @@ val create :
 (** [clock] must be virtual (see {!Wj_util.Timer.virtual_}). *)
 
 val model : t -> Cost_model.t
-val pool : t -> Buffer_pool.t
+val pool : t -> Wj_storage.Buffer_pool.t
 val clock : t -> Wj_util.Timer.t
-
-val walker_tracer : t -> Wj_core.Walker.event -> unit
-(** Tracer for {!Wj_core.Online.run} / {!Wj_exec.Exact.aggregate}: charges
-    tuple page accesses through the pool and index probes at cached cost. *)
 
 val ripple_tracer : t -> pos:int -> slot:int -> sequential:bool -> unit
 (** Tracer for {!Wj_ripple.Ripple.run}: sequential retrievals charge one
@@ -26,9 +22,12 @@ val ripple_tracer : t -> pos:int -> slot:int -> sequential:bool -> unit
     retrievals charge a random I/O per miss. *)
 
 val sink : ?metrics:Wj_obs.Metrics.t -> ?trace:Wj_obs.Trace.t -> t -> Wj_obs.Sink.t
-(** Observability-native equivalent of {!walker_tracer}: a sink whose event
-    callback charges the clock for [Row_access] / [Index_probe] with the
-    same arithmetic as the tracer, and — when [metrics] is given — refreshes
+(** The walker's I/O charge: a sink whose event callback charges tuple
+    page accesses ([Row_access]) through the pool — a hit costs RAM time,
+    a miss a random I/O — and index probes ([Index_probe]) at cached
+    interior-traversal cost.  Pass it as the sink of
+    [Wj_core.Online.run_session] (or of any driver built on
+    [Wj_core.Walker.prepare]).  When [metrics] is given it also refreshes
     the pool/clock gauges ([pool.hits], [pool.misses], [pool.accesses],
     [pool.resident], [pool.capacity], [sim.charged_seconds]) on every
     [Report] and [Stopped] event.  When [trace] is given (create it over
@@ -54,7 +53,7 @@ val charge_seconds : t -> float -> unit
 
 val charged_seconds : t -> float
 (** Total virtual time charged through this simulation since creation —
-    every [charge_*] call and tracer/sink access accumulates here. *)
+    every [charge_*] call and sink/ripple-tracer access accumulates here. *)
 
 val warm : t -> table:int -> rows:int -> unit
 (** Pre-load a table's pages (sufficient-memory scenario), without charging

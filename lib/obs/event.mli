@@ -3,10 +3,10 @@
     Every observable moment of the execution stack is one constructor:
     walk lifecycle (started / succeeded / failed-at-depth), physical
     access (index probe, row access, buffer-pool hit/miss), and driver
-    milestones (plan chosen, report tick, stop reason).  Events subsume
-    the old untyped [Walker.event] tracer: [Row_access] and [Index_probe]
-    are emitted at exactly the points — and in exactly the order — the
-    tracer used to fire, so the I/O simulator consumes them unchanged.
+    milestones (plan chosen, report tick, stop reason).  They are the
+    walker's only observation hook: the I/O simulator charges its
+    virtual clock from the [Row_access] and [Index_probe] stream, in
+    the order the walker emits it.
 
     Emission is pay-for-what-you-use: producers construct an event only
     when a sink with an event callback is attached ({!Sink.wants_events}),

@@ -12,9 +12,3 @@ let make ?(tuples = 0) ~elapsed ~walks ~successes ~estimate ~half_width () =
 
 let success_rate t =
   if t.walks = 0 then 0.0 else float_of_int t.successes /. float_of_int t.walks
-
-let rounds t = t.walks
-let samples t = t.walks
-let combos t = t.successes
-let completions t = t.successes
-let tuples_retrieved t = t.tuples

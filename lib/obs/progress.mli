@@ -1,20 +1,17 @@
 (** The unified progress record of every driver.
 
-    Historically each driver reported through its own record
-    ([Online.report], [Ripple.report], [Index_ripple.report], the
-    stratified/hybrid equivalents) with per-driver field names for the
-    same three quantities: work performed, work that contributed to the
-    estimate, and the current estimate with its confidence half-width.
-    [Progress.t] is the single shape carried by every driver's [history]
-    and by {!Event.Report} ticks.
+    Every driver ([Online], [Ripple], [Index_ripple], the stratified and
+    hybrid drivers) reports the same three quantities in this one shape:
+    work performed, work that contributed to the estimate, and the
+    current estimate with its confidence half-width.  [Progress.t] is
+    carried by every driver's [history] and by {!Event.Report} ticks.
 
-    Field mapping from the deprecated records (the old names remain
-    available as accessor functions during the deprecation window):
+    What the fields count, per driver:
 
     - [walks]: driver work units — walks (wander join), rounds (ripple),
-      samples (index ripple).
+      sampled start tuples (index ripple).
     - [successes]: contributing units — successful walks, qualifying
-      combinations ([combos]), completions.
+      join combinations (ripple), completions (index ripple).
     - [tuples]: tuples retrieved so far; 0 where the driver does not
       track it. *)
 
@@ -40,17 +37,3 @@ val make :
 
 val success_rate : t -> float
 (** [successes / walks]; 0 when no work was performed yet. *)
-
-(** {2 Deprecated field names of the pre-unification records} *)
-
-val rounds : t -> int  (** = [walks] (was [Ripple.report.rounds]) *)
-
-val samples : t -> int  (** = [walks] (was [Index_ripple.report.samples]) *)
-
-val combos : t -> int  (** = [successes] (was [Ripple.report.combos]) *)
-
-val completions : t -> int
-(** = [successes] (was [Index_ripple.report.completions]) *)
-
-val tuples_retrieved : t -> int
-(** = [tuples] (was [Ripple.report.tuples_retrieved]) *)

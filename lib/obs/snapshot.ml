@@ -146,142 +146,38 @@ let to_json t =
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
 
-(* Minimal JSON reader for the shape [to_json] emits: an object of three
-   objects whose values are ints, numbers/strings, or int arrays. *)
-module Parse = struct
-  type state = { s : string; mutable pos : int }
+module Json = Wj_util.Json
 
-  let error st msg = failwith (Printf.sprintf "Snapshot.of_json: %s at offset %d" msg st.pos)
-
-  let rec skip_ws st =
-    if st.pos < String.length st.s then
-      match st.s.[st.pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        st.pos <- st.pos + 1;
-        skip_ws st
-      | _ -> ()
-
-  let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-  let expect st c =
-    skip_ws st;
-    match peek st with
-    | Some c' when c' = c -> st.pos <- st.pos + 1
-    | _ -> error st (Printf.sprintf "expected '%c'" c)
-
-  let try_char st c =
-    skip_ws st;
-    match peek st with
-    | Some c' when c' = c ->
-      st.pos <- st.pos + 1;
-      true
-    | _ -> false
-
-  let string_lit st =
-    expect st '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if st.pos >= String.length st.s then error st "unterminated string";
-      let c = st.s.[st.pos] in
-      st.pos <- st.pos + 1;
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        if st.pos >= String.length st.s then error st "bad escape";
-        let e = st.s.[st.pos] in
-        st.pos <- st.pos + 1;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if st.pos + 4 > String.length st.s then error st "bad \\u escape";
-          let code = int_of_string ("0x" ^ String.sub st.s st.pos 4) in
-          st.pos <- st.pos + 4;
-          Buffer.add_char buf (Char.chr (code land 0xff))
-        | _ -> error st "bad escape");
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ()
-
-  let number st =
-    skip_ws st;
-    let start = st.pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while st.pos < String.length st.s && is_num_char st.s.[st.pos] do
-      st.pos <- st.pos + 1
-    done;
-    if st.pos = start then error st "expected number";
-    String.sub st.s start (st.pos - start)
-
-  (* Iterate the "name": <value> pairs of an object. *)
-  let obj st f =
-    expect st '{';
-    if not (try_char st '}') then begin
-      let rec pairs () =
-        let name = (skip_ws st; string_lit st) in
-        expect st ':';
-        f name;
-        if try_char st ',' then pairs () else expect st '}'
-      in
-      pairs ()
-    end
-
-  let int_array st =
-    expect st '[';
-    if try_char st ']' then [||]
-    else begin
-      let acc = ref [] in
-      let rec go () =
-        acc := int_of_string (number st) :: !acc;
-        if try_char st ',' then go () else expect st ']'
-      in
-      go ();
-      Array.of_list (List.rev !acc)
-    end
-
+(* Read back what [to_json] emits: an object of three objects whose
+   values are ints, numbers (or the non-finite strings), and histogram
+   objects. *)
+let of_json s =
+  let fail msg = raise (Json.Parse_error ("Snapshot.of_json: " ^ msg)) in
+  let fields = function Json.Obj fs -> fs | _ -> fail "expected an object" in
+  let int_of = function Json.Int n -> n | _ -> fail "expected an integer" in
+  let gauge_of v =
+    match Json.to_float v with Some f -> f | None -> fail "bad gauge value"
+  in
+  let buckets_of = function
+    | Json.List xs -> Array.of_list (List.map int_of xs)
+    | _ -> fail "expected a bucket array"
+  in
   (* Histograms are written as {"buckets": [...], "p50": .., ...}; the
      quantiles are derived data, so only the buckets are read back.
      Pre-object dumps (a bare int array) still parse. *)
-  let histogram_value st =
-    skip_ws st;
-    match peek st with
-    | Some '[' -> int_array st
-    | _ ->
-      let buckets = ref [||] in
-      obj st (fun field ->
-          match field with
-          | "buckets" -> buckets := int_array st
-          | _ -> ignore (number st));
-      !buckets
-
-  let gauge_value st =
-    skip_ws st;
-    match peek st with
-    | Some '"' -> (
-      match string_lit st with
-      | "nan" -> Float.nan
-      | "inf" -> infinity
-      | "-inf" -> neg_infinity
-      | s -> error st ("unknown gauge literal " ^ s))
-    | _ -> float_of_string (number st)
-end
-
-let of_json s =
-  let st = { Parse.s; pos = 0 } in
-  let acc = ref [] in
-  Parse.obj st (fun section ->
+  let histogram_of = function
+    | Json.List _ as a -> buckets_of a
+    | Json.Obj fs -> (
+      match List.assoc_opt "buckets" fs with Some b -> buckets_of b | None -> [||])
+    | _ -> fail "expected a histogram"
+  in
+  let entries f v = List.map (fun (name, x) -> (name, f x)) (fields v) in
+  List.concat_map
+    (fun (section, v) ->
       match section with
-      | "counters" ->
-        Parse.obj st (fun name -> acc := (name, Counter (int_of_string (Parse.number st))) :: !acc)
-      | "gauges" -> Parse.obj st (fun name -> acc := (name, Gauge (Parse.gauge_value st)) :: !acc)
-      | "histograms" ->
-        Parse.obj st (fun name -> acc := (name, Histogram (Parse.histogram_value st)) :: !acc)
-      | s -> Parse.error st ("unknown section " ^ s));
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+      | "counters" -> entries (fun x -> Counter (int_of x)) v
+      | "gauges" -> entries (fun x -> Gauge (gauge_of x)) v
+      | "histograms" -> entries (fun x -> Histogram (histogram_of x)) v
+      | s -> fail ("unknown section " ^ s))
+    (fields (Json.parse s))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

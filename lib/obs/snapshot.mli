@@ -43,4 +43,6 @@ val render : t -> string
 val to_json : t -> string
 
 val of_json : string -> t
-(** Raises [Failure] on malformed input. *)
+(** Parses through {!Wj_util.Json.parse}.  Raises
+    {!Wj_util.Json.Parse_error} on malformed JSON (including trailing
+    garbage) and on a document that is not a snapshot. *)

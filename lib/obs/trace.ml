@@ -174,168 +174,34 @@ let to_json t =
 
 (* ---- Chrome trace_event reader ---------------------------------------- *)
 
-(* A scanner for the trace_event dialect {!to_json} (and the recorder's
-   combined dump) emit: a top-level object whose ["traceEvents"] member
-   is an array of flat event objects.  Unknown members and nested values
-   are skipped, so extra keys next to [traceEvents] are fine. *)
+(* The trace_event dialect {!to_json} (and the recorder's combined dump)
+   emit: a top-level object whose ["traceEvents"] member is an array of
+   event objects.  Other members, and event fields beside name / cat /
+   ph / ts, are skipped. *)
 let events_of_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Trace.events_of_json: %s at %d" msg !pos) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        if !pos >= n then fail "bad escape";
-        (match s.[!pos] with
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          if !pos + 4 >= n then fail "bad unicode escape";
-          let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);
-          pos := !pos + 4
-        | c -> Buffer.add_char buf c);
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then fail "number expected";
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let rec skip_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> ignore (parse_string ())
-    | '{' ->
-      incr pos;
-      skip_until '}'
-    | '[' ->
-      incr pos;
-      skip_until ']'
-    | 't' | 'n' -> pos := !pos + 4
-    | 'f' -> pos := !pos + 5
-    | _ -> ignore (parse_number ())
-  and skip_until close =
-    skip_ws ();
-    if peek () = close then incr pos
-    else
-      let rec go () =
-        skip_value ();
-        skip_ws ();
-        match peek () with
-        | ':' | ',' ->
-          incr pos;
-          go ()
-        | c when c = close -> incr pos
-        | _ -> fail "bad structure"
+  let module Json = Wj_util.Json in
+  let fail msg = raise (Json.Parse_error ("Trace.events_of_json: " ^ msg)) in
+  let event = function
+    | Json.Obj fs ->
+      let str key =
+        match List.assoc_opt key fs with
+        | None -> ""
+        | Some (Json.Str v) -> v
+        | Some _ -> fail (key ^ " is not a string")
       in
-      go ()
-  in
-  let parse_event () =
-    expect '{';
-    let name = ref "" and cat = ref "" and ph = ref "" and ts = ref 0.0 in
-    skip_ws ();
-    if peek () = '}' then incr pos
-    else begin
-      let rec member () =
-        let key = parse_string () in
-        expect ':';
-        skip_ws ();
-        (match key with
-        | "name" -> name := parse_string ()
-        | "cat" -> cat := parse_string ()
-        | "ph" -> ph := parse_string ()
-        | "ts" -> ts := parse_number ()
-        | _ -> skip_value ());
-        skip_ws ();
-        match peek () with
-        | ',' ->
-          incr pos;
-          skip_ws ();
-          member ()
-        | '}' -> incr pos
-        | _ -> fail "bad event object"
+      let ts =
+        match List.assoc_opt "ts" fs with
+        | None -> 0.0
+        | Some v -> (
+          match Json.to_float v with Some f -> f | None -> fail "ts is not a number")
       in
-      member ()
-    end;
-    (!name, !cat, !ph, !ts /. 1e6)
+      (str "name", str "cat", str "ph", ts /. 1e6)
+    | _ -> fail "an event is not an object"
   in
-  skip_ws ();
-  expect '{';
-  let events = ref [] in
-  skip_ws ();
-  if peek () = '}' then incr pos
-  else begin
-    let rec member () =
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      (if key = "traceEvents" then begin
-         expect '[';
-         skip_ws ();
-         if peek () = ']' then incr pos
-         else
-           let rec elt () =
-             events := parse_event () :: !events;
-             skip_ws ();
-             match peek () with
-             | ',' ->
-               incr pos;
-               elt ()
-             | ']' -> incr pos
-             | _ -> fail "bad traceEvents array"
-           in
-           elt ()
-       end
-       else skip_value ());
-      skip_ws ();
-      match peek () with
-      | ',' ->
-        incr pos;
-        skip_ws ();
-        member ()
-      | '}' -> incr pos
-      | _ -> fail "bad top-level object"
-    in
-    member ()
-  end;
-  List.rev !events
+  match Json.parse s with
+  | Json.Obj fs -> (
+    match List.assoc_opt "traceEvents" fs with
+    | None -> []
+    | Some (Json.List evs) -> List.map event evs
+    | Some _ -> fail "traceEvents is not an array")
+  | _ -> fail "expected an object"

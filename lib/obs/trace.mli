@@ -81,7 +81,9 @@ val events_of_json : string -> (string * string * string * float) list
 (** Read a Chrome trace document back: [(name, cat, ph, ts_seconds)]
     per event, in array order.  Accepts anything {!to_json} or
     {!Recorder.to_json} produced — extra members beside [traceEvents]
-    are skipped.  Raises [Failure] on malformed input.  This is the
+    are skipped.  Parses through {!Wj_util.Json.parse}; raises
+    {!Wj_util.Json.Parse_error} on malformed JSON (including trailing
+    garbage) and on a document of the wrong shape.  This is the
     verification half of the exporter: [events_of_json (to_json t)]
     returns one tuple per buffered event, with timestamps equal up to
     the microsecond formatting of the writer. *)

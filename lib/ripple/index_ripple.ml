@@ -16,9 +16,6 @@ type report = Wj_obs.Progress.t = {
   half_width : float;
 }
 
-let samples = Wj_obs.Progress.samples
-let completions = Wj_obs.Progress.completions
-
 (* Sum of the aggregate expression over all completions of [row] bound at
    the plan's start position; also counts them. *)
 let complete q (plan : Walk_plan.t) row =

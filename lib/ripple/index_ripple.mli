@@ -16,11 +16,7 @@ type report = Wj_obs.Progress.t = {
   estimate : float;
   half_width : float;
 }
-(** Re-export of the unified progress record ({!Wj_obs.Progress.t}); the
-    historical field names survive as the accessors below. *)
-
-val samples : report -> int
-val completions : report -> int
+(** Re-export of the unified progress record ({!Wj_obs.Progress.t}). *)
 
 val run :
   ?seed:int ->

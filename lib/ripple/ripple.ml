@@ -19,10 +19,6 @@ type report = Wj_obs.Progress.t = {
   half_width : float;
 }
 
-let rounds = Wj_obs.Progress.rounds
-let combos = Wj_obs.Progress.combos
-let tuples_retrieved = Wj_obs.Progress.tuples_retrieved
-
 type outcome = {
   final : report;
   history : report list;

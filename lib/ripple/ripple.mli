@@ -31,12 +31,7 @@ type report = Wj_obs.Progress.t = {
   estimate : float;
   half_width : float;
 }
-(** Re-export of the unified progress record ({!Wj_obs.Progress.t}); the
-    historical ripple field names survive as the accessors below. *)
-
-val rounds : report -> int
-val combos : report -> int
-val tuples_retrieved : report -> int
+(** Re-export of the unified progress record ({!Wj_obs.Progress.t}). *)
 
 type outcome = {
   final : report;

@@ -99,15 +99,9 @@ and t = {
   mutable all : entry list;  (* every submission, reverse admission order *)
 }
 
-(* The submitter's handle: the unified result cell plus a typed
-   projection of it (identity for [submit], a constructor match for the
-   legacy per-algorithm shims). *)
-type 'a session = {
-  entry : entry;
-  cell : Session.outcome option ref;
-  view : Session.outcome -> 'a option;
-  sched : t;
-}
+(* The submitter's handle: the result cell [finish] fills once the
+   session stops. *)
+type session = { entry : entry; cell : Session.outcome option ref; sched : t }
 
 let create ?(quantum = 256) ?(max_live = 4) ?(policy = Round_robin)
     ?(domains = 1) ?max_queued ?tenant_quota ?(sink = Sink.noop) ?clock () =
@@ -498,8 +492,7 @@ let drain t =
 
 (* ---- Submission ------------------------------------------------------ *)
 
-let submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish cell
-    view =
+let submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish cell =
   (match admission t ?tenant () with
   | Some r ->
     (match tenant with
@@ -533,7 +526,7 @@ let submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish ce
   t.all <- e :: t.all;
   account_submit t e;
   emit t (Event.Session_admitted { session = id; label });
-  { entry = e; cell; view; sched = t }
+  { entry = e; cell; sched = t }
 
 (* The one admission path: a [Session_spec.t] (explicit, or the config's)
    picks the driver; the erased {!Wj_core.Session.handle} is the job.
@@ -569,65 +562,6 @@ let submit t ?(label = "") ?deadline ?token ?tenant ?pin ?spec
      bracket this session's quanta in the request's own trace. *)
   let trace = Sink.trace (Run_config.resolved_sink cfg) in
   submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish cell
-    Option.some
-
-(* Legacy per-algorithm entry points: thin shims over {!submit} that
-   build the spec and project the unified outcome back to the
-   algorithm's type. *)
-
-let submit_query t ?label ?deadline ?token ?(eager_checks = true)
-    (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token
-      ~spec:(Session_spec.online ~eager_checks ())
-      cfg q registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Scalar o -> Some o | _ -> None);
-    sched = s.sched;
-  }
-
-let submit_group_by t ?label ?deadline ?token (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token ~spec:(Session_spec.group_by ()) cfg q
-      registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Groups o -> Some o | _ -> None);
-    sched = s.sched;
-  }
-
-let submit_hybrid t ?label ?deadline ?token ?config ?max_rounds
-    (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token
-      ~spec:(Session_spec.hybrid ?config ?max_rounds ())
-      cfg q registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Hybrid o -> Some o | _ -> None);
-    sched = s.sched;
-  }
-
-let submit_parallel t ?label ?deadline ?token ?domains ?walks_per_domain
-    (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token
-      ~spec:(Session_spec.parallel ?domains ?walks_per_domain ())
-      cfg q registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Parallel o -> Some o | _ -> None);
-    sched = s.sched;
-  }
 
 (* ---- Session handles ------------------------------------------------- *)
 
@@ -638,7 +572,7 @@ let tenant s = s.entry.tenant
 let quanta s = s.entry.quanta
 let stop_reason s = s.entry.reason
 let cancel s = Token.cancel s.entry.token
-let result s = Option.bind !(s.cell) s.view
+let result s = !(s.cell)
 
 let await s =
   if s.sched.domains > 1 then drain s.sched

@@ -186,8 +186,8 @@ val tenant_in_flight : t -> (string * int) list
     the quota-usage view behind the daemon's
     [tenant.<name>.in_flight] gauges. *)
 
-type 'a session
-(** Handle returned at submission; ['a] is the driver outcome type. *)
+type session
+(** Handle returned at submission. *)
 
 val submit :
   t ->
@@ -200,7 +200,7 @@ val submit :
   Wj_core.Run_config.t ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
-  Wj_core.Session.outcome session
+  session
 (** The unified admission path: one entry point for every driver.
     [spec] (default [cfg.spec], itself defaulting to online) picks the
     algorithm and its knobs; the session runs through
@@ -217,69 +217,7 @@ val submit :
     [tenant] assigns the session to an admission-quota bucket (see
     {e Admission control} above).  Raises {!Rejected} when the queue
     limit or the tenant's quota is hit — nothing is queued and no id is
-    consumed.
-
-    The legacy [submit_query]/[submit_group_by]/[submit_hybrid]/
-    [submit_parallel] entry points below are deprecated shims over this
-    one. *)
-
-val submit_query :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  ?eager_checks:bool ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Online.outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.online"]
-(** @deprecated Shim over {!submit} with {!Wj_core.Session_spec.online}. *)
-
-val submit_group_by :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Online.group_outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.group_by"]
-(** @deprecated Shim over {!submit} with {!Wj_core.Session_spec.group_by}. *)
-
-val submit_hybrid :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  ?config:Wj_core.Hybrid.config ->
-  ?max_rounds:int ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Hybrid.outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.hybrid"]
-(** @deprecated Shim over {!submit} with {!Wj_core.Session_spec.hybrid};
-    one engine step is one hybrid round. *)
-
-val submit_parallel :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  ?domains:int ->
-  ?walks_per_domain:int ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Parallel.outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.parallel"]
-(** @deprecated Shim over {!submit} with
-    {!Wj_core.Session_spec.parallel}.  Parallel sessions are one-shot
-    ({!Wj_core.Parallel.Session}): the whole fan-out runs within the
-    first quantum granted to it.  [result] stays [None] when the session
-    is cancelled while queued. *)
+    consumed. *)
 
 (** {2 Driving the scheduler} *)
 
@@ -299,36 +237,36 @@ val drain : t -> unit
 
 (** {2 Session handles} *)
 
-val state : _ session -> state
+val state : session -> state
 (** Current state; between ticks this is never [Reporting]. *)
 
-val id : _ session -> int
+val id : session -> int
 (** Scheduler-unique id, in admission order; keys the [Session_*] events
     and the ["session<id>."] metric scope. *)
 
-val label : _ session -> string
+val label : session -> string
 (** The submission label (default ["session<id>"]). *)
 
-val tenant : _ session -> string option
+val tenant : session -> string option
 (** The admission-quota bucket the session was submitted under, if any. *)
 
-val quanta : _ session -> int
+val quanta : session -> int
 (** Quanta granted to this session so far (the fairness measure). *)
 
-val stop_reason : _ session -> Wj_core.Engine.Driver.stop_reason option
+val stop_reason : session -> Wj_core.Engine.Driver.stop_reason option
 (** The driver-level stop reason once the session is terminal ([None]
     for a session retired while still queued). *)
 
-val cancel : _ session -> unit
+val cancel : session -> unit
 (** Cancel the session's token: a queued session retires without ever
     starting; a running one is interrupted before its next quantum. *)
 
-val result : 'a session -> 'a option
+val result : session -> Wj_core.Session.outcome option
 (** The driver outcome, once terminal.  Present for cancelled and
     deadline-exceeded sessions too (the estimate so far), except a
     session that never started. *)
 
-val await : 'a session -> 'a option
+val await : session -> Wj_core.Session.outcome option
 (** Drive the {e whole} scheduler ({!tick}) until this session reaches a
     terminal state, then return its {!result}.  Other live sessions keep
     receiving their fair share of quanta meanwhile. *)

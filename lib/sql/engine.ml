@@ -132,7 +132,7 @@ type served = {
    path; the scalar/group split only reappears when the outcome is read
    back. *)
 type pending =
-  | P_session of Wj_core.Session.outcome Scheduler.session
+  | P_session of Scheduler.session
   | P_exact of item_outcome
 
 let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)

@@ -1,10 +1,14 @@
-(** Dependency-free JSON values: the daemon's wire currency.
+(** Dependency-free JSON values: the repository's one JSON codec.
 
     One constructor per JSON shape, a printer and a recursive-descent
-    parser.  Numbers keep the int/float split OCaml-side ([Int] prints
-    without a decimal point, [Float] with 17 significant digits so float
-    bits round-trip); both parse back from the same JSON number token
-    (a token with [.], [e] or [E] becomes [Float]).  Strings are assumed
+    parser.  The daemon's wire format, the metrics snapshot reader
+    ([Wj_obs.Snapshot.of_json]) and the trace reader
+    ([Wj_obs.Trace.events_of_json]) all parse through {!parse}.
+
+    Numbers keep the int/float split OCaml-side ([Int] prints without a
+    decimal point, [Float] with 17 significant digits so float bits
+    round-trip); both parse back from the same JSON number token (a
+    token with [.], [e] or [E] becomes [Float]).  Strings are assumed
     UTF-8 and escaped per RFC 8259 ([\uXXXX] escapes decode to raw bytes
     for the BMP's Latin-1 range and are re-escaped on print). *)
 
@@ -23,7 +27,7 @@ exception Parse_error of string
 val to_string : t -> string
 (** Compact (single-line) rendering.  Non-finite floats — JSON has no
     syntax for them — are encoded as the strings ["nan"], ["inf"],
-    ["-inf"], matching {!Wj_obs.Snapshot}'s convention. *)
+    ["-inf"], matching [Wj_obs.Snapshot]'s convention. *)
 
 val parse : string -> t
 (** Raises {!Parse_error} on malformed input or trailing garbage. *)

@@ -11,7 +11,7 @@
 
 module Daemon = Wj_daemon.Daemon
 module Http = Wj_daemon.Http
-module Json = Wj_daemon.Json
+module Json = Wj_util.Json
 module Estimate_cache = Wj_daemon.Estimate_cache
 module Normalize = Wj_sql.Normalize
 module Parser = Wj_sql.Parser

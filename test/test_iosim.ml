@@ -1,10 +1,11 @@
 (* Tests for wj_iosim: LRU buffer pool, cost model, simulation glue. *)
 
-module Buffer_pool = Wj_iosim.Buffer_pool
+module Buffer_pool = Wj_storage.Buffer_pool
 module Cost_model = Wj_iosim.Cost_model
 module Sim = Wj_iosim.Sim
 module Timer = Wj_util.Timer
-module Walker = Wj_core.Walker
+module Sink = Wj_obs.Sink
+module Event = Wj_obs.Event
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -106,18 +107,19 @@ let test_sim_requires_virtual_clock () =
     (Invalid_argument "Sim.create: clock must be virtual") (fun () ->
       ignore (Sim.create ~pool_pages:10 ~clock:(Timer.wall ()) ()))
 
-let test_sim_walker_tracer_charges () =
+let test_sim_walker_sink_charges () =
   let clock = Timer.virtual_ () in
   let sim = Sim.create ~pool_pages:10 ~clock () in
+  let sink = Sim.sink sim in
   let m = Sim.model sim in
   (* First row access: miss -> random I/O. *)
-  Sim.walker_tracer sim (Walker.Row_access (0, 0));
+  Sink.emit sink (Event.Row_access { pos = 0; row = 0 });
   check_float "miss cost" m.random_io (Timer.elapsed clock);
   (* Same page again: hit -> RAM. *)
-  Sim.walker_tracer sim (Walker.Row_access (0, 1));
+  Sink.emit sink (Event.Row_access { pos = 0; row = 1 });
   check_float "hit cost" (m.random_io +. m.ram_access) (Timer.elapsed clock);
   (* Index probe: per-level cached cost. *)
-  Sim.walker_tracer sim (Walker.Index_probe (0, 3));
+  Sink.emit sink (Event.Index_probe { pos = 0; cost = 3 });
   check_float "probe cost"
     (m.random_io +. m.ram_access +. (3.0 *. m.index_level_cost))
     (Timer.elapsed clock)
@@ -145,7 +147,7 @@ let test_sim_scan_and_warm () =
   let t0 = Timer.elapsed clock in
   Sim.warm sim ~table:3 ~rows:(5 * m.rows_per_page);
   check_float "warm free" t0 (Timer.elapsed clock);
-  Sim.walker_tracer sim (Walker.Row_access (3, 0));
+  Sink.emit (Sim.sink sim) (Event.Row_access { pos = 3; row = 0 });
   check_float "warmed page hits" (t0 +. m.ram_access) (Timer.elapsed clock)
 
 let test_sim_end_to_end_locality () =
@@ -153,10 +155,10 @@ let test_sim_end_to_end_locality () =
      per access than one with a big pool. *)
   let run pool_pages =
     let clock = Timer.virtual_ () in
-    let sim = Sim.create ~pool_pages ~clock () in
+    let sink = Sim.sink (Sim.create ~pool_pages ~clock ()) in
     let prng = Wj_util.Prng.create 3 in
     for _ = 1 to 2000 do
-      Sim.walker_tracer sim (Walker.Row_access (0, Wj_util.Prng.int prng 100_000))
+      Sink.emit sink (Event.Row_access { pos = 0; row = Wj_util.Prng.int prng 100_000 })
     done;
     Timer.elapsed clock
   in
@@ -164,6 +166,35 @@ let test_sim_end_to_end_locality () =
   Alcotest.(check bool)
     (Printf.sprintf "small pool slower (%.4f vs %.4f)" small large)
     true (small > large)
+
+let test_sim_online_session_pinned () =
+  (* A fixed-seed, fixed-budget Q3 session (optimizer trials included)
+     through a 200-page pool on a virtual clock.  The expected figures
+     are pinned: any change to the order of the walker's Row_access /
+     Index_probe stream or to the charge formulas moves them. *)
+  let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.01 () in
+  let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q3 d in
+  let reg = Wj_tpch.Queries.registry q in
+  let clock = Timer.virtual_ () in
+  let sim = Sim.create ~pool_pages:200 ~clock () in
+  let o =
+    Wj_core.Online.run_session
+      (Wj_core.Run_config.make ~seed:5 ~max_walks:5_000 ~max_time:1e9 ~clock
+         ~sink:(Sim.sink sim) ())
+      q reg
+  in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int) "walks" 5_000 o.final.walks;
+  Alcotest.(check int) "optimizer walks" 13_840 o.optimizer_walks;
+  Alcotest.(check int64) "estimate" (bits 54571438.259505726) (bits o.final.estimate);
+  Alcotest.(check int64)
+    "charged seconds" (bits 2.8541722000022918)
+    (bits (Sim.charged_seconds sim));
+  Alcotest.(check int64)
+    "clock = charges" (bits (Sim.charged_seconds sim))
+    (bits (Timer.elapsed clock));
+  Alcotest.(check int) "pool misses" 28_465 (Buffer_pool.misses (Sim.pool sim));
+  Alcotest.(check int) "pool hits" 14_368 (Buffer_pool.hits (Sim.pool sim))
 
 let () =
   Alcotest.run "wj_iosim"
@@ -183,9 +214,11 @@ let () =
       ( "sim",
         [
           Alcotest.test_case "virtual clock required" `Quick test_sim_requires_virtual_clock;
-          Alcotest.test_case "walker tracer" `Quick test_sim_walker_tracer_charges;
+          Alcotest.test_case "walker sink" `Quick test_sim_walker_sink_charges;
           Alcotest.test_case "ripple tracer" `Quick test_sim_ripple_tracer;
           Alcotest.test_case "scan and warm" `Quick test_sim_scan_and_warm;
           Alcotest.test_case "locality effect" `Quick test_sim_end_to_end_locality;
+          Alcotest.test_case "online session pinned" `Quick
+            test_sim_online_session_pinned;
         ] );
     ]

@@ -107,7 +107,7 @@ let test_ripple_target_stop () =
     Ripple.run ~seed:8 ~target:(Wj_stats.Target.relative 0.2) ~max_time:30.0 q reg
   in
   let exact = float_of_int (Exact.aggregate q reg).join_size in
-  Alcotest.(check bool) "stopped early" true (Ripple.rounds out.final < 2000);
+  Alcotest.(check bool) "stopped early" true (out.final.walks < 2000);
   check_close "RJ target" out.final.estimate out.final.half_width exact
 
 let test_ripple_reports () =
@@ -172,8 +172,8 @@ let test_index_ripple_sum () =
   let exact = (Exact.aggregate q reg).value in
   let r = Index_ripple.run ~seed:3 ~max_samples:4_000 ~max_time:30.0 q reg in
   check_close "classic IRJ sum" r.estimate r.half_width exact;
-  Alcotest.(check bool) "samples counted" true (Index_ripple.samples r > 0);
-  Alcotest.(check bool) "completions counted" true (Index_ripple.completions r > 0)
+  Alcotest.(check bool) "samples counted" true (r.walks > 0);
+  Alcotest.(check bool) "completions counted" true (r.successes > 0)
 
 let test_index_ripple_count () =
   let q = two_table_query 33 600 in
@@ -186,7 +186,7 @@ let test_index_ripple_start_choice () =
   let q = three_table_query 35 100 in
   let reg = Registry.build_for_query q in
   let r = Index_ripple.run ~seed:5 ~start:2 ~max_samples:500 ~max_time:30.0 q reg in
-  Alcotest.(check bool) "ran" true (Index_ripple.samples r = 500);
+  Alcotest.(check bool) "ran" true (r.walks = 500);
   Alcotest.check_raises "invalid start rejects"
     (Invalid_argument "Index_ripple.run: no plan starts at the given table") (fun () ->
       ignore (Index_ripple.run ~start:99 ~max_time:0.1 q reg))
