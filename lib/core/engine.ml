@@ -10,7 +10,6 @@ type slot = {
   mutable depth : int;
   mutable next_step : int; (* -1: begin a new walk on this slot's next turn *)
   mutable cost : int;
-  issued : Walker.issued; (* this slot's in-flight probe, if any *)
 }
 
 type completion = { outcome : Walker.outcome; cost : int }
@@ -18,20 +17,18 @@ type completion = { outcome : Walker.outcome; cost : int }
 type t = {
   prepared : Walker.prepared;
   batch : int;
-  prefetch : bool;
   slots : slot array;
   nsteps : int;
   pending : completion Queue.t;
   mutable last_cost : int;
 }
 
-let create ?(batch = 1) ?(prefetch = true) prepared =
+let create ?(batch = 1) ?prefetch:_ prepared =
   if batch < 1 then invalid_arg "Engine.create: batch must be >= 1";
   let kq = Query.k (Walker.query prepared) in
   {
     prepared;
     batch;
-    prefetch;
     slots =
       Array.init batch (fun _ ->
           {
@@ -40,7 +37,6 @@ let create ?(batch = 1) ?(prefetch = true) prepared =
             depth = 0;
             next_step = -1;
             cost = 0;
-            issued = Walker.make_issued ();
           });
     nsteps = Array.length (Walker.plan prepared).Walk_plan.steps;
     pending = Queue.create ();
@@ -83,16 +79,7 @@ let turn t prng (slot : slot) =
   end
   else begin
     let i = slot.next_step in
-    let phase =
-      (* Resolve against the probe issued for this very step by the
-         sweep's prefetch phase; fall back to the fused classic step when
-         nothing is issued (prefetch off, or the slot started this
-         sweep).  Both consume identical PRNG draws. *)
-      if Walker.issued_step slot.issued = i then
-        Walker.resolve_step t.prepared prng slot.issued slot.path i
-      else Walker.advance_step t.prepared prng slot.path i
-    in
-    match phase with
+    match Walker.advance_step t.prepared prng slot.path i with
     | Walker.Advanced f ->
       slot.cost <- slot.cost + Walker.phase_cost t.prepared;
       slot.inv_p <- slot.inv_p *. f;
@@ -119,23 +106,8 @@ let next t prng =
   end
   else begin
     (* Sweep all slots in index order until a walk completes: slots at the
-       same depth probe the same step's index back to back.  With
-       prefetching on, each sweep first issues every in-flight slot's
-       locate (no PRNG draws, so the resolve sweep's draw order — and
-       every estimate — is identical to the classic sweep), then resolves
-       them in the same slot order. *)
+       same depth probe the same step's index back to back. *)
     while Queue.is_empty t.pending do
-      if t.prefetch then begin
-        let issued = ref 0 in
-        for i = 0 to t.batch - 1 do
-          let slot = t.slots.(i) in
-          if slot.next_step >= 0 && Walker.issued_step slot.issued < 0 then begin
-            Walker.issue_step t.prepared slot.issued slot.path slot.next_step;
-            incr issued
-          end
-        done;
-        if !issued >= 2 then Walker.note_prefetch_batched t.prepared !issued
-      end;
       for i = 0 to t.batch - 1 do
         turn t prng t.slots.(i)
       done

@@ -24,15 +24,9 @@ type t
 val create : ?batch:int -> ?prefetch:bool -> Walker.prepared -> t
 (** [batch] defaults to 1.  Raises [Invalid_argument] when [batch < 1].
 
-    [prefetch] (default [true]) interleaves the batch's index probes:
-    each sweep first runs {!Walker.issue_step} for every in-flight slot —
-    locating hash buckets / B+-tree ranks / trie slot ranges and touching
-    them plus the candidate rows' table cells through
-    [Sys.opaque_identity] (paged columns fault their buffer-pool page) —
-    then resolves the slots in order with {!Walker.resolve_step}.  The
-    issue phase draws nothing from the PRNG, so estimates are bit-for-bit
-    identical with prefetching on or off; with [batch = 1] the engine
-    delegates to {!Walker.walk} and the flag is irrelevant. *)
+    [prefetch] is accepted and ignored.  It survives only because the
+    benchmark ledger ([bench/ledger/ledger.ml]) still passes it; ROADMAP
+    item 9 removes it together with the ledger's prefetch rows. *)
 
 val batch : t -> int
 (** Number of in-flight walks. *)

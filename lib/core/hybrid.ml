@@ -147,11 +147,7 @@ let start_session ?(config = default_config) ?(max_rounds = max_int)
       plans;
   (* One engine per component, shared by all replicates: with [batch > 1]
      the in-flight walks of a component interleave across replicates. *)
-  let engines =
-    Array.map
-      (Engine.create ~batch:cfg.Run_config.batch ~prefetch:cfg.Run_config.prefetch)
-      prepared
-  in
+  let engines = Array.map (Engine.create ~batch:cfg.Run_config.batch) prepared in
   let cross_conds =
     let comp_of = Array.make (Query.k q) (-1) in
     List.iteri

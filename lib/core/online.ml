@@ -119,7 +119,7 @@ let start_session ?(eager_checks = true) ?on_report (cfg : Run_config.t) q regis
            description = Walk_plan.describe q plan;
            granularity = Walk_plan.granularity plan;
          });
-  let engine = Engine.create ~batch:cfg.batch ~prefetch:cfg.prefetch prepared in
+  let engine = Engine.create ~batch:cfg.batch prepared in
   let history = ref [] in
   let emit_report () =
     let r = make_report ~confidence:cfg.confidence ~elapsed:(Timer.elapsed clock) est in
@@ -227,7 +227,7 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
            description = Walk_plan.describe q plan;
            granularity = Walk_plan.granularity plan;
          });
-  let engine = Engine.create ~batch:cfg.batch ~prefetch:cfg.prefetch prepared in
+  let engine = Engine.create ~batch:cfg.batch prepared in
   let groups : (Value.t, Estimator.t) Hashtbl.t = Hashtbl.create 16 in
   let total = ref 0 in
   let group_est key =

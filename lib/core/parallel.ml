@@ -51,7 +51,7 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
   let worker i () =
     let prng = Prng.create (cfg.seed + (1_000_003 * (i + 1))) in
     let prepared = Walker.prepare ~sink:(worker_sink i) q registry plan in
-    let engine = Engine.create ~batch:cfg.batch ~prefetch:cfg.prefetch prepared in
+    let engine = Engine.create ~batch:cfg.batch prepared in
     let est = Estimator.create q.Query.agg in
     let reason =
       Engine.Driver.run ~sink:(worker_sink i) ?max_walks:walks_per_domain

@@ -11,7 +11,6 @@ type t = {
   max_walks : int option;
   report_every : float option;
   batch : int;
-  prefetch : bool;
   clock : Wj_util.Timer.t option;
   should_stop : (unit -> bool) option;
   plan_choice : plan_choice;
@@ -30,7 +29,6 @@ let default =
     max_walks = None;
     report_every = None;
     batch = 1;
-    prefetch = true;
     clock = None;
     should_stop = None;
     plan_choice = Optimize Optimizer.default_config;
@@ -41,7 +39,7 @@ let default =
   }
 
 let make ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
-    ?report_every ?(batch = 1) ?(prefetch = true) ?clock ?should_stop
+    ?report_every ?(batch = 1) ?clock ?should_stop
     ?(plan_choice = Optimize Optimizer.default_config)
     ?(spec = Session_spec.default) ?(sink = Wj_obs.Sink.noop) ?recorder
     ?(backend = Wj_storage.Backend.In_memory) () =
@@ -53,7 +51,6 @@ let make ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
     max_walks;
     report_every;
     batch;
-    prefetch;
     clock;
     should_stop;
     plan_choice;

@@ -21,11 +21,6 @@ type t = {
   max_walks : int option;  (** walk/round/sample budget *)
   report_every : float option;  (** periodic report interval, seconds *)
   batch : int;  (** engine in-flight walks; 1 = sequential walker *)
-  prefetch : bool;
-      (** interleave the batch's index probes (issue every slot's locate
-          + prefetch touches before resolving any); default [true].
-          Never changes estimates — the issue phase draws nothing — and
-          is irrelevant at [batch = 1].  See {!Engine.create}. *)
   clock : Wj_util.Timer.t option;  (** [None] = wall clock *)
   should_stop : (unit -> bool) option;  (** cooperative cancellation *)
   plan_choice : plan_choice;
@@ -58,7 +53,6 @@ val make :
   ?max_walks:int ->
   ?report_every:float ->
   ?batch:int ->
-  ?prefetch:bool ->
   ?clock:Wj_util.Timer.t ->
   ?should_stop:(unit -> bool) ->
   ?plan_choice:plan_choice ->

@@ -20,8 +20,6 @@ type instr = {
   i_phase_cost : Histogram.t; (* bucket = phase index, weight = cost *)
   i_index_probes : Counter.t;
   i_row_accesses : Counter.t;
-  i_prefetch_issued : Counter.t; (* issue_step calls *)
-  i_prefetch_batched : Counter.t; (* issues that shared a sweep with >= 2 *)
 }
 
 let instr_of_metrics m ~k =
@@ -39,8 +37,6 @@ let instr_of_metrics m ~k =
     i_phase_cost = h (max 1 k) "walker.phase_cost";
     i_index_probes = c "walker.index_probes";
     i_row_accesses = c "walker.row_accesses";
-    i_prefetch_issued = c "walker.prefetch.issued";
-    i_prefetch_batched = c "walker.prefetch.batched";
   }
 
 type outcome =
@@ -363,15 +359,18 @@ let note_nontree_reject t ~pos ~label ~counter =
 
 (* ---- Step-granular phases (shared by [walk] and the batched Engine) --- *)
 
+(* An empty neighbour set (or empty start): the walk dies unbound. *)
+let reject_empty t =
+  (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_empty);
+  Dead_unbound
+
 (* Bind and vet the start tuple into [path].  The abstract cost of the
    attempt is left in [t.phase_cost]. *)
 let advance_start t prng path =
   t.phase_cost <- 0;
   let result =
     match sample_start t prng with
-    | None ->
-      (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_empty);
-      Dead_unbound
+    | None -> reject_empty t
     | Some row ->
       t.phase_cost <-
         (match t.start with
@@ -425,56 +424,47 @@ let bind_and_vet t c path ~row ~d =
   end
 
 (* Probe the step's index from the already-bound parent row, sample one
-   neighbour uniformly, bind and vet it. *)
+   neighbour uniformly, bind and vet it.  A plain step locates its
+   neighbour set once, reads d off the locate and selects the drawn row
+   out of it, so it is charged [count_cost + resolve_cost + 1]. *)
 let advance_step t prng path i =
   let c = t.steps.(i) in
   let step = c.step in
+  let v = c.key_of_parent path.(step.Walk_plan.parent) in
   let result =
     match c.isect with
-    | None -> begin
-      let cond = step.Walk_plan.cond in
-      let v = c.key_of_parent path.(step.parent) in
-      let lo, hi = Query.join_key_range cond ~from_left:true v in
-      let probe = Index.count_cost step.index in
-      note_index_probe t step.into probe;
-      let d =
+    | None ->
+      let cond = step.cond in
+      let cost = Index.count_cost step.index in
+      note_index_probe t step.into cost;
+      t.phase_cost <- cost;
+      let located =
         match cond.op with
-        | Query.Eq -> Index.count_eq step.index v
-        | Query.Band _ -> Index.count_range step.index ~lo ~hi
+        | Query.Eq -> Index.locate_eq step.index v
+        | Query.Band _ ->
+          let lo, hi = Query.join_key_range cond ~from_left:true v in
+          Index.locate_range step.index ~lo ~hi
       in
-      t.phase_cost <- probe;
-      if d = 0 then begin
-        (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_empty);
-        Dead_unbound
-      end
+      let d = Index.located_count located in
+      if d = 0 then reject_empty t
       else begin
-        let pick = Prng.int prng d in
-        let row =
-          match cond.op with
-          | Query.Eq -> Index.nth_eq step.index v pick
-          | Query.Band _ -> Index.nth_range step.index ~lo ~hi pick
-        in
-        t.phase_cost <- t.phase_cost + Index.probe_cost step.index + 1;
+        let row = Index.located_nth located (Prng.int prng d) in
+        t.phase_cost <- cost + Index.resolve_cost step.index + 1;
         bind_and_vet t c path ~row ~d
       end
-    end
-    | Some ci -> begin
+    | Some ci ->
       (* Constraint pre-intersection: narrow the trie by the tree key,
          then by each folded non-tree edge's key, and sample uniformly
          from the surviving slot range.  An empty range consumes no PRNG
          draw — the walk is dead either way, and plans stay internally
          deterministic (variant plans draw differently from the base
          plan, as any two distinct plans do). *)
-      let v = c.key_of_parent path.(step.parent) in
       note_index_probe t step.into ci.ci_cost;
       t.phase_cost <- ci.ci_cost;
       let tr = ci.ci_trie in
       let lo, hi = Wj_index.Trie.root tr in
       let lo, hi = Wj_index.Trie.narrow tr ~level:0 ~lo ~hi ~klo:v ~khi:v in
-      if lo >= hi then begin
-        (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_empty);
-        Dead_unbound
-      end
+      if lo >= hi then reject_empty t
       else begin
         let nfolds = Array.length ci.ci_key in
         let slo = ref lo and shi = ref hi in
@@ -507,166 +497,7 @@ let advance_step t prng path i =
           bind_and_vet t c path ~row ~d
         end
       end
-    end
   in
-  (match t.stats with
-  | None -> ()
-  | Some s ->
-    Histogram.observe s.i_phase_attempts (i + 1);
-    Histogram.add s.i_phase_cost (i + 1) t.phase_cost);
-  result
-
-(* ---- Issue/resolve split of [advance_step] ---------------------------- *)
-
-(* One slot's in-flight probe between the issue and resolve phases.  A
-   mutable scratch record owned by the engine slot and reused across
-   walks, so steady-state issuing allocates only what [Index.locate_*]
-   returns. *)
-type issued = {
-  mutable iv_step : int; (* step index the locate answers; -1 = none *)
-  mutable iv_located : Index.located option; (* plain (non-isect) steps *)
-  mutable iv_cost : int; (* abstract cost charged by the issue phase *)
-  mutable iv_slo : int; (* isect: surviving slot range *)
-  mutable iv_shi : int;
-  mutable iv_failed : int; (* isect: failing fold index, or -1 *)
-}
-
-let make_issued () =
-  {
-    iv_step = -1;
-    iv_located = None;
-    iv_cost = 0;
-    iv_slo = 0;
-    iv_shi = 0;
-    iv_failed = -1;
-  }
-
-let issued_step iss = iss.iv_step
-
-let[@inline] note_prefetch_issued t =
-  match t.stats with None -> () | Some s -> Counter.incr s.i_prefetch_issued
-
-let note_prefetch_batched t n =
-  match t.stats with None -> () | Some s -> Counter.add s.i_prefetch_batched n
-
-(* The count-and-locate half of [advance_step]: everything up to (but not
-   including) the PRNG draw.  Draws nothing, so issuing a whole batch
-   before resolving any slot leaves every walk's draw sequence — and
-   therefore every estimate — bit-for-bit unchanged. *)
-let issue_step t iss path i =
-  let c = t.steps.(i) in
-  let step = c.step in
-  note_prefetch_issued t;
-  (match c.isect with
-  | None ->
-    let cond = step.Walk_plan.cond in
-    let v = c.key_of_parent path.(step.parent) in
-    let probe = Index.count_cost step.index in
-    note_index_probe t step.into probe;
-    let l =
-      match cond.op with
-      | Query.Eq -> Index.locate_eq step.index v
-      | Query.Band _ ->
-        let lo, hi = Query.join_key_range cond ~from_left:true v in
-        Index.locate_range step.index ~lo ~hi
-    in
-    Index.located_prefetch l;
-    if Index.located_count l > 0 then
-      Table.prefetch_row t.query.Query.tables.(step.into) (Index.located_nth l 0);
-    iss.iv_step <- i;
-    iss.iv_located <- Some l;
-    iss.iv_cost <- probe
-  | Some ci ->
-    (* The full narrow chain runs at issue time (it is the locate); the
-       resolve phase only draws and binds. *)
-    let v = c.key_of_parent path.(step.parent) in
-    note_index_probe t step.into ci.ci_cost;
-    let tr = ci.ci_trie in
-    let lo, hi = Wj_index.Trie.root tr in
-    let lo, hi = Wj_index.Trie.narrow tr ~level:0 ~lo ~hi ~klo:v ~khi:v in
-    iss.iv_step <- i;
-    iss.iv_located <- None;
-    iss.iv_cost <- ci.ci_cost;
-    iss.iv_failed <- -1;
-    if lo >= hi then begin
-      iss.iv_slo <- lo;
-      iss.iv_shi <- lo
-    end
-    else begin
-      let nfolds = Array.length ci.ci_key in
-      let slo = ref lo and shi = ref hi in
-      let failed = ref (-1) in
-      let l = ref 0 in
-      while !failed < 0 && !l < nfolds do
-        let ov = ci.ci_key.(!l) path.(ci.ci_other.(!l)) in
-        let nlo, nhi =
-          Wj_index.Trie.narrow tr ~level:(!l + 1) ~lo:!slo ~hi:!shi
-            ~klo:(ov + ci.ci_lo.(!l)) ~khi:(ov + ci.ci_hi.(!l))
-        in
-        if nlo >= nhi then failed := !l
-        else begin
-          slo := nlo;
-          shi := nhi;
-          incr l
-        end
-      done;
-      iss.iv_slo <- !slo;
-      iss.iv_shi <- !shi;
-      iss.iv_failed <- !failed;
-      if !failed < 0 then begin
-        let head = Wj_index.Trie.row tr !slo in
-        ignore (Sys.opaque_identity head);
-        Table.prefetch_row t.query.Query.tables.(step.into) head
-      end
-    end)
-
-(* The draw-bind-vet half: consumes exactly the PRNG draws the classic
-   [advance_step] would, in the same order, and charges the step's select
-   at [Index.resolve_cost] — the locate was already paid once by
-   [issue_step], where the classic path pays [probe_cost] again. *)
-let resolve_step t prng iss path i =
-  let c = t.steps.(i) in
-  let step = c.step in
-  t.phase_cost <- iss.iv_cost;
-  let result =
-    match c.isect with
-    | None -> begin
-      let l =
-        match iss.iv_located with
-        | Some l -> l
-        | None -> invalid_arg "Walker.resolve_step: no issued probe"
-      in
-      let d = Index.located_count l in
-      if d = 0 then begin
-        (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_empty);
-        Dead_unbound
-      end
-      else begin
-        let pick = Prng.int prng d in
-        let row = Index.located_nth l pick in
-        t.phase_cost <- t.phase_cost + Index.resolve_cost step.index + 1;
-        bind_and_vet t c path ~row ~d
-      end
-    end
-    | Some ci ->
-      if iss.iv_failed >= 0 then begin
-        note_nontree_reject t ~pos:step.into ~label:ci.ci_labels.(iss.iv_failed)
-          ~counter:ci.ci_counters.(iss.iv_failed);
-        Dead_unbound
-      end
-      else if iss.iv_shi <= iss.iv_slo then begin
-        (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_empty);
-        Dead_unbound
-      end
-      else begin
-        let d = iss.iv_shi - iss.iv_slo in
-        let row = Wj_index.Trie.row ci.ci_trie (iss.iv_slo + Prng.int prng d) in
-        t.phase_cost <- t.phase_cost + 1;
-        bind_and_vet t c path ~row ~d
-      end
-  in
-  iss.iv_step <- -1;
-  iss.iv_located <- None;
   (match t.stats with
   | None -> ()
   | Some s ->

@@ -86,8 +86,11 @@ val advance_start : prepared -> Wj_util.Prng.t -> int array -> phase
     The abstract cost of the attempt is left in {!phase_cost}. *)
 
 val advance_step : prepared -> Wj_util.Prng.t -> int array -> int -> phase
-(** Advance one plan step: probe the step's index from the bound parent
-    row, sample a uniform neighbour, bind and vet it.
+(** Advance one plan step: locate the bound parent row's neighbour set in
+    the step's index once ({!Wj_index.Index.locate_eq}/[locate_range]),
+    draw one of its d rows uniformly, select it out of the locate, bind
+    and vet it.  The step costs the index's [count_cost + resolve_cost]
+    plus one tuple fetch.
 
     When the step carries a pre-intersection spec ({!Walk_plan.step.isect})
     the neighbour set is first narrowed through the step's trie by every
@@ -101,56 +104,7 @@ val advance_step : prepared -> Wj_util.Prng.t -> int array -> int -> phase
 
 val phase_cost : prepared -> int
 (** Abstract cost (index-entry accesses + tuple fetches) of the most
-    recent [advance_start]/[advance_step]/[resolve_step] call. *)
-
-(** {2 Issue/resolve: interleaved prefetching}
-
-    {!advance_step} split at the PRNG draw.  [issue_step] runs the
-    count-and-locate half — probe the step's index from the bound parent,
-    keep the located neighbour set ({!Wj_index.Index.located} or the
-    narrowed trie slot range), and touch its backing memory plus the head
-    candidate row's table cells through [Sys.opaque_identity] (paged
-    columns fault their page into the buffer pool).  [resolve_step] runs
-    the draw-bind-vet half against what was issued.
-
-    [issue_step] draws nothing from the PRNG, so the batched engine can
-    issue {e every} in-flight slot's probe before resolving {e any} of
-    them (ThunderRW's step interleaving): the resolve sweep then draws in
-    slot order, exactly the sequence the classic per-slot
-    [advance_step] sweep draws — estimates are bit-for-bit identical with
-    prefetching on or off.
-
-    Cost accounting charges the probe once, not twice: issue charges the
-    index's [count_cost], resolve adds only
-    {!Wj_index.Index.resolve_cost} [+ 1] (the classic fused path
-    re-charges a full [probe_cost] for the select). *)
-
-type issued
-(** One slot's in-flight probe between issue and resolve; a mutable
-    scratch record the engine reuses across walks. *)
-
-val make_issued : unit -> issued
-
-val issued_step : issued -> int
-(** The step index the pending locate answers, or [-1] when nothing is
-    issued (fresh, or consumed by {!resolve_step}). *)
-
-val issue_step : prepared -> issued -> int array -> int -> unit
-(** [issue_step t iss path i] locates step [i]'s neighbour set from the
-    bound parent row in [path] and issues the prefetch touches.  Emits the
-    step's [Index_probe] (same position and cost as the classic path) and
-    bumps ["walker.prefetch.issued"]; consumes no PRNG draw. *)
-
-val resolve_step :
-  prepared -> Wj_util.Prng.t -> issued -> int array -> int -> phase
-(** Complete an issued step: draw (iff the located set is non-empty, as
-    the classic path does), bind and vet.  Consumes the issue; raises
-    [Invalid_argument] when nothing was issued for a plain step. *)
-
-val note_prefetch_batched : prepared -> int -> unit
-(** Credit ["walker.prefetch.batched"] with the number of issues that
-    shared one engine sweep with at least one other — the part of
-    {!issue_step} traffic that actually overlapped a cache miss. *)
+    recent [advance_start]/[advance_step] call. *)
 
 val note_walk_started : prepared -> unit
 (** Emit [Walk_started] to the sink, if it wants events.  {!walk} calls

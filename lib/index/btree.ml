@@ -176,12 +176,6 @@ let nth t r =
   t.probes <- t.probes + 1;
   nth_node t.root r
 
-(* Walk the select path once, purely for its cache side effect: the node
-   arrays the later (counted) [nth] will touch are warm.  Not a query —
-   does not bump [probes]. *)
-let prefetch_rank t r =
-  if r >= 0 && r < t.length then ignore (Sys.opaque_identity (nth_node t.root r))
-
 let count_range t ~lo ~hi = if lo > hi then 0 else rank_le t hi - rank_lt t lo
 let count_eq t k = count_range t ~lo:k ~hi:k
 let mem t k = count_eq t k > 0
@@ -193,10 +187,6 @@ let nth_in_range t ~lo ~hi k =
     let avail = rank_le t hi - base in
     if k >= avail then None else Some (nth t (base + k))
   end
-
-let sample_range t prng ~lo ~hi =
-  let c = count_range t ~lo ~hi in
-  if c = 0 then None else nth_in_range t ~lo ~hi (Wj_util.Prng.int prng c)
 
 let rec iter_range_node node ~lo ~hi f =
   if node.is_leaf then begin

@@ -8,8 +8,8 @@
       O(log n) — this is how a selection predicate's qualifying cardinality
       replaces |R| in the Horvitz–Thompson weight (§3.5);
     - [nth_in_range] retrieves the k-th qualifying row in O(log n), which is
-      Olken's method for uniform sampling from an index;
-    - [sample_range] composes the two into one uniform draw.
+      Olken's method for uniform sampling from an index: count, draw k,
+      select.
 
     All update operations keep counts exact, so sampling remains uniform
     under insertion and deletion. *)
@@ -39,12 +39,8 @@ val count_range : t -> lo:int -> hi:int -> int
 val rank_lt : t -> int -> int
 (** Number of entries with key strictly below the argument. *)
 
-val prefetch_rank : t -> int -> unit
-(** Descend the select path for a global rank purely for its cache side
-    effect (every node array on the path is touched through
-    [Sys.opaque_identity]); out-of-range ranks are ignored and [probes]
-    is not bumped.  The batched walk engine issues these for every
-    in-flight walk before resolving any of them. *)
+val rank_le : t -> int -> int
+(** Number of entries with key at most the argument. *)
 
 val nth : t -> int -> (int * int)
 (** [nth t r] is the entry of global rank [r] (0-based, key order, ties in
@@ -54,9 +50,6 @@ val nth : t -> int -> (int * int)
 val nth_in_range : t -> lo:int -> hi:int -> int -> (int * int) option
 (** [nth_in_range t ~lo ~hi k]: the k-th entry among those with
     lo <= key <= hi, or [None] when fewer than k+1 qualify. *)
-
-val sample_range : t -> Wj_util.Prng.t -> lo:int -> hi:int -> (int * int) option
-(** Uniformly random qualifying entry (Olken sampling), or [None] if none. *)
 
 val iter_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [iter_range t ~lo ~hi f] calls [f key value] on qualifying entries in

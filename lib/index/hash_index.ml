@@ -46,12 +46,6 @@ let nth t key k =
   | None -> invalid_arg "Hash_index.nth: absent key"
   | Some rows -> Vec.get rows k
 
-let sample t prng key =
-  t.probes <- t.probes + 1;
-  match Hashtbl.find_opt t.buckets key with
-  | None -> None
-  | Some rows -> Some (Vec.get rows (Wj_util.Prng.int prng (Vec.length rows)))
-
 let iter_key t key f =
   t.probes <- t.probes + 1;
   match Hashtbl.find_opt t.buckets key with

@@ -25,22 +25,19 @@ val count : t -> int -> int
 
 val find : t -> int -> int Wj_util.Vec.t option
 (** The bucket holding a key's rows, located with one lookup (counted as
-    one probe), or [None] when the key is absent.  The issue/resolve walk
-    path holds the bucket across the prefetch phase so the later select
-    is a plain [Vec.get] instead of a second hash lookup.  The returned
-    vector is the index's own storage: do not mutate it. *)
+    one probe), or [None] when the key is absent.  A walk step reads the
+    neighbour count and selects its drawn row from the one bucket, so it
+    pays one hash lookup, not two.  The returned vector is the index's
+    own storage: do not mutate it. *)
 
 val nth : t -> int -> int -> int
 (** [nth t key k] is the row id of the k-th (0-based, insertion-ordered)
     row matching [key]; raises [Invalid_argument] when out of range. *)
 
-val sample : t -> Wj_util.Prng.t -> int -> int option
-(** Uniformly random matching row id, or [None] when the key is absent. *)
-
 val iter_key : t -> int -> (int -> unit) -> unit
 
 val probes : t -> int
-(** Number of query lookups ([count]/[nth]/[sample]/[iter_key]) served
+(** Number of query lookups ([count]/[find]/[nth]/[iter_key]) served
     since the build or the last {!reset_probes}.  An always-on plain-int
     counter (one store per lookup); approximate under multicore races. *)
 

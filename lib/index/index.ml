@@ -46,17 +46,6 @@ let nth_range t ~lo ~hi k =
     | None -> invalid_arg "Index.nth_range: out of range")
   | Trie tr -> Trie.nth_range tr ~lo ~hi k
 
-let sample t prng key =
-  match t.kind with
-  | Hash h -> Hash_index.sample h prng key
-  | Ordered b -> (
-    match Btree.sample_range b prng ~lo:key ~hi:key with
-    | Some (_, row) -> Some row
-    | None -> None)
-  | Trie tr ->
-    let d = Trie.count_eq tr key in
-    if d = 0 then None else Some (Trie.nth_eq tr key (Wj_util.Prng.int prng d))
-
 let iter_eq t key f =
   match t.kind with
   | Hash h -> Hash_index.iter_key h key f
@@ -111,7 +100,7 @@ let cursor_seek cur k =
   | Btree_cursor c -> c.rank <- max c.rank (Btree.rank_lt c.b k)
   | Trie_cursor c -> Trie.seek c k
 
-(* ---- Located probes: issue/resolve ------------------------------------ *)
+(* ---- Located probes: locate once, then select -------------------------- *)
 
 type located =
   | L_empty
@@ -119,16 +108,24 @@ type located =
   | L_ranked of { b : Btree.t; base : int; count : int }
   | L_slots of { tr : Trie.t; lo : int; count : int }
 
+(* Two rank descents: the base rank and the count fall out of the same
+   pair ([rank_le hi - rank_lt lo]), so a located ordered probe is exactly
+   the [2 x height] that [count_cost] charges. *)
+let locate_ranked b ~lo ~hi =
+  if lo > hi then L_empty
+  else begin
+    let base = Btree.rank_lt b lo in
+    let count = Btree.rank_le b hi - base in
+    if count = 0 then L_empty else L_ranked { b; base; count }
+  end
+
 let locate_eq t key =
   match t.kind with
   | Hash h -> (
     match Hash_index.find h key with
     | None -> L_empty
     | Some rows -> L_bucket rows)
-  | Ordered b ->
-    let count = Btree.count_eq b key in
-    if count = 0 then L_empty
-    else L_ranked { b; base = Btree.rank_lt b key; count }
+  | Ordered b -> locate_ranked b ~lo:key ~hi:key
   | Trie tr ->
     let rlo, rhi = Trie.root tr in
     let lo, hi = Trie.narrow tr ~level:0 ~lo:rlo ~hi:rhi ~klo:key ~khi:key in
@@ -137,10 +134,7 @@ let locate_eq t key =
 let locate_range t ~lo ~hi =
   match t.kind with
   | Hash _ -> invalid_arg "Index.locate_range: hash index cannot answer ranges"
-  | Ordered b ->
-    let count = Btree.count_range b ~lo ~hi in
-    if count = 0 then L_empty
-    else L_ranked { b; base = Btree.rank_lt b lo; count }
+  | Ordered b -> locate_ranked b ~lo ~hi
   | Trie tr ->
     let rlo, rhi = Trie.root tr in
     let slo, shi = Trie.narrow tr ~level:0 ~lo:rlo ~hi:rhi ~klo:lo ~khi:hi in
@@ -164,12 +158,6 @@ let located_nth l k =
     if k < 0 || k >= count then invalid_arg "Index.located_nth: out of range";
     Trie.row tr (lo + k)
 
-let located_prefetch = function
-  | L_empty -> ()
-  | L_bucket rows -> ignore (Sys.opaque_identity (Wj_util.Vec.get rows 0))
-  | L_ranked { b; base; _ } -> Btree.prefetch_rank b base
-  | L_slots { tr; lo; _ } -> ignore (Sys.opaque_identity (Trie.row tr lo))
-
 (* ---- Cost and accounting ---------------------------------------------- *)
 
 let ceil_log2 n =
@@ -192,12 +180,9 @@ let count_cost t =
   | Trie tr -> Trie.levels tr * ceil_log2 (Trie.length tr)
 
 (* The marginal cost of selecting the k-th row out of an already-located
-   probe.  The classic path charges [count_cost + probe_cost] for a
-   counted-then-selected step; the issue/resolve path already paid the
-   locate (= count) once, so its select must NOT be charged a second full
-   [probe_cost]: a located hash bucket or trie slot range selects with a
-   plain array read (0), only a counted B+-tree still needs its select
-   descent ([height]). *)
+   probe: a located hash bucket or trie slot range selects with a plain
+   array read (0); a counted B+-tree still needs its select descent
+   ([height]). *)
 let resolve_cost t =
   match t.kind with Hash _ -> 0 | Ordered b -> Btree.height b | Trie _ -> 0
 

@@ -2,8 +2,9 @@
 
     Every consumer — walker, exact executor, optimizer, registry — speaks
     one capability surface: [count] ("how many neighbours does this tuple
-    have?"), [nth] ("give me the k-th neighbour"), [sample], [iter], and
-    an ordered distinct-key {!cursor} with [seek]/[next].  Equality edges
+    have?"), [nth] ("give me the k-th neighbour"), [locate] (both at
+    once, for the walker's step), [iter], and an ordered distinct-key
+    {!cursor} with [seek]/[next].  Equality edges
     are served by any kind; band/range edges and cursors require an
     ordered one (B+-tree or trie). *)
 
@@ -42,10 +43,6 @@ val nth_range : t -> lo:int -> hi:int -> int -> int
 (** Row id of the k-th row in the inclusive range.
     Raises [Invalid_argument] on a hash index or when out of range. *)
 
-val sample : t -> Wj_util.Prng.t -> int -> int option
-(** One uniform row among those matching the key; [None] when none do.
-    Consumes one PRNG draw iff the key has matches. *)
-
 val iter_eq : t -> int -> (int -> unit) -> unit
 (** Iterate the row ids matching a key (exact executor's index join). *)
 
@@ -75,26 +72,22 @@ val cursor_count : cursor -> int
 val cursor_next : cursor -> unit
 val cursor_seek : cursor -> int -> unit
 
-(** {2 Located probes: issue/resolve}
+(** {2 Located probes}
 
-    The batched walk engine splits a step's index probe into an {e issue}
-    phase — locate the physical structure that will answer it (hash
-    bucket, B+-tree base rank, trie slot range) and touch its memory
-    through [Sys.opaque_identity] — and a later {e resolve} phase that
-    picks the k-th row out of the located probe.  Issuing every in-flight
-    walk's locate before resolving any of them overlaps the cache misses
-    that otherwise serialize dependent probes (ThunderRW's
-    step-interleaving).  [located_nth l k] returns bit-for-bit the same
-    row id as [nth_eq]/[nth_range] with the same key and [k]. *)
+    A walk step locates the physical structure that answers its probe
+    (hash bucket, B+-tree base rank, trie slot range) once, reads the
+    neighbour count off it, and selects the drawn row out of it.
+    [located_nth l k] returns the same row id as [nth_eq]/[nth_range]
+    with the same key and [k]. *)
 
 type located
 (** An answered count plus the address of the rows that back it.  Valid
     as long as the index is not rebuilt. *)
 
 val locate_eq : t -> int -> located
-(** Locate the rows matching a key: one bucket lookup (hash), a count +
-    base-rank descent (B+-tree), one level-0 narrow (trie).  Counted as a
-    [count]-style probe by {!probes}. *)
+(** Locate the rows matching a key: one bucket lookup (hash), two rank
+    descents (B+-tree: the base rank and the count), one level-0 narrow
+    (trie).  Counted as a [count]-style probe by {!probes}. *)
 
 val locate_range : t -> lo:int -> hi:int -> located
 (** Range variant.  Raises [Invalid_argument] on a hash index. *)
@@ -104,21 +97,13 @@ val located_count : located -> int
     already computed it. *)
 
 val located_nth : located -> int -> int
-(** Row id of the k-th located row; same row as the classic
-    [nth_eq]/[nth_range].  Raises [Invalid_argument] out of range. *)
-
-val located_prefetch : located -> unit
-(** Touch the located rows' backing memory ([Sys.opaque_identity]-guarded
-    so the loads survive optimization): the bucket head, the select path's
-    node arrays, the trie slot's row cell.  No PRNG draws, no probe
-    counts, no visible effect. *)
+(** Row id of the k-th located row; same row as [nth_eq]/[nth_range].
+    Raises [Invalid_argument] out of range. *)
 
 val resolve_cost : t -> int
 (** Abstract cost of {!located_nth} given an already-located probe: 0 for
     hash and trie (plain array read), [height] for a B+-tree (the select
-    descent).  The issue/resolve path charges [count_cost + resolve_cost]
-    where the classic path charges [count_cost + probe_cost] — the locate
-    is paid once, not twice. *)
+    descent).  A walk step is charged [count_cost + resolve_cost]. *)
 
 (** {2 Cost and accounting} *)
 
@@ -128,8 +113,8 @@ val probe_cost : t -> int
     B+-tree, [key columns x ceil(log2 n)] for a trie. *)
 
 val count_cost : t -> int
-(** Abstract cost of one {e counted} lookup, the walker's first phase of
-    a step.  This is where the structures genuinely differ: 1 for hash
+(** Abstract cost of one {e counted} lookup (a {!locate_eq}), the
+    first half of a walk step.  This is where the structures genuinely differ: 1 for hash
     (bucket length is stored); [2 x height] for a counted B+-tree — a
     range count is two rank descents ([rank_le - rank_lt]), which the old
     flat-descent [probe_cost] under-charged; [key columns x ceil(log2 n)]

@@ -82,16 +82,6 @@ let read_int f i =
   Buffer_pool.unpin f.pool ~file:f.fid ~page;
   v
 
-(* Fault the page holding slot [i] into the pool (and touch its frame so
-   the bytes are cache-resident) without decoding anything: the paged
-   backend's analogue of a software prefetch.  Counts as a pool access
-   like any read — the later [read_int]/[read_float] then hits. *)
-let prefetch f i =
-  let page = i / f.slots_per_page in
-  let frame = Buffer_pool.pin f.pool ~file:f.fid ~page in
-  ignore (Sys.opaque_identity (Bytes.unsafe_get frame 0));
-  Buffer_pool.unpin f.pool ~file:f.fid ~page
-
 let read_float f i =
   let page = i / f.slots_per_page in
   let frame = Buffer_pool.pin f.pool ~file:f.fid ~page in

@@ -42,12 +42,6 @@ val read_int : file -> int -> int
 
 val read_float : file -> int -> float
 
-val prefetch : file -> int -> unit
-(** Fault the page holding slot [i] into the pool and touch its frame
-    ([Sys.opaque_identity]-guarded), decoding nothing: the paged
-    backend's software prefetch.  Counts as a pool access; a subsequent
-    [read_int]/[read_float] of the slot hits. *)
-
 val read_all : file -> Bytes.t
 (** Whole file via sequential page faults — for dict / null payloads
     that are decoded once at open and kept resident. *)

@@ -256,22 +256,6 @@ let get_str_id t ~col row =
   | Pscol p -> Segment.read_int p.pids row
   | Icol _ | Fcol _ | Picol _ | Pfcol _ -> push_error t ~col "get_str_id"
 
-(* Touch every column's backing storage at [row] for its cache side
-   effect only: flat cells through [Sys.opaque_identity], segment-backed
-   columns by faulting the containing page into the pool.  No decode, no
-   null check, no visible result — the batched walk engine issues these
-   for candidate rows before resolving any of them. *)
-let prefetch_row t row =
-  if row >= 0 && row < t.nrows then
-    Array.iter
-      (function
-        | Icol v -> ignore (Sys.opaque_identity (Int_vec.get v row))
-        | Fcol v -> ignore (Sys.opaque_identity (Float_vec.get v row))
-        | Scol s -> ignore (Sys.opaque_identity (Int_vec.get s.ids row))
-        | Picol f | Pfcol f -> Segment.prefetch f row
-        | Pscol p -> Segment.prefetch p.pids row)
-      t.cols
-
 type cursor =
   | Int_cursor of int array
   | Float_cursor of float array

@@ -118,13 +118,6 @@ type cursor =
 
 val cursor : t -> int -> cursor
 
-val prefetch_row : t -> int -> unit
-(** Touch every column's backing storage at a row, purely for the cache
-    side effect: in-memory cells are loaded through [Sys.opaque_identity],
-    segment-backed columns fault the containing page into their buffer
-    pool (a later read hits).  Out-of-range rows are ignored; nothing is
-    decoded and no counter other than the pool's access counts moves. *)
-
 val null_mask : t -> int -> Wj_util.Bitset.t
 (** The column's null bitmap ([Bitset.any] is false for null-free columns,
     letting compiled readers skip the per-row test). *)

@@ -14,6 +14,7 @@ module Engine = Wj_core.Engine
 module Decompose = Wj_core.Decompose
 module Hybrid = Wj_core.Hybrid
 module Exact = Wj_exec.Exact
+module Index = Wj_index.Index
 module Table = Wj_storage.Table
 module Schema = Wj_storage.Schema
 module Value = Wj_storage.Value
@@ -833,6 +834,94 @@ let test_engine_validation () =
     (Invalid_argument "Engine.create: batch must be >= 1") (fun () ->
       ignore (Engine.create ~batch:0 prepared))
 
+(* One step, one cost: a plain step locates its neighbour set once and
+   selects the drawn row out of that locate, whichever index answers it,
+   and the sequential walker and the batched engine charge the same. *)
+let test_step_cost_charged_once () =
+  (* A two-table FK chain: s1.b = i mod 100 joins exactly one s2 row. *)
+  let s1 = int_table "s1" [ "a"; "b" ] (List.init 300 (fun i -> [ i; i mod 100 ])) in
+  let s2 = int_table "s2" [ "b"; "c" ] (List.init 100 (fun i -> [ i; i ])) in
+  let q =
+    Query.make
+      ~tables:[ ("s1", s1); ("s2", s2) ]
+      ~joins:[ { left = (0, 1); right = (1, 0); op = Eq } ]
+      ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
+  in
+  List.iter
+    (fun (kind, index, probes) ->
+      let reg = Registry.create () in
+      Registry.add reg ~pos:1 ~column:0 index;
+      let plan =
+        match Walk_plan.of_order q reg [| 0; 1 |] with
+        | Some p -> p
+        | None -> Alcotest.fail "no plan s1 -> s2"
+      in
+      let prepared = Walker.prepare q reg plan in
+      let step_cost = Index.count_cost index + Index.resolve_cost index + 1 in
+      let prng = Prng.create 17 in
+      let path = Array.make 2 (-1) in
+      (match Walker.advance_start prepared prng path with
+      | Walker.Advanced _ -> ()
+      | Walker.Dead_unbound | Walker.Dead_bound -> Alcotest.fail "start cannot fail");
+      Index.reset_probes index;
+      (match Walker.advance_step prepared prng path 0 with
+      | Walker.Advanced d -> Alcotest.(check (float 0.0)) (kind ^ " d") 1.0 d
+      | Walker.Dead_unbound | Walker.Dead_bound -> Alcotest.fail "step cannot fail");
+      Alcotest.(check int) (kind ^ " index probes per step") probes (Index.probes index);
+      Alcotest.(check int) (kind ^ " phase cost") step_cost (Walker.phase_cost prepared);
+      ignore (Walker.walk prepared prng);
+      let walk_cost = Walker.steps_of_last_walk prepared in
+      Alcotest.(check int) (kind ^ " walk cost") (1 + step_cost) walk_cost;
+      let engine = Engine.create ~batch:64 prepared in
+      for i = 1 to 256 do
+        (match Engine.next engine prng with
+        | Walker.Success _ -> ()
+        | Walker.Failure _ -> Alcotest.fail "walks cannot fail on this data");
+        Alcotest.(check int)
+          (Printf.sprintf "%s batch-64 walk %d cost = walker's" kind i)
+          walk_cost (Engine.last_walk_cost engine)
+      done)
+    [
+      ("hash", Index.build_hash s2 ~column:0, 1);
+      ("ordered", Index.build_ordered s2 ~column:0, 3);
+      ("trie", Index.build_trie s2 ~columns:[ 0 ], 1);
+    ]
+
+(* Observing a batched run must not move a PRNG draw: a metrics + events
+   sink on or off leaves every TPC-H shape's batch-8 run bit-identical. *)
+let test_engine_batched_sink_on_off () =
+  let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.01 () in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun spec ->
+      let q = Wj_tpch.Queries.build ~variant:Standard spec d in
+      let reg = Wj_tpch.Queries.registry q in
+      let run ?sink () =
+        Online.run_session
+          (Run_config.make ~seed:5 ~max_time:infinity ~max_walks:1_000 ~batch:8
+             ~plan_choice:Run_config.First_enumerated ?sink ())
+          q reg
+      in
+      let off = run () in
+      let events = ref 0 in
+      let on =
+        run
+          ~sink:
+            (Wj_obs.Sink.make
+               ~on_event:(fun _ -> incr events)
+               ~metrics:(Wj_obs.Metrics.create ()) ())
+          ()
+      in
+      let name = Wj_tpch.Queries.name_of spec in
+      Alcotest.(check bool) (name ^ " events flowed") true (!events > 0);
+      Alcotest.(check int) (name ^ " walks") off.final.walks on.final.walks;
+      Alcotest.(check int) (name ^ " successes") off.final.successes on.final.successes;
+      Alcotest.(check int64) (name ^ " estimate bits")
+        (bits off.final.estimate) (bits on.final.estimate);
+      Alcotest.(check int64) (name ^ " half-width bits")
+        (bits off.final.half_width) (bits on.final.half_width))
+    [ Wj_tpch.Queries.Q3; Wj_tpch.Queries.Q7; Wj_tpch.Queries.Q10 ]
+
 (* ---- Walker.choose_start tie-breaking -------------------------------- *)
 
 let test_choose_start_deterministic_tiebreak () =
@@ -1076,6 +1165,10 @@ let () =
           Alcotest.test_case "batched online agrees" `Slow
             test_engine_batched_online_agrees;
           Alcotest.test_case "validation" `Quick test_engine_validation;
+          Alcotest.test_case "phase cost charged once" `Quick
+            test_step_cost_charged_once;
+          Alcotest.test_case "batched runs identical on/off" `Quick
+            test_engine_batched_sink_on_off;
           Alcotest.test_case "choose_start tie-break" `Quick
             test_choose_start_deterministic_tiebreak;
         ] );

@@ -12,7 +12,9 @@
    plans on most).  Q7's trial backstop is cut from 5,000 to 200 rounds
    per plan: at the default its 32 plans run 160k trial walks per session,
    45 s for the case, and the backstop only decides which plan is chosen,
-   which the CI must cover whatever it is. *)
+   which the CI must cover whatever it is.  Q7 also runs through the
+   batched engine (64 walks in flight), whose walks take the same single
+   step path as the sequential walker's. *)
 
 module Query = Wj_core.Query
 module Registry = Wj_core.Registry
@@ -56,14 +58,14 @@ let q7 () =
   let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
   Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q7 d
 
-let check_coverage ~optimizer ~walks q () =
+let check_coverage ?(batch = 1) ~optimizer ~walks q () =
   let reg = Registry.build_for_query q in
   let truth = (Wj_exec.Exact.aggregate q reg).value in
   let errors =
     List.init sessions (fun seed ->
         let out =
           Online.run_session
-            (Run_config.make ~seed ~max_walks:walks ~max_time:infinity
+            (Run_config.make ~seed ~max_walks:walks ~max_time:infinity ~batch
                ~plan_choice:(Online.Optimize optimizer) ())
             q reg
         in
@@ -97,6 +99,10 @@ let () =
             (check_coverage ~optimizer:Optimizer.default_config ~walks:5_000 (triangle ()));
           Alcotest.test_case "Q7 SUM under Optimize" `Slow
             (check_coverage
+               ~optimizer:{ Optimizer.default_config with max_rounds = 200 }
+               ~walks:20_000 (q7 ()));
+          Alcotest.test_case "Q7 SUM under Optimize, batch 64" `Slow
+            (check_coverage ~batch:64
                ~optimizer:{ Optimizer.default_config with max_rounds = 200 }
                ~walks:20_000 (q7 ()));
         ] );

@@ -30,16 +30,20 @@ let test_hash_build_count_nth () =
   Alcotest.(check int) "entries" 5 (Hash_index.total_entries h);
   Alcotest.(check int) "column" 0 (Hash_index.table_column h)
 
+(* A walk step's draw: locate the key once, pick uniformly among the
+   located count, select the row out of the locate. *)
+let draw_located prng l =
+  Index.located_nth l (Prng.int prng (Index.located_count l))
+
 let test_hash_sample () =
   let t = small_table [ (1, 0); (1, 0); (2, 0) ] in
-  let h = Hash_index.build t ~column:0 in
+  let idx = Index.build_hash t ~column:0 in
   let prng = Prng.create 3 in
   for _ = 1 to 50 do
-    match Hash_index.sample h prng 1 with
-    | Some row -> Alcotest.(check bool) "row matches" true (row = 0 || row = 1)
-    | None -> Alcotest.fail "sample returned None for present key"
+    let row = draw_located prng (Index.locate_eq idx 1) in
+    Alcotest.(check bool) "row matches" true (row = 0 || row = 1)
   done;
-  Alcotest.(check bool) "absent" true (Hash_index.sample h prng 42 = None)
+  Alcotest.(check int) "absent" 0 (Index.located_count (Index.locate_eq idx 42))
 
 let test_hash_iter () =
   let t = small_table [ (5, 0); (5, 0); (6, 0) ] in
@@ -158,13 +162,13 @@ let test_btree_sample_uniform () =
   for i = 0 to 9 do
     Btree.insert t ~key:i ~value:i
   done;
+  let idx = { Index.kind = Index.Ordered t; column = 0 } in
   let prng = Prng.create 5 in
   let counts = Array.make 10 0 in
   let draws = 20_000 in
   for _ = 1 to draws do
-    match Btree.sample_range t prng ~lo:0 ~hi:9 with
-    | Some (k, _) -> counts.(k) <- counts.(k) + 1
-    | None -> Alcotest.fail "sample failed"
+    let row = draw_located prng (Index.locate_range idx ~lo:0 ~hi:9) in
+    counts.(row) <- counts.(row) + 1
   done;
   Array.iteri
     (fun i c ->
@@ -173,7 +177,10 @@ let test_btree_sample_uniform () =
         true
         (abs (c - (draws / 10)) < draws / 10 / 4))
     counts;
-  Alcotest.(check bool) "empty range" true (Btree.sample_range t prng ~lo:20 ~hi:30 = None)
+  Alcotest.(check int) "empty range" 0
+    (Index.located_count (Index.locate_range idx ~lo:20 ~hi:30));
+  Alcotest.(check int) "inverted range" 0
+    (Index.located_count (Index.locate_range idx ~lo:9 ~hi:0))
 
 let test_btree_of_table () =
   let t = small_table [ (3, 0); (1, 0); (2, 0); (1, 0) ] in
