@@ -3,16 +3,14 @@ module Timer = Wj_util.Timer
 module Prng = Wj_util.Prng
 module Vec = Wj_util.Vec
 
-(* The knob record lives in [Session_spec] (it is the payload of
-   [Session_spec.Hybrid]); re-exported here so existing [Hybrid.config]
-   consumers keep compiling unchanged. *)
-type config = Session_spec.hybrid_config = {
+type config = {
   replicates : int;
   max_paths_per_component : int;
   trial_walks_per_plan : int;
 }
 
-let default_config = Session_spec.default_hybrid_config
+let default_config =
+  { replicates = 8; max_paths_per_component = 512; trial_walks_per_plan = 50 }
 
 type outcome = {
   estimate : float;
@@ -50,7 +48,7 @@ type replicate = {
 let choose_component_plan ~trials q registry prng members =
   let plans = Walk_plan.enumerate_subset q registry ~members in
   if plans = [] then
-    invalid_arg "Hybrid.run: a decomposition component admits no walk plan";
+    invalid_arg "Hybrid.run_session: a decomposition component admits no walk plan";
   let score plan =
     let prepared = Walker.prepare q registry plan in
     let successes = ref 0 and steps = ref 0 in
@@ -96,24 +94,7 @@ let replicate_estimate q rep =
       sqrt (Float.max 0.0 ((wv2 /. w) -. (m1 *. m1)))
     end
 
-module Session = struct
-  type t = {
-    driver : Engine.Driver.t;
-    rounds : unit -> int;
-    result : unit -> outcome;
-  }
-
-  let advance t ~max_steps = Engine.Driver.advance t.driver ~max_steps
-  let interrupt t reason = Engine.Driver.interrupt t.driver reason
-  let stopped t = Engine.Driver.stopped t.driver
-  let rounds t = t.rounds ()
-
-  let outcome t =
-    if stopped t = None then invalid_arg "Hybrid.Session.outcome: still running";
-    t.result ()
-end
-
-let start_session ?(config = default_config) ?(max_rounds = max_int)
+let run_session ?(config = default_config) ?(max_rounds = max_int)
     (cfg : Run_config.t) q registry =
   let clock = Run_config.clock_or_wall cfg in
   let sink = cfg.sink in
@@ -238,49 +219,41 @@ let start_session ?(config = default_config) ?(max_rounds = max_int)
     Array.for_all all_frozen reps
     || (match cfg.Run_config.should_stop with None -> false | Some f -> f ())
   in
-  let driver =
-    Engine.Driver.make ~sink
+  let (_ : Engine.Driver.stop_reason) =
+    Engine.Driver.run ~sink
       ~polls:{ Engine.Driver.default_polls with cancel_mask = 0 }
       ~should_stop:frozen_or_cancelled ~max_walks:max_rounds
       ~max_time:cfg.Run_config.max_time ~clock
       ~walks:(fun () -> !rounds)
       ~step:round ()
   in
-  let result () =
-    let estimates = Array.map (replicate_estimate q) reps in
-    let finite = Array.to_list estimates |> List.filter Float.is_finite in
-    let nf = List.length finite in
-    let mean =
-      if nf = 0 then nan else List.fold_left ( +. ) 0.0 finite /. float_of_int nf
-    in
-    let half_width =
-      if nf < 2 then infinity
-      else begin
-        let var =
-          List.fold_left (fun a x -> a +. ((x -. mean) *. (x -. mean))) 0.0 finite
-          /. float_of_int (nf - 1)
-        in
-        Wj_util.Normal.z_of_confidence confidence *. sqrt (var /. float_of_int nf)
-      end
-    in
-    let elapsed = Timer.elapsed clock in
-    {
-      estimate = mean;
-      half_width;
-      components;
-      component_plans = List.map (Walk_plan.describe q) plans;
-      rounds = !rounds;
-      walks = !walks;
-      elapsed;
-      replicate_estimates = estimates;
-      final =
-        Wj_obs.Progress.make ~elapsed ~walks:!walks ~successes:!successes
-          ~estimate:mean ~half_width ();
-    }
+  let estimates = Array.map (replicate_estimate q) reps in
+  let finite = Array.to_list estimates |> List.filter Float.is_finite in
+  let nf = List.length finite in
+  let mean =
+    if nf = 0 then nan else List.fold_left ( +. ) 0.0 finite /. float_of_int nf
   in
-  { Session.driver; rounds = (fun () -> !rounds); result }
-
-let run_session ?config ?max_rounds (cfg : Run_config.t) q registry =
-  let s = start_session ?config ?max_rounds cfg q registry in
-  let (_ : Engine.Driver.stop_reason) = Engine.Driver.drain s.Session.driver in
-  Session.outcome s
+  let half_width =
+    if nf < 2 then infinity
+    else begin
+      let var =
+        List.fold_left (fun a x -> a +. ((x -. mean) *. (x -. mean))) 0.0 finite
+        /. float_of_int (nf - 1)
+      in
+      Wj_util.Normal.z_of_confidence confidence *. sqrt (var /. float_of_int nf)
+    end
+  in
+  let elapsed = Timer.elapsed clock in
+  {
+    estimate = mean;
+    half_width;
+    components;
+    component_plans = List.map (Walk_plan.describe q) plans;
+    rounds = !rounds;
+    walks = !walks;
+    elapsed;
+    replicate_estimates = estimates;
+    final =
+      Wj_obs.Progress.make ~elapsed ~walks:!walks ~successes:!successes
+        ~estimate:mean ~half_width ();
+  }

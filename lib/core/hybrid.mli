@@ -13,19 +13,15 @@
     replicates: R disjoint estimator streams run side by side and the CI is
     the normal interval over the R replicate estimates. *)
 
-type config = Session_spec.hybrid_config = {
+type config = {
   replicates : int;  (** default 8 *)
   max_paths_per_component : int;
       (** freeze a component's walking once this many successful paths are
           stored (keeps the cross product bounded); default 512 *)
   trial_walks_per_plan : int;  (** per-component plan selection; default 50 *)
 }
-(** Re-export of {!Session_spec.hybrid_config}: the same record is the
-    payload of [Session_spec.Hybrid], so spec-driven and direct callers
-    share one type. *)
 
 val default_config : config
-(** = {!Session_spec.default_hybrid_config}. *)
 
 type outcome = {
   estimate : float;
@@ -41,34 +37,6 @@ type outcome = {
           [successes] = successful component paths) *)
 }
 
-module Session : sig
-  type t
-  (** A resumable hybrid run; one {!advance} step is one round (every live
-      replicate x component walks once).  See {!Online.Session} for the
-      session model. *)
-
-  val advance : t -> max_steps:int -> Engine.Driver.stop_reason option
-  val interrupt : t -> Engine.Driver.stop_reason -> unit
-  val stopped : t -> Engine.Driver.stop_reason option
-
-  val rounds : t -> int
-  (** Rounds performed so far. *)
-
-  val outcome : t -> outcome
-  (** Raises [Invalid_argument] while the session is still running. *)
-end
-
-val start_session :
-  ?config:config ->
-  ?max_rounds:int ->
-  Run_config.t ->
-  Query.t ->
-  Registry.t ->
-  Session.t
-(** Decompose, choose component plans (running their trial walks), build
-    the engines, and return the handle without performing any rounds.
-    Raises as {!run_session}. *)
-
 val run_session :
   ?config:config ->
   ?max_rounds:int ->
@@ -83,5 +51,7 @@ val run_session :
     ignored (component plans are chosen by success-rate trials).
     [cfg.sink] observes every component walk through {!Walker.prepare},
     each chosen component plan ([Plan_chosen]) and the stop reason.
-    Raises [Invalid_argument] if some component admits no walk plan (a
-    table with no usable index at all). *)
+    Blocking: it builds one {!Engine.Driver} loop over rounds and drains
+    it; the service scheduler does not host hybrid runs.  Raises
+    [Invalid_argument] if some component admits no walk plan (a table
+    with no usable index at all). *)

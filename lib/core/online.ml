@@ -52,7 +52,7 @@ let pick_plan ~plan_choice ~eager_checks ~sink ?convergence q registry prng cloc
   | Fixed plan -> (prepare plan, plan, 0.0, 0)
   | First_enumerated -> (
     match Walk_plan.enumerate ~max_plans:1 q registry with
-    | [] -> invalid_arg "Online.run: query admits no walk plan"
+    | [] -> invalid_arg "Online.start_session: query admits no walk plan"
     | plan :: _ -> (prepare plan, plan, 0.0, 0))
   | Optimize config ->
     let t0 = Timer.elapsed clock in
@@ -193,14 +193,12 @@ type group_outcome = {
 module Group_session = struct
   type t = {
     driver : Engine.Driver.t;
-    walks : unit -> int;
     result : unit -> group_outcome;
   }
 
   let advance t ~max_steps = Engine.Driver.advance t.driver ~max_steps
   let interrupt t reason = Engine.Driver.interrupt t.driver reason
   let stopped t = Engine.Driver.stopped t.driver
-  let walks t = t.walks ()
 
   let outcome t =
     if stopped t = None then
@@ -210,7 +208,7 @@ end
 
 let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   if q.Query.group_by = None then
-    invalid_arg "Online.run_group_by: query has no GROUP BY";
+    invalid_arg "Online.start_group_by_session: query has no GROUP BY";
   let clock = Run_config.clock_or_wall cfg in
   (* Group estimators have no single CI trajectory, so the recorder only
      contributes metrics sampling and tracing here — no convergence scope. *)
@@ -279,7 +277,7 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   let result () =
     { groups = snapshot (); total_walks = !total; group_elapsed = Timer.elapsed clock }
   in
-  { Group_session.driver; walks = (fun () -> !total); result }
+  { Group_session.driver; result }
 
 let run_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   let s = start_group_by_session ?on_group_report cfg q registry in

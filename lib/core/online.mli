@@ -121,9 +121,6 @@ module Group_session : sig
   val interrupt : t -> stop_reason -> unit
   val stopped : t -> stop_reason option
 
-  val walks : t -> int
-  (** Total walks performed so far. *)
-
   val outcome : t -> group_outcome
   (** Raises [Invalid_argument] while the session is still running. *)
 end

@@ -16,7 +16,7 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
   let domains =
     match domains with
     | Some d when d >= 1 -> d
-    | Some _ -> invalid_arg "Parallel.run: domains must be >= 1"
+    | Some _ -> invalid_arg "Parallel.run_session: domains must be >= 1"
     | None -> Domain.recommended_domain_count ()
   in
   let clock = Run_config.clock_or_wall cfg in
@@ -28,7 +28,7 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
     | Run_config.Fixed plan -> plan
     | Run_config.First_enumerated -> (
       match Walk_plan.enumerate ~max_plans:1 q registry with
-      | [] -> invalid_arg "Parallel.run: query admits no walk plan"
+      | [] -> invalid_arg "Parallel.run_session: query admits no walk plan"
       | plan :: _ -> plan)
     | Run_config.Optimize config ->
       (Optimizer.choose ~config ~sink q registry prng).best_plan
@@ -79,55 +79,4 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
     domains_used = domains;
     per_domain_walks;
     stopped_because = own_reason;
-  }
-
-(* A parallel run blocks on its spawned domains, so its session handle is
-   one-shot: the first [advance] executes the entire fan-out regardless of
-   [max_steps].  [interrupt] before that first advance skips the run; once
-   running, cancellation goes through [cfg.should_stop] like anywhere else. *)
-module Session = struct
-  type t = {
-    exec : unit -> outcome;
-    mutable result : outcome option;
-    mutable stop : Engine.Driver.stop_reason option;
-    cancelled : bool ref;
-  }
-
-  let stopped t = t.stop
-
-  let advance t ~max_steps =
-    if max_steps < 1 then invalid_arg "Parallel.Session.advance: max_steps < 1";
-    (match t.stop with
-    | Some _ -> ()
-    | None ->
-      let o = t.exec () in
-      t.result <- Some o;
-      t.stop <- Some o.stopped_because);
-    t.stop
-
-  let interrupt t reason =
-    if t.stop = None then begin
-      t.cancelled := true;
-      t.stop <- Some reason
-    end
-
-  let outcome t =
-    match t.result with
-    | Some o -> o
-    | None -> invalid_arg "Parallel.Session.outcome: session did not run"
-end
-
-let start_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
-  let cancelled = ref false in
-  let should_stop =
-    match cfg.Run_config.should_stop with
-    | None -> fun () -> !cancelled
-    | Some f -> fun () -> !cancelled || f ()
-  in
-  let cfg = { cfg with Run_config.should_stop = Some should_stop } in
-  {
-    Session.exec = (fun () -> run_session ?domains ?walks_per_domain cfg q registry);
-    result = None;
-    stop = None;
-    cancelled;
   }

@@ -40,38 +40,8 @@ val run_session :
     choice, domain 0's walks); metric counters are shared by all domains —
     plain unsynchronised stores into flat arrays, so counts are
     approximate under contention (never torn: each cell is one word).
-    Raises [Invalid_argument] when the query admits no walk plan. *)
-
-module Session : sig
-  type t
-  (** A {b one-shot} session handle: a parallel run blocks on its spawned
-      domains, so the first {!advance} executes the entire fan-out
-      regardless of [max_steps] and later calls return the resolved stop
-      reason.  This keeps the handle interface uniform with
-      {!Online.Session} so a scheduler can host parallel jobs; such jobs
-      simply occupy their whole lifetime within one quantum. *)
-
-  val advance : t -> max_steps:int -> Engine.Driver.stop_reason option
-  (** Always returns [Some _].  Raises [Invalid_argument] when
-      [max_steps < 1]. *)
-
-  val interrupt : t -> Engine.Driver.stop_reason -> unit
-  (** Before the first {!advance}: the run is skipped entirely and
-      {!outcome} will raise.  After it: no-op (the run has finished). *)
-
-  val stopped : t -> Engine.Driver.stop_reason option
-
-  val outcome : t -> outcome
-  (** Raises [Invalid_argument] when the run was interrupted before its
-      first {!advance} (there is no partial parallel outcome). *)
-end
-
-val start_session :
-  ?domains:int ->
-  ?walks_per_domain:int ->
-  Run_config.t ->
-  Query.t ->
-  Registry.t ->
-  Session.t
-(** Build the one-shot handle; nothing runs (not even plan selection)
-    until the first [advance]. *)
+    Blocking: it returns once every domain has stopped, and there is no
+    resumable session handle — the service scheduler does not host
+    parallel runs (its own multi-domain drain shards whole sessions
+    instead).  Raises [Invalid_argument] when [domains < 1] or the query
+    admits no walk plan. *)

@@ -14,7 +14,6 @@ type t = {
   clock : Wj_util.Timer.t option;
   should_stop : (unit -> bool) option;
   plan_choice : plan_choice;
-  spec : Session_spec.t;
   sink : Wj_obs.Sink.t;
   recorder : Wj_obs.Recorder.t option;
   backend : Wj_storage.Backend.t;
@@ -32,7 +31,6 @@ let default =
     clock = None;
     should_stop = None;
     plan_choice = Optimize Optimizer.default_config;
-    spec = Session_spec.default;
     sink = Wj_obs.Sink.noop;
     recorder = None;
     backend = Wj_storage.Backend.In_memory;
@@ -41,7 +39,7 @@ let default =
 let make ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
     ?report_every ?(batch = 1) ?clock ?should_stop
     ?(plan_choice = Optimize Optimizer.default_config)
-    ?(spec = Session_spec.default) ?(sink = Wj_obs.Sink.noop) ?recorder
+    ?(sink = Wj_obs.Sink.noop) ?recorder
     ?(backend = Wj_storage.Backend.In_memory) () =
   {
     seed;
@@ -54,14 +52,12 @@ let make ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
     clock;
     should_stop;
     plan_choice;
-    spec;
     sink;
     recorder;
     backend;
   }
 
 let with_seed t seed = { t with seed }
-let with_spec t spec = { t with spec }
 let with_sink t sink = { t with sink }
 let with_recorder t recorder = { t with recorder = Some recorder }
 let with_backend t backend = { t with backend }

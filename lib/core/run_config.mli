@@ -24,12 +24,6 @@ type t = {
   clock : Wj_util.Timer.t option;  (** [None] = wall clock *)
   should_stop : (unit -> bool) option;  (** cooperative cancellation *)
   plan_choice : plan_choice;
-  spec : Session_spec.t;
-      (** which driver a unified entry point ({!Session.start},
-          [Scheduler.submit], [Sql.Engine.serve]) runs when no explicit
-          spec is passed; default {!Session_spec.default} (online).
-          Driver-specific entry points ([Online.run_session], …) ignore
-          it. *)
   sink : Wj_obs.Sink.t;  (** observability; default {!Wj_obs.Sink.noop} *)
   recorder : Wj_obs.Recorder.t option;
       (** flight recorder; when present, drivers tee its reports-only sink
@@ -56,7 +50,6 @@ val make :
   ?clock:Wj_util.Timer.t ->
   ?should_stop:(unit -> bool) ->
   ?plan_choice:plan_choice ->
-  ?spec:Session_spec.t ->
   ?sink:Wj_obs.Sink.t ->
   ?recorder:Wj_obs.Recorder.t ->
   ?backend:Wj_storage.Backend.t ->
@@ -67,9 +60,6 @@ val make :
 val with_seed : t -> int -> t
 (** Functional update, for deriving per-session configs from a shared
     base (the service layer's admission path). *)
-
-val with_spec : t -> Session_spec.t -> t
-(** Functional update of the default session spec. *)
 
 val with_sink : t -> Wj_obs.Sink.t -> t
 (** Functional update of the observability sink. *)

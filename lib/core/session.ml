@@ -1,84 +1,32 @@
-(* The unified session constructor: one entry point dispatching a
-   [Session_spec.t] to the Online / Group-by / Hybrid / Parallel drivers
-   and erasing their four session-handle types into one record of
-   closures.  This is what the service scheduler and the SQL engine build
-   on instead of quadruplicating per-algorithm submit paths. *)
+(* The unified session constructor: the query decides the driver — a
+   GROUP BY query runs the group-by session, anything else the scalar
+   online session — and both handle types erase into one record of
+   closures.  This is what the service scheduler builds on. *)
 
-type outcome =
-  | Scalar of Online.outcome
-  | Groups of Online.group_outcome
-  | Hybrid of Hybrid.outcome
-  | Parallel of Parallel.outcome
+type outcome = Scalar of Online.outcome | Groups of Online.group_outcome
 
 type handle = {
   advance : max_steps:int -> Engine.Driver.stop_reason option;
   interrupt : Engine.Driver.stop_reason -> unit;
-  stopped : unit -> Engine.Driver.stop_reason option;
   progress : unit -> Wj_obs.Progress.t option;
   outcome : unit -> outcome;
-  spec : Session_spec.t;
 }
 
-let start ?spec (cfg : Run_config.t) q registry =
-  let spec = match spec with Some s -> s | None -> cfg.Run_config.spec in
-  match spec with
-  | Session_spec.Online o ->
-    let s =
-      Online.start_session ~eager_checks:o.Session_spec.eager_checks
-        ?on_report:o.Session_spec.on_report cfg q registry
-    in
+let start (cfg : Run_config.t) q registry =
+  match q.Query.group_by with
+  | None ->
+    let s = Online.start_session cfg q registry in
     {
       advance = (fun ~max_steps -> Online.Session.advance s ~max_steps);
       interrupt = Online.Session.interrupt s;
-      stopped = (fun () -> Online.Session.stopped s);
       progress = (fun () -> Some (Online.Session.progress s));
       outcome = (fun () -> Scalar (Online.Session.outcome s));
-      spec;
     }
-  | Session_spec.Group_by g ->
-    let s =
-      Online.start_group_by_session
-        ?on_group_report:g.Session_spec.on_group_report cfg q registry
-    in
+  | Some _ ->
+    let s = Online.start_group_by_session cfg q registry in
     {
       advance = (fun ~max_steps -> Online.Group_session.advance s ~max_steps);
       interrupt = Online.Group_session.interrupt s;
-      stopped = (fun () -> Online.Group_session.stopped s);
       progress = (fun () -> None);
       outcome = (fun () -> Groups (Online.Group_session.outcome s));
-      spec;
     }
-  | Session_spec.Hybrid h ->
-    let s =
-      Hybrid.start_session ~config:h.Session_spec.config
-        ?max_rounds:h.Session_spec.max_rounds cfg q registry
-    in
-    {
-      advance = (fun ~max_steps -> Hybrid.Session.advance s ~max_steps);
-      interrupt = Hybrid.Session.interrupt s;
-      stopped = (fun () -> Hybrid.Session.stopped s);
-      progress = (fun () -> None);
-      outcome = (fun () -> Hybrid (Hybrid.Session.outcome s));
-      spec;
-    }
-  | Session_spec.Parallel p ->
-    let s =
-      Parallel.start_session ?domains:p.Session_spec.domains
-        ?walks_per_domain:p.Session_spec.walks_per_domain cfg q registry
-    in
-    {
-      advance = (fun ~max_steps -> Parallel.Session.advance s ~max_steps);
-      interrupt = Parallel.Session.interrupt s;
-      stopped = (fun () -> Parallel.Session.stopped s);
-      progress = (fun () -> None);
-      outcome = (fun () -> Parallel (Parallel.Session.outcome s));
-      spec;
-    }
-
-let run ?spec cfg q registry =
-  let h = start ?spec cfg q registry in
-  let rec drain () =
-    match h.advance ~max_steps:max_int with None -> drain () | Some _ -> ()
-  in
-  drain ();
-  h.outcome ()

@@ -376,7 +376,7 @@ let item_json (item, pending) =
                      :: progress_fields r))
                  g.Online.groups) );
         ]
-    | Some _ | None ->
+    | None ->
       (* Retired before ever running (cancelled/expired while queued). *)
       Json.Obj [ label; ("kind", Json.Str "online"); state; reason ])
 
@@ -463,14 +463,6 @@ let fit_json recorder =
 
 (* ---- /query ----------------------------------------------------------- *)
 
-let build_registries t queries =
-  List.map
-    (fun (_, q) ->
-      let r = Wj_core.Registry.build_for_query ?share:!(t.shared) q in
-      (match !(t.shared) with None -> t.shared := Some (q, r) | Some _ -> ());
-      r)
-    queries
-
 let submit_fresh t req ~traced statement key epoch =
   let bound = Binder.bind t.catalog statement in
   let cfg =
@@ -490,7 +482,7 @@ let submit_fresh t req ~traced statement key epoch =
      estimates stay bit-for-bit those of an unobserved run. *)
   let recorder = Wj_obs.Recorder.create ~tracing:traced () in
   let cfg = Wj_core.Run_config.with_recorder cfg recorder in
-  let registries = build_registries t bound.Binder.queries in
+  let registries = Engine.build_registries t.shared bound.Binder.queries in
   let token = Token.create () in
   let stream =
     {
@@ -516,16 +508,10 @@ let submit_fresh t req ~traced statement key epoch =
         (fun idx ((item, q), registry) ->
           let p =
             if bound.Binder.online then begin
-              let spec =
-                match q.Wj_core.Query.group_by with
-                | Some _ -> Wj_core.Session_spec.group_by ()
-                | None -> Wj_core.Session_spec.online ()
-              in
               let s =
                 Scheduler.submit t.sched
                   ~label:(Engine.item_label item)
-                  ?deadline:req.deadline ~token ?tenant:req.tenant ~spec cfg q
-                  registry
+                  ?deadline:req.deadline ~token ?tenant:req.tenant cfg q registry
               in
               submitted := s :: !submitted;
               stream.live <- stream.live + 1;
@@ -534,11 +520,7 @@ let submit_fresh t req ~traced statement key epoch =
                 (stream, idx, Wj_obs.Recorder.sink recorder);
               D_session s
             end
-            else
-              D_exact
-                (match q.Wj_core.Query.group_by with
-                | Some _ -> Engine.Exact_groups (Exact.group_aggregate q registry)
-                | None -> Engine.Exact_scalar (Exact.aggregate q registry))
+            else D_exact (Engine.exact_item q registry)
           in
           (item, p))
         (List.combine bound.Binder.queries registries)
@@ -628,7 +610,7 @@ let pendings_totals pendings =
         | Some (Wj_core.Session.Scalar o) -> note o.Online.final
         | Some (Wj_core.Session.Groups g) ->
           List.iter (fun (_, r) -> note r) g.Online.groups
-        | _ -> ())
+        | None -> ())
       | D_exact _ -> ())
     pendings;
   (!walks, !hw)

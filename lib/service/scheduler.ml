@@ -4,12 +4,8 @@ module Event = Wj_obs.Event
 module Progress = Wj_obs.Progress
 module Metrics = Wj_obs.Metrics
 module Run_config = Wj_core.Run_config
-module Online = Wj_core.Online
-module Parallel = Wj_core.Parallel
-module Hybrid = Wj_core.Hybrid
 module Driver = Wj_core.Engine.Driver
 module Session = Wj_core.Session
-module Session_spec = Wj_core.Session_spec
 
 type state =
   | Queued
@@ -48,14 +44,6 @@ let reject_description = function
     Printf.sprintf "tenant %s over quota (%d in flight, quota %d)" tenant
       in_flight quota
 
-(* The scheduler's uniform view of a driver session: every driver's
-   [Session] module erases to these three closures. *)
-type job = {
-  advance : max_steps:int -> Driver.stop_reason option;
-  interrupt : Driver.stop_reason -> unit;
-  progress : unit -> Progress.t option;
-}
-
 type entry = {
   id : int;
   label : string;
@@ -63,19 +51,19 @@ type entry = {
   tenant : string option;  (* admission-quota accounting bucket *)
   deadline : float option;  (* absolute seconds on the scheduler clock *)
   pin : int option;  (* fixed shard under a multi-domain drain *)
-  start : t -> job;
+  start : t -> Session.handle;
       (* deferred: plan selection happens on admission.  The argument is
          the scheduler actually hosting the entry — the submitting one,
          or the per-domain shard it was pinned to — whose sink scopes the
          session's metrics. *)
-  finish : unit -> unit;  (* fill the submitter's result cell once stopped *)
   trace : Wj_obs.Trace.t option;
       (* the session's own span buffer (a request-scoped recorder's,
          under the daemon) — quantum spans land here as well as in the
          scheduler sink's trace, so each request's trace carries its own
          scheduling *)
   mutable state : state;
-  mutable job : job option;
+  mutable handle : Session.handle option;  (* set once started *)
+  mutable result : Session.outcome option;  (* set once a started session stops *)
   mutable quanta : int;  (* quanta actually granted *)
   mutable reason : Driver.stop_reason option;  (* why the driver stopped *)
 }
@@ -99,9 +87,9 @@ and t = {
   mutable all : entry list;  (* every submission, reverse admission order *)
 }
 
-(* The submitter's handle: the result cell [finish] fills once the
-   session stops. *)
-type session = { entry : entry; cell : Session.outcome option ref; sched : t }
+(* The submitter's handle: the entry (whose [result] is filled once the
+   session stops) and the scheduler it was submitted to. *)
+type session = { entry : entry; sched : t }
 
 let create ?(quantum = 256) ?(max_live = 4) ?(policy = Round_robin)
     ?(domains = 1) ?max_queued ?tenant_quota ?(sink = Sink.noop) ?clock () =
@@ -257,10 +245,10 @@ let finalize_unstarted t e term =
 let finalize_started t e term ~reason =
   e.state <- Reporting;
   e.reason <- reason;
-  e.finish ();
-  (match e.job with
-  | Some j -> (
-    match j.progress () with
+  (match e.handle with
+  | Some h -> (
+    e.result <- Some (h.Session.outcome ());
+    match h.Session.progress () with
     | Some p ->
       publish_progress t e p;
       if Sink.wants_reports t.sink then
@@ -282,7 +270,7 @@ let finalize_started t e term ~reason =
 
 let begin_entry t e =
   e.state <- Running;
-  e.job <- Some (e.start t);
+  e.handle <- Some (e.start t);
   t.live <- t.live @ [ e ];
   emit t (Event.Session_started { session = e.id })
 
@@ -303,10 +291,10 @@ let admit t =
   Queue.transfer remaining t.queue
 
 let width_of e =
-  match e.job with
+  match e.handle with
   | None -> infinity
-  | Some j -> (
-    match j.progress () with
+  | Some h -> (
+    match h.Session.progress () with
     | Some p -> p.Progress.half_width
     | None -> infinity)
 
@@ -354,13 +342,13 @@ let tick t =
   (match select t with
   | None -> ()
   | Some e -> (
-    let j = match e.job with Some j -> j | None -> assert false in
+    let h = match e.handle with Some h -> h | None -> assert false in
     if Token.cancelled e.token then begin
-      j.interrupt Driver.Cancelled;
+      h.Session.interrupt Driver.Cancelled;
       finalize_started t e Cancelled ~reason:(Some Driver.Cancelled)
     end
     else if expired t e then begin
-      j.interrupt Driver.Time_up;
+      h.Session.interrupt Driver.Time_up;
       finalize_started t e Deadline_exceeded ~reason:(Some Driver.Time_up)
     end
     else begin
@@ -377,13 +365,13 @@ let tick t =
         | None, _ -> ()
       in
       span (fun tr -> Wj_obs.Trace.span_begin tr ~cat:"sched" ("quantum:" ^ e.label));
-      let stopped = j.advance ~max_steps:t.quantum in
+      let stopped = h.Session.advance ~max_steps:t.quantum in
       span (fun tr -> Wj_obs.Trace.span_end tr ~cat:"sched" ());
       match stopped with
       | Some r -> finalize_started t e (terminal_of_reason r) ~reason:(Some r)
       | None ->
         if Sink.wants_reports t.sink || Sink.metrics t.sink <> None then (
-          match j.progress () with
+          match h.Session.progress () with
           | Some p ->
             publish_progress t e p;
             emit t
@@ -492,7 +480,11 @@ let drain t =
 
 (* ---- Submission ------------------------------------------------------ *)
 
-let submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish cell =
+(* The one admission path: the query picks the driver
+   ({!Wj_core.Session.start}).  The session's metrics land under
+   "session<id>." of whichever (sub-)scheduler hosts the entry. *)
+let submit t ?(label = "") ?deadline ?token ?tenant ?pin (cfg : Run_config.t) q
+    registry =
   (match admission t ?tenant () with
   | Some r ->
     (match tenant with
@@ -505,6 +497,11 @@ let submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish ce
   let label = if label = "" then "session" ^ string_of_int id else label in
   let deadline = Option.map (fun d -> Timer.elapsed t.clock +. d) deadline in
   let token = match token with Some tk -> tk | None -> Token.create () in
+  let start exec =
+    Session.start
+      (Run_config.with_sink cfg (session_sink exec id cfg.Run_config.sink))
+      q registry
+  in
   let e =
     {
       id;
@@ -513,11 +510,13 @@ let submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish ce
       tenant;
       deadline;
       pin;
-      start = start id;
-      finish;
-      trace;
+      start;
+      (* A request-scoped recorder's span buffer rides along so [tick]
+         can bracket this session's quanta in the request's own trace. *)
+      trace = Sink.trace (Run_config.resolved_sink cfg);
       state = Queued;
-      job = None;
+      handle = None;
+      result = None;
       quanta = 0;
       reason = None;
     }
@@ -526,42 +525,7 @@ let submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish ce
   t.all <- e :: t.all;
   account_submit t e;
   emit t (Event.Session_admitted { session = id; label });
-  { entry = e; cell; sched = t }
-
-(* The one admission path: a [Session_spec.t] (explicit, or the config's)
-   picks the driver; the erased {!Wj_core.Session.handle} is the job.
-   The session's metrics land under "session<id>." of whichever
-   (sub-)scheduler hosts the entry. *)
-let submit t ?(label = "") ?deadline ?token ?tenant ?pin ?spec
-    (cfg : Run_config.t) q registry =
-  let cell = ref None in
-  let sess = ref None in
-  let start id exec =
-    let cfg =
-      Run_config.with_sink cfg (session_sink exec id cfg.Run_config.sink)
-    in
-    let h = Session.start ?spec cfg q registry in
-    sess := Some h;
-    {
-      advance = (fun ~max_steps -> h.Session.advance ~max_steps);
-      interrupt = h.Session.interrupt;
-      progress = h.Session.progress;
-    }
-  in
-  let finish () =
-    match !sess with
-    | None -> ()
-    | Some h -> (
-      (* A parallel session interrupted before its first advance has no
-         outcome at all; its cell stays [None]. *)
-      match h.Session.outcome () with
-      | o -> cell := Some o
-      | exception Invalid_argument _ -> ())
-  in
-  (* A request-scoped recorder's span buffer rides along so [tick] can
-     bracket this session's quanta in the request's own trace. *)
-  let trace = Sink.trace (Run_config.resolved_sink cfg) in
-  submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish cell
+  { entry = e; sched = t }
 
 (* ---- Session handles ------------------------------------------------- *)
 
@@ -572,7 +536,7 @@ let tenant s = s.entry.tenant
 let quanta s = s.entry.quanta
 let stop_reason s = s.entry.reason
 let cancel s = Token.cancel s.entry.token
-let result s = !(s.cell)
+let result s = s.entry.result
 
 let await s =
   if s.sched.domains > 1 then drain s.sched

@@ -196,15 +196,15 @@ val submit :
   ?token:Token.t ->
   ?tenant:string ->
   ?pin:int ->
-  ?spec:Wj_core.Session_spec.t ->
   Wj_core.Run_config.t ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
   session
-(** The unified admission path: one entry point for every driver.
-    [spec] (default [cfg.spec], itself defaulting to online) picks the
-    algorithm and its knobs; the session runs through
-    {!Wj_core.Session.start}.  Nothing runs yet — plan selection happens
+(** The unified admission path: one entry point for every query.  The
+    query picks the session kind through {!Wj_core.Session.start}: a
+    GROUP BY query runs as a group-by session (result
+    [Wj_core.Session.Groups]), any other as a scalar online session
+    ([Wj_core.Session.Scalar]).  Nothing runs yet — plan selection happens
     when the scheduler starts the session (so a cancelled queued session
     costs nothing).  [deadline] is in seconds from submission on the
     scheduler clock; [token] allows external cancellation (a fresh token

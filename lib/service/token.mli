@@ -3,7 +3,8 @@
     A token is a one-way latch shared between whoever submitted a session
     and the scheduler running it: {!cancel} flips it, the scheduler polls
     it before every quantum grant.  The flag is an [Atomic.t] so a token
-    may also be polled from the spawned domains of a parallel session. *)
+    may be cancelled from one thread or domain while a multi-domain
+    [Scheduler.drain] polls it from another. *)
 
 type t
 

@@ -55,6 +55,13 @@ let build_registries shared queries =
       r)
     queries
 
+(* The exact executor's answer for one bound aggregate: per group under
+   GROUP BY, one value otherwise. *)
+let exact_item q registry =
+  match q.Wj_core.Query.group_by with
+  | Some _ -> Exact_groups (Exact.group_aggregate q registry)
+  | None -> Exact_scalar (Exact.aggregate q registry)
+
 let execute_session ?on_report (cfg : Wj_core.Run_config.t) catalog sql =
   let catalog = apply_backend cfg catalog in
   let statement = Parser.parse sql in
@@ -92,10 +99,7 @@ let execute_session ?on_report (cfg : Wj_core.Run_config.t) catalog sql =
               in
               Online_scalar (Online.run_session ?on_report:on_report_fn cfg q registry)
           end
-          else
-            match q.Wj_core.Query.group_by with
-            | Some _ -> Exact_groups (Exact.group_aggregate q registry)
-            | None -> Exact_scalar (Exact.aggregate q registry)
+          else exact_item q registry
         in
         (item, outcome))
       bound.queries registries
@@ -128,9 +132,9 @@ type served = {
 }
 
 (* What we hold per ONLINE aggregate between submission and drain.  All
-   online items flow through the unified [Scheduler.submit]/[Session_spec]
-   path; the scalar/group split only reappears when the outcome is read
-   back. *)
+   online items flow through the unified [Scheduler.submit] path, which
+   reads the scalar/group split off the query; it only reappears here
+   when the outcome is read back. *)
 type pending =
   | P_session of Scheduler.session
   | P_exact of item_outcome
@@ -158,21 +162,11 @@ let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)
             (fun (item, q) registry ->
               let label = Printf.sprintf "stmt%d %s" si (item_label item) in
               let p =
-                if bound.Binder.online then begin
-                  let spec =
-                    match q.Wj_core.Query.group_by with
-                    | Some _ -> Wj_core.Session_spec.group_by ()
-                    | None -> Wj_core.Session_spec.online ()
-                  in
+                if bound.Binder.online then
                   P_session
-                    (Scheduler.submit sched ~label ?deadline ~pin:si ~spec cfg
-                       q registry)
-                end
-                else
-                  P_exact
-                    (match q.Wj_core.Query.group_by with
-                    | Some _ -> Exact_groups (Exact.group_aggregate q registry)
-                    | None -> Exact_scalar (Exact.aggregate q registry))
+                    (Scheduler.submit sched ~label ?deadline ~pin:si cfg q
+                       registry)
+                else P_exact (exact_item q registry)
               in
               (item, p))
             bound.Binder.queries registries
@@ -195,7 +189,7 @@ let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)
                   match Scheduler.result s with
                   | Some (Wj_core.Session.Scalar o) -> Some (Online_scalar o)
                   | Some (Wj_core.Session.Groups g) -> Some (Online_groups g)
-                  | Some _ | None -> None
+                  | None -> None
                 in
                 {
                   item;

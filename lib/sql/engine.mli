@@ -126,3 +126,16 @@ val apply_clauses :
     [max_time], CONFIDENCE beats [confidence], REPORTINTERVAL beats
     [report_every] — exactly the override rule {!execute_session} and
     {!serve} apply. *)
+
+val build_registries :
+  (Wj_core.Query.t * Wj_core.Registry.t) option ref ->
+  (Ast.select_item * Wj_core.Query.t) list ->
+  Wj_core.Registry.t list
+(** One index registry per bound query, sharing physical indexes through
+    the ref: the first registry built is stored there and every later
+    build (this statement's other aggregates, later statements) reuses
+    its indexes. *)
+
+val exact_item : Wj_core.Query.t -> Wj_core.Registry.t -> item_outcome
+(** The exact executor's answer for one bound aggregate: [Exact_groups]
+    under GROUP BY, [Exact_scalar] otherwise. *)

@@ -710,7 +710,7 @@ let test_online_group_by_requires_clause () =
   let q = chain_query () in
   let reg = Registry.build_for_query q in
   Alcotest.check_raises "no group by"
-    (Invalid_argument "Online.run_group_by: query has no GROUP BY") (fun () ->
+    (Invalid_argument "Online.start_group_by_session: query has no GROUP BY") (fun () ->
       ignore (Online.run_group_by_session (Run_config.make ~max_time:0.01 ()) q reg))
 
 let test_online_group_by_should_stop () =

@@ -208,6 +208,61 @@ let test_stream_bit_for_bit () =
             (Int64.equal e_hw (bits (Option.get (jflt "half_width" item)))))
         (List.combine expected_finals items))
 
+(* A GROUP BY statement over the wire: the daemon submits it like any
+   other and the query makes it a group-by session, whose final item
+   carries per-group estimate/CI bits identical to Engine.serve's. *)
+let test_group_by_bit_for_bit () =
+  let sql =
+    "SELECT ONLINE COUNT(*) FROM customer, orders WHERE c_custkey = o_custkey \
+     GROUP BY c_mktsegment"
+  in
+  let seed = 424242 and max_walks = 3000 in
+  let cfg = Run_config.make ~seed ~max_time:3600.0 ~max_walks () in
+  let expected =
+    match Engine.serve ~quantum:256 ~max_live:4 cfg (catalog ()) [ sql ] with
+    | [ { Engine.served_items = [ { Engine.outcome = Some (Engine.Online_groups g); _ } ]; _ } ]
+      ->
+      List.map
+        (fun (key, (r : Online.report)) ->
+          (Wj_storage.Value.to_display key, bits r.estimate, bits r.half_width))
+        g.Online.groups
+    | _ -> Alcotest.fail "expected one online group-by outcome"
+  in
+  with_daemon ~quantum:256 ~max_live:4 (catalog ()) (fun d ->
+      let resp, lines =
+        query d sql
+          ~extra:
+            [
+              ("seed", Json.Int seed);
+              ("max_walks", Json.Int max_walks);
+              ("time", Json.Float 3600.0);
+            ]
+      in
+      Alcotest.(check int) "status 200" 200 resp.Http.status;
+      let final = final_of lines in
+      Alcotest.(check (option string)) "status done" (Some "done") (jstr "status" final);
+      let item =
+        match Option.bind (Json.member "items" final) Json.to_list with
+        | Some [ item ] -> item
+        | _ -> Alcotest.fail "expected one final item"
+      in
+      Alcotest.(check (option string)) "kind" (Some "group_by") (jstr "kind" item);
+      let got =
+        List.map
+          (fun g ->
+            ( Option.get (jstr "key" g),
+              bits (Option.get (jflt "estimate" g)),
+              bits (Option.get (jflt "half_width" g)) ))
+          (Option.get (Option.bind (Json.member "groups" item) Json.to_list))
+      in
+      Alcotest.(check int) "group count" (List.length expected) (List.length got);
+      List.iter2
+        (fun (k, e_est, e_hw) (k', g_est, g_hw) ->
+          Alcotest.(check string) "group key" k k';
+          Alcotest.(check bool) (k ^ ": estimate bits") true (Int64.equal e_est g_est);
+          Alcotest.(check bool) (k ^ ": half-width bits") true (Int64.equal e_hw g_hw))
+        expected got)
+
 (* ---- admission control over the wire ----------------------------------- *)
 
 let slow_extra =
@@ -769,6 +824,8 @@ let () =
         [
           Alcotest.test_case "HTTP stream = in-process serve, bit for bit" `Quick
             test_stream_bit_for_bit;
+          Alcotest.test_case "GROUP BY over HTTP = in-process serve, bit for bit"
+            `Quick test_group_by_bit_for_bit;
         ] );
       ( "admission",
         [

@@ -246,7 +246,7 @@ let parallel_online_equiv =
 let test_parallel_validation () =
   let q = chain_query_3 13 in
   let reg = Registry.build_for_query q in
-  Alcotest.check_raises "domains >= 1" (Invalid_argument "Parallel.run: domains must be >= 1")
+  Alcotest.check_raises "domains >= 1" (Invalid_argument "Parallel.run_session: domains must be >= 1")
     (fun () ->
       ignore
         (Parallel.run_session ~domains:0 (Run_config.make ~max_time:0.01 ()) q reg))

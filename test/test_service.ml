@@ -637,6 +637,46 @@ let test_serve_group_by () =
     | _ -> Alcotest.fail "sequential: expected one group outcome")
   | _ -> Alcotest.fail "served: expected one group outcome"
 
+(* The query alone picks the session kind: a GROUP BY query submitted
+   straight to the scheduler, with nothing else saying it is grouped,
+   comes back as [Groups], bit for bit the blocking group-by driver. *)
+let test_submit_group_by_kind () =
+  let catalog = Lazy.force tpch_catalog in
+  let sql =
+    "SELECT ONLINE COUNT(*) FROM customer, orders WHERE c_custkey = o_custkey \
+     GROUP BY c_mktsegment"
+  in
+  let q =
+    match (Wj_sql.Binder.bind catalog (Wj_sql.Parser.parse sql)).Wj_sql.Binder.queries with
+    | [ (_, q) ] -> q
+    | _ -> Alcotest.fail "expected one bound aggregate"
+  in
+  let reg = Registry.build_for_query q in
+  let cfg =
+    Run_config.make ~seed:9 ~max_walks:1_500 ~max_time:3600.0
+      ~clock:(Timer.virtual_ ()) ()
+  in
+  let sched = Scheduler.create ~quantum:100 () in
+  let s = Scheduler.submit sched cfg q reg in
+  Scheduler.drain sched;
+  let direct = Online.run_group_by_session cfg q reg in
+  match Scheduler.result s with
+  | Some (Wj_core.Session.Groups g) ->
+    Alcotest.(check int) "same walks" direct.Online.total_walks g.Online.total_walks;
+    Alcotest.(check int) "same group count" (List.length direct.Online.groups)
+      (List.length g.Online.groups);
+    List.iter2
+      (fun (k, (a : Online.report)) (k', (b : Online.report)) ->
+        Alcotest.(check bool) "same key" true (Value.compare k k' = 0);
+        Alcotest.(check int) "same group walks" b.walks a.walks;
+        Alcotest.(check bool) "bit-for-bit group estimate" true
+          (float_eq a.estimate b.estimate);
+        Alcotest.(check bool) "bit-for-bit group half-width" true
+          (float_eq a.half_width b.half_width))
+      g.Online.groups direct.Online.groups
+  | Some (Wj_core.Session.Scalar _) -> Alcotest.fail "GROUP BY query ran as a scalar session"
+  | None -> Alcotest.fail "session never ran"
+
 let () =
   Alcotest.run "wj_service"
     [
@@ -680,5 +720,7 @@ let () =
           Alcotest.test_case "16 concurrent TPC-H sessions = sequential" `Quick
             test_serve_matches_sequential;
           Alcotest.test_case "group-by rides the scheduler" `Quick test_serve_group_by;
+          Alcotest.test_case "submit: the query picks the session kind" `Quick
+            test_submit_group_by_kind;
         ] );
     ]
