@@ -14,8 +14,8 @@
     batches interleave the draws of concurrent walks: still unbiased, same
     distribution, different stream.
 
-    {!Driver} is the single execution loop shared by the Online, Parallel
-    and Hybrid drivers and by the ripple-join baselines: stop conditions
+    {!Driver} is the single execution loop shared by the Online and
+    Hybrid drivers and by the ripple-join baselines: stop conditions
     (confidence target, deadline, walk budget, cancellation) plus periodic
     reporting, with the polling cadence of each check configurable. *)
 

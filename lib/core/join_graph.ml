@@ -2,7 +2,6 @@ type t = {
   k : int;
   pairs : (int * int, Query.join_cond list) Hashtbl.t; (* key has min first *)
   walk : (int * int, Query.join_cond list) Hashtbl.t; (* (from, into) directed *)
-  undirected : int list array;
 }
 
 let key a b = if a <= b then (a, b) else (b, a)
@@ -16,14 +15,11 @@ let of_query q registry =
   let k = Query.k q in
   let pairs = Hashtbl.create 16 in
   let walk = Hashtbl.create 16 in
-  let undirected = Array.make k [] in
   List.iter
     (fun (cond : Query.join_cond) ->
       let (lp, _), (rp, rc) = (cond.left, cond.right) in
       let lc = snd cond.left in
       push pairs (key lp rp) cond;
-      if not (List.mem rp undirected.(lp)) then undirected.(lp) <- rp :: undirected.(lp);
-      if not (List.mem lp undirected.(rp)) then undirected.(rp) <- lp :: undirected.(rp);
       (* Walking lp -> rp requires an index on (rp, rc). *)
       if Registry.can_serve registry ~pos:rp ~column:rc ~op:cond.op then
         push walk (lp, rp) cond;
@@ -31,7 +27,7 @@ let of_query q registry =
       if Registry.can_serve registry ~pos:lp ~column:lc ~op:cond.op then
         push walk (rp, lp) cond)
     q.Query.joins;
-  { k; pairs; walk; undirected }
+  { k; pairs; walk }
 
 let k t = t.k
 
@@ -58,8 +54,6 @@ let reachable_set t v =
   in
   dfs v;
   seen
-
-let undirected_adj t v = t.undirected.(v)
 
 let is_tree t =
   (* Connected is guaranteed; a connected graph is a tree iff the number of

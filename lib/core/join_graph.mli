@@ -29,9 +29,6 @@ val directed_succ : t -> int -> int list
 val reachable_set : t -> int -> bool array
 (** Directed reachability closure from a vertex (includes the vertex). *)
 
-val undirected_adj : t -> int -> int list
-(** Neighbours across any join condition, ignoring direction. *)
-
 val is_tree : t -> bool
 (** True when the undirected query graph is acyclic (it is always connected
     by {!Query.make}'s validation). *)

@@ -35,8 +35,6 @@ val ensure_trie :
     physically shared across positions aliasing the same base table —
     same policy as {!build_for_query}'s single-column slots. *)
 
-val find_trie : t -> pos:int -> columns:int list -> Wj_index.Index.t option
-
 val iter : t -> (pos:int -> column:int -> Wj_index.Index.t -> unit) -> unit
 (** Visit every registered slot (iteration order unspecified; cached
     tries are not slots and are not visited). *)

@@ -57,10 +57,8 @@ let make ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
     backend;
   }
 
-let with_seed t seed = { t with seed }
 let with_sink t sink = { t with sink }
 let with_recorder t recorder = { t with recorder = Some recorder }
-let with_backend t backend = { t with backend }
 
 (* The sink a driver should actually observe through: the configured sink
    teed (left, so its metrics registry and trace win) with the recorder's

@@ -1,7 +1,7 @@
 (** One record for everything a run session shares across drivers.
 
-    The Online, Parallel and Hybrid drivers (and {!Wj_sql.Engine} above
-    them) share the same knobs: seed, confidence, budgets, reporting
+    The Online and Hybrid drivers (and {!Wj_sql.Engine} above them)
+    share the same knobs: seed, confidence, budgets, reporting
     cadence, clock, cancellation, plan choice.  [Run_config.t] is the
     single source of truth for those knobs plus the observability
     {!Wj_obs.Sink.t}; every driver's [run_session] takes one. *)
@@ -57,18 +57,11 @@ val make :
   t
 (** Defaults as in {!default}. *)
 
-val with_seed : t -> int -> t
-(** Functional update, for deriving per-session configs from a shared
-    base (the service layer's admission path). *)
-
 val with_sink : t -> Wj_obs.Sink.t -> t
 (** Functional update of the observability sink. *)
 
 val with_recorder : t -> Wj_obs.Recorder.t -> t
 (** Functional update attaching a flight recorder. *)
-
-val with_backend : t -> Wj_storage.Backend.t -> t
-(** Functional update of the storage backend. *)
 
 val resolved_sink : t -> Wj_obs.Sink.t
 (** [sink] teed with the recorder's reports-only sink when a recorder is

@@ -39,7 +39,6 @@ type t = {
   metrics : Metrics.t;
   sched : Scheduler.t;
   cache : Estimate_cache.t;
-  cache_min_cost : float;  (* mirror of the cache's floor, for log lines *)
   trace_store : Trace_store.t;
   access_log : out_channel option;
   close_log : bool;  (* the channel was opened here, close it on stop *)
@@ -81,7 +80,7 @@ let ms_bucket ms =
 (* ---- construction ----------------------------------------------------- *)
 
 let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
-    ?cache_capacity ?(cache_min_cost = 0.001) ?trace_capacity ?access_log
+    ?cache_capacity ?trace_capacity ?access_log
     ?(slow_query_ms = 0.0) ?(default_seed = 11) ?(default_time = 5.0)
     ?(retry_after = 1) ?(port = 0) catalog =
   let metrics = Metrics.create () in
@@ -188,8 +187,7 @@ let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
     catalog;
     metrics;
     sched;
-    cache = Estimate_cache.create ?capacity:cache_capacity ~min_cost:cache_min_cost metrics;
-    cache_min_cost;
+    cache = Estimate_cache.create ?capacity:cache_capacity metrics;
     trace_store = Trace_store.create ?capacity:trace_capacity ();
     access_log = access_log_chan;
     close_log;
@@ -615,6 +613,22 @@ let pendings_totals pendings =
     pendings;
   (!walks, !hw)
 
+(* An exact-only statement's cost: the rows its enumerations visited.
+   Group results share one enumeration, so a grouped item counts it once.
+   [None] when a session ran — walks are always worth caching. *)
+let exact_cost pendings =
+  let is_session (_, p) = match p with D_session _ -> true | D_exact _ -> false in
+  if List.exists is_session pendings then None
+  else
+    Some
+      (List.fold_left
+         (fun n (_, p) ->
+           match p with
+           | D_exact (Engine.Exact_scalar e | Engine.Exact_groups ((_, e) :: _)) ->
+             n + e.Exact.rows_visited
+           | _ -> n)
+         0 pendings)
+
 let handle_query t fd ~trace_id ~traced req =
   let t0 = Unix.gettimeofday () in
   let trace_hdr = [ (Http.trace_header, trace_id) ] in
@@ -655,9 +669,9 @@ let handle_query t fd ~trace_id ~traced req =
   in
   match Mutex.protect t.mu (fun () -> submit_statement t req ~traced) with
   | `Cached (norm, results) ->
+    log ~outcome:"done" ~cache:"hit" ~norm ();
     Http.respond fd ~status:200 ~headers:trace_hdr
-      (Json.to_string (final_json ~status:"done" ~cached:true results) ^ "\n");
-    log ~outcome:"done" ~cache:"hit" ~norm ()
+      (Json.to_string (final_json ~status:"done" ~cached:true results) ^ "\n")
   | `Submitted (norm, key, epoch, token, stream, pendings, recorder) ->
     let streaming = req.want_stream && stream.live > 0 in
     if streaming then Http.start_chunked fd ~status:200 ~headers:trace_hdr ();
@@ -665,12 +679,6 @@ let handle_query t fd ~trace_id ~traced req =
       pump_stream stream token
         ~writer:(if streaming then Some (Http.write_chunk fd) else None)
     in
-    let has_session =
-      List.exists
-        (fun (_, p) -> match p with D_session _ -> true | _ -> false)
-        pendings
-    in
-    let compute_cost = Unix.gettimeofday () -. t0 in
     let final, status, disposition =
       Mutex.protect t.mu (fun () ->
           let status = overall_status pendings in
@@ -679,35 +687,35 @@ let handle_query t fd ~trace_id ~traced req =
           (* Record the verdict for repeat queries — only a fully
              completed run, and under the epoch read at submission so a
              concurrent data change invalidates it.  Exact-only answers
-             carry their compute cost so the cache's admission policy
+             carry their rows visited so the cache's admission policy
              can skip ones cheaper to recompute than to cache. *)
-          if req.use_cache && status = "done" && stream.live = 0 then begin
-            let cost = if has_session then None else Some compute_cost in
-            Estimate_cache.store t.cache ~key ?cost
-              { Estimate_cache.results = items; epoch };
+          if req.use_cache && status = "done" && stream.live = 0 then
             disposition :=
-              (match cost with
-              | Some c when c < t.cache_min_cost -> "skipped_cheap"
-              | _ -> "stored")
-          end;
+              if
+                Estimate_cache.store t.cache ~key ?cost:(exact_cost pendings)
+                  { Estimate_cache.results = items; epoch }
+              then "stored"
+              else "skipped_cheap";
           if traced then
             Trace_store.put t.trace_store ~id:trace_id
               (Wj_obs.Recorder.to_json recorder);
           (final_json ~status ~cached:false items, status, !disposition))
     in
-    (if not disconnected then
-       if streaming then begin
-         try
-           Http.write_chunk fd (Json.to_string final ^ "\n");
-           Http.finish_chunked fd
-         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-       end
-       else Http.respond fd ~status:200 ~headers:trace_hdr (Json.to_string final ^ "\n"));
+    (* Log before the final line goes out: a client that has read its
+       answer finds its log line, even if the daemon stops right after. *)
     let walks, half_width = pendings_totals pendings in
     log
       ~outcome:(if disconnected then "disconnected" else status)
       ~cache:disposition ~norm ~queue_wait:stream.s_queue_wait
-      ~quanta:stream.s_reports ~walks ?half_width ~recorder ()
+      ~quanta:stream.s_reports ~walks ?half_width ~recorder ();
+    if not disconnected then
+      if streaming then begin
+        try
+          Http.write_chunk fd (Json.to_string final ^ "\n");
+          Http.finish_chunked fd
+        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+      end
+      else Http.respond fd ~status:200 ~headers:trace_hdr (Json.to_string final ^ "\n")
 
 (* ---- other endpoints -------------------------------------------------- *)
 
@@ -804,35 +812,35 @@ let handle t fd =
         try handle_query t fd ~trace_id ~traced qreq with
         | Scheduler.Rejected r ->
           Counter.incr t.rejected;
+          log_failure t ~trace_id ~outcome:"rejected" "rejected";
           Http.respond fd ~status:429
             ~headers:[ ("retry-after", string_of_int t.retry_after); trace_hdr ]
-            (error_body "rejected" (Scheduler.reject_description r) ^ "\n");
-          log_failure t ~trace_id ~outcome:"rejected" "rejected"
+            (error_body "rejected" (Scheduler.reject_description r) ^ "\n")
         | Lexer.Lex_error (msg, off) ->
           Counter.incr t.errors;
+          log_failure t ~trace_id ~outcome:"error" "lex";
           Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-            (error_body "lex" (Printf.sprintf "%s (offset %d)" msg off) ^ "\n");
-          log_failure t ~trace_id ~outcome:"error" "lex"
+            (error_body "lex" (Printf.sprintf "%s (offset %d)" msg off) ^ "\n")
         | Parser.Parse_error msg ->
           Counter.incr t.errors;
+          log_failure t ~trace_id ~outcome:"error" "parse";
           Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-            (error_body "parse" msg ^ "\n");
-          log_failure t ~trace_id ~outcome:"error" "parse"
+            (error_body "parse" msg ^ "\n")
         | Binder.Bind_error msg ->
           Counter.incr t.errors;
+          log_failure t ~trace_id ~outcome:"error" "bind";
           Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-            (error_body "bind" msg ^ "\n");
-          log_failure t ~trace_id ~outcome:"error" "bind")
+            (error_body "bind" msg ^ "\n"))
       | exception Bad_param name ->
         Counter.incr t.errors;
+        log_failure t ~trace_id ~outcome:"error" "bad_request";
         Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-          (error_body "bad_request" ("missing or malformed parameter: " ^ name) ^ "\n");
-        log_failure t ~trace_id ~outcome:"error" "bad_request"
+          (error_body "bad_request" ("missing or malformed parameter: " ^ name) ^ "\n")
       | exception Json.Parse_error msg ->
         Counter.incr t.errors;
+        log_failure t ~trace_id ~outcome:"error" "bad_request";
         Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-          (error_body "bad_request" ("malformed JSON body: " ^ msg) ^ "\n");
-        log_failure t ~trace_id ~outcome:"error" "bad_request")
+          (error_body "bad_request" ("malformed JSON body: " ^ msg) ^ "\n"))
     | "GET", "/health" -> handle_health t fd
     | "GET", "/stats" -> handle_stats t fd
     | "GET", "/metrics" -> handle_metrics t fd

@@ -36,8 +36,10 @@
       the client sent none.  An optional JSON-lines access log records
       one structured line per request (trace id, tenant,
       normalized-statement hash, outcome, queue wait, quanta, walks,
-      final CI half-width, cache disposition), and requests slower than
-      [slow_query_ms] additionally dump their convergence fit.
+      final CI half-width, cache disposition — [skipped_cheap] for an
+      exact answer below the cache's rows-visited floor), and requests
+      slower than [slow_query_ms] additionally dump their convergence
+      fit.
 
     Threading: one scheduler thread owns the (single-threaded)
     scheduler and ticks it under the daemon mutex; one accept thread
@@ -54,7 +56,6 @@ val create :
   ?max_queued:int ->
   ?tenant_quota:int ->
   ?cache_capacity:int ->
-  ?cache_min_cost:float ->
   ?trace_capacity:int ->
   ?access_log:string ->
   ?slow_query_ms:float ->
@@ -70,9 +71,8 @@ val create :
     {!Wj_service.Scheduler.create}; [max_queued] (default 64) bounds the
     admission FIFO and [tenant_quota] (default unbounded) each tenant's
     in-flight sessions — both are the levers behind [429].
-    [cache_capacity] (default 256) bounds the estimate cache and
-    [cache_min_cost] (seconds, default 1 ms) is its admission floor for
-    exact-only answers — [0.0] caches everything (see
+    [cache_capacity] (default 256) bounds the estimate cache; exact-only
+    answers below its rows-visited floor are not cached (see
     {!Estimate_cache.store}).  [trace_capacity] (default 64) bounds the
     retained-trace ring behind [GET /trace/<id>].  [access_log] enables
     the JSON-lines access log: a file path (appended to) or ["-"] for
@@ -97,8 +97,8 @@ val url : t -> string
 
 val metrics : t -> Wj_obs.Metrics.t
 (** The daemon's registry: [http.*] request counters, [cache.*]
-    hit/miss/stale/eviction counters, the scheduler's per-session and
-    per-tenant families.  Live — reading it races benignly with
+    hit/miss/stale/eviction/skipped-cheap counters, the scheduler's
+    per-session and per-tenant families.  Live — reading it races benignly with
     handlers. *)
 
 val wait : t -> unit

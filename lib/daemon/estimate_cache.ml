@@ -12,7 +12,6 @@ type slot = { value : entry; mutable last_used : int }
 type t = {
   table : (string, slot) Hashtbl.t;
   capacity : int;
-  min_cost : float;
   mutable clock : int;
   hits : Counter.t;
   misses : Counter.t;
@@ -21,12 +20,11 @@ type t = {
   skipped_cheap : Counter.t;
 }
 
-let create ?(capacity = 256) ?(min_cost = 0.001) metrics =
+let create ?(capacity = 256) metrics =
   if capacity <= 0 then invalid_arg "Estimate_cache.create: capacity must be positive";
   {
     table = Hashtbl.create 64;
     capacity;
-    min_cost;
     clock = 0;
     hits = Metrics.counter metrics "cache.hits";
     misses = Metrics.counter metrics "cache.misses";
@@ -68,18 +66,25 @@ let evict_lru t =
     Counter.incr t.evictions
   | None -> ()
 
-(* Admission policy: an answer that costs less to recompute than a
-   cache probe costs to manage is not worth a slot — [cost] (seconds,
-   passed for exact answers) below [min_cost] skips the store and
-   counts [cache.skipped_cheap].  Costless stores (online estimates,
-   whose walks are always worth saving) are unconditional. *)
+(* Admission floor, in exact-executor rows visited.  At 50–200 ns a row
+   it is roughly a millisecond of enumeration: an answer cheaper than
+   that is cheaper to recompute than to keep a slot for. *)
+let min_rows_visited = 10_000
+
+(* Admission policy: [cost] (rows visited, passed for exact answers)
+   below the floor skips the store and counts [cache.skipped_cheap].
+   Costless stores (online estimates, whose walks are always worth
+   saving) are unconditional. *)
 let store t ~key ?cost entry =
   match cost with
-  | Some c when c < t.min_cost -> Counter.incr t.skipped_cheap
+  | Some c when c < min_rows_visited ->
+    Counter.incr t.skipped_cheap;
+    false
   | _ ->
     (if not (Hashtbl.mem t.table key) && Hashtbl.length t.table >= t.capacity then
        evict_lru t);
-    Hashtbl.replace t.table key { value = entry; last_used = tick t }
+    Hashtbl.replace t.table key { value = entry; last_used = tick t };
+    true
 
 let length t = Hashtbl.length t.table
 let clear t = Hashtbl.reset t.table

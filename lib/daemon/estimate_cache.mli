@@ -20,14 +20,16 @@
       the data has changed under it.
 
     Capacity is bounded with least-recently-used eviction, and admission
-    is cost-aware: {!store} with a [cost] below the configured floor is
-    skipped — a sub-millisecond exact answer is cheaper to recompute
-    than to cache.  Counters ([cache.hits] / [cache.misses] /
-    [cache.stale] / [cache.evictions] / [cache.skipped_cheap] in the
-    registry passed to {!create}) make hit rates and the admission
-    policy observable via [GET /stats] and [GET /metrics].  Not
-    thread-safe — the daemon serializes access under its scheduler
-    mutex. *)
+    is cost-aware: {!store} with a [cost] below a floor of 10,000 exact
+    rows visited is skipped — an answer that cheap (about a millisecond
+    of enumeration) is cheaper to recompute than to cache.  The cost is
+    the exact executor's machine-independent count, so admission does
+    not depend on load or hardware.  Counters ([cache.hits] /
+    [cache.misses] / [cache.stale] / [cache.evictions] /
+    [cache.skipped_cheap] in the registry passed to {!create}) make hit
+    rates and the admission policy observable via [GET /stats] and
+    [GET /metrics].  Not thread-safe — the daemon serializes access
+    under its scheduler mutex. *)
 
 type t
 
@@ -36,11 +38,9 @@ type entry = {
   epoch : int;  (** catalog epoch the estimate was computed under *)
 }
 
-val create : ?capacity:int -> ?min_cost:float -> Wj_obs.Metrics.t -> t
+val create : ?capacity:int -> Wj_obs.Metrics.t -> t
 (** [capacity] (default 256) is the maximum number of live entries;
-    raises [Invalid_argument] if it is not positive.  [min_cost]
-    (seconds, default 0.001) is the admission floor for {!store}'s
-    [cost] argument — pass [0.0] to cache everything. *)
+    raises [Invalid_argument] if it is not positive. *)
 
 val find : t -> key:string -> epoch:int -> entry option
 (** [None] on a miss {e or} on a stale entry (recorded under an older
@@ -48,13 +48,14 @@ val find : t -> key:string -> epoch:int -> entry option
     counted under [cache.stale] instead of [cache.misses].  A hit
     refreshes the entry's recency. *)
 
-val store : t -> key:string -> ?cost:float -> entry -> unit
+val store : t -> key:string -> ?cost:int -> entry -> bool
 (** Insert or overwrite, evicting the least-recently-used entry when at
-    capacity (counted under [cache.evictions]).  With [cost] (the
-    seconds it took to compute the answer — the daemon passes it for
-    exact-only statements) below the [min_cost] floor, the store is
-    skipped and counted under [cache.skipped_cheap] instead: answers
-    cheaper than a cache probe never displace a walk-funded entry. *)
+    capacity (counted under [cache.evictions]), and return [true].  With
+    [cost] (the exact rows visited to compute the answer — the daemon
+    passes it for exact-only statements) below the rows-visited floor,
+    the store is skipped, counted under [cache.skipped_cheap], and
+    [false] is returned: answers cheaper to recompute than to cache
+    never displace a walk-funded entry. *)
 
 val length : t -> int
 (** Live entries. *)

@@ -106,17 +106,6 @@ let urldecode s =
   done;
   Buffer.contents buf
 
-let urlencode s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' | '~' ->
-        Buffer.add_char buf c
-      | c -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
-  Buffer.contents buf
-
 let split_target target =
   let path, qs =
     match String.index_opt target '?' with

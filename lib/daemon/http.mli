@@ -48,9 +48,6 @@ val request_trace_id : request -> string
     safe (1–128 chars drawn from [A-Za-z0-9._-]), otherwise a generated
     ["wj-<pid>-<n>"] id, unique within the process. *)
 
-val gen_trace_id : unit -> string
-(** A fresh ["wj-<pid>-<n>"] id (atomic counter; thread-safe). *)
-
 val status_reason : int -> string
 (** ["OK"], ["Too Many Requests"], ... (["Unknown"] for unlisted codes). *)
 
@@ -106,6 +103,3 @@ val fetch :
     wire.  Raises [Invalid_argument] on a non-[http://] URL,
     {!Bad_request} on a malformed response, [Unix.Unix_error] on
     connection failures. *)
-
-val urlencode : string -> string
-(** Percent-encode for a query-string value. *)

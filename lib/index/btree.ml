@@ -8,9 +8,8 @@
 
    Every node caches its subtree entry count ([size]), giving O(log n)
    rank/select — the basis of Olken sampling.  Insertion splits full nodes
-   preemptively on the way down; deletion (by global rank) tops up deficient
-   nodes on the way down by borrowing or merging, so neither needs parent
-   back-propagation. *)
+   preemptively on the way down, so it needs no parent back-propagation.
+   Every index is built once, so there is no deletion. *)
 
 type node = {
   mutable is_leaf : bool;
@@ -178,7 +177,6 @@ let nth t r =
 
 let count_range t ~lo ~hi = if lo > hi then 0 else rank_le t hi - rank_lt t lo
 let count_eq t k = count_range t ~lo:k ~hi:k
-let mem t k = count_eq t k > 0
 
 let nth_in_range t ~lo ~hi k =
   if lo > hi || k < 0 then None
@@ -212,145 +210,6 @@ let iter_range t ~lo ~hi f =
 let probes t = t.probes
 let reset_probes t = t.probes <- 0
 
-let min_key t = if t.length = 0 then None else Some (fst (nth t 0))
-let max_key t = if t.length = 0 then None else Some (fst (nth t (t.length - 1)))
-
-(* --- Deletion --------------------------------------------------------- *)
-
-let remove_separator parent i =
-  (* Drops separator keys[i] and child i+1. *)
-  Array.blit parent.keys (i + 1) parent.keys i (parent.nkeys - i - 1);
-  Array.blit parent.children (i + 2) parent.children (i + 1) (parent.nkeys - i - 1);
-  parent.children.(parent.nkeys) <- dummy;
-  parent.nkeys <- parent.nkeys - 1
-
-let borrow_from_left parent i =
-  let left = parent.children.(i - 1) and cur = parent.children.(i) in
-  if cur.is_leaf then begin
-    let k = left.keys.(left.nkeys - 1) and v = left.vals.(left.nkeys - 1) in
-    Array.blit cur.keys 0 cur.keys 1 cur.nkeys;
-    Array.blit cur.vals 0 cur.vals 1 cur.nkeys;
-    cur.keys.(0) <- k;
-    cur.vals.(0) <- v;
-    cur.nkeys <- cur.nkeys + 1;
-    left.nkeys <- left.nkeys - 1;
-    left.size <- left.size - 1;
-    cur.size <- cur.size + 1;
-    parent.keys.(i - 1) <- k
-  end
-  else begin
-    let moved = left.children.(left.nkeys) in
-    Array.blit cur.keys 0 cur.keys 1 cur.nkeys;
-    Array.blit cur.children 0 cur.children 1 (cur.nkeys + 1);
-    cur.keys.(0) <- parent.keys.(i - 1);
-    cur.children.(0) <- moved;
-    parent.keys.(i - 1) <- left.keys.(left.nkeys - 1);
-    left.children.(left.nkeys) <- dummy;
-    left.nkeys <- left.nkeys - 1;
-    cur.nkeys <- cur.nkeys + 1;
-    left.size <- left.size - moved.size;
-    cur.size <- cur.size + moved.size
-  end
-
-let borrow_from_right parent i =
-  let cur = parent.children.(i) and right = parent.children.(i + 1) in
-  if cur.is_leaf then begin
-    let k = right.keys.(0) and v = right.vals.(0) in
-    cur.keys.(cur.nkeys) <- k;
-    cur.vals.(cur.nkeys) <- v;
-    cur.nkeys <- cur.nkeys + 1;
-    Array.blit right.keys 1 right.keys 0 (right.nkeys - 1);
-    Array.blit right.vals 1 right.vals 0 (right.nkeys - 1);
-    right.nkeys <- right.nkeys - 1;
-    right.size <- right.size - 1;
-    cur.size <- cur.size + 1;
-    parent.keys.(i) <- right.keys.(0)
-  end
-  else begin
-    let moved = right.children.(0) in
-    cur.keys.(cur.nkeys) <- parent.keys.(i);
-    cur.children.(cur.nkeys + 1) <- moved;
-    cur.nkeys <- cur.nkeys + 1;
-    parent.keys.(i) <- right.keys.(0);
-    Array.blit right.keys 1 right.keys 0 (right.nkeys - 1);
-    Array.blit right.children 1 right.children 0 right.nkeys;
-    right.children.(right.nkeys) <- dummy;
-    right.nkeys <- right.nkeys - 1;
-    right.size <- right.size - moved.size;
-    cur.size <- cur.size + moved.size
-  end
-
-let merge_children parent i =
-  (* Merges child i+1 into child i; both hold t-1 entries/keys. *)
-  let left = parent.children.(i) and right = parent.children.(i + 1) in
-  if left.is_leaf then begin
-    Array.blit right.keys 0 left.keys left.nkeys right.nkeys;
-    Array.blit right.vals 0 left.vals left.nkeys right.nkeys;
-    left.nkeys <- left.nkeys + right.nkeys
-  end
-  else begin
-    left.keys.(left.nkeys) <- parent.keys.(i);
-    Array.blit right.keys 0 left.keys (left.nkeys + 1) right.nkeys;
-    Array.blit right.children 0 left.children (left.nkeys + 1) (right.nkeys + 1);
-    left.nkeys <- left.nkeys + 1 + right.nkeys
-  end;
-  left.size <- left.size + right.size;
-  remove_separator parent i
-
-(* Tops up child i of [node] to >= tdeg entries/keys so a removal can
-   safely descend.  Preserves node's total size; may change child
-   boundaries, so callers re-locate the target child afterwards. *)
-let fix_child tdeg node i =
-  if i > 0 && node.children.(i - 1).nkeys >= tdeg then borrow_from_left node i
-  else if i < node.nkeys && node.children.(i + 1).nkeys >= tdeg then
-    borrow_from_right node i
-  else if i < node.nkeys then merge_children node i
-  else merge_children node (i - 1)
-
-let rec remove_at tdeg node r =
-  node.size <- node.size - 1;
-  if node.is_leaf then begin
-    Array.blit node.keys (r + 1) node.keys r (node.nkeys - r - 1);
-    Array.blit node.vals (r + 1) node.vals r (node.nkeys - r - 1);
-    node.nkeys <- node.nkeys - 1
-  end
-  else begin
-    let rec locate () =
-      let i = ref 0 and r' = ref r in
-      while !r' >= node.children.(!i).size do
-        r' := !r' - node.children.(!i).size;
-        incr i
-      done;
-      if node.children.(!i).nkeys >= tdeg then (!i, !r')
-      else begin
-        fix_child tdeg node !i;
-        locate ()
-      end
-    in
-    let i, r' = locate () in
-    remove_at tdeg node.children.(i) r'
-  end
-
-let shrink_root t =
-  if (not t.root.is_leaf) && t.root.nkeys = 0 then t.root <- t.root.children.(0)
-
-let remove t ~key ~value =
-  let stop = rank_le t key in
-  let rec scan r =
-    if r >= stop then false
-    else begin
-      let _, v = nth t r in
-      if v = value then begin
-        remove_at t.tdeg t.root r;
-        shrink_root t;
-        t.length <- t.length - 1;
-        true
-      end
-      else scan (r + 1)
-    end
-  in
-  scan (rank_lt t key)
-
 let of_table table ~column =
   let t = create () in
   (* Typed column read: no Value.t is materialized during the build. *)
@@ -367,7 +226,7 @@ let height t =
 let check_invariants t =
   let exception Bad of string in
   let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-  (* Returns (depth, min_key, max_key) for non-empty subtrees. *)
+  (* Returns (depth, Some (smallest, largest) key) for non-empty subtrees. *)
   let rec check node ~is_root =
     let cap = (2 * t.tdeg) - 1 in
     if node.nkeys > cap then fail "node exceeds capacity";

@@ -11,8 +11,9 @@
       Olken's method for uniform sampling from an index: count, draw k,
       select.
 
-    All update operations keep counts exact, so sampling remains uniform
-    under insertion and deletion. *)
+    Insertion keeps counts exact, so sampling stays uniform as the tree
+    grows.  An index is built once ({!of_table}) and never shrinks: there
+    is no deletion. *)
 
 type t
 
@@ -25,12 +26,6 @@ val length : t -> int
 (** Total number of entries. *)
 
 val insert : t -> key:int -> value:int -> unit
-
-val remove : t -> key:int -> value:int -> bool
-(** Removes one entry matching both key and value; [false] if absent. *)
-
-val mem : t -> int -> bool
-(** Is some entry with this key present? *)
 
 val count_eq : t -> int -> int
 val count_range : t -> lo:int -> hi:int -> int
@@ -63,9 +58,6 @@ val probes : t -> int
     multicore races. *)
 
 val reset_probes : t -> unit
-
-val min_key : t -> int option
-val max_key : t -> int option
 
 val of_table : Wj_storage.Table.t -> column:int -> t
 (** Index all rows of a table on an integer column. *)

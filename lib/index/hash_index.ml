@@ -57,7 +57,3 @@ let reset_probes t = t.probes <- 0
 
 let distinct_keys t = Hashtbl.length t.buckets
 let total_entries t = t.entries
-
-let memory_words t =
-  (* Bucket headers plus one word per entry; a coarse but consistent gauge. *)
-  (Hashtbl.length t.buckets * 4) + (t.entries * 2)

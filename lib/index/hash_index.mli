@@ -12,11 +12,6 @@ val build : Wj_storage.Table.t -> column:int -> t
 (** Scan [table] and index the integer values of [column].
     Raises if a cell in the column is not [Int]. *)
 
-val create_empty : column:int -> t
-(** Empty index for incremental insertion. *)
-
-val insert : t -> key:int -> row:int -> unit
-
 val table_column : t -> int
 (** The column this index was built on. *)
 
@@ -45,5 +40,3 @@ val reset_probes : t -> unit
 
 val distinct_keys : t -> int
 val total_entries : t -> int
-val memory_words : t -> int
-(** Rough size in machine words, used by the buffer-pool cost model. *)

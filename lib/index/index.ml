@@ -61,45 +61,6 @@ let iter_range t ~lo ~hi f =
 let supports_range t =
   match t.kind with Hash _ -> false | Ordered _ | Trie _ -> true
 
-(* ---- Ordered distinct-key cursor -------------------------------------- *)
-
-type cursor =
-  | Btree_cursor of { b : Btree.t; mutable rank : int }
-  | Trie_cursor of Trie.cursor
-
-let cursor t =
-  match t.kind with
-  | Hash _ -> None
-  | Ordered b -> Some (Btree_cursor { b; rank = 0 })
-  | Trie tr ->
-    let lo, hi = Trie.root tr in
-    Some (Trie_cursor (Trie.cursor tr ~level:0 ~lo ~hi))
-
-let cursor_at_end = function
-  | Btree_cursor c -> c.rank >= Btree.length c.b
-  | Trie_cursor c -> Trie.at_end c
-
-let cursor_key = function
-  | Btree_cursor c -> fst (Btree.nth c.b c.rank)
-  | Trie_cursor c -> Trie.key c
-
-let cursor_count cur =
-  match cur with
-  | Btree_cursor c -> Btree.count_eq c.b (cursor_key cur)
-  | Trie_cursor c ->
-    let lo, hi = Trie.child c in
-    hi - lo
-
-let cursor_next cur =
-  match cur with
-  | Btree_cursor c -> c.rank <- c.rank + Btree.count_eq c.b (cursor_key cur)
-  | Trie_cursor c -> Trie.next c
-
-let cursor_seek cur k =
-  match cur with
-  | Btree_cursor c -> c.rank <- max c.rank (Btree.rank_lt c.b k)
-  | Trie_cursor c -> Trie.seek c k
-
 (* ---- Located probes: locate once, then select -------------------------- *)
 
 type located =

@@ -3,10 +3,9 @@
     Every consumer — walker, exact executor, optimizer, registry — speaks
     one capability surface: [count] ("how many neighbours does this tuple
     have?"), [nth] ("give me the k-th neighbour"), [locate] (both at
-    once, for the walker's step), [iter], and an ordered distinct-key
-    {!cursor} with [seek]/[next].  Equality edges
-    are served by any kind; band/range edges and cursors require an
-    ordered one (B+-tree or trie). *)
+    once, for the walker's step) and [iter].  Equality edges are served
+    by any kind; band/range edges require an ordered one (B+-tree or
+    trie).  Leapfrog walks distinct keys with {!Trie}'s own cursors. *)
 
 type kind =
   | Hash of Hash_index.t
@@ -51,26 +50,6 @@ val iter_range : t -> lo:int -> hi:int -> (int -> unit) -> unit
     Raises [Invalid_argument] on a hash index. *)
 
 val supports_range : t -> bool
-
-(** {2 Ordered distinct-key cursor}
-
-    Iterates the distinct keys of an ordered index in sorted order.
-    [seek] positions on the least key [>= k] and never moves backwards;
-    backed by slot binary searches on a trie and by rank/select descents
-    on a counted B+-tree. *)
-
-type cursor
-
-val cursor : t -> cursor option
-(** [None] on a hash index (no order to walk). *)
-
-val cursor_at_end : cursor -> bool
-val cursor_key : cursor -> int
-val cursor_count : cursor -> int
-(** Rows carrying the current key. *)
-
-val cursor_next : cursor -> unit
-val cursor_seek : cursor -> int -> unit
 
 (** {2 Located probes}
 

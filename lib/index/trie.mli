@@ -96,4 +96,3 @@ val probes : t -> int
 (** Lifetime narrow/seek count (one per binary-search operation). *)
 
 val reset_probes : t -> unit
-val memory_words : t -> int

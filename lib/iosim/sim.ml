@@ -45,9 +45,7 @@ let ripple_tracer t ~pos ~slot ~sequential =
 let charge_scan t ~rows = charge_seconds t (Cost_model.scan_seconds t.model ~rows)
 
 let warm t ~table ~rows =
-  (* Warming is meant to be invisible: detach any observer so the pre-load
-     does not show up as pool events, then drop the counters. *)
-  Buffer_pool.set_observer t.pool None;
+  (* Warming is meant to be invisible: drop the counters after the pre-load. *)
   let pages = Cost_model.pages_of_rows t.model rows in
   for page = 0 to pages - 1 do
     ignore (Buffer_pool.touch t.pool ~table ~page)
@@ -62,16 +60,6 @@ let export_gauges t m =
   g "pool.resident" (float_of_int (Buffer_pool.resident t.pool));
   g "pool.capacity" (float_of_int (Buffer_pool.capacity t.pool));
   g "sim.charged_seconds" t.charged
-
-let attach_pool_events t sink =
-  if Wj_obs.Sink.wants_events sink then
-    Buffer_pool.set_observer t.pool
-      (Some
-         (fun ~hit ~table ~page ->
-           Wj_obs.Sink.emit sink
-             (if hit then Wj_obs.Event.Pool_hit { table; page }
-              else Wj_obs.Event.Pool_miss { table; page })))
-  else Buffer_pool.set_observer t.pool None
 
 let sink ?metrics ?trace t =
   (* With a trace attached, every simulated I/O charge is also recorded
@@ -94,7 +82,7 @@ let sink ?metrics ?trace t =
           charge_seconds t (float_of_int cost *. t.model.Cost_model.index_level_cost))
     | Report _ | Stopped _ -> (
       match metrics with Some m -> export_gauges t m | None -> ())
-    | Walk_started | Walk_succeeded _ | Walk_failed _ | Pool_hit _ | Pool_miss _
+    | Walk_started | Walk_succeeded _ | Walk_failed _
     | Plan_chosen _ | Nontree_reject _ | Session_admitted _ | Session_started _
     | Session_report _ | Session_finished _ | Policy_pick _ ->
       ()

@@ -37,19 +37,8 @@ val sink : ?metrics:Wj_obs.Metrics.t -> ?trace:Wj_obs.Trace.t -> t -> Wj_obs.Sin
     trace rides in the returned sink so downstream producers (driver,
     scheduler) record their spans into the same buffer. *)
 
-val attach_pool_events : t -> Wj_obs.Sink.t -> unit
-(** Forward every buffer-pool access as a typed [Pool_hit] / [Pool_miss]
-    event into the sink's callback (no-op for sinks without one).  Replaces
-    any previously installed pool observer. *)
-
-val export_gauges : t -> Wj_obs.Metrics.t -> unit
-(** One-shot snapshot of the pool/clock gauges listed under {!sink}. *)
-
 val charge_scan : t -> rows:int -> unit
 (** Charge a full sequential table scan (full-join baseline). *)
-
-val charge_seconds : t -> float -> unit
-(** Charge arbitrary CPU work (e.g. per-combo processing). *)
 
 val charged_seconds : t -> float
 (** Total virtual time charged through this simulation since creation —
@@ -57,5 +46,4 @@ val charged_seconds : t -> float
 
 val warm : t -> table:int -> rows:int -> unit
 (** Pre-load a table's pages (sufficient-memory scenario), without charging
-    time, counting statistics, or emitting pool events (any observer
-    installed by {!attach_pool_events} is detached). *)
+    time or counting statistics. *)

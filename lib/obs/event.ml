@@ -6,8 +6,6 @@ type t =
   | Walk_failed of { depth : int; cost : int }
   | Index_probe of { pos : int; cost : int }
   | Row_access of { pos : int; row : int }
-  | Pool_hit of { table : int; page : int }
-  | Pool_miss of { table : int; page : int }
   | Plan_chosen of { description : string; granularity : string }
   | Nontree_reject of { pos : int; edge : string }
   | Report of Progress.t
@@ -34,8 +32,6 @@ let describe = function
   | Walk_failed { depth; cost } -> Printf.sprintf "walk_failed depth=%d cost=%d" depth cost
   | Index_probe { pos; cost } -> Printf.sprintf "index_probe pos=%d cost=%d" pos cost
   | Row_access { pos; row } -> Printf.sprintf "row_access pos=%d row=%d" pos row
-  | Pool_hit { table; page } -> Printf.sprintf "pool_hit table=%d page=%d" table page
-  | Pool_miss { table; page } -> Printf.sprintf "pool_miss table=%d page=%d" table page
   | Plan_chosen { description; granularity } ->
     Printf.sprintf "plan_chosen %s [%s]" description granularity
   | Nontree_reject { pos; edge } ->

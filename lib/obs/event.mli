@@ -2,7 +2,7 @@
 
     Every observable moment of the execution stack is one constructor:
     walk lifecycle (started / succeeded / failed-at-depth), physical
-    access (index probe, row access, buffer-pool hit/miss), and driver
+    access (index probe, row access), and driver
     milestones (plan chosen, report tick, stop reason).  They are the
     walker's only observation hook: the I/O simulator charges its
     virtual clock from the [Row_access] and [Index_probe] stream, in
@@ -25,8 +25,6 @@ type t =
       (** Probe against table position [pos]'s step index; [cost] in
           abstract index-entry accesses. *)
   | Row_access of { pos : int; row : int }  (** Tuple fetch. *)
-  | Pool_hit of { table : int; page : int }
-  | Pool_miss of { table : int; page : int }
   | Plan_chosen of { description : string; granularity : string }
       (** The driver picked a walk plan; [granularity] is the plan's
           index-granularity axis ({!Wj_core.Walk_plan.granularity}:

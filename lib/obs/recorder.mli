@@ -72,10 +72,6 @@ val series : t -> string -> (float * float) array option
 (** The retained [(elapsed, value)] trajectory of one family, if that
     family has been sampled. *)
 
-val series_names : t -> string list
-(** Series seen so far (including derived [".rate"] ones), in first-use
-    order. *)
-
 val to_json : t -> string
 (** The combined dump: [{"traceEvents":[...], "timeseries":{...},
     "convergence":{...}, "spans":{...}}]. *)

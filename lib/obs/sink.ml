@@ -19,7 +19,6 @@ let metrics t = t.metrics
 let trace t = t.trace
 let wants_events t = t.on_event <> None && t.full_events
 let wants_reports t = t.on_event <> None
-let is_noop t = t.on_event = None && t.metrics = None && t.trace = None
 
 let[@inline] emit t ev = match t.on_event with None -> () | Some f -> f ev
 

@@ -53,10 +53,6 @@ val wants_reports : t -> bool
     producers (report ticks, stop, session lifecycle, plan/policy picks)
     guard behind this.  Implied by {!wants_events}. *)
 
-val is_noop : t -> bool
-(** No callback, no metrics, no trace: producers may skip
-    instrumentation setup entirely. *)
-
 val emit : t -> Event.t -> unit
 (** Deliver one event to the callback, if any.  Hot paths must guard the
     event's construction behind {!wants_events} (milestone sites behind

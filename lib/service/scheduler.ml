@@ -87,9 +87,9 @@ and t = {
   mutable all : entry list;  (* every submission, reverse admission order *)
 }
 
-(* The submitter's handle: the entry (whose [result] is filled once the
-   session stops) and the scheduler it was submitted to. *)
-type session = { entry : entry; sched : t }
+(* The submitter's handle is the entry itself, whose [result] is filled
+   once the session stops. *)
+type session = entry
 
 let create ?(quantum = 256) ?(max_live = 4) ?(policy = Round_robin)
     ?(domains = 1) ?max_queued ?tenant_quota ?(sink = Sink.noop) ?clock () =
@@ -475,7 +475,7 @@ let drain_sharded t =
 let drain t =
   if t.domains > 1 && not (Queue.is_empty t.queue) then drain_sharded t;
   (* Single-domain path, and whatever is live on the main scheduler
-     itself (sessions already started by [tick]/[await] interleaving). *)
+     itself (sessions already started by interleaved [tick]s). *)
   drain_local t
 
 (* ---- Submission ------------------------------------------------------ *)
@@ -525,26 +525,18 @@ let submit t ?(label = "") ?deadline ?token ?tenant ?pin (cfg : Run_config.t) q
   t.all <- e :: t.all;
   account_submit t e;
   emit t (Event.Session_admitted { session = id; label });
-  { entry = e; sched = t }
+  e
 
 (* ---- Session handles ------------------------------------------------- *)
 
-let state s = s.entry.state
-let id s = s.entry.id
-let label s = s.entry.label
-let tenant s = s.entry.tenant
-let quanta s = s.entry.quanta
-let stop_reason s = s.entry.reason
-let cancel s = Token.cancel s.entry.token
-let result s = s.entry.result
-
-let await s =
-  if s.sched.domains > 1 then drain s.sched
-  else
-    while (not (is_terminal s.entry.state)) && tick s.sched do
-      ()
-    done;
-  result s
+let state s = s.state
+let id s = s.id
+let label s = s.label
+let tenant s = s.tenant
+let quanta s = s.quanta
+let stop_reason s = s.reason
+let cancel s = Token.cancel s.token
+let result s = s.result
 
 (* Long-running hosts (the wjd daemon) submit an unbounded stream of
    sessions; without pruning, [all] — kept only for {!sessions}

@@ -62,10 +62,6 @@ type policy =
           start, and sessions that expose no scalar CI — break by fewest
           quanta granted, then lowest id) *)
 
-val policy_name : policy -> string
-(** ["round_robin"] / ["widest_ci"] — the [policy] string of
-    [Policy_pick] events. *)
-
 (** {2 Admission control}
 
     Admission is bounded on two axes, both opt-in and both enforced at
@@ -265,11 +261,6 @@ val result : session -> Wj_core.Session.outcome option
 (** The driver outcome, once terminal.  Present for cancelled and
     deadline-exceeded sessions too (the estimate so far), except a
     session that never started. *)
-
-val await : session -> Wj_core.Session.outcome option
-(** Drive the {e whole} scheduler ({!tick}) until this session reaches a
-    terminal state, then return its {!result}.  Other live sessions keep
-    receiving their fair share of quanta meanwhile. *)
 
 type info = {
   info_id : int;

@@ -56,5 +56,4 @@ type statement = {
 
 val agg_name : agg_kind -> string
 val pp_expr : Format.formatter -> expr -> unit
-val pp_condition : Format.formatter -> condition -> unit
 val pp_statement : Format.formatter -> statement -> unit

@@ -55,8 +55,10 @@ val interval : t -> confidence:float -> float * float
 
 val merge : t -> t -> t
 (** Combine estimators of the same aggregate from independent, identically
-    distributed walk streams — the same plan, e.g. the per-domain streams
-    of a parallel run.  Streams of different plans are each unbiased but
-    have different per-walk variances, and the merged σ̃² is then dominated
-    by the worst of them; the optimizer's trial walks are not merged for
-    that reason.  Raises [Invalid_argument] when the aggregates differ. *)
+    distributed walk streams — the same plan, e.g. one query's walks run
+    on several domains or processes.  No driver merges today; it is kept
+    (and tested) as the merge step of a scatter-gather fleet.  Streams of
+    different plans are each unbiased but have different per-walk
+    variances, and the merged σ̃² is then dominated by the worst of them;
+    the optimizer's trial walks are not merged for that reason.  Raises
+    [Invalid_argument] when the aggregates differ. *)

@@ -16,9 +16,6 @@ type t =
           pool capacity in pages; one page holds
           {!Segment.default_rows_per_page} rows of one column. *)
 
-val default_dir : string
-(** ["_wjdata"]. *)
-
 val default_pool_pages : int
 (** [1024] — 256 KiB of 256-byte frames. *)
 
@@ -27,6 +24,7 @@ val page_bytes : int
     [Segment.default_rows_per_page * 8]. *)
 
 val paged : ?dir:string -> ?pool_pages:int -> unit -> t
+(** [dir] defaults to ["_wjdata"], [pool_pages] to {!default_pool_pages}. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -8,8 +8,8 @@
      of bytes faulted in from a registered read-through function, and the
      frame cannot be evicted while pinned.
 
-   Both modes share the hit/miss counters and the observer hook, so the
-   reconciliation identity accesses = hits + misses holds across either. *)
+   Both modes share the hit/miss counters, so the reconciliation identity
+   accesses = hits + misses holds across either. *)
 
 type node = {
   key : int * int;
@@ -31,7 +31,6 @@ type t = {
   mutable pinned_count : int;
   mutable hit_count : int;
   mutable miss_count : int;
-  mutable observer : (hit:bool -> table:int -> page:int -> unit) option;
 }
 
 let make_sentinel () =
@@ -56,7 +55,6 @@ let create ?(page_bytes = 256) ~capacity () =
     pinned_count = 0;
     hit_count = 0;
     miss_count = 0;
-    observer = None;
   }
 
 let capacity t = t.cap
@@ -73,9 +71,6 @@ let push_front t node =
   node.prev <- t.sentinel;
   t.sentinel.next.prev <- node;
   t.sentinel.next <- node
-
-let notify t ~hit ~table ~page =
-  match t.observer with None -> () | Some f -> f ~hit ~table ~page
 
 let drop_node t node =
   unlink node;
@@ -120,7 +115,6 @@ let touch t ~table ~page =
     t.hit_count <- t.hit_count + 1;
     unlink node;
     push_front t node;
-    notify t ~hit:true ~table ~page;
     true
   | None ->
     t.miss_count <- t.miss_count + 1;
@@ -128,7 +122,6 @@ let touch t ~table ~page =
     let node = { key; prev = t.sentinel; next = t.sentinel; pins = 0; frame = Bytes.empty } in
     Hashtbl.add t.table key node;
     push_front t node;
-    notify t ~hit:false ~table ~page;
     false
 
 (* ---- Pager mode ------------------------------------------------------- *)
@@ -162,7 +155,6 @@ let pin t ~file ~page =
       fault_in t node ~file ~page;
     if node.pins = 0 then t.pinned_count <- t.pinned_count + 1;
     node.pins <- node.pins + 1;
-    notify t ~hit:true ~table:file ~page;
     node.frame
   | None ->
     t.miss_count <- t.miss_count + 1;
@@ -172,7 +164,6 @@ let pin t ~file ~page =
     Hashtbl.add t.table key node;
     push_front t node;
     t.pinned_count <- t.pinned_count + 1;
-    notify t ~hit:false ~table:file ~page;
     node.frame
 
 let unpin t ~file ~page =
@@ -187,7 +178,6 @@ let contains t ~table ~page = Hashtbl.mem t.table (table, page)
 let hits t = t.hit_count
 let misses t = t.miss_count
 let accesses t = t.hit_count + t.miss_count
-let set_observer t obs = t.observer <- obs
 
 let reset_stats t =
   t.hit_count <- 0;

@@ -67,10 +67,6 @@ val hits : t -> int
 val misses : t -> int
 val accesses : t -> int
 
-val set_observer : t -> (hit:bool -> table:int -> page:int -> unit) option -> unit
-(** Observer fires on every [touch] and [pin]; for pager-mode accesses
-    [table] is the file id. *)
-
 val reset_stats : t -> unit
 
 (** {1 Eviction} *)

@@ -28,7 +28,6 @@ val bump_epoch : t -> unit
     epoch-keyed cache entry derived from this catalog. *)
 
 val table : t -> string -> Table.t option
-val table_exn : t -> string -> Table.t
 val tables : t -> Table.t list
 
 val map_tables : t -> (Table.t -> Table.t) -> t

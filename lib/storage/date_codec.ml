@@ -1,5 +1,3 @@
-let epoch_year = 1992
-
 let is_leap y = (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0
 
 let days_in_month y m =

@@ -3,9 +3,6 @@
     Dates are stored as integer day offsets from 1992-01-01, which makes
     them indexable by the ordered index and usable in band joins. *)
 
-val epoch_year : int
-(** 1992. *)
-
 val of_ymd : int -> int -> int -> int
 (** [of_ymd y m d]: day offset of the given Gregorian date.
     Raises [Invalid_argument] outside 1992-01-01 .. 1998-12-31. *)

@@ -8,7 +8,6 @@ module Walk_plan = Wj_core.Walk_plan
 module Walker = Wj_core.Walker
 module Optimizer = Wj_core.Optimizer
 module Online = Wj_core.Online
-module Parallel = Wj_core.Parallel
 module Run_config = Wj_core.Run_config
 module Engine = Wj_core.Engine
 module Decompose = Wj_core.Decompose
@@ -569,7 +568,7 @@ let test_optimizer_no_plans () =
 
 (* Trial walks pick the plan and nothing else: under [Optimize] the
    session's estimator, its walk count and its walk budget cover the
-   chosen plan's main-loop walks alone, in both drivers. *)
+   chosen plan's main-loop walks alone. *)
 let test_session_estimator_excludes_trials () =
   let q = chain_query () in
   let reg = Registry.build_for_query q in
@@ -578,14 +577,7 @@ let test_session_estimator_excludes_trials () =
   in
   Alcotest.(check bool) "Online ran trials" true (out.optimizer_walks > 64);
   Alcotest.(check int) "Online estimator walks" 64 (Estimator.n out.estimator);
-  Alcotest.(check int) "Online report walks" 64 out.final.walks;
-  let par =
-    Parallel.run_session ~domains:2 ~walks_per_domain:64
-      (Run_config.make ~seed:4 ~max_time:30.0 ())
-      q reg
-  in
-  Alcotest.(check int) "Parallel estimator walks" 128 (Estimator.n par.estimator);
-  Alcotest.(check int) "Parallel report walks" 128 par.final.walks
+  Alcotest.(check int) "Online report walks" 64 out.final.walks
 
 let test_online_converges_and_stops () =
   let q = chain_query () in

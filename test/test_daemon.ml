@@ -32,11 +32,11 @@ let catalog () = Wj_tpch.Generator.catalog (Lazy.force dataset)
 let bits = Int64.bits_of_float
 
 (* Start a daemon on an ephemeral port, run [f], always stop it. *)
-let with_daemon ?quantum ?max_live ?max_queued ?tenant_quota ?cache_min_cost
-    ?trace_capacity ?access_log ?slow_query_ms ?default_time catalog f =
+let with_daemon ?quantum ?max_live ?max_queued ?tenant_quota ?trace_capacity
+    ?access_log ?slow_query_ms ?default_time catalog f =
   let d =
-    Daemon.create ?quantum ?max_live ?max_queued ?tenant_quota ?cache_min_cost
-      ?trace_capacity ?access_log ?slow_query_ms ?default_time ~port:0 catalog
+    Daemon.create ?quantum ?max_live ?max_queued ?tenant_quota ?trace_capacity
+      ?access_log ?slow_query_ms ?default_time ~port:0 catalog
   in
   Daemon.start d;
   Fun.protect ~finally:(fun () -> Daemon.stop d) (fun () -> f d)
@@ -413,19 +413,25 @@ let test_cache_lru_unit () =
   let m = Metrics.create () in
   let c = Estimate_cache.create ~capacity:2 m in
   let e epoch = { Estimate_cache.results = Json.Null; epoch } in
-  Estimate_cache.store c ~key:"a" (e 0);
-  Estimate_cache.store c ~key:"b" (e 0);
+  let store ?cost key = Estimate_cache.store c ~key ?cost (e 0) in
+  Alcotest.(check bool) "a stored" true (store "a");
+  Alcotest.(check bool) "b stored" true (store "b");
   ignore (Estimate_cache.find c ~key:"a" ~epoch:0);
   (* "b" is now least recently used; inserting "c" evicts it. *)
-  Estimate_cache.store c ~key:"c" (e 0);
+  Alcotest.(check bool) "c stored" true (store "c");
   Alcotest.(check int) "capacity held" 2 (Estimate_cache.length c);
   Alcotest.(check bool) "a survived" true (Estimate_cache.find c ~key:"a" ~epoch:0 <> None);
   Alcotest.(check bool) "b evicted" true (Estimate_cache.find c ~key:"b" ~epoch:0 = None);
   (* Stale entries are evicted and counted separately from misses. *)
   Alcotest.(check bool) "c stale at epoch 1" true (Estimate_cache.find c ~key:"c" ~epoch:1 = None);
+  (* Admission: exact answers below 10,000 rows visited are skipped. *)
+  Alcotest.(check bool) "below floor skipped" false (store ~cost:9_999 "d");
+  Alcotest.(check bool) "at floor stored" true (store ~cost:10_000 "e");
+  Alcotest.(check bool) "d absent" true (Estimate_cache.find c ~key:"d" ~epoch:0 = None);
   let snap = Snapshot.of_metrics m in
   Alcotest.(check int) "evictions" 1 (Snapshot.counter_value snap "cache.evictions");
-  Alcotest.(check int) "stale" 1 (Snapshot.counter_value snap "cache.stale")
+  Alcotest.(check int) "stale" 1 (Snapshot.counter_value snap "cache.stale");
+  Alcotest.(check int) "skipped" 1 (Snapshot.counter_value snap "cache.skipped_cheap")
 
 (* ---- disconnect cancels ------------------------------------------------- *)
 
@@ -765,8 +771,11 @@ let test_obs_bit_for_bit () =
           (match jflt "exponent" fit with Some e -> e < 0.0 | None -> false)
       | None -> Alcotest.fail "no convergence fit in slow-query line")
 
-(* Sub-millisecond exact answers are not worth caching: the admission
-   floor skips them (and counts the skip); a zero floor admits them. *)
+(* Exact answers below the admission floor (10,000 rows visited) are not
+   worth caching: the cache skips them and counts the skip.  An exact join
+   above the floor (orders ⋈ lineitem visits ~37,500 rows at SF 0.005) is
+   admitted and its repeat hits.  Admission reads the executor's row
+   count, not the clock, so the outcome does not depend on load. *)
 let test_cache_skip_cheap () =
   let sql = "SELECT COUNT(*) FROM region" in
   with_daemon (catalog ()) (fun d ->
@@ -779,13 +788,13 @@ let test_cache_skip_cheap () =
       let m = Http.fetch (Daemon.url d ^ "/metrics") in
       let _, samples = parse_exposition m.Http.resp_body in
       Alcotest.(check bool) "skips counted" true
-        (sum_family samples "wj_cache_skipped_cheap" >= 2.0));
-  with_daemon ~cache_min_cost:0.0 (catalog ()) (fun d ->
-      let _, l1 = query d sql in
-      Alcotest.(check (option bool)) "zero floor: first computes" (Some false)
+        (sum_family samples "wj_cache_skipped_cheap" >= 2.0);
+      let join = "SELECT COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey" in
+      let _, l1 = query d join in
+      Alcotest.(check (option bool)) "above floor: first computes" (Some false)
         (jbool "cached" (final_of l1));
-      let _, l2 = query d sql in
-      Alcotest.(check (option bool)) "zero floor: repeat hits" (Some true)
+      let _, l2 = query d join in
+      Alcotest.(check (option bool)) "above floor: repeat hits" (Some true)
         (jbool "cached" (final_of l2)))
 
 (* ---- statement normalization -------------------------------------------- *)

@@ -1,7 +1,6 @@
 (* Tests for the paper's Section-7 extensions and the I/O-format modules:
-   stratified group-by, cardinality estimation, the parallel driver,
-   run-to-completion, CSV import/export, the dbgen .tbl loader, and SQL
-   band joins. *)
+   stratified group-by, cardinality estimation, run-to-completion, CSV
+   import/export, the dbgen .tbl loader, and SQL band joins. *)
 
 module Query = Wj_core.Query
 module Registry = Wj_core.Registry
@@ -9,7 +8,6 @@ module Online = Wj_core.Online
 module Run_config = Wj_core.Run_config
 module Stratified = Wj_core.Stratified
 module Cardinality = Wj_core.Cardinality
-module Parallel = Wj_core.Parallel
 module Exact = Wj_exec.Exact
 module Complete = Wj_exec.Complete
 module Table = Wj_storage.Table
@@ -186,70 +184,6 @@ let test_cardinality_suggest_order () =
     let r0 = Exact.aggregate q reg in
     Alcotest.(check (float 1e-6)) "same result" r0.value r.value
   | None -> Alcotest.fail "suggested order not walkable"
-
-(* ---- Parallel --------------------------------------------------------- *)
-
-let test_parallel_matches_exact () =
-  let q = chain_query_3 11 in
-  let reg = Registry.build_for_query q in
-  let exact = (Exact.aggregate q reg).value in
-  let out =
-    Parallel.run_session ~domains:2 ~walks_per_domain:30_000
-      (Run_config.make ~seed:3 ~max_time:1.0 ())
-      q reg
-  in
-  Alcotest.(check int) "two domains" 2 out.domains_used;
-  Alcotest.(check int) "per-domain walks recorded" 2 (Array.length out.per_domain_walks);
-  Array.iter
-    (fun w -> Alcotest.(check bool) "every domain worked" true (w > 0))
-    out.per_domain_walks;
-  Alcotest.(check bool)
-    (Printf.sprintf "parallel %.1f ~ %.1f" out.final.estimate exact)
-    true
-    (Float.abs (out.final.estimate -. exact)
-    < (4.0 *. out.final.half_width) +. (0.05 *. Float.abs exact));
-  Alcotest.(check bool) "walks merged" true
-    (out.final.walks >= Array.fold_left ( + ) 0 out.per_domain_walks)
-
-(* With one domain, a fixed plan and a batch-1 engine, the parallel driver
-   is the online driver on a relabelled seed: worker 0 draws from
-   [par_seed + 1_000_003] where the online driver draws from
-   [seed lxor 0x4F4E4C], and merging the single worker estimator into the
-   empty seed estimator is the identity.  Estimates and CIs must match bit
-   for bit. *)
-let parallel_online_equiv =
-  let q = chain_query_3 21 in
-  let reg = Registry.build_for_query q in
-  let plan = List.hd (Wj_core.Walk_plan.enumerate ~max_plans:1 q reg) in
-  QCheck.Test.make ~name:"parallel domains:1 batch:1 = online (fixed seed)" ~count:8
-    QCheck.(pair (int_range 0 100_000) (int_range 50 400))
-    (fun (pseed, walks) ->
-      let par =
-        Parallel.run_session ~domains:1 ~walks_per_domain:walks
-          (Run_config.make ~seed:pseed ~batch:1 ~max_time:60.0
-             ~plan_choice:(Online.Fixed plan) ())
-          q reg
-      in
-      let oseed = (pseed + 1_000_003) lxor 0x4F4E4C in
-      let onl =
-        Online.run_session
-          (Run_config.make ~seed:oseed ~max_walks:walks ~max_time:60.0
-             ~plan_choice:(Online.Fixed plan) ())
-          q reg
-      in
-      let bits = Int64.bits_of_float in
-      par.final.walks = onl.final.walks
-      && par.final.successes = onl.final.successes
-      && Int64.equal (bits par.final.estimate) (bits onl.final.estimate)
-      && Int64.equal (bits par.final.half_width) (bits onl.final.half_width))
-
-let test_parallel_validation () =
-  let q = chain_query_3 13 in
-  let reg = Registry.build_for_query q in
-  Alcotest.check_raises "domains >= 1" (Invalid_argument "Parallel.run_session: domains must be >= 1")
-    (fun () ->
-      ignore
-        (Parallel.run_session ~domains:0 (Run_config.make ~max_time:0.01 ()) q reg))
 
 (* ---- Complete (run to completion) ------------------------------------- *)
 
@@ -613,12 +547,6 @@ let () =
           Alcotest.test_case "subquery" `Quick test_cardinality_subquery;
           Alcotest.test_case "estimate" `Slow test_cardinality_estimate;
           Alcotest.test_case "suggest_order" `Slow test_cardinality_suggest_order;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "matches exact" `Slow test_parallel_matches_exact;
-          Alcotest.test_case "validation" `Quick test_parallel_validation;
-          QCheck_alcotest.to_alcotest parallel_online_equiv;
         ] );
       ( "complete",
         [ Alcotest.test_case "returns exact" `Slow test_complete_returns_exact ] );

@@ -63,8 +63,8 @@ let test_btree_empty () =
   let t = Btree.create () in
   Alcotest.(check int) "length" 0 (Btree.length t);
   Alcotest.(check int) "count" 0 (Btree.count_range t ~lo:min_int ~hi:max_int);
-  Alcotest.(check bool) "min" true (Btree.min_key t = None);
-  Alcotest.(check bool) "max" true (Btree.max_key t = None);
+  Alcotest.(check bool) "no entry" true
+    (Btree.nth_in_range t ~lo:min_int ~hi:max_int 0 = None);
   check_inv t
 
 let test_btree_sequential () =
@@ -78,8 +78,8 @@ let test_btree_sequential () =
   Alcotest.(check int) "count half" 500 (Btree.count_range t ~lo:0 ~hi:499);
   Alcotest.(check int) "count one" 1 (Btree.count_eq t 42);
   Alcotest.(check bool) "nth" true (Btree.nth t 42 = (42, 420));
-  Alcotest.(check bool) "min" true (Btree.min_key t = Some 0);
-  Alcotest.(check bool) "max" true (Btree.max_key t = Some 999);
+  Alcotest.(check int) "min" 0 (fst (Btree.nth t 0));
+  Alcotest.(check int) "max" 999 (fst (Btree.nth t 999));
   Alcotest.(check int) "rank_lt" 500 (Btree.rank_lt t 500)
 
 let test_btree_reverse_and_duplicates () =
@@ -118,44 +118,6 @@ let test_btree_iter_range () =
   (* keys are emitted in order *)
   let keys = List.rev_map fst !collected in
   Alcotest.(check bool) "sorted" true (List.sort compare keys = keys)
-
-let test_btree_remove_simple () =
-  let t = Btree.create ~min_degree:2 () in
-  for i = 0 to 99 do
-    Btree.insert t ~key:i ~value:i
-  done;
-  for i = 0 to 99 do
-    if i mod 2 = 0 then
-      Alcotest.(check bool) "removed" true (Btree.remove t ~key:i ~value:i)
-  done;
-  check_inv t;
-  Alcotest.(check int) "length" 50 (Btree.length t);
-  Alcotest.(check bool) "odd kept" true (Btree.mem t 51);
-  Alcotest.(check bool) "even gone" false (Btree.mem t 50);
-  Alcotest.(check bool) "remove absent" false (Btree.remove t ~key:50 ~value:50)
-
-let test_btree_remove_duplicates_by_value () =
-  let t = Btree.create ~min_degree:2 () in
-  for v = 0 to 9 do
-    Btree.insert t ~key:7 ~value:v
-  done;
-  Alcotest.(check bool) "remove value 4" true (Btree.remove t ~key:7 ~value:4);
-  Alcotest.(check int) "count" 9 (Btree.count_eq t 7);
-  Alcotest.(check bool) "4 gone" false (Btree.remove t ~key:7 ~value:4);
-  check_inv t
-
-let test_btree_drain () =
-  let t = Btree.create ~min_degree:2 () in
-  let n = 500 in
-  for i = 0 to n - 1 do
-    Btree.insert t ~key:(i * 7 mod 101) ~value:i
-  done;
-  for i = 0 to n - 1 do
-    Alcotest.(check bool) "removed" true (Btree.remove t ~key:(i * 7 mod 101) ~value:i);
-    if i mod 50 = 0 then check_inv t
-  done;
-  Alcotest.(check int) "empty" 0 (Btree.length t);
-  check_inv t
 
 let test_btree_sample_uniform () =
   let t = Btree.create () in
@@ -200,24 +162,22 @@ let test_btree_extreme_keys () =
   Btree.insert t ~key:0 ~value:3;
   Alcotest.(check int) "all" 3 (Btree.count_range t ~lo:min_int ~hi:max_int);
   Alcotest.(check int) "upper half" 2 (Btree.count_range t ~lo:0 ~hi:max_int);
-  Alcotest.(check bool) "max key present" true (Btree.mem t max_int)
+  Alcotest.(check bool) "max key present" true (Btree.count_eq t max_int = 1)
 
 (* ---- Btree: property tests vs a reference model ---------------------- *)
 
-type op = Ins of int * int | Del of int * int | CountRange of int * int
+type op = Ins of int * int | CountRange of int * int
 
 let op_gen =
   QCheck.Gen.(
     frequency
       [
         (6, map2 (fun k v -> Ins (k, v)) (int_range 0 60) (int_range 0 1000));
-        (3, map2 (fun k v -> Del (k, v)) (int_range 0 60) (int_range 0 1000));
         (2, map2 (fun a b -> CountRange (min a b, max a b)) (int_range 0 60) (int_range 0 60));
       ])
 
 let op_print = function
   | Ins (k, v) -> Printf.sprintf "Ins(%d,%d)" k v
-  | Del (k, v) -> Printf.sprintf "Del(%d,%d)" k v
   | CountRange (a, b) -> Printf.sprintf "Count(%d,%d)" a b
 
 let btree_vs_model =
@@ -235,22 +195,6 @@ let btree_vs_model =
           | Ins (k, v) ->
             Btree.insert t ~key:k ~value:v;
             model := (k, v) :: !model
-          | Del (k, v) ->
-            let in_model = List.mem (k, v) !model in
-            let removed = Btree.remove t ~key:k ~value:v in
-            if removed <> in_model then ok := false;
-            if in_model then begin
-              let dropped = ref false in
-              model :=
-                List.filter
-                  (fun e ->
-                    if (not !dropped) && e = (k, v) then begin
-                      dropped := true;
-                      false
-                    end
-                    else true)
-                  !model
-            end
           | CountRange (lo, hi) ->
             let expected =
               List.length (List.filter (fun (k, _) -> k >= lo && k <= hi) !model)
@@ -327,10 +271,6 @@ let () =
           Alcotest.test_case "reverse + duplicates" `Quick test_btree_reverse_and_duplicates;
           Alcotest.test_case "nth_in_range" `Quick test_btree_nth_in_range;
           Alcotest.test_case "iter_range" `Quick test_btree_iter_range;
-          Alcotest.test_case "remove simple" `Quick test_btree_remove_simple;
-          Alcotest.test_case "remove duplicates by value" `Quick
-            test_btree_remove_duplicates_by_value;
-          Alcotest.test_case "drain" `Quick test_btree_drain;
           Alcotest.test_case "sample uniform" `Slow test_btree_sample_uniform;
           Alcotest.test_case "of_table" `Quick test_btree_of_table;
           Alcotest.test_case "min_degree validation" `Quick test_btree_min_degree_validation;
