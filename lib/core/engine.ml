@@ -63,9 +63,9 @@ let turn t prng (slot : slot) =
     slot.depth <- 0;
     slot.cost <- 0;
     match Walker.advance_start t.prepared prng slot.path with
-    | Walker.Advanced f ->
+    | Walker.Advanced ->
       slot.cost <- Walker.phase_cost t.prepared;
-      slot.inv_p <- f;
+      slot.inv_p <- Walker.phase_factor t.prepared;
       slot.depth <- 1;
       if t.nsteps = 0 then
         finish t slot (Walker.Success { path = slot.path; inv_p = slot.inv_p })
@@ -80,9 +80,9 @@ let turn t prng (slot : slot) =
   else begin
     let i = slot.next_step in
     match Walker.advance_step t.prepared prng slot.path i with
-    | Walker.Advanced f ->
+    | Walker.Advanced ->
       slot.cost <- slot.cost + Walker.phase_cost t.prepared;
-      slot.inv_p <- slot.inv_p *. f;
+      slot.inv_p <- slot.inv_p *. Walker.phase_factor t.prepared;
       slot.depth <- slot.depth + 1;
       if i + 1 >= t.nsteps then
         finish t slot (Walker.Success { path = slot.path; inv_p = slot.inv_p })

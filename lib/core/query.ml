@@ -338,10 +338,14 @@ let check_join t cond path =
   | Eq -> lv = rv
   | Band { lo; hi } -> rv - lv >= lo && rv - lv <= hi
 
+let join_key_lo cond ~from_left v =
+  match cond.op with Eq -> v | Band { lo; hi } -> if from_left then v + lo else v - hi
+
+let join_key_hi cond ~from_left v =
+  match cond.op with Eq -> v | Band { lo; hi } -> if from_left then v + hi else v - lo
+
 let join_key_range cond ~from_left v =
-  match cond.op with
-  | Eq -> (v, v)
-  | Band { lo; hi } -> if from_left then (v + lo, v + hi) else (v - hi, v - lo)
+  (join_key_lo cond ~from_left v, join_key_hi cond ~from_left v)
 
 let flip cond =
   let op =

@@ -125,6 +125,11 @@ val join_key_range : join_cond -> from_left:bool -> int -> int * int
     tuples on the other side must fall in, given the bound side's value.
     [from_left] means the left side is bound and we look up the right. *)
 
+val join_key_lo : join_cond -> from_left:bool -> int -> int
+val join_key_hi : join_cond -> from_left:bool -> int -> int
+(** The two ends of {!join_key_range}, without the pair: a walk step reads
+    them and allocates nothing. *)
+
 val flip : join_cond -> join_cond
 (** Same condition with sides swapped (Band bounds negated and swapped). *)
 

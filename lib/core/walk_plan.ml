@@ -141,7 +141,7 @@ let of_order q registry order =
    Eligibility: the step's tree edge must be Eq (its key pins trie level
    0 to a single node), folded Eq edges pin one level each, and at most
    one Band edge may be folded per step, ordered last (a key *range* is
-   only a valid narrow at the final level, see {!Wj_index.Trie.narrow}). *)
+   only a valid narrow at the final level, see {!Wj_index.Trie.narrow_start}). *)
 let foldable_edges q (plan : t) =
   let k = Query.k q in
   let rank = Array.make k (-1) in

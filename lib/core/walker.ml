@@ -48,9 +48,13 @@ type start_sampler =
   | Olken of { index : Index.t; lo : int; hi : int }
 
 type phase =
-  | Advanced of float
+  | Advanced
   | Dead_unbound
   | Dead_bound
+
+(* An all-float record is stored flat, so writing its field boxes nothing
+   (a float field of [prepared] itself would allocate on every store). *)
+type factor = { mutable value : float }
 
 (* A compiled non-tree join check, carrying what per-edge reject
    attribution needs: the edge's label, its dedicated counter (when
@@ -84,6 +88,7 @@ type compiled_step = {
   row_checks : (int -> bool) array; (* predicates on the step's table *)
   path_checks : path_check array; (* non-tree joins due after this step *)
   isect : compiled_isec option;
+  located : Index.located; (* the step's locate buffer, reused every walk *)
 }
 
 type prepared = {
@@ -103,6 +108,7 @@ type prepared = {
   trace : Wj_obs.Trace.t option; (* full-tracing span buffer, off by default *)
   mutable last_steps : int;
   mutable phase_cost : int; (* abstract cost of the most recent phase *)
+  factor : factor; (* HT factor of the most recent [Advanced] phase *)
 }
 
 (* Integer range implied by a sargable predicate, if any. *)
@@ -252,6 +258,7 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
           row_checks = Query.compile_predicates q step.into;
           path_checks = compiled_checks_at.(i + 1);
           isect = compile_isect step;
+          located = Index.locator step.index;
         })
       plan.steps
   in
@@ -272,6 +279,7 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
     trace = Wj_obs.Sink.trace sink;
     last_steps = 0;
     phase_cost = 0;
+    factor = { value = 0.0 };
   }
 
 let start_cardinality t = t.start_count
@@ -320,30 +328,36 @@ let record_outcome t ~cost outcome =
     | Success _ -> f (Wj_obs.Event.Walk_succeeded { cost })
     | Failure { depth } -> f (Wj_obs.Event.Walk_failed { depth; cost }))
 
+(* The sampled start row, or -1 when there is none to sample. *)
 let sample_start t prng =
   match t.start with
   | Uniform { table } ->
     let n = Table.length table in
-    if n = 0 then None else Some (Prng.int prng n)
+    if n = 0 then -1 else Prng.int prng n
   | Olken { index; lo; hi } ->
-    if t.start_count = 0 then None
-    else Some (Index.nth_range index ~lo ~hi (Prng.int prng t.start_count))
+    if t.start_count = 0 then -1
+    else Index.nth_range index ~lo ~hi (Prng.int prng t.start_count)
 
 (* Short-circuiting conjunction over compiled checks (the array preserves
-   the predicate-list order the boxed path evaluated in). *)
+   the predicate-list order the boxed path evaluated in).  Loops, not
+   recursive closures, so a check allocates nothing. *)
 let all_row_checks (checks : (int -> bool) array) row =
   let n = Array.length checks in
-  let rec go i = i >= n || (checks.(i) row && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && checks.(!i) row do
+    incr i
+  done;
+  !i = n
 
 (* Index of the first failing non-tree check, or -1 when all pass — the
    failing edge is what the per-edge reject attribution charges. *)
 let first_failing_check (checks : path_check array) path =
   let n = Array.length checks in
-  let rec go i =
-    if i >= n then -1 else if checks.(i).pc_check path then go (i + 1) else i
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && checks.(!i).pc_check path do
+    incr i
+  done;
+  if !i = n then -1 else !i
 
 (* Attribute a non-tree reject: aggregate counter, the edge's own counter,
    and (when the sink wants events) a [Nontree_reject] with the label. *)
@@ -365,13 +379,13 @@ let reject_empty t =
   Dead_unbound
 
 (* Bind and vet the start tuple into [path].  The abstract cost of the
-   attempt is left in [t.phase_cost]. *)
+   attempt is left in [t.phase_cost], the start factor in [t.factor]. *)
 let advance_start t prng path =
   t.phase_cost <- 0;
   let result =
-    match sample_start t prng with
-    | None -> reject_empty t
-    | Some row ->
+    let row = sample_start t prng in
+    if row < 0 then reject_empty t
+    else begin
       t.phase_cost <-
         (match t.start with
         | Uniform _ -> 1
@@ -381,7 +395,10 @@ let advance_start t prng path =
       path.(start_pos) <- row;
       if all_row_checks t.start_checks row then begin
         let fail = first_failing_check t.start_path_checks path in
-        if fail < 0 then Advanced (float_of_int t.start_count)
+        if fail < 0 then begin
+          t.factor.value <- float_of_int t.start_count;
+          Advanced
+        end
         else begin
           let pc = t.start_path_checks.(fail) in
           note_nontree_reject t ~pos:start_pos ~label:pc.pc_label
@@ -393,6 +410,7 @@ let advance_start t prng path =
         (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_pred);
         Dead_unbound
       end
+    end
   in
   (match t.stats with
   | None -> ()
@@ -410,7 +428,10 @@ let bind_and_vet t c path ~row ~d =
   path.(step.Walk_plan.into) <- row;
   if all_row_checks c.row_checks row then begin
     let fail = first_failing_check c.path_checks path in
-    if fail < 0 then Advanced (float_of_int d)
+    if fail < 0 then begin
+      t.factor.value <- float_of_int d;
+      Advanced
+    end
     else begin
       let pc = c.path_checks.(fail) in
       note_nontree_reject t ~pos:step.Walk_plan.into ~label:pc.pc_label
@@ -438,13 +459,13 @@ let advance_step t prng path i =
       let cost = Index.count_cost step.index in
       note_index_probe t step.into cost;
       t.phase_cost <- cost;
-      let located =
-        match cond.op with
-        | Query.Eq -> Index.locate_eq step.index v
-        | Query.Band _ ->
-          let lo, hi = Query.join_key_range cond ~from_left:true v in
-          Index.locate_range step.index ~lo ~hi
-      in
+      let located = c.located in
+      (match cond.op with
+      | Query.Eq -> Index.locate_eq located v
+      | Query.Band _ ->
+        Index.locate_range located
+          ~lo:(Query.join_key_lo cond ~from_left:true v)
+          ~hi:(Query.join_key_hi cond ~from_left:true v));
       let d = Index.located_count located in
       if d = 0 then reject_empty t
       else begin
@@ -462,8 +483,9 @@ let advance_step t prng path i =
       note_index_probe t step.into ci.ci_cost;
       t.phase_cost <- ci.ci_cost;
       let tr = ci.ci_trie in
-      let lo, hi = Wj_index.Trie.root tr in
-      let lo, hi = Wj_index.Trie.narrow tr ~level:0 ~lo ~hi ~klo:v ~khi:v in
+      let n = Wj_index.Trie.length tr in
+      let lo = Wj_index.Trie.narrow_start tr ~level:0 ~lo:0 ~hi:n v in
+      let hi = Wj_index.Trie.upper_bound tr ~level:0 ~lo ~hi:n v in
       if lo >= hi then reject_empty t
       else begin
         let nfolds = Array.length ci.ci_key in
@@ -472,9 +494,12 @@ let advance_step t prng path i =
         let l = ref 0 in
         while !failed < 0 && !l < nfolds do
           let ov = ci.ci_key.(!l) path.(ci.ci_other.(!l)) in
-          let nlo, nhi =
-            Wj_index.Trie.narrow tr ~level:(!l + 1) ~lo:!slo ~hi:!shi
-              ~klo:(ov + ci.ci_lo.(!l)) ~khi:(ov + ci.ci_hi.(!l))
+          let level = !l + 1 in
+          let nlo =
+            Wj_index.Trie.narrow_start tr ~level ~lo:!slo ~hi:!shi (ov + ci.ci_lo.(!l))
+          in
+          let nhi =
+            Wj_index.Trie.upper_bound tr ~level ~lo:nlo ~hi:!shi (ov + ci.ci_hi.(!l))
           in
           if nlo >= nhi then failed := !l
           else begin
@@ -515,10 +540,10 @@ let walk_impl t prng =
   | Dead_bound ->
     t.last_steps <- t.phase_cost;
     Failure { depth = 1 }
-  | Advanced f ->
+  | Advanced ->
     let steps = ref t.phase_cost in
     let depth = ref 1 in
-    let inv_p = ref f in
+    let inv_p = ref t.factor.value in
     let ok = ref true in
     (* Walk the remaining tables (plans over a decomposition component have
        fewer steps than k - 1). *)
@@ -526,8 +551,8 @@ let walk_impl t prng =
     let i = ref 0 in
     while !ok && !i < nsteps do
       (match advance_step t prng path !i with
-      | Advanced f ->
-        inv_p := !inv_p *. f;
+      | Advanced ->
+        inv_p := !inv_p *. t.factor.value;
         incr depth
       | Dead_unbound -> ok := false
       | Dead_bound ->
@@ -547,4 +572,5 @@ let walk t prng =
 
 let steps_of_last_walk t = t.last_steps
 let phase_cost t = t.phase_cost
+let phase_factor t = t.factor.value
 let value_of t path = t.extract path

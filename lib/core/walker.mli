@@ -69,10 +69,9 @@ val walk : prepared -> Wj_util.Prng.t -> outcome
     reproduces [walk] bit for bit. *)
 
 type phase =
-  | Advanced of float
+  | Advanced
       (** One more table bound and vetted; multiply the walk's running
-          [inv_p] by the factor (the start phase's factor is the start
-          cardinality, a step's factor is the neighbour count d). *)
+          [inv_p] by {!phase_factor}. *)
   | Dead_unbound
       (** The walk died without vetting the attempted table (empty
           neighbour set, or a predicate rejected the sampled row): the
@@ -105,6 +104,14 @@ val advance_step : prepared -> Wj_util.Prng.t -> int array -> int -> phase
 val phase_cost : prepared -> int
 (** Abstract cost (index-entry accesses + tuple fetches) of the most
     recent [advance_start]/[advance_step] call. *)
+
+val phase_factor : prepared -> float
+(** The Horvitz–Thompson factor of the most recent phase that returned
+    [Advanced]: the start cardinality after [advance_start], the neighbour
+    count d after [advance_step].  Kept in [prepared], like
+    {!phase_cost}, so that neither phase allocates: a walk step boxes no
+    float, builds no probe result (it locates into a buffer the step
+    owns) and runs its checks in loops. *)
 
 val note_walk_started : prepared -> unit
 (** Emit [Walk_started] to the sink, if it wants events.  {!walk} calls

@@ -43,6 +43,7 @@ type t = {
   access_log : out_channel option;
   close_log : bool;  (* the channel was opened here, close it on stop *)
   log_mu : Mutex.t;
+  mutable log_closed : bool;  (* under [log_mu]: [stop] closed the log file *)
   slow_query_ms : float;
   (* one shared-index thread across every request, as in Engine.serve *)
   shared : (Wj_core.Query.t * Wj_core.Registry.t) option ref;
@@ -192,6 +193,7 @@ let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
     access_log = access_log_chan;
     close_log;
     log_mu = Mutex.create ();
+    log_closed = false;
     slow_query_ms;
     shared = ref None;
     routes;
@@ -405,16 +407,21 @@ let error_body code msg =
 
 (* ---- structured access log -------------------------------------------- *)
 
+(* Handler threads outlive [stop], which closes a log file the daemon
+   opened: a line that arrives after that is dropped, never written to a
+   closed channel.  The caller's channel (stderr) stays open and keeps
+   taking lines. *)
 let log_request t fields =
   match t.access_log with
   | None -> ()
   | Some oc ->
     let line = Json.to_string (Json.Obj fields) in
-    Mutex.lock t.log_mu;
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    Mutex.unlock t.log_mu
+    Mutex.protect t.log_mu (fun () ->
+        if not t.log_closed then begin
+          output_string oc line;
+          output_char oc '\n';
+          flush oc
+        end)
 
 (* Failed requests log a short line: no statement was executed, so the
    execution fields would all be vacuous. *)
@@ -925,5 +932,11 @@ let stop t =
   List.iter Thread.join t.threads;
   t.threads <- [];
   match t.access_log with
-  | Some oc -> if t.close_log then close_out_noerr oc else (try flush oc with Sys_error _ -> ())
+  | Some oc when t.close_log ->
+    Mutex.protect t.log_mu (fun () ->
+        if not t.log_closed then begin
+          t.log_closed <- true;
+          close_out_noerr oc
+        end)
+  | Some oc -> Mutex.protect t.log_mu (fun () -> try flush oc with Sys_error _ -> ())
   | None -> ()

@@ -107,5 +107,8 @@ val wait : t -> unit
 
 val stop : t -> unit
 (** Stop accepting, stop the scheduler thread, close the listening
-    socket and join both threads.  In-flight handler threads finish
-    their current response on their own.  Idempotent. *)
+    socket and join both threads, then close an access-log file (stderr
+    is only flushed).  In-flight handler threads finish their current
+    response on their own; an access-log line they write after the file
+    is closed is dropped, while with ["-"] it still goes to stderr.
+    Idempotent. *)

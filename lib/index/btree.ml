@@ -159,32 +159,36 @@ let rank_le t k =
   t.probes <- t.probes + 1;
   if k = max_int then t.length else rank_lt_node t.root (k + 1)
 
-let rec nth_node node r =
-  if node.is_leaf then (node.keys.(r), node.vals.(r))
+(* Descend to the leaf holding rank [r] and read slot [i] of it with [f]. *)
+let rec nth_node node r f =
+  if node.is_leaf then f node r
   else begin
     let i = ref 0 and r = ref r in
     while !r >= node.children.(!i).size do
       r := !r - node.children.(!i).size;
       incr i
     done;
-    nth_node node.children.(!i) !r
+    nth_node node.children.(!i) !r f
   end
 
 let nth t r =
   if r < 0 || r >= t.length then invalid_arg "Btree.nth: rank out of range";
   t.probes <- t.probes + 1;
-  nth_node t.root r
+  nth_node t.root r (fun leaf i -> (leaf.keys.(i), leaf.vals.(i)))
+
+let nth_value t r =
+  if r < 0 || r >= t.length then invalid_arg "Btree.nth_value: rank out of range";
+  t.probes <- t.probes + 1;
+  nth_node t.root r (fun leaf i -> leaf.vals.(i))
 
 let count_range t ~lo ~hi = if lo > hi then 0 else rank_le t hi - rank_lt t lo
 let count_eq t k = count_range t ~lo:k ~hi:k
 
 let nth_in_range t ~lo ~hi k =
-  if lo > hi || k < 0 then None
-  else begin
-    let base = rank_lt t lo in
-    let avail = rank_le t hi - base in
-    if k >= avail then None else Some (nth t (base + k))
-  end
+  if lo > hi || k < 0 then invalid_arg "Btree.nth_in_range: out of range";
+  let base = rank_lt t lo in
+  if k >= rank_le t hi - base then invalid_arg "Btree.nth_in_range: out of range";
+  nth_value t (base + k)
 
 let rec iter_range_node node ~lo ~hi f =
   if node.is_leaf then begin

@@ -42,16 +42,22 @@ val nth : t -> int -> (int * int)
     insertion order at the leaf level). Raises [Invalid_argument] when out
     of range. *)
 
-val nth_in_range : t -> lo:int -> hi:int -> int -> (int * int) option
-(** [nth_in_range t ~lo ~hi k]: the k-th entry among those with
-    lo <= key <= hi, or [None] when fewer than k+1 qualify. *)
+val nth_value : t -> int -> int
+(** The value (row id) of the entry of global rank [r]: {!nth} without the
+    key, and without allocating.  One descent; raises [Invalid_argument]
+    when out of range. *)
+
+val nth_in_range : t -> lo:int -> hi:int -> int -> int
+(** [nth_in_range t ~lo ~hi k]: the value (row id) of the k-th entry among
+    those with lo <= key <= hi.  Three descents, no allocation; raises
+    [Invalid_argument] when fewer than k+1 qualify. *)
 
 val iter_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [iter_range t ~lo ~hi f] calls [f key value] on qualifying entries in
     key order. *)
 
 val probes : t -> int
-(** Number of root-to-leaf query descents ([rank_lt]/[rank_le]/[nth]/
+(** Number of root-to-leaf query descents ([rank_lt]/[rank_le]/[nth]/[nth_value]/
     [iter_range] and everything built on them: [count_range] costs two
     descents, [nth_in_range] three) since the build or the last
     {!reset_probes}.  An always-on plain-int counter; approximate under

@@ -26,9 +26,8 @@ let nth_eq t key k =
   match t.kind with
   | Hash h -> Hash_index.nth h key k
   | Ordered b -> (
-    match Btree.nth_in_range b ~lo:key ~hi:key k with
-    | Some (_, row) -> row
-    | None -> invalid_arg "Index.nth_eq: out of range")
+    try Btree.nth_in_range b ~lo:key ~hi:key k
+    with Invalid_argument _ -> invalid_arg "Index.nth_eq: out of range")
   | Trie tr -> Trie.nth_eq tr key k
 
 let count_range t ~lo ~hi =
@@ -41,9 +40,8 @@ let nth_range t ~lo ~hi k =
   match t.kind with
   | Hash _ -> invalid_arg "Index.nth_range: hash index cannot answer ranges"
   | Ordered b -> (
-    match Btree.nth_in_range b ~lo ~hi k with
-    | Some (_, row) -> row
-    | None -> invalid_arg "Index.nth_range: out of range")
+    try Btree.nth_in_range b ~lo ~hi k
+    with Invalid_argument _ -> invalid_arg "Index.nth_range: out of range")
   | Trie tr -> Trie.nth_range tr ~lo ~hi k
 
 let iter_eq t key f =
@@ -63,61 +61,64 @@ let supports_range t =
 
 (* ---- Located probes: locate once, then select -------------------------- *)
 
-type located =
-  | L_empty
-  | L_bucket of int Wj_util.Vec.t
-  | L_ranked of { b : Btree.t; base : int; count : int }
-  | L_slots of { tr : Trie.t; lo : int; count : int }
+(* A hash group and a trie slot range are one shape: the located rows are
+   [span.(lo) .. span.(lo + count - 1)].  A B+-tree has no row array, so
+   its [lo] is the base rank and a select descends from the root. *)
+type located = {
+  src : kind;
+  span : int array; (* the hash index's or trie's rows; [||] for a B+-tree *)
+  mutable lo : int;
+  mutable count : int;
+}
 
-(* Two rank descents: the base rank and the count fall out of the same
-   pair ([rank_le hi - rank_lt lo]), so a located ordered probe is exactly
-   the [2 x height] that [count_cost] charges. *)
-let locate_ranked b ~lo ~hi =
-  if lo > hi then L_empty
-  else begin
-    let base = Btree.rank_lt b lo in
-    let count = Btree.rank_le b hi - base in
-    if count = 0 then L_empty else L_ranked { b; base; count }
-  end
+let locator t =
+  let span =
+    match t.kind with
+    | Hash h -> Hash_index.rows h
+    | Trie tr -> Trie.rows tr
+    | Ordered _ -> [||]
+  in
+  { src = t.kind; span; lo = 0; count = 0 }
 
-let locate_eq t key =
-  match t.kind with
-  | Hash h -> (
-    match Hash_index.find h key with
-    | None -> L_empty
-    | Some rows -> L_bucket rows)
-  | Ordered b -> locate_ranked b ~lo:key ~hi:key
+(* One level-0 narrow from the trie's root, or two rank descents: the base
+   rank and the count fall out of the same pair ([rank_le hi - rank_lt
+   lo]), so a located ordered probe is exactly the [2 x height] that
+   [count_cost] charges. *)
+let locate_range l ~lo ~hi =
+  match l.src with
+  | Ordered b ->
+    if lo > hi then l.count <- 0
+    else begin
+      let base = Btree.rank_lt b lo in
+      l.lo <- base;
+      l.count <- Btree.rank_le b hi - base
+    end
   | Trie tr ->
-    let rlo, rhi = Trie.root tr in
-    let lo, hi = Trie.narrow tr ~level:0 ~lo:rlo ~hi:rhi ~klo:key ~khi:key in
-    if hi <= lo then L_empty else L_slots { tr; lo; count = hi - lo }
-
-let locate_range t ~lo ~hi =
-  match t.kind with
+    let n = Trie.length tr in
+    let slo = Trie.narrow_start tr ~level:0 ~lo:0 ~hi:n lo in
+    l.lo <- slo;
+    l.count <- Trie.upper_bound tr ~level:0 ~lo:slo ~hi:n hi - slo
   | Hash _ -> invalid_arg "Index.locate_range: hash index cannot answer ranges"
-  | Ordered b -> locate_ranked b ~lo ~hi
-  | Trie tr ->
-    let rlo, rhi = Trie.root tr in
-    let slo, shi = Trie.narrow tr ~level:0 ~lo:rlo ~hi:rhi ~klo:lo ~khi:hi in
-    if shi <= slo then L_empty
-    else L_slots { tr; lo = slo; count = shi - slo }
 
-let located_count = function
-  | L_empty -> 0
-  | L_bucket rows -> Wj_util.Vec.length rows
-  | L_ranked { count; _ } -> count
-  | L_slots { count; _ } -> count
+let locate_eq l key =
+  match l.src with
+  | Hash h ->
+    let g = Hash_index.group h key in
+    if g < 0 then l.count <- 0
+    else begin
+      let lo = Hash_index.offset h g in
+      l.lo <- lo;
+      l.count <- Hash_index.offset h (g + 1) - lo
+    end
+  | Ordered _ | Trie _ -> locate_range l ~lo:key ~hi:key
+
+let located_count l = l.count
 
 let located_nth l k =
-  match l with
-  | L_empty -> invalid_arg "Index.located_nth: empty probe"
-  | L_bucket rows -> Wj_util.Vec.get rows k
-  | L_ranked { b; base; count } ->
-    if k < 0 || k >= count then invalid_arg "Index.located_nth: out of range";
-    snd (Btree.nth b (base + k))
-  | L_slots { tr; lo; count } ->
-    if k < 0 || k >= count then invalid_arg "Index.located_nth: out of range";
-    Trie.row tr (lo + k)
+  if k < 0 || k >= l.count then invalid_arg "Index.located_nth: out of range";
+  match l.src with
+  | Ordered b -> Btree.nth_value b (l.lo + k)
+  | Hash _ | Trie _ -> Array.unsafe_get l.span (l.lo + k)
 
 (* ---- Cost and accounting ---------------------------------------------- *)
 
@@ -141,8 +142,8 @@ let count_cost t =
   | Trie tr -> Trie.levels tr * ceil_log2 (Trie.length tr)
 
 (* The marginal cost of selecting the k-th row out of an already-located
-   probe: a located hash bucket or trie slot range selects with a plain
-   array read (0); a counted B+-tree still needs its select descent
+   probe: a located hash group or trie slot range selects with one span
+   read (0); a counted B+-tree still needs its select descent
    ([height]). *)
 let resolve_cost t =
   match t.kind with Hash _ -> 0 | Ordered b -> Btree.height b | Trie _ -> 0

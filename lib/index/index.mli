@@ -21,7 +21,7 @@ val build_ordered : Wj_storage.Table.t -> column:int -> t
 
 val build_trie : Wj_storage.Table.t -> columns:int list -> t
 (** Multi-column sorted trie; lookups below address the first column,
-    deeper levels serve {!Trie.narrow} pre-intersection and leapfrog.
+    deeper levels serve {!Trie.narrow_start} pre-intersection and leapfrog.
     Raises [Invalid_argument] on an empty column list. *)
 
 val as_trie : t -> Trie.t option
@@ -53,22 +53,32 @@ val supports_range : t -> bool
 
 (** {2 Located probes}
 
-    A walk step locates the physical structure that answers its probe
-    (hash bucket, B+-tree base rank, trie slot range) once, reads the
-    neighbour count off it, and selects the drawn row out of it.
+    A walk step locates the rows that answer its probe once, reads the
+    neighbour count off the locate, and selects the drawn row out of it.
+    Hash groups and trie level-0 slot ranges are one shape, a span: a
+    slice of the index's own row array, so a select is one array read.  A
+    B+-tree has no row array; it locates a base rank and a select descends
+    from the root.
+
+    The locate writes into a caller-owned {!located} made once per index
+    with {!locator}, so a walk step allocates nothing.
     [located_nth l k] returns the same row id as [nth_eq]/[nth_range]
     with the same key and [k]. *)
 
 type located
-(** An answered count plus the address of the rows that back it.  Valid
-    as long as the index is not rebuilt. *)
+(** A locate buffer bound to one index: after a locate, an answered count
+    and the address of the rows that back it.  Valid as long as the index
+    is not rebuilt; each locate overwrites the previous one. *)
 
-val locate_eq : t -> int -> located
-(** Locate the rows matching a key: one bucket lookup (hash), two rank
+val locator : t -> located
+(** A fresh buffer for the index's locates, holding an empty probe. *)
+
+val locate_eq : located -> int -> unit
+(** Locate the rows matching a key: one directory lookup (hash), two rank
     descents (B+-tree: the base rank and the count), one level-0 narrow
     (trie).  Counted as a [count]-style probe by {!probes}. *)
 
-val locate_range : t -> lo:int -> hi:int -> located
+val locate_range : located -> lo:int -> hi:int -> unit
 (** Range variant.  Raises [Invalid_argument] on a hash index. *)
 
 val located_count : located -> int
@@ -81,7 +91,7 @@ val located_nth : located -> int -> int
 
 val resolve_cost : t -> int
 (** Abstract cost of {!located_nth} given an already-located probe: 0 for
-    hash and trie (plain array read), [height] for a B+-tree (the select
+    hash and trie (a span read), [height] for a B+-tree (the select
     descent).  A walk step is charged [count_cost + resolve_cost]. *)
 
 (** {2 Cost and accounting} *)
@@ -94,7 +104,7 @@ val probe_cost : t -> int
 val count_cost : t -> int
 (** Abstract cost of one {e counted} lookup (a {!locate_eq}), the
     first half of a walk step.  This is where the structures genuinely differ: 1 for hash
-    (bucket length is stored); [2 x height] for a counted B+-tree — a
+    (a group's length is two adjacent offsets); [2 x height] for a counted B+-tree — a
     range count is two rank descents ([rank_le - rank_lt]), which the old
     flat-descent [probe_cost] under-charged; [key columns x ceil(log2 n)]
     for a trie (one binary search per level of the narrow chain).  Feeds
@@ -103,7 +113,7 @@ val count_cost : t -> int
     units). *)
 
 val probes : t -> int
-(** Lifetime query-probe count of the underlying physical index (bucket
+(** Lifetime query-probe count of the underlying physical index (directory
     lookups for hash, root-to-leaf descents for ordered, binary searches
     for trie).  Always on; the observability layer snapshots these into
     gauges. *)

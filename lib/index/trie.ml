@@ -21,6 +21,7 @@ let levels t = Array.length t.columns
 let length t = Array.length t.rows
 let columns t = Array.copy t.columns
 let row t slot = t.rows.(slot)
+let rows t = t.rows
 let probes t = t.probes
 let reset_probes t = t.probes <- 0
 
@@ -76,13 +77,9 @@ let upper_bound t ~level ~lo ~hi k =
   done;
   !l
 
-let narrow t ~level ~lo ~hi ~klo ~khi =
+let narrow_start t ~level ~lo ~hi klo =
   t.probes <- t.probes + 1;
-  let nlo = lower_bound t ~level ~lo ~hi klo in
-  let nhi = upper_bound t ~level ~lo:nlo ~hi khi in
-  (nlo, nhi)
-
-let root t = (0, length t)
+  lower_bound t ~level ~lo ~hi klo
 
 (* ---- Distinct-key cursor ---------------------------------------------- *)
 
@@ -116,22 +113,29 @@ let seek c k =
 
 (* ---- Level-0 single-column index operations --------------------------- *)
 
+(* Each narrows the root once: the first slot with key >= klo, counted as
+   the probe, then the end of the run of keys <= khi from there. *)
+
 let count_range t ~lo:klo ~hi:khi =
-  let lo, hi = narrow t ~level:0 ~lo:0 ~hi:(length t) ~klo ~khi in
-  hi - lo
+  let n = length t in
+  let lo = narrow_start t ~level:0 ~lo:0 ~hi:n klo in
+  upper_bound t ~level:0 ~lo ~hi:n khi - lo
 
 let count_eq t k = count_range t ~lo:k ~hi:k
 
 let nth_range t ~lo:klo ~hi:khi i =
-  let lo, hi = narrow t ~level:0 ~lo:0 ~hi:(length t) ~klo ~khi in
-  if i < 0 || lo + i >= hi then invalid_arg "Trie.nth_range: out of range";
+  let n = length t in
+  let lo = narrow_start t ~level:0 ~lo:0 ~hi:n klo in
+  if i < 0 || lo + i >= upper_bound t ~level:0 ~lo ~hi:n khi then
+    invalid_arg "Trie.nth_range: out of range";
   t.rows.(lo + i)
 
 let nth_eq t k i = nth_range t ~lo:k ~hi:k i
 
 let iter_range t ~lo:klo ~hi:khi f =
-  let lo, hi = narrow t ~level:0 ~lo:0 ~hi:(length t) ~klo ~khi in
-  for s = lo to hi - 1 do
+  let n = length t in
+  let lo = narrow_start t ~level:0 ~lo:0 ~hi:n klo in
+  for s = lo to upper_bound t ~level:0 ~lo ~hi:n khi - 1 do
     f t.rows.(s)
   done
 

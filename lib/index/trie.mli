@@ -11,8 +11,8 @@
 
     Two access styles share the structure:
 
-    - {!narrow} refines a node by a key range at the next level — the
-      walker's constraint pre-intersection stacks one [narrow] per folded
+    - {!narrow_start} refines a node by a key range at the next level — the
+      walker's constraint pre-intersection stacks one narrow per folded
       non-tree edge and samples uniformly from the surviving slot range;
     - {!cursor} iterates the distinct keys of a node in sorted order with
       [seek]/[next] — the leapfrog intersection primitive of the
@@ -39,16 +39,22 @@ val columns : t -> int array
 val row : t -> int -> int
 (** [row t slot]: row id stored at a sorted slot. *)
 
-val root : t -> int * int
-(** The whole-trie slot range [(0, length)] — the level-0 node. *)
+val rows : t -> int array
+(** The row ids in slot order.  The trie's own storage: read it, never
+    write it. *)
 
-val narrow : t -> level:int -> lo:int -> hi:int -> klo:int -> khi:int -> int * int
-(** [narrow t ~level ~lo ~hi ~klo ~khi]: the sub-range of slots in
-    [[lo, hi)] whose level-[level] key lies in [[klo, khi]].  [[lo, hi)]
-    must be a node at [level] (level keys sorted), which holds for the
-    root at level 0 and for any range produced by narrowing level
-    [level - 1] to a single key.  A key {e range} is therefore only valid
-    as the last narrowing step (band edges order last). *)
+val narrow_start : t -> level:int -> lo:int -> hi:int -> int -> int
+(** Narrowing a node to the slots whose level-[level] key lies in
+    [[klo, khi]] takes two binary searches:
+    [let nlo = narrow_start t ~level ~lo ~hi klo] is the first slot in
+    [[lo, hi)] with key [>= klo], counted as the narrow's one probe, and
+    [upper_bound t ~level ~lo:nlo ~hi khi] ends the narrowed range.
+    [[lo, hi)] must be a node at [level] (level keys sorted), which holds
+    for the root [[0, length)] at level 0 and for any range produced by
+    narrowing level [level - 1] to a single key.  A key {e range} is
+    therefore only valid as the last narrowing step (band edges order
+    last).  Two ints, no pair, so a walk step narrows without
+    allocating. *)
 
 val lower_bound : t -> level:int -> lo:int -> hi:int -> int -> int
 (** First slot in [[lo, hi)] with level key [>= k] (binary search). *)

@@ -151,7 +151,7 @@ let pool_add q pool row =
       match Hashtbl.find_opt h v with
       | Some vec -> Vec.push vec idx
       | None ->
-        let vec = Vec.create ~capacity:4 () in
+        let vec = Vec.create () in
         Vec.push vec idx;
         Hashtbl.add h v vec)
     pool.lookups

@@ -40,7 +40,7 @@ let create ?(capacity = 1024) ~name ~schema () =
           Scol
             {
               ids = Int_vec.create ~capacity ();
-              pool = Wj_util.Vec.create ~capacity:16 ();
+              pool = Wj_util.Vec.create ();
               dict = Hashtbl.create 64;
             })
   in

@@ -5,7 +5,13 @@
     xoshiro256** seeded via splitmix64, which is both fast and of high
     statistical quality — important here because wander join's unbiasedness
     argument assumes the per-step choices are (close to) independent
-    uniforms. *)
+    uniforms.
+
+    Drawing is allocation-free: the state is a 32-byte buffer read and
+    written through unboxed [int64] primitives, so {!int}, {!float},
+    {!bool} and {!bernoulli} allocate nothing on the OCaml heap.  Only
+    {!bits64} boxes its [int64] result.  A walk step draws through {!int},
+    so the walker's hot path stays off the minor heap. *)
 
 type t
 (** Mutable generator state. *)
@@ -26,7 +32,8 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound); requires [bound > 0].
-    Uses rejection sampling, so there is no modulo bias. *)
+    Uses rejection sampling, so there is no modulo bias; the rejection
+    loop is a plain loop, not a closure. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
 (** Uniform on the inclusive range [lo, hi]; requires [lo <= hi]. *)

@@ -1,10 +1,8 @@
+(* Storage is allocated lazily on the first push, 16 slots: a polymorphic
+   array cannot be pre-sized without a witness element. *)
 type 'a t = { mutable data : 'a array; mutable len : int }
 
-let create ?(capacity = 16) () =
-  ignore (max capacity 1);
-  (* Storage is allocated lazily on first push; we cannot pre-size a
-     polymorphic array without a witness element. *)
-  { data = [||]; len = 0 }
+let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0

@@ -5,7 +5,10 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
+(** An empty vector.  The first push allocates 16 slots; later growth
+    doubles. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a

@@ -853,11 +853,12 @@ let test_step_cost_charged_once () =
       let prng = Prng.create 17 in
       let path = Array.make 2 (-1) in
       (match Walker.advance_start prepared prng path with
-      | Walker.Advanced _ -> ()
+      | Walker.Advanced -> ()
       | Walker.Dead_unbound | Walker.Dead_bound -> Alcotest.fail "start cannot fail");
       Index.reset_probes index;
       (match Walker.advance_step prepared prng path 0 with
-      | Walker.Advanced d -> Alcotest.(check (float 0.0)) (kind ^ " d") 1.0 d
+      | Walker.Advanced ->
+        Alcotest.(check (float 0.0)) (kind ^ " d") 1.0 (Walker.phase_factor prepared)
       | Walker.Dead_unbound | Walker.Dead_bound -> Alcotest.fail "step cannot fail");
       Alcotest.(check int) (kind ^ " index probes per step") probes (Index.probes index);
       Alcotest.(check int) (kind ^ " phase cost") step_cost (Walker.phase_cost prepared);
@@ -878,6 +879,36 @@ let test_step_cost_charged_once () =
       ("ordered", Index.build_ordered s2 ~column:0, 3);
       ("trie", Index.build_trie s2 ~columns:[ 0 ], 1);
     ]
+
+(* The walk step allocates nothing: over every Q7 plan, a walk's minor
+   allocation is its fresh [path] array and its outcome block (7 + 5
+   words for a success, 7 + 2 for a failure; a Q7 walk mostly fails).
+   Minor words are deterministic, unlike wall time, so this is the walk
+   cost a test can pin. *)
+let test_walk_allocation () =
+  let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
+  let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q7 d in
+  let reg = Wj_tpch.Queries.registry q in
+  let plans = Walk_plan.enumerate q reg in
+  Alcotest.(check bool) "Q7 has plans" true (List.length plans > 1);
+  List.iter
+    (fun plan ->
+      let prepared = Walker.prepare q reg plan in
+      let prng = Prng.create 7 in
+      for _ = 1 to 100 do
+        ignore (Sys.opaque_identity (Walker.walk prepared prng))
+      done;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Walker.walk prepared prng))
+      done;
+      let per_walk = (Gc.minor_words () -. w0) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per walk <= 12"
+           (Walk_plan.describe q plan) per_walk)
+        true (per_walk <= 12.0))
+    plans
 
 (* Observing a batched run must not move a PRNG draw: a metrics + events
    sink on or off leaves every TPC-H shape's batch-8 run bit-identical. *)
@@ -1124,6 +1155,8 @@ let () =
           Alcotest.test_case "dead ends fail" `Quick test_walker_dead_end_fails;
           Alcotest.test_case "band join" `Slow test_walker_band_join;
           Alcotest.test_case "eager vs lazy checks" `Slow test_walker_eager_vs_lazy_checks;
+          Alcotest.test_case "a Q7 walk allocates only its path and outcome" `Quick
+            test_walk_allocation;
         ] );
       ( "optimizer",
         [

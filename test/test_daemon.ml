@@ -771,6 +771,95 @@ let test_obs_bit_for_bit () =
           (match jflt "exponent" fit with Some e -> e < 0.0 | None -> false)
       | None -> Alcotest.fail "no convergence fit in slow-query line")
 
+(* [stop] closes the access log while handler threads it does not join
+   may still be writing to it.  Here one request is mid-stream and a
+   second has sent only part of its body when the daemon stops; the second
+   then completes, fails to parse and logs its failure after the log is
+   closed.  That line must be dropped: no handler thread may die with
+   [Sys_error], and every line in the file must be whole. *)
+let test_stop_closes_log () =
+  let log_file = Filename.temp_file "wj_access" ".jsonl" in
+  let died = ref [] in
+  let died_mu = Mutex.create () in
+  Thread.set_uncaught_exception_handler (fun e ->
+      Mutex.protect died_mu (fun () -> died := Printexc.to_string e :: !died));
+  let connect d =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.port d));
+    fd
+  in
+  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  let read_all fd =
+    let buf = Bytes.create 4096 and out = Buffer.create 256 in
+    let rec go () =
+      match Unix.read fd buf 0 4096 with
+      | 0 -> ()
+      | n ->
+        Buffer.add_subbytes out buf 0 n;
+        go ()
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    in
+    go ();
+    Buffer.contents out
+  in
+  let post_head body =
+    Printf.sprintf "POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: %d\r\n\r\n"
+      (String.length body)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.set_uncaught_exception_handler Thread.default_uncaught_exception_handler;
+      Sys.remove log_file)
+    (fun () ->
+      let d = Daemon.create ~quantum:256 ~access_log:log_file ~port:0 (catalog ()) in
+      Daemon.start d;
+      (* A logged request that completes before the stop. *)
+      let resp, _ = query d "SELECT FROM" in
+      Alcotest.(check int) "parse error" 400 resp.Http.status;
+      (* Mid-stream: a long COUNT whose first chunk has arrived. *)
+      let streaming = connect d in
+      let body =
+        Json.to_string
+          (Json.Obj
+             (("sql", Json.Str "SELECT ONLINE COUNT(*) FROM orders, lineitem \
+                                WHERE o_orderkey = l_orderkey")
+             :: slow_extra))
+      in
+      send streaming (post_head body ^ body);
+      let buf = Bytes.create 1024 in
+      Alcotest.(check bool) "stream started" true (Unix.read streaming buf 0 1024 > 0);
+      (* Half a request: its handler waits for the rest of the body. *)
+      let pending = connect d in
+      let bad = Json.to_string (Json.Obj [ ("sql", Json.Str "SELECT FROM nowhere") ]) in
+      let half = String.length bad / 2 in
+      send pending (post_head bad ^ String.sub bad 0 half);
+      (* Connections are accepted in order: once this answers, the
+         half-sent request has its handler thread. *)
+      ignore (Http.fetch (Daemon.url d ^ "/health"));
+      Daemon.stop d;
+      send pending (String.sub bad half (String.length bad - half));
+      let answer = read_all pending in
+      Unix.close pending;
+      Unix.close streaming;
+      Alcotest.(check bool) "late request answered" true
+        (String.length answer > 0
+        && String.sub answer 0 (min 12 (String.length answer)) = "HTTP/1.1 400");
+      Alcotest.(check (list string)) "no handler thread died" []
+        (Mutex.protect died_mu (fun () -> !died));
+      let ic = open_in log_file in
+      let rec lines acc =
+        match input_line ic with l -> lines (l :: acc) | exception End_of_file -> List.rev acc
+      in
+      let lines = lines [] in
+      close_in ic;
+      Alcotest.(check bool) "the early request is logged" true (lines <> []);
+      List.iter
+        (fun l ->
+          match Json.parse l with
+          | j -> Alcotest.(check bool) "line has an outcome" true (jstr "outcome" j <> None)
+          | exception Json.Parse_error msg -> Alcotest.failf "torn log line %S: %s" l msg)
+        lines)
+
 (* Exact answers below the admission floor (10,000 rows visited) are not
    worth caching: the cache skips them and counts the skip.  An exact join
    above the floor (orders ⋈ lineitem visits ~37,500 rows at SF 0.005) is
@@ -865,6 +954,8 @@ let () =
             `Quick test_obs_bit_for_bit;
           Alcotest.test_case "cache admission skips cheap exact answers" `Quick
             test_cache_skip_cheap;
+          Alcotest.test_case "stop mid-stream drops late access-log lines" `Quick
+            test_stop_closes_log;
         ] );
       ( "normalization",
         [ Alcotest.test_case "statement normal form" `Quick test_normalization ] );

@@ -35,15 +35,25 @@ let test_hash_build_count_nth () =
 let draw_located prng l =
   Index.located_nth l (Prng.int prng (Index.located_count l))
 
+let located_eq idx key =
+  let l = Index.locator idx in
+  Index.locate_eq l key;
+  l
+
+let located_range idx ~lo ~hi =
+  let l = Index.locator idx in
+  Index.locate_range l ~lo ~hi;
+  l
+
 let test_hash_sample () =
   let t = small_table [ (1, 0); (1, 0); (2, 0) ] in
   let idx = Index.build_hash t ~column:0 in
   let prng = Prng.create 3 in
   for _ = 1 to 50 do
-    let row = draw_located prng (Index.locate_eq idx 1) in
+    let row = draw_located prng (located_eq idx 1) in
     Alcotest.(check bool) "row matches" true (row = 0 || row = 1)
   done;
-  Alcotest.(check int) "absent" 0 (Index.located_count (Index.locate_eq idx 42))
+  Alcotest.(check int) "absent" 0 (Index.located_count (located_eq idx 42))
 
 let test_hash_iter () =
   let t = small_table [ (5, 0); (5, 0); (6, 0) ] in
@@ -51,6 +61,104 @@ let test_hash_iter () =
   let seen = ref [] in
   Hash_index.iter_key h 5 (fun r -> seen := r :: !seen);
   Alcotest.(check (list int)) "rows" [ 1; 0 ] !seen
+
+(* ---- Hash_index and located probes against a per-key model ----------- *)
+
+(* Keys drawn so that columns repeat keys, hit both ends of the int range
+   and spread over wide values. *)
+let key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-20) 20);
+        (1, return min_int);
+        (1, return max_int);
+        (1, map (fun k -> k * 1024) (int_range (-8) 8));
+        (1, int);
+      ])
+
+let column_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return []);
+        (1, map2 (fun k n -> List.init n (fun _ -> k)) key_gen (int_range 1 200));
+        (1, map (fun n -> List.init n (fun i -> (i * 7919) - 100_000)) (int_range 1 300));
+        (5, list_size (int_range 0 300) key_gen);
+      ])
+
+let column_arb =
+  QCheck.make
+    ~print:QCheck.Print.(pair (list int) (list int))
+    QCheck.Gen.(pair column_gen (list_size (int_range 0 10) key_gen))
+
+(* [model] maps each key to its rows in row order; a key absent from the
+   column maps to []. *)
+let hash_matches_model (column, probes) =
+  let t = small_table (List.map (fun k -> (k, 0)) column) in
+  let keyed = List.mapi (fun row k -> (k, row)) column in
+  let model k = List.filter_map (fun (k', row) -> if k' = k then Some row else None) keyed in
+  let distinct = List.sort_uniq compare column in
+  let h = Hash_index.build t ~column:0 in
+  let kinds =
+    [
+      ("hash", Index.build_hash t ~column:0);
+      ("ordered", Index.build_ordered t ~column:0);
+      ("trie", Index.build_trie t ~columns:[ 0 ]);
+    ]
+  in
+  let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  if Hash_index.distinct_keys h <> List.length distinct then fail "distinct_keys";
+  if Hash_index.total_entries h <> List.length column then fail "total_entries";
+  List.iter
+    (fun k ->
+      let rows = model k in
+      let d = List.length rows in
+      if Hash_index.count h k <> d then fail "count %d" k;
+      List.iteri (fun i r -> if Hash_index.nth h k i <> r then fail "nth %d %d" k i) rows;
+      if not (raises (fun () -> Hash_index.nth h k d)) then fail "nth %d past the end" k;
+      if not (raises (fun () -> Hash_index.nth h k (-1))) then fail "nth %d -1" k;
+      let seen = ref [] in
+      Hash_index.iter_key h k (fun r -> seen := r :: !seen);
+      if List.rev !seen <> rows then fail "iter_key %d" k;
+      List.iter
+        (fun (kind, idx) ->
+          let l = Index.locator idx in
+          Index.locate_eq l k;
+          if Index.located_count l <> d then fail "%s located_count %d" kind k;
+          let located = List.init d (Index.located_nth l) in
+          List.iteri
+            (fun i r -> if Index.nth_eq idx k i <> r then fail "%s nth_eq %d %d" kind k i)
+            located;
+          (* Hash groups and trie runs list a key's rows in row order; a
+             B+-tree orders ties by its own splits. *)
+          let expect = if kind = "ordered" then List.sort compare located else located in
+          if expect <> rows then fail "%s located rows of %d" kind k;
+          if not (raises (fun () -> Index.located_nth l d)) then
+            fail "%s located_nth %d past the end" kind k)
+        kinds)
+    (distinct @ probes);
+  true
+
+let hash_vs_model =
+  QCheck.Test.make ~name:"hash index and located probes agree with a per-key model"
+    ~count:300 column_arb hash_matches_model
+
+(* The edge cases the generator may miss, checked every run. *)
+let test_hash_model_edges () =
+  let check name column probes =
+    match hash_matches_model (column, probes) with
+    | true -> ()
+    | false -> Alcotest.fail name
+    | exception QCheck.Test.Test_fail (_, msgs) ->
+      Alcotest.failf "%s: %s" name (String.concat "; " msgs)
+  in
+  check "no rows" [] [ 0; min_int; max_int ];
+  check "one key on every row" (List.init 100 (fun _ -> 5)) [ 4; 6 ];
+  check "all distinct" (List.init 1000 (fun i -> (i * 7919) - 100_000)) [ 1; -1 ];
+  check "extreme keys" [ min_int; max_int; -1; 0; min_int; max_int; -1 ] [ 1; min_int + 1 ];
+  check "colliding multiples" (List.init 500 (fun i -> (i mod 50) lsl 40)) [ 1 lsl 41 ]
 
 (* ---- Btree: unit tests ----------------------------------------------- *)
 
@@ -63,8 +171,8 @@ let test_btree_empty () =
   let t = Btree.create () in
   Alcotest.(check int) "length" 0 (Btree.length t);
   Alcotest.(check int) "count" 0 (Btree.count_range t ~lo:min_int ~hi:max_int);
-  Alcotest.(check bool) "no entry" true
-    (Btree.nth_in_range t ~lo:min_int ~hi:max_int 0 = None);
+  Alcotest.check_raises "no entry" (Invalid_argument "Btree.nth_in_range: out of range")
+    (fun () -> ignore (Btree.nth_in_range t ~lo:min_int ~hi:max_int 0));
   check_inv t
 
 let test_btree_sequential () =
@@ -95,12 +203,13 @@ let test_btree_reverse_and_duplicates () =
 let test_btree_nth_in_range () =
   let t = Btree.create () in
   List.iter (fun k -> Btree.insert t ~key:k ~value:(100 + k)) [ 1; 3; 5; 7; 9 ];
-  Alcotest.(check bool) "first >= 4" true
-    (Btree.nth_in_range t ~lo:4 ~hi:10 0 = Some (5, 105));
-  Alcotest.(check bool) "second" true
-    (Btree.nth_in_range t ~lo:4 ~hi:10 1 = Some (7, 107));
-  Alcotest.(check bool) "out of range" true (Btree.nth_in_range t ~lo:4 ~hi:10 3 = None);
-  Alcotest.(check bool) "empty" true (Btree.nth_in_range t ~lo:10 ~hi:4 0 = None)
+  Alcotest.(check int) "first >= 4" 105 (Btree.nth_in_range t ~lo:4 ~hi:10 0);
+  Alcotest.(check int) "second" 107 (Btree.nth_in_range t ~lo:4 ~hi:10 1);
+  let out_of_range = Invalid_argument "Btree.nth_in_range: out of range" in
+  Alcotest.check_raises "out of range" out_of_range (fun () ->
+      ignore (Btree.nth_in_range t ~lo:4 ~hi:10 3));
+  Alcotest.check_raises "empty" out_of_range (fun () ->
+      ignore (Btree.nth_in_range t ~lo:10 ~hi:4 0))
 
 let test_btree_iter_range () =
   let t = Btree.create ~min_degree:2 () in
@@ -129,7 +238,7 @@ let test_btree_sample_uniform () =
   let counts = Array.make 10 0 in
   let draws = 20_000 in
   for _ = 1 to draws do
-    let row = draw_located prng (Index.locate_range idx ~lo:0 ~hi:9) in
+    let row = draw_located prng (located_range idx ~lo:0 ~hi:9) in
     counts.(row) <- counts.(row) + 1
   done;
   Array.iteri
@@ -140,9 +249,9 @@ let test_btree_sample_uniform () =
         (abs (c - (draws / 10)) < draws / 10 / 4))
     counts;
   Alcotest.(check int) "empty range" 0
-    (Index.located_count (Index.locate_range idx ~lo:20 ~hi:30));
+    (Index.located_count (located_range idx ~lo:20 ~hi:30));
   Alcotest.(check int) "inverted range" 0
-    (Index.located_count (Index.locate_range idx ~lo:9 ~hi:0))
+    (Index.located_count (located_range idx ~lo:9 ~hi:0))
 
 let test_btree_of_table () =
   let t = small_table [ (3, 0); (1, 0); (2, 0); (1, 0) ] in
@@ -244,7 +353,12 @@ let test_index_facade_eq () =
   Alcotest.(check bool) "no range support" false (Index.supports_range h);
   Alcotest.check_raises "hash range"
     (Invalid_argument "Index.count_range: hash index cannot answer ranges") (fun () ->
-      ignore (Index.count_range h ~lo:0 ~hi:1))
+      ignore (Index.count_range h ~lo:0 ~hi:1));
+  Alcotest.check_raises "ordered nth_eq out of range"
+    (Invalid_argument "Index.nth_eq: out of range") (fun () -> ignore (Index.nth_eq o 1 2));
+  Alcotest.check_raises "ordered nth_range out of range"
+    (Invalid_argument "Index.nth_range: out of range") (fun () ->
+      ignore (Index.nth_range o ~lo:1 ~hi:2 3))
 
 let test_index_facade_range () =
   let t = small_table [ (10, 0); (20, 0); (30, 0); (40, 0) ] in
@@ -263,6 +377,8 @@ let () =
           Alcotest.test_case "build/count/nth" `Quick test_hash_build_count_nth;
           Alcotest.test_case "sample" `Quick test_hash_sample;
           Alcotest.test_case "iter" `Quick test_hash_iter;
+          Alcotest.test_case "model edge cases" `Quick test_hash_model_edges;
+          QCheck_alcotest.to_alcotest hash_vs_model;
         ] );
       ( "btree",
         [

@@ -146,6 +146,65 @@ let test_prng_pick () =
   Alcotest.check_raises "empty" (Invalid_argument "Prng.pick: empty array") (fun () ->
       ignore (Prng.pick t [||]))
 
+(* The stream as it was when the generator kept its state in mutable
+   [int64] fields: any rewrite of the generator must reproduce it bit for
+   bit, or every fixed-seed result in the repository moves. *)
+let test_prng_stream_golden () =
+  let bits seed =
+    let t = Prng.create seed in
+    List.init 8 (fun _ -> Prng.bits64 t)
+  in
+  Alcotest.(check (list int64)) "seed 0 bits64"
+    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+      7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+      7788427924976520344L; -8565655843838424513L ]
+    (bits 0);
+  Alcotest.(check (list int64)) "seed 7 bits64"
+    [ -5523389002881075622L; 5142052590334782674L; -2958351167216911978L;
+      -348685429060373952L; -168598097271454952L; -2346906591474643895L;
+      1120678062349637716L; 1926500276298015196L ]
+    (bits 7);
+  let t = Prng.create 7 in
+  let ints bound = List.init 8 (fun _ -> Prng.int t bound) in
+  Alcotest.(check (list int)) "int 1000" [ 998; 668; 909; 416; 166; 930; 429; 799 ]
+    (ints 1000);
+  Alcotest.(check (list int)) "int 7" [ 6; 4; 3; 3; 0; 0; 2; 2 ] (ints 7);
+  (* Half of all 62-bit draws exceed the acceptance limit at this bound,
+     so these eight values go through the rejection loop. *)
+  Alcotest.(check (list int)) "int 2^61+1"
+    [ 1183810524949157743; 2150236272186885223; 721728440135968078;
+      616590115504062699; 790564882187303646; 1296236585804849770;
+      593817715809498456; 188696664511578872 ]
+    (ints ((1 lsl 61) + 1));
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.2e52bacd50eb2p-1; 0x1.676e73d334b24p-3; 0x1.eb408027c6e44p-2;
+      0x1.66b3b690e82cp-4 ]
+    (List.init 4 (fun _ -> Prng.float t 1.0));
+  let child = Prng.split t in
+  Alcotest.(check (list int64)) "split child"
+    [ 8986292124482823037L; -4261760201174626866L; 4302356401162474852L;
+      -7541595251715800006L ]
+    (List.init 4 (fun _ -> Prng.bits64 child));
+  Alcotest.(check int64) "parent after split" (-3256719437563326032L) (Prng.bits64 t)
+
+let test_prng_int_allocation_free () =
+  let t = Prng.create 1 in
+  let sink = ref 0 in
+  let draw () =
+    for i = 1 to 100_000 do
+      (* Both paths: a power-of-two mask and the rejection loop. *)
+      sink := !sink + Prng.int t (if i land 1 = 0 then 1000 else 1024)
+    done
+  in
+  draw ();
+  let w0 = Gc.minor_words () in
+  draw ();
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sink);
+  (* Reading the counter boxes a float or two; nothing else may allocate. *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words over 100k draws" words) true
+    (words < 16.)
+
 (* ---- Vec ------------------------------------------------------------- *)
 
 let test_vec_push_get () =
@@ -325,6 +384,8 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_is_permutation;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "pick" `Quick test_prng_pick;
+          Alcotest.test_case "stream golden" `Quick test_prng_stream_golden;
+          Alcotest.test_case "int allocation-free" `Quick test_prng_int_allocation_free;
         ] );
       ( "vec",
         [

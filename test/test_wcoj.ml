@@ -63,8 +63,7 @@ let qcheck_trie_distinct_ascending =
   QCheck.Test.make ~name:"trie level-0 cursor: distinct ascending keys, counts cover"
     ~count:200 rows_gen (fun pairs ->
       let tr = trie_of_pairs pairs in
-      let lo, hi = Trie.root tr in
-      let c = Trie.cursor tr ~level:0 ~lo ~hi in
+      let c = Trie.cursor tr ~level:0 ~lo:0 ~hi:(Trie.length tr) in
       let seen = ref [] in
       let covered = ref 0 in
       while not (Trie.at_end c) do
@@ -86,8 +85,7 @@ let qcheck_trie_seek =
     (QCheck.pair rows_gen (QCheck.int_range 0 11))
     (fun (pairs, k) ->
       let tr = trie_of_pairs pairs in
-      let lo, hi = Trie.root tr in
-      let c = Trie.cursor tr ~level:0 ~lo ~hi in
+      let c = Trie.cursor tr ~level:0 ~lo:0 ~hi:(Trie.length tr) in
       Trie.seek c k;
       let expect = List.filter (fun (a, _) -> a >= k) pairs |> List.map fst in
       (match (Trie.at_end c, expect) with
@@ -111,11 +109,13 @@ let qcheck_trie_narrow =
     (QCheck.triple rows_gen (QCheck.int_range 0 9) (QCheck.int_range 0 9))
     (fun (pairs, a, b) ->
       let tr = trie_of_pairs pairs in
-      let lo, hi = Trie.root tr in
-      let l0lo, l0hi = Trie.narrow tr ~level:0 ~lo ~hi ~klo:a ~khi:a in
+      let narrow ~level ~lo ~hi k =
+        let nlo = Trie.narrow_start tr ~level ~lo ~hi k in
+        (nlo, Trie.upper_bound tr ~level ~lo:nlo ~hi k)
+      in
+      let l0lo, l0hi = narrow ~level:0 ~lo:0 ~hi:(Trie.length tr) a in
       let l1lo, l1hi =
-        if l0hi <= l0lo then (0, 0)
-        else Trie.narrow tr ~level:1 ~lo:l0lo ~hi:l0hi ~klo:b ~khi:b
+        if l0hi <= l0lo then (0, 0) else narrow ~level:1 ~lo:l0lo ~hi:l0hi b
       in
       let naive = List.length (List.filter (fun (x, y) -> x = a && y = b) pairs) in
       l1hi - l1lo = naive)
