@@ -119,7 +119,8 @@ module Flag = struct
       docv = "N";
       doc =
         "Shard the scheduler drain across N OCaml domains (sessions are \
-         pinned per statement; estimates are identical at any domain count).";
+         pinned per statement; estimates are identical at any domain count). \
+         Paged tables ($(b,--memory-budget)) need N = 1.";
     }
 
   let policy =
@@ -346,14 +347,18 @@ let serve_run sf seed tbl_dir memory_budget data_dir metrics json time quantum
     |> List.filter (fun s -> s <> "")
   in
   sql_errors (fun () ->
-      let served =
+      match
         Wj_sql.Engine.serve ?quantum ?max_live ?domains ~policy ~sink ?deadline
           cfg catalog sqls
-      in
-      print_string (Wj_sql.Engine.render_served served);
-      pool_report pool;
-      metrics_finish ~json m_opt;
-      0)
+      with
+      | served ->
+        print_string (Wj_sql.Engine.render_served served);
+        pool_report pool;
+        metrics_finish ~json m_opt;
+        0
+      | exception Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
+        1)
 
 let serve_term =
   let sqls_arg =

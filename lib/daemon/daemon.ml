@@ -931,6 +931,9 @@ let stop t =
   signal_stop t;
   List.iter Thread.join t.threads;
   t.threads <- [];
+  (* Nothing ticks the scheduler any more: retire what is in flight as
+     cancelled, so each streaming handler sends its final line and ends. *)
+  Mutex.protect t.mu (fun () -> Scheduler.cancel_all t.sched);
   match t.access_log with
   | Some oc when t.close_log ->
     Mutex.protect t.log_mu (fun () ->

@@ -107,8 +107,10 @@ val wait : t -> unit
 
 val stop : t -> unit
 (** Stop accepting, stop the scheduler thread, close the listening
-    socket and join both threads, then close an access-log file (stderr
-    is only flushed).  In-flight handler threads finish their current
-    response on their own; an access-log line they write after the file
-    is closed is dropped, while with ["-"] it still goes to stderr.
-    Idempotent. *)
+    socket and join both threads, retire every session still queued or
+    running as cancelled, then close an access-log file (stderr is only
+    flushed).  In-flight handler threads finish their current response on
+    their own: a streaming client gets a final line with
+    ["status":"cancelled"], then EOF.  An access-log line they write after
+    the file is closed is dropped, while with ["-"] it still goes to
+    stderr.  Idempotent. *)

@@ -383,6 +383,10 @@ let tick t =
 
 let drain_local t = while tick t do () done
 
+let cancel_all t =
+  List.iter (fun e -> if not (is_terminal e.state) then Token.cancel e.token) t.all;
+  drain_local t
+
 (* ---- Domain-sharded drain --------------------------------------------- *)
 
 (* One shard = one OCaml domain draining a private sub-scheduler.  Queued

@@ -131,8 +131,8 @@ val create :
     private per-shard trace (sharing the main trace's clock) and
     {!Wj_obs.Trace.merge}d at the join barrier in shard order, so span
     counts match the single-domain run; the paged storage backend's
-    buffer pool is not domain-safe — use multi-domain scheduling with
-    in-memory tables.
+    buffer pool is single-domain, so [Sql.Engine.serve] refuses
+    [domains > 1] over paged tables.
 
     [sink] is the scheduler-level sink: it receives [Session_admitted],
     [Session_started], per-quantum [Session_report] (carrying the
@@ -230,6 +230,12 @@ val drain : t -> unit
     [domains > 1], queued sessions are first dealt to per-domain shard
     schedulers and drained concurrently (see {!create}); anything already
     live on this scheduler finishes on the calling domain afterwards. *)
+
+val cancel_all : t -> unit
+(** Cancel every session not yet terminal and retire each as
+    [Cancelled] on the calling domain: every one emits its
+    [Session_finished] before this returns.  For a host that stops while
+    requests are in flight. *)
 
 (** {2 Session handles} *)
 

@@ -142,6 +142,11 @@ type pending =
 let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)
     ?deadline (cfg : Wj_core.Run_config.t) catalog sqls =
   let catalog = apply_backend cfg catalog in
+  (* Paged tables read through one buffer pool, which is single-domain. *)
+  if
+    Option.value domains ~default:1 > 1
+    && List.exists Wj_storage.Table.is_paged (Wj_storage.Catalog.tables catalog)
+  then invalid_arg "Sql.Engine.serve: paged tables need domains = 1";
   let sched =
     Scheduler.create ?quantum ?max_live ?policy ?domains ~sink
       ?clock:cfg.Wj_core.Run_config.clock ()

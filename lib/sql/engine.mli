@@ -104,7 +104,10 @@ val serve :
     [deadline] (seconds from admission, on [cfg.clock] or wall) applies to
     every statement.  Statement clauses override [cfg] per statement as in
     {!execute_session}.  Results come back in submission order.
-    Raises [Lexer.Lex_error], [Parser.Parse_error] or [Binder.Bind_error]. *)
+    Raises [Lexer.Lex_error], [Parser.Parse_error] or [Binder.Bind_error],
+    and [Invalid_argument], before submitting anything, when
+    [domains > 1] and any catalog table is paged (the buffer pool is
+    single-domain). *)
 
 val render_served : served list -> string
 (** Human-readable rendering of a served batch, one header per statement;

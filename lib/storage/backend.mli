@@ -16,15 +16,13 @@ type t =
           pool capacity in pages; one page holds
           {!Segment.default_rows_per_page} rows of one column. *)
 
-val default_pool_pages : int
-(** [1024] — 256 KiB of 256-byte frames. *)
-
 val page_bytes : int
 (** Frame size used for paged backends:
     [Segment.default_rows_per_page * 8]. *)
 
 val paged : ?dir:string -> ?pool_pages:int -> unit -> t
-(** [dir] defaults to ["_wjdata"], [pool_pages] to {!default_pool_pages}. *)
+(** [dir] defaults to ["_wjdata"], [pool_pages] to 1024 (256 KiB of
+    256-byte frames). *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -36,5 +34,4 @@ val prepare_tables : t -> Table.t list -> Table.t list * Buffer_pool.t option
     one shared paged table. *)
 
 val prepare_catalog : t -> Catalog.t -> Catalog.t * Buffer_pool.t option
-(** Same, for every table of a catalog ({!Catalog.map_tables}); index
-    metadata is preserved. *)
+(** Same, for every table of a catalog ({!Catalog.map_tables}). *)

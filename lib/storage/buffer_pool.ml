@@ -4,39 +4,37 @@
    - [touch] is the frameless residency-tracking mode the I/O simulation
      has always used: a (table, page) key either is or is not resident,
      and the reply feeds the cost model.
-   - [pin]/[unpin] is the pager mode: a (file, page) key maps to a frame
-     of bytes faulted in from a registered read-through function, and the
-     frame cannot be evicted while pinned.
+   - [read] is the pager mode: a (file, page) key maps to a frame of
+     bytes faulted in from a registered read-through function.  The
+     frame is valid until the next call into the pool.
 
-   Both modes share the hit/miss counters, so the reconciliation identity
-   accesses = hits + misses holds across either. *)
+   A key packs its id and page into one int, so a lookup hashes an
+   immediate and a hit allocates nothing.  Both modes share the hit/miss
+   counters, so the reconciliation identity accesses = hits + misses
+   holds across either.  The pool is single-domain. *)
+
+module Tbl = Hashtbl.Make (Int)
 
 type node = {
-  key : int * int;
+  mutable key : int;
   mutable prev : node;
   mutable next : node;
-  mutable pins : int;
   mutable frame : Bytes.t; (* [Bytes.empty] for frameless (touch) entries *)
 }
 
 type t = {
   cap : int;
   page_bytes : int;
-  table : (int * int, node) Hashtbl.t;
+  table : node Tbl.t;
   sentinel : node; (* sentinel.next = most recent, sentinel.prev = least *)
   mutable readers : (int -> Bytes.t -> unit) array; (* file id -> page reader *)
   mutable nreaders : int;
-  mutable free : Bytes.t list; (* recycled frames of evicted pages *)
-  mutable allocated : int; (* frames ever allocated, <= cap *)
-  mutable pinned_count : int;
   mutable hit_count : int;
   mutable miss_count : int;
 }
 
 let make_sentinel () =
-  let rec s =
-    { key = (min_int, min_int); prev = s; next = s; pins = 0; frame = Bytes.empty }
-  in
+  let rec s = { key = -1; prev = s; next = s; frame = Bytes.empty } in
   s
 
 let create ?(page_bytes = 256) ~capacity () =
@@ -46,21 +44,23 @@ let create ?(page_bytes = 256) ~capacity () =
   {
     cap = capacity;
     page_bytes;
-    table = Hashtbl.create (2 * capacity);
+    table = Tbl.create (2 * capacity);
     sentinel = make_sentinel ();
     readers = [||];
     nreaders = 0;
-    free = [];
-    allocated = 0;
-    pinned_count = 0;
     hit_count = 0;
     miss_count = 0;
   }
 
 let capacity t = t.cap
 let page_bytes t = t.page_bytes
-let resident t = Hashtbl.length t.table
-let pinned t = t.pinned_count
+let resident t = Tbl.length t.table
+
+(* 30 bits of id above 32 bits of page fill a 63-bit int. *)
+let pack ~id ~page =
+  if id lsr 30 <> 0 || page lsr 32 <> 0 then
+    invalid_arg "Buffer_pool: id or page out of range";
+  (id lsl 32) lor page
 
 let unlink node =
   node.prev.next <- node.next;
@@ -72,57 +72,45 @@ let push_front t node =
   t.sentinel.next.prev <- node;
   t.sentinel.next <- node
 
-let drop_node t node =
-  unlink node;
-  Hashtbl.remove t.table node.key;
-  if Bytes.length node.frame > 0 then t.free <- node.frame :: t.free
-
-(* Evict the least-recently-used unpinned entry.  [framed] restricts the
-   scan to entries that hold a byte frame (so the eviction is guaranteed
-   to recycle one).  Raises when every candidate is pinned. *)
-let evict_lru t ~framed =
-  let rec scan n =
-    if n == t.sentinel then
-      failwith "Buffer_pool: every frame is pinned; cannot evict"
-    else if n.pins > 0 || (framed && Bytes.length n.frame = 0) then scan n.prev
-    else n
-  in
-  drop_node t (scan t.sentinel.prev)
-
-let acquire_frame t =
-  match t.free with
-  | f :: rest ->
-    t.free <- rest;
-    f
-  | [] ->
-    if t.allocated < t.cap then begin
-      t.allocated <- t.allocated + 1;
-      Bytes.create t.page_bytes
-    end
-    else begin
-      evict_lru t ~framed:true;
-      match t.free with
-      | f :: rest ->
-        t.free <- rest;
-        f
-      | [] -> assert false
-    end
-
-let touch t ~table ~page =
-  let key = (table, page) in
-  match Hashtbl.find_opt t.table key with
-  | Some node ->
+(* The resident node for [key] moved to the front, or [sentinel] on a
+   miss.  Counts the access either way. *)
+let lookup t key =
+  match Tbl.find t.table key with
+  | node ->
     t.hit_count <- t.hit_count + 1;
     unlink node;
     push_front t node;
-    true
-  | None ->
+    node
+  | exception Not_found ->
     t.miss_count <- t.miss_count + 1;
-    if Hashtbl.length t.table >= t.cap then evict_lru t ~framed:false;
-    let node = { key; prev = t.sentinel; next = t.sentinel; pins = 0; frame = Bytes.empty } in
-    Hashtbl.add t.table key node;
-    push_front t node;
+    t.sentinel
+
+(* Make [key] resident as the most recent entry.  A full pool evicts its
+   least-recently-used entry and recycles the node, frame included. *)
+let insert t key =
+  let node =
+    if Tbl.length t.table < t.cap then
+      { key; prev = t.sentinel; next = t.sentinel; frame = Bytes.empty }
+    else begin
+      let lru = t.sentinel.prev in
+      unlink lru;
+      Tbl.remove t.table lru.key;
+      lru.key <- key;
+      lru
+    end
+  in
+  Tbl.add t.table key node;
+  push_front t node;
+  node
+
+let touch t ~table ~page =
+  let key = pack ~id:table ~page in
+  if lookup t key != t.sentinel then true
+  else begin
+    (* A recycled frame would pass for this page's bytes in [read]. *)
+    (insert t key).frame <- Bytes.empty;
     false
+  end
 
 (* ---- Pager mode ------------------------------------------------------- *)
 
@@ -138,43 +126,30 @@ let register_file t read =
   id
 
 let fault_in t node ~file ~page =
-  if file < 0 || file >= t.nreaders then
-    invalid_arg "Buffer_pool.pin: unregistered file";
-  node.frame <- acquire_frame t;
-  t.readers.(file) page node.frame
-
-let pin t ~file ~page =
-  let key = (file, page) in
-  match Hashtbl.find_opt t.table key with
-  | Some node ->
-    t.hit_count <- t.hit_count + 1;
+  if Bytes.length node.frame = 0 then node.frame <- Bytes.create t.page_bytes;
+  match t.readers.(file) page node.frame with
+  | () -> ()
+  | exception e ->
+    (* Leave no entry whose frame holds some other page's bytes. *)
     unlink node;
-    push_front t node;
-    if Bytes.length node.frame = 0 then
-      (* Residency was tracked framelessly (touch mode); materialize. *)
-      fault_in t node ~file ~page;
-    if node.pins = 0 then t.pinned_count <- t.pinned_count + 1;
-    node.pins <- node.pins + 1;
+    Tbl.remove t.table node.key;
+    raise e
+
+let read t ~file ~page =
+  let key = pack ~id:file ~page in
+  if file >= t.nreaders then invalid_arg "Buffer_pool.read: unregistered file";
+  let node = lookup t key in
+  if node != t.sentinel then begin
+    (* Residency was tracked framelessly (touch mode); materialize. *)
+    if Bytes.length node.frame = 0 then fault_in t node ~file ~page;
     node.frame
-  | None ->
-    t.miss_count <- t.miss_count + 1;
-    if Hashtbl.length t.table >= t.cap then evict_lru t ~framed:false;
-    let node = { key; prev = t.sentinel; next = t.sentinel; pins = 1; frame = Bytes.empty } in
+  end
+  else begin
+    let node = insert t key in
     fault_in t node ~file ~page;
-    Hashtbl.add t.table key node;
-    push_front t node;
-    t.pinned_count <- t.pinned_count + 1;
     node.frame
+  end
 
-let unpin t ~file ~page =
-  match Hashtbl.find_opt t.table (file, page) with
-  | None -> invalid_arg "Buffer_pool.unpin: page not resident"
-  | Some node ->
-    if node.pins <= 0 then invalid_arg "Buffer_pool.unpin: page not pinned";
-    node.pins <- node.pins - 1;
-    if node.pins = 0 then t.pinned_count <- t.pinned_count - 1
-
-let contains t ~table ~page = Hashtbl.mem t.table (table, page)
 let hits t = t.hit_count
 let misses t = t.miss_count
 let accesses t = t.hit_count + t.miss_count
@@ -183,18 +158,8 @@ let reset_stats t =
   t.hit_count <- 0;
   t.miss_count <- 0
 
-let evict_all t =
-  (* Collect first: dropping while walking the intrusive list is fragile. *)
-  let victims = ref [] in
-  let rec walk n =
-    if n != t.sentinel then begin
-      if n.pins = 0 then victims := n :: !victims;
-      walk n.next
-    end
-  in
-  walk t.sentinel.next;
-  List.iter (drop_node t) !victims
-
 let clear t =
-  evict_all t;
+  Tbl.reset t.table;
+  t.sentinel.next <- t.sentinel;
+  t.sentinel.prev <- t.sentinel;
   reset_stats t

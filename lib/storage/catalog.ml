@@ -1,13 +1,6 @@
-type index_kind = Hash | Ordered
+type t = { tables : (string, Table.t) Hashtbl.t; mutable epoch : int }
 
-type t = {
-  tables : (string, Table.t) Hashtbl.t;
-  indexes : (string * string, index_kind list ref) Hashtbl.t;
-  mutable epoch : int;
-}
-
-let create () =
-  { tables = Hashtbl.create 16; indexes = Hashtbl.create 64; epoch = 0 }
+let create () = { tables = Hashtbl.create 16; epoch = 0 }
 
 let epoch t = t.epoch
 let bump_epoch t = t.epoch <- t.epoch + 1
@@ -20,36 +13,10 @@ let add_table t table =
 
 let table t name = Hashtbl.find_opt t.tables name
 
-let table_exn t name =
-  match table t name with
-  | Some tbl -> tbl
-  | None -> invalid_arg ("Catalog.table_exn: unknown table " ^ name)
-
 let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.tables []
 
 let map_tables t f =
   let mapped = create () in
   Hashtbl.iter (fun name tbl -> Hashtbl.replace mapped.tables name (f tbl)) t.tables;
-  Hashtbl.iter
-    (fun key kinds -> Hashtbl.replace mapped.indexes key (ref !kinds))
-    t.indexes;
   mapped.epoch <- t.epoch;
   mapped
-
-let register_index t ~table ~column kind =
-  let tbl = table_exn t table in
-  (match Schema.find (Table.schema tbl) column with
-  | Some _ -> ()
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Catalog.register_index: no column %s in %s" column table));
-  match Hashtbl.find_opt t.indexes (table, column) with
-  | Some kinds -> if not (List.mem kind !kinds) then kinds := kind :: !kinds
-  | None -> Hashtbl.add t.indexes (table, column) (ref [ kind ])
-
-let indexed t ~table ~column =
-  match Hashtbl.find_opt t.indexes (table, column) with
-  | None -> None
-  | Some kinds -> if List.mem Ordered !kinds then Some Ordered else Some Hash
-
-let has_index t ~table ~column = indexed t ~table ~column <> None

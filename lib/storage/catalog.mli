@@ -1,11 +1,8 @@
-(** A named collection of tables and their indexes' metadata.
+(** A named collection of tables.
 
-    The catalog is what the SQL binder and the walk-plan generator consult:
-    which tables exist, and which (table, column) pairs carry an index —
-    index availability determines the direction of edges in the walk-order
-    graph (§4.1). *)
-
-type index_kind = Hash | Ordered
+    The catalog is what the SQL binder consults: which tables exist, by
+    name.  It holds no index metadata; which indexes a query can walk is
+    decided per query by [Wj_core.Registry]. *)
 
 type t
 
@@ -31,17 +28,6 @@ val table : t -> string -> Table.t option
 val tables : t -> Table.t list
 
 val map_tables : t -> (Table.t -> Table.t) -> t
-(** A new catalog with every table replaced by [f table] (same names,
-    index metadata copied).  Used by {!Backend} to swap the in-memory
-    tables for their paged equivalents without touching callers'
-    bindings. *)
-
-val register_index : t -> table:string -> column:string -> index_kind -> unit
-(** Records that the given column is indexed.  Raises if the table or column
-    is unknown. *)
-
-val indexed : t -> table:string -> column:string -> index_kind option
-(** The strongest registered index on the column, if any ([Ordered] wins over
-    [Hash] since an ordered index also answers equality). *)
-
-val has_index : t -> table:string -> column:string -> bool
+(** A new catalog with every table replaced by [f table] (same names).
+    Used by {!Backend} to swap the in-memory tables for their paged
+    equivalents without touching callers' bindings. *)

@@ -76,28 +76,19 @@ let pool f = f.pool
 let pages f = f.length / f.page_bytes
 
 let read_int f i =
-  let page = i / f.slots_per_page in
-  let frame = Buffer_pool.pin f.pool ~file:f.fid ~page in
-  let v = Int64.to_int (Bytes.get_int64_le frame (i mod f.slots_per_page * 8)) in
-  Buffer_pool.unpin f.pool ~file:f.fid ~page;
-  v
+  let frame = Buffer_pool.read f.pool ~file:f.fid ~page:(i / f.slots_per_page) in
+  Int64.to_int (Bytes.get_int64_le frame (i mod f.slots_per_page * 8))
 
 let read_float f i =
-  let page = i / f.slots_per_page in
-  let frame = Buffer_pool.pin f.pool ~file:f.fid ~page in
-  let v =
-    Int64.float_of_bits (Bytes.get_int64_le frame (i mod f.slots_per_page * 8))
-  in
-  Buffer_pool.unpin f.pool ~file:f.fid ~page;
-  v
+  let frame = Buffer_pool.read f.pool ~file:f.fid ~page:(i / f.slots_per_page) in
+  Int64.float_of_bits (Bytes.get_int64_le frame (i mod f.slots_per_page * 8))
 
 (* Sequential paged read of the whole file, faulting every page through
    the pool (so warm-up I/O shows in the counters like any other read). *)
 let read_all f =
   let out = Bytes.create f.length in
   for page = 0 to pages f - 1 do
-    let frame = Buffer_pool.pin f.pool ~file:f.fid ~page in
-    Bytes.blit frame 0 out (page * f.page_bytes) f.page_bytes;
-    Buffer_pool.unpin f.pool ~file:f.fid ~page
+    let frame = Buffer_pool.read f.pool ~file:f.fid ~page in
+    Bytes.blit frame 0 out (page * f.page_bytes) f.page_bytes
   done;
   out

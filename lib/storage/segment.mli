@@ -37,8 +37,8 @@ val pool : file -> Buffer_pool.t
 val pages : file -> int
 
 val read_int : file -> int -> int
-(** [read_int f i] reads slot [i], pinning (and on a miss, faulting) the
-    containing page for the duration of the read. *)
+(** [read_int f i] reads slot [i] with one pool read of its page (a
+    fault on a miss). *)
 
 val read_float : file -> int -> float
 

@@ -236,25 +236,7 @@ let fold f acc t =
 
 let column_index t name = Schema.find_exn t.schema name
 
-(* ---- Unboxed accessors and column cursors ----------------------------- *)
-
-let get_int t ~col row =
-  match t.cols.(col) with
-  | Icol v -> Int_vec.get v row
-  | Picol f -> Segment.read_int f row
-  | Fcol _ | Scol _ | Pfcol _ | Pscol _ -> push_error t ~col "get_int"
-
-let get_float t ~col row =
-  match t.cols.(col) with
-  | Fcol v -> Float_vec.get v row
-  | Pfcol f -> Segment.read_float f row
-  | Icol _ | Scol _ | Picol _ | Pscol _ -> push_error t ~col "get_float"
-
-let get_str_id t ~col row =
-  match t.cols.(col) with
-  | Scol s -> Int_vec.get s.ids row
-  | Pscol p -> Segment.read_int p.pids row
-  | Icol _ | Fcol _ | Picol _ | Pfcol _ -> push_error t ~col "get_str_id"
+(* ---- Column cursors --------------------------------------------------- *)
 
 type cursor =
   | Int_cursor of int array
@@ -280,18 +262,6 @@ let dict_id t ~col s =
   | Scol sc -> Hashtbl.find_opt sc.dict s
   | Pscol p -> Hashtbl.find_opt p.pdict s
   | Icol _ | Fcol _ | Picol _ | Pfcol _ -> push_error t ~col "dict_id"
-
-let dict_value t ~col id =
-  match t.cols.(col) with
-  | Scol sc -> Wj_util.Vec.get sc.pool id
-  | Pscol p -> p.ppool.(id)
-  | Icol _ | Fcol _ | Picol _ | Pfcol _ -> push_error t ~col "dict_value"
-
-let dict_size t ~col =
-  match t.cols.(col) with
-  | Scol sc -> Wj_util.Vec.length sc.pool
-  | Pscol p -> Array.length p.ppool
-  | Icol _ | Fcol _ | Picol _ | Pfcol _ -> push_error t ~col "dict_size"
 
 let int_reader t col =
   match t.cols.(col) with

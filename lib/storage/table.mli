@@ -12,14 +12,14 @@
     SQL/exec/display code, and the typed column writers
     ({!push_int}/{!push_float}/{!push_str}/{!push_null} + {!commit_row})
     that bulk loaders use to fill columns without materializing a boxed
-    value per cell.  Random-walk hot paths read through the unboxed
-    accessors and {!cursor} snapshots, never through [Value.t].
+    value per cell.  Random-walk hot paths read through {!cursor}
+    snapshots and compiled readers, never through [Value.t].
 
     A table can alternatively be {e paged}: written once to fixed-size
     on-disk column segments ({!write_pages}) and reopened
     ({!open_paged}) with every data page faulted through a shared
     {!Buffer_pool} on read.  A paged table is read-only; its accessors
-    ({!get_int}, {!int_reader}, {!cursor}, ...) have identical
+    ({!int_reader}, {!cursor}, ...) have identical
     semantics — including null sentinels and dictionary ids — so
     indexes, walks and exact executors run unchanged on either backing.
     String dictionaries and null bitmaps are faulted in once at open and
@@ -81,22 +81,6 @@ val fold : ('acc -> Value.t array -> 'acc) -> 'acc -> t -> 'acc
 val column_index : t -> string -> int
 (** Raises [Not_found] for unknown columns. *)
 
-(** {2 Unboxed hot-path accessors} *)
-
-val get_int : t -> col:int -> int -> int
-(** Direct flat-array read of a [TInt] column; no null check (a null slot
-    reads its sentinel 0 — consult {!null_mask} when the column can hold
-    nulls).  Raises on a non-int column. *)
-
-val get_float : t -> col:int -> int -> float
-(** Direct flat-array read of a [TFloat] column. *)
-
-val get_str_id : t -> col:int -> int -> int
-(** Dictionary id of a [TStr] cell (-1 sentinel under a null bit). *)
-
-val is_null : t -> int -> int -> bool
-(** [is_null t row col]. *)
-
 (** {2 Column cursors (compiled-access snapshots)}
 
     A cursor exposes the column's live backing array for zero-indirection
@@ -135,9 +119,6 @@ val float_reader : t -> int -> int -> float
 
 val dict_id : t -> col:int -> string -> int option
 (** Dictionary id of a string, if it occurs in the column. *)
-
-val dict_value : t -> col:int -> int -> string
-val dict_size : t -> col:int -> int
 
 (** {2 Paged on-disk backing} *)
 

@@ -21,10 +21,6 @@ let to_float = function
   | Float f -> f
   | Str _ | Null -> invalid_arg "Value.to_float: not numeric"
 
-let to_string_exn = function
-  | Str s -> s
-  | Int _ | Float _ | Null -> invalid_arg "Value.to_string_exn: not a Str"
-
 let equal a b =
   match (a, b) with
   | Int x, Int y -> x = y

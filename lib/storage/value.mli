@@ -22,9 +22,6 @@ val to_int : t -> int
 val to_float : t -> float
 (** Numeric coercion: [Int n -> float n], [Float f -> f]; raises otherwise. *)
 
-val to_string_exn : t -> string
-(** Raises [Invalid_argument] unless the value is [Str]. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order: Null < Int/Float (numeric order, cross-type compared

@@ -910,6 +910,54 @@ let test_walk_allocation () =
         true (per_walk <= 12.0))
     plans
 
+(* The paged read path adds nothing on a hit: Q3 paged through a pool
+   that holds every page, warmed by a full scan, walks every plan with no
+   new fault and within the in-memory walk's allocation bound.  A pool
+   read hashes one int key and hands back the resident frame. *)
+let test_paged_walk_allocation () =
+  let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
+  let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q3 d in
+  let backend =
+    Wj_storage.Backend.paged ~dir:(Filename.temp_dir "wj_core" "") ~pool_pages:(1 lsl 16) ()
+  in
+  let tables, pool =
+    Wj_storage.Backend.prepare_tables backend (Array.to_list q.Query.tables)
+  in
+  let pool = Option.get pool in
+  let q = { q with Query.tables = Array.of_list tables } in
+  Array.iter
+    (fun t ->
+      for c = 0 to Schema.arity (Table.schema t) - 1 do
+        for row = 0 to Table.length t - 1 do
+          ignore (Sys.opaque_identity (Table.cell t row c))
+        done
+      done)
+    q.Query.tables;
+  let reg = Wj_tpch.Queries.registry q in
+  let plans = Walk_plan.enumerate q reg in
+  Alcotest.(check bool) "Q3 has plans" true (List.length plans > 1);
+  let misses = Wj_storage.Buffer_pool.misses pool in
+  List.iter
+    (fun plan ->
+      let name = Walk_plan.describe q plan in
+      let prepared = Walker.prepare q reg plan in
+      let prng = Prng.create 7 in
+      for _ = 1 to 100 do
+        ignore (Sys.opaque_identity (Walker.walk prepared prng))
+      done;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Walker.walk prepared prng))
+      done;
+      let per_walk = (Gc.minor_words () -. w0) /. float_of_int n in
+      Alcotest.(check int) (name ^ ": no new faults") misses
+        (Wj_storage.Buffer_pool.misses pool);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per walk <= 12" name per_walk)
+        true (per_walk <= 12.0))
+    plans
+
 (* Observing a batched run must not move a PRNG draw: a metrics + events
    sink on or off leaves every TPC-H shape's batch-8 run bit-identical. *)
 let test_engine_batched_sink_on_off () =
@@ -1157,6 +1205,8 @@ let () =
           Alcotest.test_case "eager vs lazy checks" `Slow test_walker_eager_vs_lazy_checks;
           Alcotest.test_case "a Q7 walk allocates only its path and outcome" `Quick
             test_walk_allocation;
+          Alcotest.test_case "a paged Q3 walk allocates nothing on a hit" `Quick
+            test_paged_walk_allocation;
         ] );
       ( "optimizer",
         [

@@ -860,6 +860,67 @@ let test_stop_closes_log () =
           | exception Json.Parse_error msg -> Alcotest.failf "torn log line %S: %s" l msg)
         lines)
 
+(* [stop] ends what is in flight.  A client streaming a query with 30 s
+   left gets a cancelled final line and then EOF, within a second of the
+   stop, instead of waiting on a scheduler that no longer ticks. *)
+let test_stop_cancels_streams () =
+  let d = Daemon.create ~quantum:256 ~port:0 (catalog ()) in
+  Daemon.start d;
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop d;
+      Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.port d));
+      (* A bound on every read, so a stream that never ends fails the test. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 3.0;
+      let body =
+        Json.to_string
+          (Json.Obj
+             [
+               ( "sql",
+                 Json.Str
+                   "SELECT ONLINE COUNT(*) FROM orders, lineitem WHERE o_orderkey \
+                    = l_orderkey WITHINTIME 30" );
+             ])
+      in
+      let req =
+        Printf.sprintf "POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: %d\r\n\r\n%s"
+          (String.length body) body
+      in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      let got = Buffer.create 4096 and buf = Bytes.create 4096 in
+      let contains sub =
+        let s = Buffer.contents got in
+        let n = String.length sub in
+        let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+        at 0
+      in
+      (* [true] at EOF, [false] when a read timed out. *)
+      let rec read_until stop =
+        if stop () then true
+        else
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> true
+          | n ->
+            Buffer.add_subbytes got buf 0 n;
+            read_until stop
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+      in
+      ignore (read_until (fun () -> contains {|"type":"progress"|}));
+      Alcotest.(check bool) "first chunk arrived" true (contains {|"type":"progress"|});
+      let t0 = Unix.gettimeofday () in
+      Daemon.stop d;
+      let eof = read_until (fun () -> false) in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "final line says cancelled" true
+        (contains {|"type":"final","status":"cancelled"|});
+      Alcotest.(check bool) "stream reached EOF" true eof;
+      Alcotest.(check bool)
+        (Printf.sprintf "final line and EOF within 1 s of stop (%.3f s)" elapsed)
+        true (elapsed < 1.0))
+
 (* Exact answers below the admission floor (10,000 rows visited) are not
    worth caching: the cache skips them and counts the skip.  An exact join
    above the floor (orders ⋈ lineitem visits ~37,500 rows at SF 0.005) is
@@ -942,6 +1003,8 @@ let () =
           Alcotest.test_case "client disconnect cancels the session" `Quick
             test_disconnect_cancels;
           Alcotest.test_case "errors map to HTTP statuses" `Quick test_wire_errors;
+          Alcotest.test_case "stop ends in-flight streams as cancelled" `Quick
+            test_stop_cancels_streams;
         ] );
       ( "observability",
         [

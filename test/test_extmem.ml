@@ -17,6 +17,7 @@ module Cost_model = Wj_iosim.Cost_model
 module Timer = Wj_util.Timer
 module Queries = Wj_tpch.Queries
 module Generator = Wj_tpch.Generator
+open Column_reads
 
 (* One scratch directory per process; tables get unique subdirectory
    names so cases never collide. *)
@@ -33,80 +34,64 @@ let synthetic_file pool ~page_bytes faults =
       faults := page :: !faults;
       Bytes.fill buf 0 page_bytes (Char.chr (Char.code 'a' + page)))
 
-let test_pin_faults_and_rereads () =
+let test_read_faults_and_rereads () =
   let page_bytes = 16 in
   let pool = Buffer_pool.create ~page_bytes ~capacity:4 () in
   let faults = ref [] in
   let fid = synthetic_file pool ~page_bytes faults in
-  let b0 = Buffer_pool.pin pool ~file:fid ~page:0 in
+  let b0 = Buffer_pool.read pool ~file:fid ~page:0 in
   Alcotest.(check char) "faulted content" 'a' (Bytes.get b0 0);
   Alcotest.(check int) "one fault" 1 (List.length !faults);
-  Buffer_pool.unpin pool ~file:fid ~page:0;
-  (* Unpinned but still resident: a re-pin hits without re-reading. *)
-  let b0' = Buffer_pool.pin pool ~file:fid ~page:0 in
+  (* Still resident: a re-read hits without re-reading. *)
+  let b0' = Buffer_pool.read pool ~file:fid ~page:0 in
   Alcotest.(check char) "cached content" 'a' (Bytes.get b0' 0);
   Alcotest.(check int) "no second fault" 1 (List.length !faults);
   Alcotest.(check int) "hit counted" 1 (Buffer_pool.hits pool);
-  Alcotest.(check int) "miss counted" 1 (Buffer_pool.misses pool);
-  Buffer_pool.unpin pool ~file:fid ~page:0
+  Alcotest.(check int) "miss counted" 1 (Buffer_pool.misses pool)
 
-let test_eviction_skips_pinned () =
+let test_read_evicts_lru () =
   let page_bytes = 16 in
   let pool = Buffer_pool.create ~page_bytes ~capacity:2 () in
   let faults = ref [] in
   let fid = synthetic_file pool ~page_bytes faults in
-  let _b0 = Buffer_pool.pin pool ~file:fid ~page:0 in
-  let _b1 = Buffer_pool.pin pool ~file:fid ~page:1 in
-  Alcotest.(check int) "both pinned" 2 (Buffer_pool.pinned pool);
-  (* Every frame pinned: a third pin must refuse rather than evict. *)
-  Alcotest.check_raises "cannot evict pinned"
-    (Failure "Buffer_pool: every frame is pinned; cannot evict") (fun () ->
-      ignore (Buffer_pool.pin pool ~file:fid ~page:2));
-  Buffer_pool.unpin pool ~file:fid ~page:1;
-  let b2 = Buffer_pool.pin pool ~file:fid ~page:2 in
-  Alcotest.(check char) "page 2 faulted in" 'c' (Bytes.get b2 0);
-  Alcotest.(check bool) "pinned page 0 survived eviction" true
-    (Buffer_pool.contains pool ~table:fid ~page:0);
-  Alcotest.(check bool) "unpinned page 1 evicted" false
-    (Buffer_pool.contains pool ~table:fid ~page:1);
-  Buffer_pool.unpin pool ~file:fid ~page:2;
-  Buffer_pool.unpin pool ~file:fid ~page:0;
-  (* Evicted page re-faults with correct contents (recycled frame). *)
-  let b1 = Buffer_pool.pin pool ~file:fid ~page:1 in
-  Alcotest.(check char) "refault content" 'b' (Bytes.get b1 0);
-  Buffer_pool.unpin pool ~file:fid ~page:1
-
-let test_unpin_validation () =
-  let pool = Buffer_pool.create ~page_bytes:16 ~capacity:2 () in
-  let fid = synthetic_file pool ~page_bytes:16 (ref []) in
-  Alcotest.check_raises "unpin of absent page"
-    (Invalid_argument "Buffer_pool.unpin: page not resident") (fun () ->
-      Buffer_pool.unpin pool ~file:fid ~page:9);
-  ignore (Buffer_pool.pin pool ~file:fid ~page:0);
-  Buffer_pool.unpin pool ~file:fid ~page:0;
-  Alcotest.check_raises "double unpin"
-    (Invalid_argument "Buffer_pool.unpin: page not pinned") (fun () ->
-      Buffer_pool.unpin pool ~file:fid ~page:0)
-
-let test_evict_all_keeps_stats () =
-  let pool = Buffer_pool.create ~page_bytes:16 ~capacity:4 () in
-  let fid = synthetic_file pool ~page_bytes:16 (ref []) in
-  ignore (Buffer_pool.touch pool ~table:99 ~page:0);
-  ignore (Buffer_pool.touch pool ~table:99 ~page:0);
-  ignore (Buffer_pool.pin pool ~file:fid ~page:0);
-  (* page 0 of [fid] stays pinned; everything else must go. *)
-  Buffer_pool.evict_all pool;
-  Alcotest.(check int) "only the pinned page survives" 1 (Buffer_pool.resident pool);
-  Alcotest.(check bool) "pinned page resident" true
-    (Buffer_pool.contains pool ~table:fid ~page:0);
-  Alcotest.(check int) "hits survive eviction" 1 (Buffer_pool.hits pool);
-  Alcotest.(check int) "misses survive eviction" 2 (Buffer_pool.misses pool);
-  Alcotest.(check int) "accesses = hits + misses" (Buffer_pool.accesses pool)
+  let read page = Bytes.get (Buffer_pool.read pool ~file:fid ~page) 0 in
+  ignore (read 0);
+  ignore (read 1);
+  ignore (read 0);
+  (* Page 1 is least recently used: page 2 takes its frame. *)
+  Alcotest.(check char) "page 2 faulted in" 'c' (read 2);
+  Alcotest.(check (list int)) "faults so far" [ 2; 1; 0 ] !faults;
+  Alcotest.(check char) "page 0 still resident" 'a' (read 0);
+  Alcotest.(check int) "page 0 hit" 3 (List.length !faults);
+  (* The evicted page re-faults with its own contents. *)
+  Alcotest.(check char) "refault content" 'b' (read 1);
+  Alcotest.(check (list int)) "page 1 re-faulted" [ 1; 2; 1; 0 ] !faults;
+  Alcotest.(check int) "capacity respected" 2 (Buffer_pool.resident pool);
+  (* A touch-mode entry holds no bytes, even on a node recycled from a
+     framed one: reading its page counts a hit and faults the bytes in. *)
+  ignore (Buffer_pool.touch pool ~table:fid ~page:5);
+  let hits = Buffer_pool.hits pool in
+  Alcotest.(check char) "touched page read" 'f' (read 5);
+  Alcotest.(check int) "touched page hit" (hits + 1) (Buffer_pool.hits pool);
+  Alcotest.(check (list int)) "touched page faulted" [ 5; 1; 2; 1; 0 ] !faults;
+  Alcotest.check_raises "unregistered file"
+    (Invalid_argument "Buffer_pool.read: unregistered file") (fun () ->
+      ignore (Buffer_pool.read pool ~file:(fid + 1) ~page:0));
+  (* A failed fault leaves no entry behind: the next read faults again
+     rather than returning a recycled frame's stale bytes. *)
+  let broken = Buffer_pool.register_file pool (fun _ _ -> failwith "disk") in
+  for _ = 1 to 2 do
+    Alcotest.check_raises "fault error propagates" (Failure "disk") (fun () ->
+        ignore (Buffer_pool.read pool ~file:broken ~page:0))
+  done;
+  Alcotest.(check int) "failed faults not resident" 1 (Buffer_pool.resident pool);
+  Alcotest.(check int) "every read counted" (Buffer_pool.accesses pool)
     (Buffer_pool.hits pool + Buffer_pool.misses pool);
-  Buffer_pool.unpin pool ~file:fid ~page:0;
   Buffer_pool.clear pool;
   Alcotest.(check int) "clear drops pages" 0 (Buffer_pool.resident pool);
-  Alcotest.(check int) "clear drops stats" 0 (Buffer_pool.accesses pool)
+  Alcotest.(check int) "clear drops stats" 0 (Buffer_pool.accesses pool);
+  Alcotest.(check char) "cleared page re-faults" 'b' (read 1);
+  Alcotest.(check int) "one miss after clear" 1 (Buffer_pool.misses pool)
 
 (* ---- Paged round-trip property ----------------------------------------- *)
 
@@ -188,35 +173,29 @@ let paged_roundtrip =
             QCheck.Test.fail_reportf "cell (%d,%d): %s, want %s" i c
               (Format.asprintf "%a" Value.pp got)
               (Format.asprintf "%a" Value.pp want);
-          if Table.is_null t i c <> Table.is_null p i c then
+          if is_null t i c <> is_null p i c then
             QCheck.Test.fail_reportf "null bit (%d,%d) differs" i c;
           match Schema.ty_of schema c with
           | Value.TInt ->
-            if Table.get_int t ~col:c i <> Table.get_int p ~col:c i then
-              QCheck.Test.fail_reportf "get_int (%d,%d) differs (sentinel?)" i c
+            if ints_of t c i <> ints_of p c i then
+              QCheck.Test.fail_reportf "int slot (%d,%d) differs (sentinel?)" i c
           | Value.TFloat ->
             if not (Int64.equal
-                      (Int64.bits_of_float (Table.get_float t ~col:c i))
-                      (Int64.bits_of_float (Table.get_float p ~col:c i)))
-            then QCheck.Test.fail_reportf "get_float (%d,%d) bits differ" i c
+                      (Int64.bits_of_float (floats_of t c i))
+                      (Int64.bits_of_float (floats_of p c i)))
+            then QCheck.Test.fail_reportf "float slot (%d,%d) bits differ" i c
           | Value.TStr ->
             (* Dictionary ids must survive paging exactly: compiled
                predicates compare raw ids across backends. *)
-            if Table.get_str_id t ~col:c i <> Table.get_str_id p ~col:c i then
+            if ints_of t c i <> ints_of p c i then
               QCheck.Test.fail_reportf "str id (%d,%d) differs" i c
         done
       done;
       (* Dictionary contents and lookup survive too. *)
       List.iteri
         (fun c ty ->
-          if ty = Value.TStr then begin
-            if Table.dict_size t ~col:c <> Table.dict_size p ~col:c then
-              QCheck.Test.fail_reportf "dict size col %d differs" c;
-            for id = 0 to Table.dict_size t ~col:c - 1 do
-              if Table.dict_value t ~col:c id <> Table.dict_value p ~col:c id then
-                QCheck.Test.fail_reportf "dict value %d col %d differs" id c
-            done
-          end)
+          if ty = Value.TStr && dict_of t c <> dict_of p c then
+            QCheck.Test.fail_reportf "dictionary of col %d differs" c)
         tys;
       true)
 
@@ -264,9 +243,10 @@ let test_fault_oracle_exact_replay () =
   let model = Cost_model.default in
   let oracle = Buffer_pool.create ~capacity:cap () in
   let prng = Wj_util.Prng.create 1234 in
+  let read = ints_of p 0 in
   for _ = 1 to 5_000 do
     let row = Wj_util.Prng.int prng n in
-    let v = Table.get_int p ~col:0 row in
+    let v = read row in
     if v <> row * 3 then Alcotest.failf "bad value %d at row %d" v row;
     ignore (Buffer_pool.touch oracle ~table:0 ~page:(row / model.Cost_model.rows_per_page))
   done;
@@ -367,7 +347,7 @@ let paged_query spec =
   let d = Lazy.force dataset in
   let q = Queries.build ~variant:Standard spec d in
   let backend =
-    Backend.Paged { dir = Lazy.force scratch; pool_pages = Backend.default_pool_pages }
+    Backend.paged ~dir:(Lazy.force scratch) ()
   in
   let tables, pool =
     Backend.prepare_tables backend (Array.to_list q.Query.tables)
@@ -445,15 +425,53 @@ let test_sql_backend_equivalence () =
   in
   Alcotest.(check string) "SQL estimates equal across backends" (hex mem) (hex paged)
 
+(* The buffer pool is single-domain: serving paged tables on more than one
+   domain is refused before any session is admitted, whether the catalog
+   arrives paged or [cfg.backend] pages it. *)
+let test_serve_paged_needs_one_domain () =
+  let d = Lazy.force dataset in
+  let sql =
+    "SELECT ONLINE COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey"
+  in
+  let admitted = ref 0 in
+  let sink =
+    Wj_obs.Sink.of_fn (function
+      | Wj_obs.Event.Session_admitted _ -> incr admitted
+      | _ -> ())
+  in
+  let cfg backend =
+    Run_config.make ~seed:5 ~max_time:infinity ~max_walks:500
+      ~plan_choice:Run_config.First_enumerated ~backend ()
+  in
+  let paged = Backend.Paged { dir = Lazy.force scratch; pool_pages = 256 } in
+  let refused name cfg catalog =
+    Alcotest.check_raises name
+      (Invalid_argument "Sql.Engine.serve: paged tables need domains = 1")
+      (fun () -> ignore (Wj_sql.Engine.serve ~domains:2 ~sink cfg catalog [ sql ]))
+  in
+  refused "paged catalog" (cfg Backend.In_memory)
+    (fst (Backend.prepare_catalog paged (Generator.catalog d)));
+  refused "paged by cfg.backend" (cfg paged) (Generator.catalog d);
+  Alcotest.(check int) "nothing admitted" 0 !admitted;
+  (* One domain over paged tables, and two over in-memory ones, serve. *)
+  List.iter
+    (fun (domains, backend) ->
+      match Wj_sql.Engine.serve ~domains (cfg backend) (Generator.catalog d) [ sql ] with
+      | [ { Wj_sql.Engine.served_items = [ item ]; _ } ] ->
+        Alcotest.(check string)
+          (Printf.sprintf "%d domain(s) served" domains)
+          "done"
+          (Wj_service.Scheduler.state_name item.Wj_sql.Engine.session_state)
+      | _ -> Alcotest.fail "unexpected served shape")
+    [ (1, paged); (2, Backend.In_memory) ]
+
 let () =
   Alcotest.run "wj_extmem"
     [
       ( "pager",
         [
-          Alcotest.test_case "pin faults and re-reads" `Quick test_pin_faults_and_rereads;
-          Alcotest.test_case "eviction skips pinned" `Quick test_eviction_skips_pinned;
-          Alcotest.test_case "unpin validation" `Quick test_unpin_validation;
-          Alcotest.test_case "evict_all keeps stats" `Quick test_evict_all_keeps_stats;
+          Alcotest.test_case "read faults and re-reads" `Quick test_read_faults_and_rereads;
+          Alcotest.test_case "read evicts the LRU page" `Quick test_read_evicts_lru;
         ] );
       ( "roundtrip",
         [
@@ -479,5 +497,7 @@ let () =
         [
           Alcotest.test_case "Run_config.backend through the engine" `Slow
             test_sql_backend_equivalence;
+          Alcotest.test_case "serve refuses domains > 1 over paged tables" `Quick
+            test_serve_paged_needs_one_domain;
         ] );
     ]

@@ -27,10 +27,10 @@ let test_pool_lru_eviction () =
   (* Touch page 0 so page 1 becomes LRU. *)
   ignore (Buffer_pool.touch p ~table:0 ~page:0);
   ignore (Buffer_pool.touch p ~table:0 ~page:2);
-  (* page 1 evicted *)
-  Alcotest.(check bool) "page 0 resident" true (Buffer_pool.contains p ~table:0 ~page:0);
-  Alcotest.(check bool) "page 1 evicted" false (Buffer_pool.contains p ~table:0 ~page:1);
-  Alcotest.(check bool) "page 2 resident" true (Buffer_pool.contains p ~table:0 ~page:2);
+  (* page 1 evicted; re-touching 0 and 2 hits and keeps both resident *)
+  Alcotest.(check bool) "page 0 resident" true (Buffer_pool.touch p ~table:0 ~page:0);
+  Alcotest.(check bool) "page 2 resident" true (Buffer_pool.touch p ~table:0 ~page:2);
+  Alcotest.(check bool) "page 1 evicted" false (Buffer_pool.touch p ~table:0 ~page:1);
   Alcotest.(check int) "capacity respected" 2 (Buffer_pool.resident p)
 
 let test_pool_tables_disambiguated () =
@@ -49,30 +49,39 @@ let test_pool_clear_and_stats () =
   Alcotest.(check int) "still resident" 1 (Buffer_pool.resident p);
   Buffer_pool.clear p;
   Alcotest.(check int) "cleared" 0 (Buffer_pool.resident p);
-  Alcotest.(check bool) "gone" false (Buffer_pool.contains p ~table:0 ~page:0)
+  Alcotest.(check bool) "gone" false (Buffer_pool.touch p ~table:0 ~page:0)
 
-let test_pool_evict_all_keeps_counters () =
+let test_pool_eviction_keeps_counters () =
   (* Reconciliation identity (accesses = hits + misses) must survive
-     eviction: [evict_all] drops residency only, [clear] drops both. *)
-  let p = Buffer_pool.create ~capacity:3 () in
+     eviction: only [reset_stats] and [clear] drop the counters. *)
+  let p = Buffer_pool.create ~capacity:2 () in
   ignore (Buffer_pool.touch p ~table:0 ~page:0);
   ignore (Buffer_pool.touch p ~table:0 ~page:0);
   ignore (Buffer_pool.touch p ~table:0 ~page:1);
-  Buffer_pool.evict_all p;
-  Alcotest.(check int) "evicted" 0 (Buffer_pool.resident p);
+  ignore (Buffer_pool.touch p ~table:0 ~page:2);
+  Alcotest.(check int) "capacity respected" 2 (Buffer_pool.resident p);
   Alcotest.(check int) "hits kept" 1 (Buffer_pool.hits p);
-  Alcotest.(check int) "misses kept" 2 (Buffer_pool.misses p);
+  Alcotest.(check int) "misses kept" 3 (Buffer_pool.misses p);
   Alcotest.(check int) "identity holds" (Buffer_pool.accesses p)
     (Buffer_pool.hits p + Buffer_pool.misses p);
-  (* Post-eviction accesses miss again: residency really was dropped. *)
-  Alcotest.(check bool) "cold after evict_all" false
+  (* The evicted page misses again: residency really was dropped. *)
+  Alcotest.(check bool) "cold after eviction" false
     (Buffer_pool.touch p ~table:0 ~page:0);
-  Alcotest.(check int) "miss counted on top" 3 (Buffer_pool.misses p)
+  Alcotest.(check int) "miss counted on top" 4 (Buffer_pool.misses p)
 
 let test_pool_validation () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Buffer_pool.create: capacity must be positive") (fun () ->
-      ignore (Buffer_pool.create ~capacity:0 ()))
+      ignore (Buffer_pool.create ~capacity:0 ()));
+  let p = Buffer_pool.create ~capacity:2 () in
+  List.iter
+    (fun (table, page) ->
+      Alcotest.check_raises "key out of range"
+        (Invalid_argument "Buffer_pool: id or page out of range") (fun () ->
+          ignore (Buffer_pool.touch p ~table ~page)))
+    [ (-1, 0); (1 lsl 30, 0); (0, -1); (0, 1 lsl 32) ];
+  Alcotest.(check bool) "largest key fits" false
+    (Buffer_pool.touch p ~table:((1 lsl 30) - 1) ~page:((1 lsl 32) - 1))
 
 let test_pool_heavy_churn () =
   (* Sequential sweep over 10x the capacity: everything misses; then a
@@ -205,8 +214,8 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_pool_lru_eviction;
           Alcotest.test_case "tables disambiguated" `Quick test_pool_tables_disambiguated;
           Alcotest.test_case "clear and stats" `Quick test_pool_clear_and_stats;
-          Alcotest.test_case "evict_all keeps counters" `Quick
-            test_pool_evict_all_keeps_counters;
+          Alcotest.test_case "eviction keeps counters" `Quick
+            test_pool_eviction_keeps_counters;
           Alcotest.test_case "validation" `Quick test_pool_validation;
           Alcotest.test_case "heavy churn" `Quick test_pool_heavy_churn;
         ] );

@@ -18,6 +18,7 @@ module Exact = Wj_exec.Exact
 module Table = Wj_storage.Table
 module Schema = Wj_storage.Schema
 module Value = Wj_storage.Value
+open Column_reads
 
 let dataset = lazy (Generator.generate ~seed:7 ~sf:0.01 ())
 
@@ -180,17 +181,16 @@ let columnar_roundtrip =
               (* Typed accessors agree with the boxed view. *)
               match v with
               | Value.Null ->
-                if not (Table.is_null t i c) then
+                if not (is_null t i c) then
                   QCheck.Test.fail_reportf "null bit missing at (%d,%d)" i c
               | Value.Int x ->
-                if Table.get_int t ~col:c i <> x then
-                  QCheck.Test.fail_reportf "get_int (%d,%d) mismatch" i c
+                if ints_of t c i <> x then
+                  QCheck.Test.fail_reportf "int slot (%d,%d) mismatch" i c
               | Value.Float x ->
-                if Table.get_float t ~col:c i <> x then
-                  QCheck.Test.fail_reportf "get_float (%d,%d) mismatch" i c
+                if floats_of t c i <> x then
+                  QCheck.Test.fail_reportf "float slot (%d,%d) mismatch" i c
               | Value.Str s ->
-                let id = Table.get_str_id t ~col:c i in
-                if Table.dict_value t ~col:c id <> s then
+                if (dict_of t c).(ints_of t c i) <> s then
                   QCheck.Test.fail_reportf "dict round-trip (%d,%d) mismatch" i c)
             r)
         expected;
@@ -220,9 +220,8 @@ let test_push_commit () =
   Table.rollback_row t;
   Alcotest.(check int) "rollback keeps committed rows" 1 (Table.length t);
   ignore (Table.insert t [| Int 9; Null; Str "hi" |]);
-  Alcotest.(check bool) "null recorded" true (Table.is_null t 1 1);
-  Alcotest.(check bool) "dictionary shares ids" true
-    (Table.get_str_id t ~col:2 0 = Table.get_str_id t ~col:2 1)
+  Alcotest.(check bool) "null recorded" true (is_null t 1 1);
+  Alcotest.(check bool) "dictionary shares ids" true (ints_of t 2 0 = ints_of t 2 1)
 
 let test_diagnostics () =
   let t = Table.create ~name:"diag" ~schema:small_schema () in

@@ -24,7 +24,6 @@ let test_value_accessors () =
   Alcotest.(check int) "to_int" 5 (Value.to_int (Int 5));
   Alcotest.(check (float 0.0)) "to_float of int" 5.0 (Value.to_float (Int 5));
   Alcotest.(check (float 0.0)) "to_float" 2.5 (Value.to_float (Float 2.5));
-  Alcotest.(check string) "to_string_exn" "x" (Value.to_string_exn (Str "x"));
   Alcotest.check_raises "to_int of str" (Invalid_argument "Value.to_int: not an Int")
     (fun () -> ignore (Value.to_int (Str "a")));
   Alcotest.check_raises "to_float of null"
@@ -138,21 +137,6 @@ let test_catalog () =
     (Invalid_argument "Catalog.add_table: duplicate table users") (fun () ->
       Catalog.add_table c t)
 
-let test_catalog_indexes () =
-  let c = Catalog.create () in
-  let t = Table.create ~name:"users" ~schema:(sample_schema ()) () in
-  Catalog.add_table c t;
-  Alcotest.(check bool) "no index" false (Catalog.has_index c ~table:"users" ~column:"id");
-  Catalog.register_index c ~table:"users" ~column:"id" Catalog.Hash;
-  Alcotest.(check bool) "hash" true
-    (Catalog.indexed c ~table:"users" ~column:"id" = Some Catalog.Hash);
-  Catalog.register_index c ~table:"users" ~column:"id" Catalog.Ordered;
-  Alcotest.(check bool) "ordered wins" true
-    (Catalog.indexed c ~table:"users" ~column:"id" = Some Catalog.Ordered);
-  Alcotest.check_raises "unknown column"
-    (Invalid_argument "Catalog.register_index: no column zz in users") (fun () ->
-      Catalog.register_index c ~table:"users" ~column:"zz" Catalog.Hash)
-
 (* ---- Date_codec ------------------------------------------------------ *)
 
 let test_dates_known () =
@@ -214,7 +198,6 @@ let () =
       ( "catalog",
         [
           Alcotest.test_case "tables" `Quick test_catalog;
-          Alcotest.test_case "indexes" `Quick test_catalog_indexes;
         ] );
       ( "dates",
         [
