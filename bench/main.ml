@@ -72,10 +72,10 @@ let rel_err est truth =
 (* Every online cell below runs through the Run_config session path; these
    forward the bench's global seed and the legacy defaults. *)
 let online_run ?target ?max_time ?max_walks ?report_every ?clock ?plan_choice
-    ?batch ?sink ?eager_checks ?on_report q reg =
+    ?sink ?eager_checks ?on_report q reg =
   Online.run_session ?eager_checks ?on_report
     (Wj_core.Run_config.make ~seed ?target ?max_time ?max_walks ?report_every
-       ?clock ?plan_choice ?batch ?sink ())
+       ?clock ?plan_choice ?sink ())
     q reg
 
 let online_run_group_by ?max_time ?max_walks ?report_every ?on_group_report q reg =

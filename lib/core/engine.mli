@@ -1,47 +1,23 @@
-(** Step-centric batched walk engine and the shared execution driver.
+(** The estimator sink and the shared execution driver.
 
-    Wander join's hot path is millions of tiny random-walk steps.  The
-    engine keeps a ring of [batch] in-flight walk states — each slot owns a
-    preallocated path buffer, its running Horvitz–Thompson weight and its
-    position in the plan — and advances them in sweeps of one
-    gather -> sample -> update phase per slot, so consecutive probes
-    against the same step's index land back to back and no per-walk
-    closures or path arrays are allocated.
-
-    [batch = 1] (the default everywhere) delegates to {!Walker.walk}: it
-    consumes the same PRNG draws in the same order, so every fixed-seed
-    result of the sequential drivers is reproduced bit for bit.  Larger
-    batches interleave the draws of concurrent walks: still unbiased, same
-    distribution, different stream.
-
-    {!Driver} is the single execution loop shared by the Online and
-    Hybrid drivers and by the ripple-join baselines: stop conditions
-    (confidence target, deadline, walk budget, cancellation) plus periodic
-    reporting, with the polling cadence of each check configurable. *)
+    A walk is {!Walker.walk}: one loop, one step path.  {!feed} turns its
+    outcome into an estimator observation, and {!Driver} is the single
+    execution loop shared by the Online and Hybrid drivers and by the
+    ripple-join baselines: stop conditions (confidence target, deadline,
+    walk budget, cancellation) plus periodic reporting, with the polling
+    cadence of each check configurable. *)
 
 type t
+(** A prepared walker behind the benchmark ledger's walk handle. *)
 
 val create : ?batch:int -> ?prefetch:bool -> Walker.prepared -> t
-(** [batch] defaults to 1.  Raises [Invalid_argument] when [batch < 1].
-
-    [prefetch] is accepted and ignored.  It survives only because the
-    benchmark ledger ([bench/ledger/ledger.ml]) still passes it; ROADMAP
-    item 9 removes it together with the ledger's prefetch rows. *)
-
-val batch : t -> int
-(** Number of in-flight walks. *)
-
-val prepared : t -> Walker.prepared
-(** The underlying prepared walker. *)
+(** [batch] and [prefetch] are accepted and ignored: every walk is one
+    {!Walker.walk}.  They survive only because the benchmark ledger
+    ([bench/ledger/ledger.ml]) still passes them; ROADMAP item 10 deletes
+    [create] and [next] together with the ledger's batch-64 rows. *)
 
 val next : t -> Wj_util.Prng.t -> Walker.outcome
-(** Advance in-flight walks round-robin until one completes and return its
-    outcome.  A [Success] outcome's [path] aliases the slot's reused
-    buffer: read it before the next [next] call, copy it to retain it. *)
-
-val last_walk_cost : t -> int
-(** Abstract cost of the walk most recently returned by [next]
-    (the engine-side analogue of {!Walker.steps_of_last_walk}). *)
+(** {!Walker.walk} on the prepared walker. *)
 
 val walk_value : Query.t -> Walker.prepared -> int array -> float
 (** The estimator observation value of a successful path: the aggregate

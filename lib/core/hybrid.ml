@@ -126,9 +126,6 @@ let run_session ?(config = default_config) ?(max_rounds = max_int)
                granularity = Walk_plan.granularity p;
              }))
       plans;
-  (* One engine per component, shared by all replicates: with [batch > 1]
-     the in-flight walks of a component interleave across replicates. *)
-  let engines = Array.map (Engine.create ~batch:cfg.Run_config.batch) prepared in
   let cross_conds =
     let comp_of = Array.make (Query.k q) (-1) in
     List.iteri
@@ -199,10 +196,10 @@ let run_session ?(config = default_config) ?(max_rounds = max_int)
             if not st.frozen then begin
               st.comp_walks <- st.comp_walks + 1;
               incr walks;
-              (match Engine.next engines.(ci) prng with
+              (match Walker.walk prepared.(ci) prng with
               | Walker.Success { path; inv_p } ->
                 incr successes;
-                let sp = { rows = Array.copy path; inv_p } in
+                let sp = { rows = path; inv_p } in
                 combine rep ci sp;
                 Vec.push st.paths sp;
                 if Vec.length st.paths >= config.max_paths_per_component then

@@ -21,8 +21,6 @@ type config = {
   trial_walks_per_plan : int;  (** per-component plan selection; default 50 *)
 }
 
-val default_config : config
-
 type outcome = {
   estimate : float;
   half_width : float;

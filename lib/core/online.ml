@@ -119,7 +119,6 @@ let start_session ?(eager_checks = true) ?on_report (cfg : Run_config.t) q regis
            description = Walk_plan.describe q plan;
            granularity = Walk_plan.granularity plan;
          });
-  let engine = Engine.create ~batch:cfg.batch prepared in
   let history = ref [] in
   let emit_report () =
     let r = make_report ~confidence:cfg.confidence ~elapsed:(Timer.elapsed clock) est in
@@ -134,7 +133,7 @@ let start_session ?(eager_checks = true) ?on_report (cfg : Run_config.t) q regis
           ~half_width:(Estimator.half_width est ~confidence:cfg.confidence))
       cfg.target
   in
-  let step () = Engine.feed q prepared est (Engine.next engine prng) in
+  let step () = Engine.feed q prepared est (Walker.walk prepared prng) in
   let driver =
     Engine.Driver.make ~sink ?target_reached ?should_stop:cfg.should_stop
       ?max_walks:cfg.max_walks ?report_every:cfg.report_every
@@ -225,7 +224,6 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
            description = Walk_plan.describe q plan;
            granularity = Walk_plan.granularity plan;
          });
-  let engine = Engine.create ~batch:cfg.batch prepared in
   let groups : (Value.t, Estimator.t) Hashtbl.t = Hashtbl.create 16 in
   let total = ref 0 in
   let group_est key =
@@ -252,7 +250,7 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
     |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
   in
   let step () =
-    (match Engine.next engine prng with
+    (match Walker.walk prepared prng with
     | Walker.Success { path; inv_p } ->
       let key = Query.group_key q path in
       let e = group_est key in

@@ -119,7 +119,6 @@ module Group_session : sig
 
   val advance : t -> max_steps:int -> stop_reason option
   val interrupt : t -> stop_reason -> unit
-  val stopped : t -> stop_reason option
 
   val outcome : t -> group_outcome
   (** Raises [Invalid_argument] while the session is still running. *)

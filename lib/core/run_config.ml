@@ -10,7 +10,6 @@ type t = {
   max_time : float;
   max_walks : int option;
   report_every : float option;
-  batch : int;
   clock : Wj_util.Timer.t option;
   should_stop : (unit -> bool) option;
   plan_choice : plan_choice;
@@ -19,25 +18,8 @@ type t = {
   backend : Wj_storage.Backend.t;
 }
 
-let default =
-  {
-    seed = 42;
-    confidence = 0.95;
-    target = None;
-    max_time = 10.0;
-    max_walks = None;
-    report_every = None;
-    batch = 1;
-    clock = None;
-    should_stop = None;
-    plan_choice = Optimize Optimizer.default_config;
-    sink = Wj_obs.Sink.noop;
-    recorder = None;
-    backend = Wj_storage.Backend.In_memory;
-  }
-
 let make ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
-    ?report_every ?(batch = 1) ?clock ?should_stop
+    ?report_every ?clock ?should_stop
     ?(plan_choice = Optimize Optimizer.default_config)
     ?(sink = Wj_obs.Sink.noop) ?recorder
     ?(backend = Wj_storage.Backend.In_memory) () =
@@ -48,7 +30,6 @@ let make ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
     max_time;
     max_walks;
     report_every;
-    batch;
     clock;
     should_stop;
     plan_choice;

@@ -20,7 +20,6 @@ type t = {
   max_time : float;  (** seconds, on [clock] *)
   max_walks : int option;  (** walk/round/sample budget *)
   report_every : float option;  (** periodic report interval, seconds *)
-  batch : int;  (** engine in-flight walks; 1 = sequential walker *)
   clock : Wj_util.Timer.t option;  (** [None] = wall clock *)
   should_stop : (unit -> bool) option;  (** cooperative cancellation *)
   plan_choice : plan_choice;
@@ -35,10 +34,6 @@ type t = {
           through) the segment files. *)
 }
 
-val default : t
-(** seed 42, confidence 0.95, no target, 10 s, unlimited walks, no
-    reports, batch 1, wall clock, optimizer default config, no-op sink. *)
-
 val make :
   ?seed:int ->
   ?confidence:float ->
@@ -46,7 +41,6 @@ val make :
   ?max_time:float ->
   ?max_walks:int ->
   ?report_every:float ->
-  ?batch:int ->
   ?clock:Wj_util.Timer.t ->
   ?should_stop:(unit -> bool) ->
   ?plan_choice:plan_choice ->
@@ -55,7 +49,9 @@ val make :
   ?backend:Wj_storage.Backend.t ->
   unit ->
   t
-(** Defaults as in {!default}. *)
+(** Defaults: seed 42, confidence 0.95, no target, 10 s, unlimited
+    walks, no reports, wall clock, optimizer default config, no-op sink,
+    no recorder, in-memory tables. *)
 
 val with_sink : t -> Wj_obs.Sink.t -> t
 (** Functional update of the observability sink. *)

@@ -47,10 +47,11 @@ type start_sampler =
   | Uniform of { table : Table.t }
   | Olken of { index : Index.t; lo : int; hi : int }
 
+(* The result of one phase of a walk (its start, or one plan step). *)
 type phase =
-  | Advanced
-  | Dead_unbound
-  | Dead_bound
+  | Advanced (* one more table bound and vetted; its HT factor is in [factor] *)
+  | Dead_unbound (* died before vetting the table: depth does not count it *)
+  | Dead_bound (* bound and passed its predicates, failed a non-tree check *)
 
 (* An all-float record is stored flat, so writing its field boxes nothing
    (a float field of [prepared] itself would allocate on every store). *)
@@ -285,8 +286,6 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
 let start_cardinality t = t.start_count
 let uses_olken_start t = match t.start with Olken _ -> true | Uniform _ -> false
 let start_predicate t = t.start_pred
-let query t = t.query
-let plan t = t.plan
 
 (* The event is only constructed inside the [Some] branch: an untraced,
    unmetered walker allocates nothing here. *)
@@ -371,7 +370,7 @@ let note_nontree_reject t ~pos ~label ~counter =
   | None -> ()
   | Some f -> f (Wj_obs.Event.Nontree_reject { pos; edge = label })
 
-(* ---- Step-granular phases (shared by [walk] and the batched Engine) --- *)
+(* ---- Step-granular phases of [walk] ----------------------------------- *)
 
 (* An empty neighbour set (or empty start): the walk dies unbound. *)
 let reject_empty t =
@@ -571,6 +570,4 @@ let walk t prng =
   outcome
 
 let steps_of_last_walk t = t.last_steps
-let phase_cost t = t.phase_cost
-let phase_factor t = t.factor.value
 let value_of t path = t.extract path

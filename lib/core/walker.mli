@@ -53,76 +53,31 @@ val start_predicate : prepared -> Query.predicate option
     deterministic: the predicate listed first in the query's predicate
     list wins (ties never depend on fold order). *)
 
-val query : prepared -> Query.t
-val plan : prepared -> Walk_plan.t
-
 val walk : prepared -> Wj_util.Prng.t -> outcome
-(** One random walk.  Also drives the sink, if any, and records the
-    walk's outcome (see {!record_outcome}) — callers composing walks out of
-    the phases below must do both themselves. *)
+(** One random walk.  It samples, binds and vets the start tuple, then
+    advances one plan step at a time.  The sink sees [Walk_started], then
+    the outcome: walks / successes / failures / failure-depth histogram,
+    and a [Walk_succeeded]/[Walk_failed] event.  Every call returns a
+    fresh [path].
 
-(** {2 Step-granular phases}
-
-    [walk] is the sequential composition of the phases below; the batched
-    {!Engine} interleaves the same phases across many in-flight walks.
-    Both consume identical PRNG draws per walk, so a single-slot engine
-    reproduces [walk] bit for bit. *)
-
-type phase =
-  | Advanced
-      (** One more table bound and vetted; multiply the walk's running
-          [inv_p] by {!phase_factor}. *)
-  | Dead_unbound
-      (** The walk died without vetting the attempted table (empty
-          neighbour set, or a predicate rejected the sampled row): the
-          failure depth does not count this table. *)
-  | Dead_bound
-      (** The row was bound and passed its predicates but a non-tree join
-          check failed: the failure depth counts this table. *)
-
-val advance_start : prepared -> Wj_util.Prng.t -> int array -> phase
-(** Sample, bind (into the caller's path buffer) and vet the start tuple.
-    The abstract cost of the attempt is left in {!phase_cost}. *)
-
-val advance_step : prepared -> Wj_util.Prng.t -> int array -> int -> phase
-(** Advance one plan step: locate the bound parent row's neighbour set in
-    the step's index once ({!Wj_index.Index.locate_eq}/[locate_range]),
-    draw one of its d rows uniformly, select it out of the locate, bind
-    and vet it.  The step costs the index's [count_cost + resolve_cost]
-    plus one tuple fetch.
+    A plain step locates the bound parent row's neighbour set in the
+    step's index once ({!Wj_index.Index.locate_eq}/[locate_range]), draws
+    one of its d rows uniformly, selects it out of the locate, binds and
+    vets it.  It costs the index's [count_cost + resolve_cost] plus one
+    tuple fetch, and multiplies the walk's inverse probability by d.  A
+    step allocates nothing: it locates into a buffer the step owns, boxes
+    no float and runs its checks in loops, so a walk's minor allocation is
+    its [path] and its outcome.
 
     When the step carries a pre-intersection spec ({!Walk_plan.step.isect})
     the neighbour set is first narrowed through the step's trie by every
     folded non-tree edge; the sample is uniform over the intersected set
     and its count is the HT factor.  An empty intersection is a non-tree
-    reject caught before sampling: it consumes no PRNG draw, returns
-    [Dead_unbound] (no row was bound) and is attributed to the folded
-    edge in the per-edge reject counters
+    reject caught before sampling: it consumes no PRNG draw, does not
+    count the step's table in the failure depth, and is attributed to the
+    folded edge in the per-edge reject counters
     (["walker.rejects.nontree.<edge>"]) and [Nontree_reject] events, as
     are post-bind non-tree check failures. *)
-
-val phase_cost : prepared -> int
-(** Abstract cost (index-entry accesses + tuple fetches) of the most
-    recent [advance_start]/[advance_step] call. *)
-
-val phase_factor : prepared -> float
-(** The Horvitz–Thompson factor of the most recent phase that returned
-    [Advanced]: the start cardinality after [advance_start], the neighbour
-    count d after [advance_step].  Kept in [prepared], like
-    {!phase_cost}, so that neither phase allocates: a walk step boxes no
-    float, builds no probe result (it locates into a buffer the step
-    owns) and runs its checks in loops. *)
-
-val note_walk_started : prepared -> unit
-(** Emit [Walk_started] to the sink, if it wants events.  {!walk} calls
-    this itself; phase-level callers (the batched engine) call it when a
-    slot begins a new walk. *)
-
-val record_outcome : prepared -> cost:int -> outcome -> unit
-(** Count the walk in the sink's metrics (walks / successes / failures /
-    failure-depth histogram) and emit [Walk_succeeded]/[Walk_failed].
-    Must fire exactly once per walk: {!walk} does it internally; the
-    batched engine does it when a slot's walk completes. *)
 
 val steps_of_last_walk : prepared -> int
 (** Abstract cost (index-entry accesses + tuple fetches) of the most recent

@@ -215,7 +215,6 @@ let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
 
 let port t = t.bound_port
 let url t = Printf.sprintf "http://127.0.0.1:%d" t.bound_port
-let metrics t = t.metrics
 
 (* ---- request decoding ------------------------------------------------- *)
 
@@ -552,6 +551,10 @@ let submit_statement t req ~traced =
   in
   match cached with
   | Some entry -> `Cached (norm, entry.Estimate_cache.results)
+  | None when t.stopping ->
+    (* Nothing ticks the scheduler once stop began: a session submitted
+       now would never finish. *)
+    `Stopping
   | None -> (
     match submit_fresh t req ~traced statement key epoch with
     | `Submitted (key, epoch, token, stream, pendings, recorder) ->
@@ -679,6 +682,11 @@ let handle_query t fd ~trace_id ~traced req =
     log ~outcome:"done" ~cache:"hit" ~norm ();
     Http.respond fd ~status:200 ~headers:trace_hdr
       (Json.to_string (final_json ~status:"done" ~cached:true results) ^ "\n")
+  | `Stopping ->
+    Counter.incr t.rejected;
+    log_failure t ~trace_id ~outcome:"rejected" "stopping";
+    Http.respond fd ~status:503 ~headers:trace_hdr
+      (error_body "stopping" "the daemon is shutting down" ^ "\n")
   | `Submitted (norm, key, epoch, token, stream, pendings, recorder) ->
     let streaming = req.want_stream && stream.live > 0 in
     if streaming then Http.start_chunked fd ~status:200 ~headers:trace_hdr ();

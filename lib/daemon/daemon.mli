@@ -95,12 +95,6 @@ val port : t -> int
 val url : t -> string
 (** ["http://127.0.0.1:<port>"]. *)
 
-val metrics : t -> Wj_obs.Metrics.t
-(** The daemon's registry: [http.*] request counters, [cache.*]
-    hit/miss/stale/eviction/skipped-cheap counters, the scheduler's
-    per-session and per-tenant families.  Live — reading it races benignly with
-    handlers. *)
-
 val wait : t -> unit
 (** Block until the daemon stops — via [POST /shutdown] from the wire or
     {!stop} from another thread.  This is [wjd]'s serve loop. *)
@@ -111,6 +105,8 @@ val stop : t -> unit
     running as cancelled, then close an access-log file (stderr is only
     flushed).  In-flight handler threads finish their current response on
     their own: a streaming client gets a final line with
-    ["status":"cancelled"], then EOF.  An access-log line they write after
+    ["status":"cancelled"], then EOF.  A [/query] read after the stop
+    began is answered [503] with code ["stopping"] unless the estimate
+    cache holds it.  An access-log line they write after
     the file is closed is dropped, while with ["-"] it still goes to
     stderr.  Idempotent. *)

@@ -87,4 +87,3 @@ let store t ~key ?cost entry =
     true
 
 let length t = Hashtbl.length t.table
-let clear t = Hashtbl.reset t.table

@@ -59,6 +59,3 @@ val store : t -> key:string -> ?cost:int -> entry -> bool
 
 val length : t -> int
 (** Live entries. *)
-
-val clear : t -> unit
-(** Drop every entry (counters are left untouched). *)

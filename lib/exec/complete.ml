@@ -6,8 +6,7 @@ type result = {
   online : Online.outcome;
 }
 
-let run ?(seed = 13) ?(confidence = 0.95) ?target ?report_every ?on_report ?batch q
-    registry =
+let run ?(seed = 13) ?(confidence = 0.95) ?target ?report_every ?on_report q registry =
   let finished = Atomic.make false in
   let exact_domain =
     Domain.spawn (fun () ->
@@ -17,7 +16,7 @@ let run ?(seed = 13) ?(confidence = 0.95) ?target ?report_every ?on_report ?batc
   in
   let online =
     let cfg =
-      Wj_core.Run_config.make ~seed ~confidence ?target ?report_every ?batch
+      Wj_core.Run_config.make ~seed ~confidence ?target ?report_every
         ~max_time:infinity
         ~should_stop:(fun () -> Atomic.get finished)
         ()

@@ -19,7 +19,6 @@ type t = {
 
 let levels t = Array.length t.columns
 let length t = Array.length t.rows
-let columns t = Array.copy t.columns
 let row t slot = t.rows.(slot)
 let rows t = t.rows
 let probes t = t.probes

@@ -35,7 +35,6 @@ val levels : t -> int
 val length : t -> int
 (** Number of (kept) rows. *)
 
-val columns : t -> int array
 val row : t -> int -> int
 (** [row t slot]: row id stored at a sorted slot. *)
 
@@ -55,9 +54,6 @@ val narrow_start : t -> level:int -> lo:int -> hi:int -> int -> int
     therefore only valid as the last narrowing step (band edges order
     last).  Two ints, no pair, so a walk step narrows without
     allocating. *)
-
-val lower_bound : t -> level:int -> lo:int -> hi:int -> int -> int
-(** First slot in [[lo, hi)] with level key [>= k] (binary search). *)
 
 val upper_bound : t -> level:int -> lo:int -> hi:int -> int -> int
 (** First slot in [[lo, hi)] with level key [> k]. *)

@@ -15,7 +15,6 @@ let create ?(model = Cost_model.default) ~pool_pages ~clock () =
 
 let model t = t.model
 let pool t = t.pool
-let clock t = t.clock
 
 let charge_seconds t s =
   t.charged <- t.charged +. s;

@@ -14,7 +14,6 @@ val create :
 
 val model : t -> Cost_model.t
 val pool : t -> Wj_storage.Buffer_pool.t
-val clock : t -> Wj_util.Timer.t
 
 val ripple_tracer : t -> pos:int -> slot:int -> sequential:bool -> unit
 (** Tracer for {!Wj_ripple.Ripple.run}: sequential retrievals charge one

@@ -1,6 +1,5 @@
 type t = { cells : int array; off : int }
 
-let create () = { cells = [| 0 |]; off = 0 }
 let of_cells cells off = { cells; off }
 let[@inline] incr t = t.cells.(t.off) <- t.cells.(t.off) + 1
 let[@inline] add t n = t.cells.(t.off) <- t.cells.(t.off) + n

@@ -9,9 +9,6 @@
 
 type t
 
-val create : unit -> t
-(** A standalone counter (its own one-cell array), starting at 0. *)
-
 val of_cells : int array -> int -> t
 (** A counter backed by cell [off] of a caller-owned arena ({!Metrics}
     carves all its counters out of shared chunks). *)

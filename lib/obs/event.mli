@@ -67,6 +67,3 @@ type t =
 val stop_reason_name : stop_reason -> string
 (** Lowercase snake-case name, also used as the metric-family suffix of
     the driver's [driver.stop.<reason>] counters. *)
-
-val describe : t -> string
-(** One-line rendering for logging sinks. *)

@@ -1,8 +1,6 @@
 type t = { cells : float array; off : int }
 
-let create () = { cells = [| 0.0 |]; off = 0 }
 let of_cells cells off = { cells; off }
 let[@inline] set t v = t.cells.(t.off) <- v
 let[@inline] add t v = t.cells.(t.off) <- t.cells.(t.off) +. v
 let[@inline] value t = t.cells.(t.off)
-let reset t = t.cells.(t.off) <- 0.0

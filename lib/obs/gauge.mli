@@ -7,9 +7,6 @@
 
 type t
 
-val create : unit -> t
-(** A standalone gauge (its own one-cell array), starting at 0. *)
-
 val of_cells : float array -> int -> t
 (** A gauge backed by cell [off] of a caller-owned arena. *)
 
@@ -21,6 +18,3 @@ val add : t -> float -> unit
 
 val value : t -> float
 (** Current level. *)
-
-val reset : t -> unit
-(** Back to 0. *)

@@ -1,9 +1,5 @@
 type t = { cells : int array; off : int; buckets : int }
 
-let create ~buckets =
-  if buckets < 1 then invalid_arg "Histogram.create: buckets must be >= 1";
-  { cells = Array.make buckets 0; off = 0; buckets }
-
 let of_cells cells off ~buckets =
   if buckets < 1 then invalid_arg "Histogram.of_cells: buckets must be >= 1";
   { cells; off; buckets }
@@ -30,4 +26,3 @@ let total t =
   !s
 
 let to_array t = Array.sub t.cells t.off t.buckets
-let reset t = Array.fill t.cells t.off t.buckets 0

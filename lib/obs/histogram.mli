@@ -8,10 +8,6 @@
 
 type t
 
-val create : buckets:int -> t
-(** A standalone histogram with [buckets] cells, all 0.
-    Raises [Invalid_argument] when [buckets < 1]. *)
-
 val of_cells : int array -> int -> buckets:int -> t
 (** A histogram backed by cells [off .. off+buckets-1] of a caller-owned
     arena. *)
@@ -33,6 +29,3 @@ val total : t -> int
 
 val to_array : t -> int array
 (** Fresh copy of the bucket values. *)
-
-val reset : t -> unit
-(** All buckets back to 0. *)

@@ -123,12 +123,3 @@ let merge ~into src =
         done
       | Gauge g -> Gauge.set (gauge into name) (Gauge.value g))
     (families src)
-
-let reset t =
-  Hashtbl.iter
-    (fun _ fam ->
-      match fam with
-      | Counter c -> Counter.reset c
-      | Histogram h -> Histogram.reset h
-      | Gauge g -> Gauge.reset g)
-    t.core.table

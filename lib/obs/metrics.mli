@@ -60,6 +60,3 @@ val merge : into:t -> t -> unit
     order, to combine per-domain registries into the submitter-visible
     one.  Raises [Invalid_argument] on a kind mismatch between same-named
     families. *)
-
-val reset : t -> unit
-(** Zero every cell; registrations survive. *)

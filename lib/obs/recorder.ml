@@ -32,7 +32,6 @@ let create ?(series_capacity = 512) ?(tracing = false) ?(trace_capacity = 8192) 
 
 let metrics t = t.metrics
 let trace t = t.trace
-let clock t = t.clock
 
 let find_series t name =
   match Hashtbl.find_opt t.series name with

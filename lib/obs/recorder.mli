@@ -36,7 +36,6 @@ val create :
 
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t option
-val clock : t -> Wj_util.Timer.t
 
 val sink : t -> Sink.t
 (** The recorder as a sink: metrics registry + trace + a reports-only

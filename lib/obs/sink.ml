@@ -22,11 +22,6 @@ let wants_reports t = t.on_event <> None
 
 let[@inline] emit t ev = match t.on_event with None -> () | Some f -> f ev
 
-let scoped t name =
-  match t.metrics with
-  | None -> t
-  | Some m -> { t with metrics = Some (Metrics.scoped m name) }
-
 let tee a b =
   let on_event =
     match (a.on_event, b.on_event) with

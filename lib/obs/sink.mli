@@ -59,13 +59,6 @@ val emit : t -> Event.t -> unit
     {!wants_reports}); [emit] itself is then only reached when a callback
     exists. *)
 
-val scoped : t -> string -> t
-(** [scoped t name] keeps [t]'s event callback and trace but replaces its
-    metrics registry (if any) with {!Metrics.scoped}[ m name], so every
-    family a producer registers through the result lands under
-    ["<name>."].  The service layer uses this to give each concurrent
-    session its own metric namespace inside one shared registry. *)
-
 val tee : t -> t -> t
 (** Both callbacks fire (left first) at the widest granularity either
     side requested; the left metrics registry and the left trace win when

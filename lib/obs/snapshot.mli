@@ -28,12 +28,6 @@ val gauge_value : t -> string -> float
 val histogram_value : t -> string -> int array
 (** [||] when absent or not a histogram. *)
 
-val quantile : int array -> float -> int
-(** [quantile buckets q] is the smallest bucket index whose cumulative
-    count reaches the [q]-quantile of the histogram's population (0 on an
-    empty histogram).  {!render} and {!to_json} report p50/p95/p99 of
-    every histogram through this. *)
-
 val equal : t -> t -> bool
 (** Structural, with NaN gauges compared equal to themselves. *)
 

@@ -67,12 +67,3 @@ let to_array t =
   Array.init n (fun i ->
       let p = if i < t.len then t.kept.(i) else t.latest in
       (p.x, p.y))
-
-let to_list t = Array.to_list (to_array t)
-
-let clear t =
-  t.stride <- 1;
-  t.len <- 0;
-  t.pushes <- 0;
-  t.latest <- dummy;
-  t.latest_kept <- false

@@ -29,8 +29,6 @@ val to_array : t -> (float * float) array
     the newest push was itself dropped by decimation, that newest push
     appended at the end. *)
 
-val to_list : t -> (float * float) list
-
 val last : t -> (float * float) option
 (** The most recent push, if any — always retained. *)
 
@@ -45,5 +43,3 @@ val pushes : t -> int
 val stride : t -> int
 (** Current decimation stride (a power of two; 1 until the first
     compaction). *)
-
-val clear : t -> unit

@@ -90,13 +90,6 @@ let totals t =
   Hashtbl.fold (fun name tot acc -> (name, (tot.seconds, tot.count)) :: acc) t.totals []
   |> List.sort compare
 
-let clear t =
-  t.len <- 0;
-  t.dropped <- 0;
-  t.depth <- 0;
-  t.open_spans <- [];
-  Hashtbl.reset t.totals
-
 (* Append [src]'s buffered events and fold its totals into [into].
    Events keep their recorded timestamps (shard traces share the parent
    clock), so a merged trace renders on one timeline; [into]'s open-span

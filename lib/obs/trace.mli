@@ -59,8 +59,6 @@ val totals : t -> (string * (float * int)) list
     come from closed spans and [complete] events; instants count with
     zero duration.  Totals survive buffer exhaustion. *)
 
-val clear : t -> unit
-
 val merge : into:t -> t -> unit
 (** Append the source's buffered events (keeping their timestamps — the
     domain-sharded scheduler gives every shard trace the parent's clock,

@@ -535,7 +535,6 @@ let submit t ?(label = "") ?deadline ?token ?tenant ?pin (cfg : Run_config.t) q
 
 let state s = s.state
 let id s = s.id
-let label s = s.label
 let tenant s = s.tenant
 let quanta s = s.quanta
 let stop_reason s = s.reason

@@ -246,9 +246,6 @@ val id : session -> int
 (** Scheduler-unique id, in admission order; keys the [Session_*] events
     and the ["session<id>."] metric scope. *)
 
-val label : session -> string
-(** The submission label (default ["session<id>"]). *)
-
 val tenant : session -> string option
 (** The admission-quota bucket the session was submitted under, if any. *)
 

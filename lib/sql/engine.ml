@@ -106,9 +106,9 @@ let execute_session ?on_report (cfg : Wj_core.Run_config.t) catalog sql =
   in
   { statement; items }
 
-let execute ?(seed = 11) ?(default_time = 5.0) ?batch ?sink ?on_report catalog sql =
+let execute ?(seed = 11) ?(default_time = 5.0) ?sink ?on_report catalog sql =
   execute_session ?on_report
-    (Wj_core.Run_config.make ~seed ~max_time:default_time ?batch ?sink ())
+    (Wj_core.Run_config.make ~seed ~max_time:default_time ?sink ())
     catalog sql
 
 (* ---- Batch / serve mode ---------------------------------------------- *)

@@ -22,7 +22,7 @@ val execute_session :
   string ->
   result
 (** The run-session entry point: every ONLINE aggregate of the statement
-    runs under the given {!Wj_core.Run_config.t} (seed, budgets, batch,
+    runs under the given {!Wj_core.Run_config.t} (seed, budgets,
     clock, cancellation, sink).  Statement clauses override the config —
     WITHINTIME beats [cfg.max_time], CONFIDENCE beats [cfg.confidence],
     REPORTINTERVAL beats [cfg.report_every].  [cfg.sink] observes every
@@ -36,16 +36,13 @@ val execute_session :
 val execute :
   ?seed:int ->
   ?default_time:float ->
-  ?batch:int ->
   ?sink:Wj_obs.Sink.t ->
   ?on_report:(string -> unit) ->
   Wj_storage.Catalog.t ->
   string ->
   result
 (** Thin shim over {!execute_session}.  [default_time] bounds ONLINE
-    statements that carry no WITHINTIME clause (default 5 s).  [batch] is
-    handed to the walk engine of every ONLINE aggregate (default 1, see
-    {!Wj_core.Engine}).
+    statements that carry no WITHINTIME clause (default 5 s).
     Raises [Lexer.Lex_error], [Parser.Parse_error] or [Binder.Bind_error]. *)
 
 val render : result -> string

@@ -32,7 +32,6 @@ val add_zeros : t -> int -> unit
     Raises [Invalid_argument] when [k < 0]. *)
 
 val n : t -> int
-val sum : t -> int -> float
 val mean : t -> int -> float
 (** [Tn(f_i)]; 0 when no observations were added. *)
 

@@ -15,7 +15,6 @@ let make cols =
   { cols = arr; by_name }
 
 let arity t = Array.length t.cols
-let columns t = Array.copy t.cols
 let column t i = t.cols.(i)
 let find t name = Hashtbl.find_opt t.by_name name
 
@@ -23,16 +22,6 @@ let find_exn t name =
   match find t name with Some i -> i | None -> raise Not_found
 
 let ty_of t i = t.cols.(i).ty
-
-let pp fmt t =
-  Format.fprintf fmt "(%s)"
-    (String.concat ", "
-       (Array.to_list
-          (Array.map
-             (fun c ->
-               c.name ^ ":"
-               ^ match c.ty with Value.TInt -> "int" | TFloat -> "float" | TStr -> "str")
-             t.cols)))
 
 let check_tuple t tup =
   Array.length tup = arity t

@@ -8,7 +8,6 @@ val make : column list -> t
 (** Raises [Invalid_argument] on duplicate column names or an empty list. *)
 
 val arity : t -> int
-val columns : t -> column array
 val column : t -> int -> column
 val find : t -> string -> int option
 (** Position of a column by name. *)
@@ -17,7 +16,6 @@ val find_exn : t -> string -> int
 (** Like {!find}; raises [Not_found]. *)
 
 val ty_of : t -> int -> Value.ty
-val pp : Format.formatter -> t -> unit
 
 val check_tuple : t -> Value.t array -> bool
 (** True when the tuple matches the schema's arity and per-column types

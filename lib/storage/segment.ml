@@ -71,8 +71,6 @@ let open_file pool path =
   let fid = Buffer_pool.register_file pool read in
   { pool; fid; page_bytes; slots_per_page = page_bytes / 8; length; path }
 
-let path f = f.path
-let pool f = f.pool
 let pages f = f.length / f.page_bytes
 
 let read_int f i =

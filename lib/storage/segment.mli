@@ -32,10 +32,6 @@ val open_file : Buffer_pool.t -> string -> file
     size is the pool's [page_bytes].  Raises [Invalid_argument] when the
     file length is not a page multiple (page-size mismatch). *)
 
-val path : file -> string
-val pool : file -> Buffer_pool.t
-val pages : file -> int
-
 val read_int : file -> int -> int
 (** [read_int f i] reads slot [i] with one pool read of its page (a
     fault on a miss). *)

@@ -40,9 +40,6 @@ val segment_id : string -> int
 val return_flags : string array
 (** [|"A"; "N"; "R"|], index = dictionary id. *)
 
-val nations : string array
-(** 25 nation names, index = nation key. *)
-
 val nation_key : string -> int
 (** Raises [Not_found]. *)
 

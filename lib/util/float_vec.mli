@@ -6,8 +6,6 @@ type t
 val create : ?capacity:int -> unit -> t
 val length : t -> int
 val get : t -> int -> float
-val unsafe_get : t -> int -> float
-val set : t -> int -> float -> unit
 val push : t -> float -> unit
 
 val truncate : t -> int -> unit
@@ -15,5 +13,3 @@ val truncate : t -> int -> unit
 
 val data : t -> float array
 (** The live backing array; see {!Int_vec.data}. *)
-
-val to_array : t -> float array

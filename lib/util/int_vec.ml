@@ -8,12 +8,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Int_vec.get: index out of bounds";
   Array.unsafe_get t.data i
 
-let unsafe_get t i = Array.unsafe_get t.data i
-
-let set t i x =
-  if i < 0 || i >= t.len then invalid_arg "Int_vec.set: index out of bounds";
-  t.data.(i) <- x
-
 let push t x =
   if t.len = Array.length t.data then begin
     let data = Array.make (2 * t.len) 0 in
@@ -28,4 +22,3 @@ let truncate t n =
   t.len <- n
 
 let data t = t.data
-let to_array t = Array.sub t.data 0 t.len

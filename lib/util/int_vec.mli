@@ -10,8 +10,6 @@ type t
 val create : ?capacity:int -> unit -> t
 val length : t -> int
 val get : t -> int -> int
-val unsafe_get : t -> int -> int
-val set : t -> int -> int -> unit
 val push : t -> int -> unit
 
 val truncate : t -> int -> unit
@@ -21,5 +19,3 @@ val data : t -> int array
 (** The live backing array ([length t] valid slots, the rest garbage).
     Valid until the next growing {!push}; intended for read-only column
     cursors over tables that are no longer mutated. *)
-
-val to_array : t -> int array

@@ -9,7 +9,6 @@ module Walker = Wj_core.Walker
 module Optimizer = Wj_core.Optimizer
 module Online = Wj_core.Online
 module Run_config = Wj_core.Run_config
-module Engine = Wj_core.Engine
 module Decompose = Wj_core.Decompose
 module Hybrid = Wj_core.Hybrid
 module Exact = Wj_exec.Exact
@@ -722,11 +721,10 @@ let test_online_group_by_should_stop () =
   in
   Alcotest.(check int) "cancelled before any walk" 0 out.total_walks;
   Alcotest.(check bool) "should_stop polled" true (!polled > 0);
-  (* A never-true [should_stop] leaves the walk budget in charge (also
-     exercises the batched engine under GROUP BY). *)
+  (* A never-true [should_stop] leaves the walk budget in charge. *)
   let out2 =
     Online.run_group_by_session
-      (Run_config.make ~seed:1 ~max_walks:500 ~max_time:60.0 ~batch:8
+      (Run_config.make ~seed:1 ~max_walks:500 ~max_time:60.0
          ~plan_choice:Online.First_enumerated
          ~should_stop:(fun () -> false)
          ())
@@ -734,103 +732,13 @@ let test_online_group_by_should_stop () =
   in
   Alcotest.(check int) "budget respected" 500 out2.total_walks
 
-(* ---- Engine ---------------------------------------------------------- *)
-
-let test_engine_batch1_bit_exact () =
-  (* A single-slot engine must consume the same PRNG draws as the
-     sequential walker: outcomes, paths, weights and costs all identical. *)
-  let q = chain_query () in
-  let reg = Registry.build_for_query q in
-  let plan = List.hd (Walk_plan.enumerate ~max_plans:1 q reg) in
-  let n = 2_000 in
-  let reference =
-    let prepared = Walker.prepare q reg plan in
-    let prng = Prng.create 4242 in
-    List.init n (fun _ ->
-        let o = Walker.walk prepared prng in
-        (o, Walker.steps_of_last_walk prepared))
-  in
-  let prepared = Walker.prepare q reg plan in
-  let engine = Engine.create ~batch:1 prepared in
-  let prng = Prng.create 4242 in
-  List.iteri
-    (fun i (expected, cost) ->
-      let got = Engine.next engine prng in
-      (match (expected, got) with
-      | Walker.Success a, Walker.Success b ->
-        Alcotest.(check bool)
-          (Printf.sprintf "walk %d inv_p bit-equal" i)
-          true
-          (Int64.equal (Int64.bits_of_float a.inv_p) (Int64.bits_of_float b.inv_p));
-        Alcotest.(check (array int)) (Printf.sprintf "walk %d path" i) a.path b.path
-      | Walker.Failure a, Walker.Failure b ->
-        Alcotest.(check int) (Printf.sprintf "walk %d depth" i) a.depth b.depth
-      | Walker.Success _, Walker.Failure _ | Walker.Failure _, Walker.Success _ ->
-        Alcotest.fail (Printf.sprintf "walk %d outcome kind differs" i));
-      Alcotest.(check int)
-        (Printf.sprintf "walk %d cost" i)
-        cost
-        (Engine.last_walk_cost engine))
-    reference
-
-let test_engine_batched_known_weight () =
-  (* Every s1 row joins exactly one s2 row: every walk of any slot succeeds
-     with inv_p = |s1| * 1, whatever the interleaving. *)
-  let s1 = int_table "s1" [ "a"; "b" ] [ [ 1; 10 ]; [ 2; 20 ]; [ 3; 30 ] ] in
-  let s2 = int_table "s2" [ "b"; "c" ] [ [ 10; 1 ]; [ 20; 2 ]; [ 30; 3 ] ] in
-  let q =
-    Query.make
-      ~tables:[ ("s1", s1); ("s2", s2) ]
-      ~joins:[ { left = (0, 1); right = (1, 0); op = Eq } ]
-      ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
-  in
-  let reg = Registry.build_for_query q in
-  let plan = List.hd (Walk_plan.enumerate ~max_plans:1 q reg) in
-  let prepared = Walker.prepare q reg plan in
-  let engine = Engine.create ~batch:4 prepared in
-  Alcotest.(check int) "batch recorded" 4 (Engine.batch engine);
-  let prng = Prng.create 9 in
-  for i = 1 to 64 do
-    match Engine.next engine prng with
-    | Walker.Success { inv_p; path } ->
-      Alcotest.(check (float 0.0)) (Printf.sprintf "walk %d inv_p" i) 3.0 inv_p;
-      Alcotest.(check bool) "fully bound" true (Array.for_all (fun r -> r >= 0) path);
-      Alcotest.(check bool) "cost accounted" true (Engine.last_walk_cost engine > 0)
-    | Walker.Failure _ -> Alcotest.fail "walks cannot fail on this data"
-  done
-
-let test_engine_batched_online_agrees () =
-  let q = chain_query () in
-  let reg = Registry.build_for_query q in
-  let truth = chain_true_sum () in
-  let out =
-    Online.run_session
-      (Run_config.make ~seed:5 ~batch:64 ~max_walks:40_000 ~max_time:60.0
-         ~plan_choice:Online.First_enumerated ())
-      q reg
-  in
-  Alcotest.(check bool) "walk budget" true
-    (out.stopped_because = Online.Walk_budget_exhausted);
-  Alcotest.(check bool)
-    (Printf.sprintf "batched estimate %.2f ~ %.2f" out.final.estimate truth)
-    true
-    (Float.abs (out.final.estimate -. truth)
-    < (4.0 *. out.final.half_width) +. (0.05 *. Float.abs truth))
-
-let test_engine_validation () =
-  let q = chain_query () in
-  let reg = Registry.build_for_query q in
-  let plan = List.hd (Walk_plan.enumerate ~max_plans:1 q reg) in
-  let prepared = Walker.prepare q reg plan in
-  Alcotest.check_raises "batch >= 1"
-    (Invalid_argument "Engine.create: batch must be >= 1") (fun () ->
-      ignore (Engine.create ~batch:0 prepared))
+(* ---- Walk steps ------------------------------------------------------ *)
 
 (* One step, one cost: a plain step locates its neighbour set once and
-   selects the drawn row out of that locate, whichever index answers it,
-   and the sequential walker and the batched engine charge the same. *)
+   selects the drawn row out of that locate, whichever index answers it. *)
 let test_step_cost_charged_once () =
-  (* A two-table FK chain: s1.b = i mod 100 joins exactly one s2 row. *)
+  (* A two-table FK chain: s1.b = i mod 100 joins exactly one s2 row, so
+     every walk succeeds with inv_p = |s1| * 1. *)
   let s1 = int_table "s1" [ "a"; "b" ] (List.init 300 (fun i -> [ i; i mod 100 ])) in
   let s2 = int_table "s2" [ "b"; "c" ] (List.init 100 (fun i -> [ i; i ])) in
   let q =
@@ -851,28 +759,20 @@ let test_step_cost_charged_once () =
       let prepared = Walker.prepare q reg plan in
       let step_cost = Index.count_cost index + Index.resolve_cost index + 1 in
       let prng = Prng.create 17 in
-      let path = Array.make 2 (-1) in
-      (match Walker.advance_start prepared prng path with
-      | Walker.Advanced -> ()
-      | Walker.Dead_unbound | Walker.Dead_bound -> Alcotest.fail "start cannot fail");
-      Index.reset_probes index;
-      (match Walker.advance_step prepared prng path 0 with
-      | Walker.Advanced ->
-        Alcotest.(check (float 0.0)) (kind ^ " d") 1.0 (Walker.phase_factor prepared)
-      | Walker.Dead_unbound | Walker.Dead_bound -> Alcotest.fail "step cannot fail");
-      Alcotest.(check int) (kind ^ " index probes per step") probes (Index.probes index);
-      Alcotest.(check int) (kind ^ " phase cost") step_cost (Walker.phase_cost prepared);
-      ignore (Walker.walk prepared prng);
-      let walk_cost = Walker.steps_of_last_walk prepared in
-      Alcotest.(check int) (kind ^ " walk cost") (1 + step_cost) walk_cost;
-      let engine = Engine.create ~batch:64 prepared in
       for i = 1 to 256 do
-        (match Engine.next engine prng with
-        | Walker.Success _ -> ()
+        (* The uniform start probes no index: every probe is the step's. *)
+        Index.reset_probes index;
+        (match Walker.walk prepared prng with
+        | Walker.Success { inv_p; _ } ->
+          Alcotest.(check (float 0.0)) (Printf.sprintf "%s walk %d inv_p" kind i) 300.0 inv_p
         | Walker.Failure _ -> Alcotest.fail "walks cannot fail on this data");
         Alcotest.(check int)
-          (Printf.sprintf "%s batch-64 walk %d cost = walker's" kind i)
-          walk_cost (Engine.last_walk_cost engine)
+          (Printf.sprintf "%s walk %d index probes per step" kind i)
+          probes (Index.probes index);
+        Alcotest.(check int)
+          (Printf.sprintf "%s walk %d cost" kind i)
+          (1 + step_cost)
+          (Walker.steps_of_last_walk prepared)
       done)
     [
       ("hash", Index.build_hash s2 ~column:0, 1);
@@ -958,9 +858,9 @@ let test_paged_walk_allocation () =
         true (per_walk <= 12.0))
     plans
 
-(* Observing a batched run must not move a PRNG draw: a metrics + events
-   sink on or off leaves every TPC-H shape's batch-8 run bit-identical. *)
-let test_engine_batched_sink_on_off () =
+(* Observing a run must not move a PRNG draw: a metrics + events sink on
+   or off leaves every TPC-H shape's run bit-identical. *)
+let test_sink_on_off_identical () =
   let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.01 () in
   let bits = Int64.bits_of_float in
   List.iter
@@ -969,7 +869,7 @@ let test_engine_batched_sink_on_off () =
       let reg = Wj_tpch.Queries.registry q in
       let run ?sink () =
         Online.run_session
-          (Run_config.make ~seed:5 ~max_time:infinity ~max_walks:1_000 ~batch:8
+          (Run_config.make ~seed:5 ~max_time:infinity ~max_walks:1_000
              ~plan_choice:Run_config.First_enumerated ?sink ())
           q reg
       in
@@ -1233,17 +1133,10 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "batch 1 bit-exact vs walker" `Quick
-            test_engine_batch1_bit_exact;
-          Alcotest.test_case "batched known weight" `Quick
-            test_engine_batched_known_weight;
-          Alcotest.test_case "batched online agrees" `Slow
-            test_engine_batched_online_agrees;
-          Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "phase cost charged once" `Quick
             test_step_cost_charged_once;
-          Alcotest.test_case "batched runs identical on/off" `Quick
-            test_engine_batched_sink_on_off;
+          Alcotest.test_case "runs identical sink on/off" `Quick
+            test_sink_on_off_identical;
           Alcotest.test_case "choose_start tie-break" `Quick
             test_choose_start_deterministic_tiebreak;
         ] );

@@ -1,20 +1,24 @@
 (* Coverage of the nominal 95% CI on real joins (Appendix A).
 
    Each case runs 200 independent sessions under [Optimize] — one seed
-   each, so every session makes its own plan choice — to a fixed walk
-   budget and compares each with the exact answer.  Over n sessions the
-   number of covering CIs is Binomial(n, 0.95) when the CI is right, so
-   the empirical coverage must lie within 3σ of 0.95, and the mean error
-   within 3 standard errors of zero (the estimate is unbiased).
+   each, so every session makes its own plan choice — and compares each
+   with the exact answer.  Over n sessions the number of covering CIs is
+   Binomial(n, 0.95) when the CI is right, so the empirical coverage must
+   lie within 3σ of 0.95, and the mean error within 3 standard errors of
+   zero (the estimate is unbiased).
 
-   The walk budgets give the chosen plans a few hundred successes each
-   (Q7's best plans succeed on about 1% of walks, the triangle's trie
-   plans on most).  Q7's trial backstop is cut from 5,000 to 200 rounds
-   per plan: at the default its 32 plans run 160k trial walks per session,
-   45 s for the case, and the backstop only decides which plan is chosen,
-   which the CI must cover whatever it is.  Q7 also runs through the
-   batched engine (64 walks in flight), whose walks take the same single
-   step path as the sequential walker's. *)
+   Two stopping rules are checked.  A fixed walk budget gives the chosen
+   plans a few hundred successes each (Q7's best plans succeed on about 1%
+   of walks, the triangle's trie plans on most).  A relative target stops
+   each session the first time its half-width meets the target, a
+   data-dependent stopping time — the rule every wjd request follows.
+   Those sessions have no walk budget or deadline, so the target is what
+   stops every one of them.
+
+   Q7's trial backstop is cut from 5,000 to 200 rounds per plan: at the
+   default its 32 plans run 160k trial walks per session, 45 s for the
+   case, and the backstop only decides which plan is chosen, which the CI
+   must cover whatever it is. *)
 
 module Query = Wj_core.Query
 module Registry = Wj_core.Registry
@@ -54,21 +58,35 @@ let triangle () =
       ]
     ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
 
+let q7_optimizer = { Optimizer.default_config with max_rounds = 200 }
+
 let q7 () =
   let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
   Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q7 d
 
-let check_coverage ?(batch = 1) ~optimizer ~walks q () =
+(* Run [sessions] seeds to the stopping rule [stop], then check coverage
+   and bias against the exact answer. *)
+let check_coverage ~optimizer ~stop q () =
   let reg = Registry.build_for_query q in
   let truth = (Wj_exec.Exact.aggregate q reg).value in
+  let max_walks, target =
+    match stop with
+    | `Walks w -> (Some w, None)
+    | `Target rel -> (None, Some (Wj_stats.Target.relative rel))
+  in
   let errors =
     List.init sessions (fun seed ->
         let out =
           Online.run_session
-            (Run_config.make ~seed ~max_walks:walks ~max_time:infinity ~batch
+            (Run_config.make ~seed ?max_walks ?target ~max_time:infinity
                ~plan_choice:(Online.Optimize optimizer) ())
             q reg
         in
+        if target <> None then
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d stopped on its target" seed)
+            true
+            (out.stopped_because = Online.Target_reached);
         (out.final.estimate -. truth, out.final.half_width))
   in
   let n = float_of_int sessions in
@@ -96,14 +114,14 @@ let () =
       ( "coverage",
         [
           Alcotest.test_case "triangle COUNT under Optimize" `Slow
-            (check_coverage ~optimizer:Optimizer.default_config ~walks:5_000 (triangle ()));
+            (check_coverage ~optimizer:Optimizer.default_config ~stop:(`Walks 5_000)
+               (triangle ()));
           Alcotest.test_case "Q7 SUM under Optimize" `Slow
-            (check_coverage
-               ~optimizer:{ Optimizer.default_config with max_rounds = 200 }
-               ~walks:20_000 (q7 ()));
-          Alcotest.test_case "Q7 SUM under Optimize, batch 64" `Slow
-            (check_coverage ~batch:64
-               ~optimizer:{ Optimizer.default_config with max_rounds = 200 }
-               ~walks:20_000 (q7 ()));
+            (check_coverage ~optimizer:q7_optimizer ~stop:(`Walks 20_000) (q7 ()));
+          Alcotest.test_case "triangle COUNT stops at ±5%" `Slow
+            (check_coverage ~optimizer:Optimizer.default_config ~stop:(`Target 0.05)
+               (triangle ()));
+          Alcotest.test_case "Q7 SUM stops at ±20%" `Slow
+            (check_coverage ~optimizer:q7_optimizer ~stop:(`Target 0.20) (q7 ()));
         ] );
     ]

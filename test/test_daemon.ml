@@ -921,6 +921,68 @@ let test_stop_cancels_streams () =
         (Printf.sprintf "final line and EOF within 1 s of stop (%.3f s)" elapsed)
         true (elapsed < 1.0))
 
+(* A query whose body finishes arriving after [stop] began is refused:
+   nothing ticks the scheduler any more, so a session submitted then
+   would never end.  The client gets a 503 and EOF, not a stream that
+   hangs. *)
+let test_stop_refuses_late_query () =
+  let d = Daemon.create ~quantum:256 ~port:0 (catalog ()) in
+  Daemon.start d;
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop d;
+      Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.port d));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 3.0;
+      let body =
+        Json.to_string
+          (Json.Obj
+             [
+               ( "sql",
+                 Json.Str
+                   "SELECT ONLINE COUNT(*) FROM orders, lineitem WHERE o_orderkey \
+                    = l_orderkey WITHINTIME 1" );
+             ])
+      in
+      let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+      let half = String.length body / 2 in
+      send
+        (Printf.sprintf "POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: %d\r\n\r\n%s"
+           (String.length body) (String.sub body 0 half));
+      (* Connections are accepted in order: once this answers, the
+         half-sent request has its handler thread. *)
+      ignore (Http.fetch (Daemon.url d ^ "/health"));
+      Daemon.stop d;
+      let t0 = Unix.gettimeofday () in
+      send (String.sub body half (String.length body - half));
+      let got = Buffer.create 512 and buf = Bytes.create 4096 in
+      (* [true] at EOF, [false] when a read timed out. *)
+      let rec read_all () =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> true
+        | n ->
+          Buffer.add_subbytes got buf 0 n;
+          read_all ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+      in
+      let eof = read_all () in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let answer = Buffer.contents got in
+      Alcotest.(check string) "status line" "HTTP/1.1 503"
+        (String.sub answer 0 (min 12 (String.length answer)));
+      let code =
+        match String.rindex_opt (String.trim answer) '\n' with
+        | Some i -> jstr "code" (Json.parse (String.sub answer (i + 1) (String.length answer - i - 1)))
+        | None -> None
+      in
+      Alcotest.(check (option string)) "error code" (Some "stopping") code;
+      Alcotest.(check bool) "response reached EOF" true eof;
+      Alcotest.(check bool)
+        (Printf.sprintf "answer and EOF within 1 s of the rest of the body (%.3f s)" elapsed)
+        true (elapsed < 1.0))
+
 (* Exact answers below the admission floor (10,000 rows visited) are not
    worth caching: the cache skips them and counts the skip.  An exact join
    above the floor (orders ⋈ lineitem visits ~37,500 rows at SF 0.005) is
@@ -1005,6 +1067,8 @@ let () =
           Alcotest.test_case "errors map to HTTP statuses" `Quick test_wire_errors;
           Alcotest.test_case "stop ends in-flight streams as cancelled" `Quick
             test_stop_cancels_streams;
+          Alcotest.test_case "a query that arrives after stop gets 503" `Quick
+            test_stop_refuses_late_query;
         ] );
       ( "observability",
         [

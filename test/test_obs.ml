@@ -191,24 +191,6 @@ let test_walk_reconciliation () =
     "stop reason recorded" true
     (Snapshot.counter_value snap "driver.stop.walk_budget_exhausted" = 1)
 
-let test_batch_reconciliation () =
-  (* The engine path (batch > 1) must count outcomes exactly once too. *)
-  let q = chain_query () in
-  let reg = Registry.build_for_query q in
-  let m = Metrics.create () in
-  ignore
-    (Online.run_session
-       (Run_config.make ~seed:7 ~max_walks:3_000 ~max_time:60.0 ~batch:8
-          ~plan_choice:Online.First_enumerated ~sink:(Sink.of_metrics m) ())
-       q reg);
-  let snap = Snapshot.of_metrics m in
-  let walks = Snapshot.counter_value snap "walker.walks" in
-  Alcotest.(check bool) "walks counted" true (walks >= 3_000);
-  Alcotest.(check int)
-    "walks = successes + failures" walks
-    (Snapshot.counter_value snap "walker.successes"
-    + Snapshot.counter_value snap "walker.failures")
-
 let test_pool_reconciliation () =
   let pool = Buffer_pool.create ~capacity:4 () in
   for i = 0 to 99 do
@@ -449,7 +431,6 @@ let () =
         [
           Alcotest.test_case "walks = successes + failures" `Quick
             test_walk_reconciliation;
-          Alcotest.test_case "batch engine counts once" `Quick test_batch_reconciliation;
           Alcotest.test_case "pool hits + misses = accesses" `Quick
             test_pool_reconciliation;
           Alcotest.test_case "sim sink charges + gauges" `Quick test_sim_sink_charges;
