@@ -3,6 +3,13 @@
 # and exit 1 when there is one.  Run from the repository root:
 #
 #   bash .github/dead-exports.sh
+#   bash .github/dead-exports.sh --test-only
+#
+# --test-only leaves test/ out of the search, then compares what it finds
+# with the "path: name — reason" lines of .github/test-only-exports.txt:
+# it exits 1 on an export that only tests name and that is not listed,
+# and on a listed one that something outside test/ names (or nothing
+# names at all, which the plain mode reports).
 #
 # A use is module-qualified, so an export called `create` does not count
 # as used because some other module says `create`:
@@ -13,7 +20,9 @@
 # Uses inside x.ml and x.mli themselves do not count.
 set -euo pipefail
 
-files=$(find lib bin bench examples test -name '*.ml' -o -name '*.mli' | sort)
+dirs="lib bin bench examples test"
+[ "${1:-}" = --test-only ] && dirs="lib bin bench examples"
+files=$(find $dirs -name '*.ml' -o -name '*.mli' | sort)
 id="[A-Za-z0-9_']"
 
 # [named q v others...]: some file of [others] names [v] through [q] or
@@ -55,7 +64,19 @@ for mli in $(find lib -name '*.mli' | sort); do
     }' "$mli" | sort -u)
 done
 
-if [ -n "$dead" ]; then
+if [ "${1:-}" = --test-only ]; then
+  found=$(printf '%s' "$dead" | sort)
+  listed=$(sed -n 's/^\(lib\/[^ ]*: [^ ]*\) — .*/\1/p' .github/test-only-exports.txt | sort)
+  unlisted=$(comm -23 <(echo "$found") <(echo "$listed") | sed '/^$/d')
+  stale=$(comm -13 <(echo "$found") <(echo "$listed") | sed '/^$/d')
+  if [ -n "$unlisted" ]; then
+    echo "named only by tests; delete the export or list it with a reason:"; echo "$unlisted"
+  fi
+  if [ -n "$stale" ]; then
+    echo "listed as test-only but no longer are; drop their lines:"; echo "$stale"
+  fi
+  [ -z "$unlisted" ] && [ -z "$stale" ]
+elif [ -n "$dead" ]; then
   echo "exported but named by no other module:"
   printf '%s' "$dead"
   exit 1

@@ -45,7 +45,7 @@ let estimate_size ?(seed = 5) ?(max_walks = 20_000) ?(max_time = 0.2) q registry
     ~members =
   let members = List.sort_uniq compare members in
   let q' = subquery q ~members in
-  let registry' = Registry.build_for_query ~share:(q, registry) q' in
+  let registry' = Registry.build_for_query ~store:(Registry.store registry) q' in
   if List.length members = 1 then begin
     (* Single table: the qualifying count is exact (and cheap). *)
     let table = q'.Query.tables.(0) in

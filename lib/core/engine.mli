@@ -13,7 +13,7 @@ type t
 val create : ?batch:int -> ?prefetch:bool -> Walker.prepared -> t
 (** [batch] and [prefetch] are accepted and ignored: every walk is one
     {!Walker.walk}.  They survive only because the benchmark ledger
-    ([bench/ledger/ledger.ml]) still passes them; ROADMAP item 10 deletes
+    ([bench/ledger/ledger.ml]) still passes them; ROADMAP item 12 deletes
     [create] and [next] together with the ledger's batch-64 rows. *)
 
 val next : t -> Wj_util.Prng.t -> Walker.outcome

@@ -1,13 +1,24 @@
 module Index = Wj_index.Index
+module Table = Wj_storage.Table
 
-type t = {
-  slots : (int * int, Index.t) Hashtbl.t;
-  tries : (int * int list, Index.t) Hashtbl.t; (* (pos, key columns) *)
-  trie_phys : (string * int list, Index.t) Hashtbl.t; (* physical sharing *)
+(* Every index built over one catalog's tables, keyed by base-table name,
+   key columns and kind.  [mu] guards the table and each build: sessions
+   on different domains reach one store through [ensure_trie]. *)
+type store = {
+  mu : Mutex.t;
+  built : (string * int list * [ `Hash | `Ordered | `Trie ], Index.t) Hashtbl.t;
 }
 
-let create () =
-  { slots = Hashtbl.create 32; tries = Hashtbl.create 8; trie_phys = Hashtbl.create 8 }
+type t = {
+  store : store;
+  slots : (int * int, Index.t) Hashtbl.t;
+  tries : (int * int list, Index.t) Hashtbl.t; (* (pos, key columns) *)
+}
+
+let create_store () = { mu = Mutex.create (); built = Hashtbl.create 32 }
+let view store = { store; slots = Hashtbl.create 32; tries = Hashtbl.create 8 }
+let create () = view (create_store ())
+let store t = t.store
 let add t ~pos ~column index = Hashtbl.replace t.slots (pos, column) index
 let find t ~pos ~column = Hashtbl.find_opt t.slots (pos, column)
 
@@ -19,39 +30,34 @@ let can_serve t ~pos ~column ~op =
     | Query.Eq -> true
     | Query.Band _ -> Index.supports_range idx)
 
-(* Physical identity of a slot: base-table name plus column, so aliases of
-   one base table share indexes. *)
-let physical_key q pos column = (Wj_storage.Table.name q.Query.tables.(pos), column)
-
-let build_for_query ?(ordered_predicates = true) ?share q =
-  let t = create () in
-  let built : (string * int, Index.t) Hashtbl.t = Hashtbl.create 16 in
-  (match share with
-  | None -> ()
-  | Some (q', t') ->
-    Hashtbl.iter
-      (fun (pos, column) idx -> Hashtbl.replace built (physical_key q' pos column) idx)
-      t'.slots);
-  let ensure pos column ~ordered =
-    let key = physical_key q pos column in
-    let existing = Hashtbl.find_opt built key in
-    let need_upgrade =
-      match existing with
-      | Some idx -> ordered && not (Index.supports_range idx)
-      | None -> true
-    in
-    let idx =
-      if need_upgrade then begin
+(* The store's index of exactly [kind] over [columns] of [table], built on
+   first request. *)
+let obtain store table columns kind =
+  Mutex.protect store.mu (fun () ->
+      let key = (Table.name table, columns, kind) in
+      match Hashtbl.find_opt store.built key with
+      | Some idx -> idx
+      | None ->
         let idx =
-          if ordered then Index.build_ordered q.Query.tables.(pos) ~column
-          else Index.build_hash q.Query.tables.(pos) ~column
+          match (kind, columns) with
+          | `Hash, [ column ] -> Index.build_hash table ~column
+          | `Ordered, [ column ] -> Index.build_ordered table ~column
+          | _ -> Index.build_trie table ~columns
         in
-        Hashtbl.replace built key idx;
-        idx
-      end
-      else Option.get existing
-    in
-    add t ~pos ~column idx
+        Hashtbl.replace store.built key idx;
+        idx)
+
+let build_for_query ?(ordered_predicates = true) ?(store = create_store ()) q =
+  let t = view store in
+  (* A base-table column that got an ordered index earlier in this query
+     keeps that kind for every later slot over it (aliases included). *)
+  let ordered_cols : (string * int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let ensure pos column ~ordered =
+    let table = q.Query.tables.(pos) in
+    let key = (Table.name table, column) in
+    let ordered = ordered || Hashtbl.mem ordered_cols key in
+    if ordered then Hashtbl.replace ordered_cols key ();
+    add t ~pos ~column (obtain store table [ column ] (if ordered then `Ordered else `Hash))
   in
   List.iter
     (fun (cond : Query.join_cond) ->
@@ -70,30 +76,17 @@ let build_for_query ?(ordered_predicates = true) ?share q =
           | Query.Member { table; column; _ } -> (table, column)
         in
         (* Only integer columns can be indexed; skip string predicates. *)
-        let schema = Wj_storage.Table.schema q.Query.tables.(pos) in
+        let schema = Table.schema q.Query.tables.(pos) in
         match Wj_storage.Schema.ty_of schema column with
         | Wj_storage.Value.TInt -> ensure pos column ~ordered:true
         | TFloat | TStr -> ())
       q.Query.predicates;
   t
 
-let find_trie t ~pos ~columns = Hashtbl.find_opt t.tries (pos, columns)
-
 let ensure_trie t table ~pos ~columns =
-  match find_trie t ~pos ~columns with
-  | Some idx -> idx
-  | None ->
-    let key = (Wj_storage.Table.name table, columns) in
-    let idx =
-      match Hashtbl.find_opt t.trie_phys key with
-      | Some idx -> idx
-      | None ->
-        let idx = Index.build_trie table ~columns in
-        Hashtbl.replace t.trie_phys key idx;
-        idx
-    in
-    Hashtbl.replace t.tries (pos, columns) idx;
-    idx
+  let idx = obtain t.store table columns `Trie in
+  Hashtbl.replace t.tries (pos, columns) idx;
+  idx
 
 let iter t f = Hashtbl.iter (fun (pos, column) idx -> f ~pos ~column idx) t.slots
 
@@ -116,6 +109,11 @@ let entries idx =
   | Index.Ordered b -> Wj_index.Btree.length b
   | Index.Trie tr -> Wj_index.Trie.length tr
 
+(* Slots count once per position; a trie counts once however many
+   positions alias its base table. *)
 let total_entries t =
+  let tries =
+    Hashtbl.fold (fun _ idx acc -> if List.memq idx acc then acc else idx :: acc) t.tries []
+  in
   Hashtbl.fold (fun _ idx acc -> acc + entries idx) t.slots 0
-  + Hashtbl.fold (fun _ idx acc -> acc + entries idx) t.trie_phys 0
+  + List.fold_left (fun acc idx -> acc + entries idx) 0 tries

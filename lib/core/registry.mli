@@ -4,11 +4,29 @@
     which directions a walk may take (§4.1): an edge R_a → R_b exists only
     if R_b has an index on its column of the join condition, of a kind that
     can answer the condition (hash or ordered for equality, ordered for
-    band/range joins). *)
+    band/range joins).
+
+    A registry is a per-query view over a {!store}, which holds the
+    physical indexes.  Keep one store per catalog: the store keys an index
+    by base-table name, key columns and kind, so two tables of one name
+    must not reach one store.  It never drops or rebuilds an index, since
+    no code path mutates an indexed table.  The store hands out the index
+    of exactly the kind asked for, so a query's registry depends on the
+    query alone, never on what the store built before. *)
+
+type store
+(** Every index built over one catalog's tables.  Safe to share across
+    domains: lookups and builds hold its lock. *)
+
+val create_store : unit -> store
 
 type t
 
 val create : unit -> t
+(** An empty registry over a fresh store. *)
+
+val store : t -> store
+(** For a sub-query over the same catalog. *)
 
 val add : t -> pos:int -> column:int -> Wj_index.Index.t -> unit
 (** Later additions overwrite earlier ones for the same slot. *)
@@ -19,21 +37,21 @@ val can_serve : t -> pos:int -> column:int -> op:Query.join_op -> bool
 (** Is there an index on the slot able to answer the join op? *)
 
 val build_for_query :
-  ?ordered_predicates:bool -> ?share:Query.t * t -> Query.t -> t
-(** Builds every index the query can use: one per join-condition side (hash
-    for equality, ordered B+-tree for band joins) and — when
+  ?ordered_predicates:bool -> ?store:store -> Query.t -> t
+(** Registers every index the query can use: one per join-condition side
+    (hash for equality, ordered B+-tree for band joins) and — when
     [ordered_predicates] (default true) — an ordered index on every
     predicate column, enabling Olken sampling at the walk's start table.
-    [share] reuses indexes from a previous registry when positions refer to
-    the same physical table and column (aliased tables share indexes, as in
-    a real system). *)
+    A base-table column that needs an ordered index anywhere in the query
+    gets it at every slot registered after that need (aliased tables
+    share indexes, as in a real system).  Indexes come from [store]
+    (default: a fresh one), which builds each on first request. *)
 
 val ensure_trie :
   t -> Wj_storage.Table.t -> pos:int -> columns:int list -> Wj_index.Index.t
-(** The trie index over [columns] of the table at [pos], building it on
-    first request.  Tries are cached per (position, column list) and
-    physically shared across positions aliasing the same base table —
-    same policy as {!build_for_query}'s single-column slots. *)
+(** The trie index over [columns] of the table at [pos], taken from the
+    registry's store (built there on first request) and recorded under
+    (position, column list) for {!export_metrics} and {!total_entries}. *)
 
 val iter : t -> (pos:int -> column:int -> Wj_index.Index.t -> unit) -> unit
 (** Visit every registered slot (iteration order unspecified; cached

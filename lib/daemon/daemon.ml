@@ -45,8 +45,9 @@ type t = {
   log_mu : Mutex.t;
   mutable log_closed : bool;  (* under [log_mu]: [stop] closed the log file *)
   slow_query_ms : float;
-  (* one shared-index thread across every request, as in Engine.serve *)
-  shared : (Wj_core.Query.t * Wj_core.Registry.t) option ref;
+  (* the catalog's one index store: every request's registry is a view
+     over it, and it keeps each index it builds for the daemon's life *)
+  indexes : Wj_core.Registry.store;
   (* session id -> stream, item idx, the request recorder's sink (session
      lifecycle events are forwarded into it so the per-request recorder
      sees the same milestones the scheduler's own sink does) *)
@@ -195,7 +196,7 @@ let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
     log_mu = Mutex.create ();
     log_closed = false;
     slow_query_ms;
-    shared = ref None;
+    indexes = Wj_core.Registry.create_store ();
     routes;
     mu = Mutex.create ();
     work = Condition.create ();
@@ -376,8 +377,14 @@ let item_json (item, pending) =
                  g.Online.groups) );
         ]
     | None ->
-      (* Retired before ever running (cancelled/expired while queued). *)
-      Json.Obj [ label; ("kind", Json.Str "online"); state; reason ])
+      (* Retired with no result: cancelled or expired while queued, or
+         failed. *)
+      Json.Obj
+        ([ label; ("kind", Json.Str "online"); state; reason ]
+        @
+        match Scheduler.state s with
+        | Scheduler.Failed msg -> [ ("message", Json.Str msg) ]
+        | _ -> []))
 
 let overall_status pendings =
   let states =
@@ -385,7 +392,9 @@ let overall_status pendings =
       (fun (_, p) -> match p with D_session s -> Some (Scheduler.state s) | D_exact _ -> None)
       pendings
   in
-  if List.exists (fun s -> s = Scheduler.Cancelled) states then "cancelled"
+  if List.exists (function Scheduler.Failed _ -> true | _ -> false) states then
+    "failed"
+  else if List.exists (fun s -> s = Scheduler.Cancelled) states then "cancelled"
   else if List.exists (fun s -> s = Scheduler.Deadline_exceeded) states then
     "deadline_exceeded"
   else "done"
@@ -486,7 +495,11 @@ let submit_fresh t req ~traced statement key epoch =
      estimates stay bit-for-bit those of an unobserved run. *)
   let recorder = Wj_obs.Recorder.create ~tracing:traced () in
   let cfg = Wj_core.Run_config.with_recorder cfg recorder in
-  let registries = Engine.build_registries t.shared bound.Binder.queries in
+  let registries =
+    List.map
+      (fun (_, q) -> Wj_core.Registry.build_for_query ~store:t.indexes q)
+      bound.Binder.queries
+  in
   let token = Token.create () in
   let stream =
     {

@@ -1,8 +1,9 @@
 (** [wjd]: the wander-join network daemon.
 
-    One daemon owns one {!Wj_storage.Catalog.t}, one
-    {!Wj_service.Scheduler.t} and one {!Estimate_cache.t}, and exposes
-    them over HTTP/1.1 + JSON (see [PROTOCOL.md] for the wire spec):
+    One daemon owns one {!Wj_storage.Catalog.t}, its one
+    {!Wj_core.Registry.store}, one {!Wj_service.Scheduler.t} and one
+    {!Estimate_cache.t}, and exposes them over HTTP/1.1 + JSON (see
+    [PROTOCOL.md] for the wire spec):
 
     - [POST /query] (and [GET /query?sql=...]) submits a statement
       through the unified {!Wj_service.Scheduler.submit} path and
@@ -11,7 +12,15 @@
       Because quantum scheduling never perturbs a session's PRNG
       stream, the streamed trajectory and final estimate are
       bit-for-bit those of an in-process run with the same seed and
-      budgets.
+      budgets.  A session that raises ends its own stream with
+      ["status":"failed"] and the exception's message; the scheduler
+      keeps serving every other request.
+    - Indexes: every request's registry is a view over the daemon's
+      store, so each index is built by the first request that needs it
+      and kept for the daemon's life — memory grows with the distinct
+      (table, columns, kind) triples requests have asked for, not with
+      the request count (about 27 MB at SF 0.05 for the three
+      [wjd_mixed] shapes).
     - Admission control: a full queue or an exhausted per-tenant quota
       answers [429] with [Retry-After] {e before} anything is queued;
       request deadlines map onto scheduler deadlines; a client that

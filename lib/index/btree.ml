@@ -24,7 +24,7 @@ type t = {
   tdeg : int;
   mutable root : node;
   mutable length : int;
-  mutable probes : int; (* root-to-leaf query descents since build/reset *)
+  mutable probes : int; (* root-to-leaf query descents since the build *)
 }
 
 (* Placeholder filling unused child slots; never dereferenced. *)
@@ -212,7 +212,6 @@ let iter_range t ~lo ~hi f =
   if lo <= hi then iter_range_node t.root ~lo ~hi f
 
 let probes t = t.probes
-let reset_probes t = t.probes <- 0
 
 let of_table table ~column =
   let t = create () in

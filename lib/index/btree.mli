@@ -59,11 +59,8 @@ val iter_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 val probes : t -> int
 (** Number of root-to-leaf query descents ([rank_lt]/[rank_le]/[nth]/[nth_value]/
     [iter_range] and everything built on them: [count_range] costs two
-    descents, [nth_in_range] three) since the build or the last
-    {!reset_probes}.  An always-on plain-int counter; approximate under
-    multicore races. *)
-
-val reset_probes : t -> unit
+    descents, [nth_in_range] three) since the build.  An always-on
+    plain-int counter; approximate under multicore races. *)
 
 val of_table : Wj_storage.Table.t -> column:int -> t
 (** Index all rows of a table on an integer column. *)

@@ -13,7 +13,7 @@ type t = {
   mask : int; (* number of slots - 1 *)
   offsets : int array; (* length = groups + 1 *)
   rows : int array;
-  mutable probes : int; (* query lookups served since build/reset *)
+  mutable probes : int; (* query lookups served since the build *)
 }
 
 (* Fibonacci hashing: the top bits of the key times 2^63 / golden ratio. *)
@@ -130,6 +130,5 @@ let iter_key t key f =
     done
 
 let probes t = t.probes
-let reset_probes t = t.probes <- 0
 let distinct_keys t = Array.length t.offsets - 1
 let total_entries t = Array.length t.rows

@@ -59,10 +59,8 @@ val rows : t -> int array
 
 val probes : t -> int
 (** Number of query lookups ([count]/[nth]/[iter_key]/[group]) served
-    since the build or the last {!reset_probes}.  An always-on plain-int
-    counter (one store per lookup); approximate under multicore races. *)
-
-val reset_probes : t -> unit
+    since the build.  An always-on plain-int counter (one store per
+    lookup); approximate under multicore races. *)
 
 val distinct_keys : t -> int
 val total_entries : t -> int

@@ -153,9 +153,3 @@ let probes t =
   | Hash h -> Hash_index.probes h
   | Ordered b -> Btree.probes b
   | Trie tr -> Trie.probes tr
-
-let reset_probes t =
-  match t.kind with
-  | Hash h -> Hash_index.reset_probes h
-  | Ordered b -> Btree.reset_probes b
-  | Trie tr -> Trie.reset_probes tr

@@ -116,6 +116,5 @@ val probes : t -> int
 (** Lifetime query-probe count of the underlying physical index (directory
     lookups for hash, root-to-leaf descents for ordered, binary searches
     for trie).  Always on; the observability layer snapshots these into
-    gauges. *)
-
-val reset_probes : t -> unit
+    gauges.  An index is shared by every query over its catalog's
+    {!Wj_core.Registry.store}, so the count spans them all. *)

@@ -22,7 +22,6 @@ let length t = Array.length t.rows
 let row t slot = t.rows.(slot)
 let rows t = t.rows
 let probes t = t.probes
-let reset_probes t = t.probes <- 0
 
 let build_filtered ?keep table ~columns =
   if columns = [||] then invalid_arg "Trie.build: no key columns";

@@ -96,5 +96,3 @@ val iter_range : t -> lo:int -> hi:int -> (int -> unit) -> unit
 
 val probes : t -> int
 (** Lifetime narrow/seek count (one per binary-search operation). *)
-
-val reset_probes : t -> unit

@@ -21,6 +21,3 @@ val add : t -> int -> unit
 
 val value : t -> int
 (** Current count. *)
-
-val reset : t -> unit
-(** Back to 0. *)

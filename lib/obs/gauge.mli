@@ -1,7 +1,7 @@
 (** Last-value-wins gauge: one cell of a flat float array.
 
     Gauges report a level (buffer-pool residency, simulated seconds
-    charged) rather than a count; [set] overwrites, [add] accumulates.
+    charged) rather than a count; [set] overwrites.
     Float stores are word-sized on 64-bit platforms, so concurrent writers
     never tear a value. *)
 
@@ -12,9 +12,6 @@ val of_cells : float array -> int -> t
 
 val set : t -> float -> unit
 (** Overwrite the level. *)
-
-val add : t -> float -> unit
-(** Accumulate into the level. *)
 
 val value : t -> float
 (** Current level. *)

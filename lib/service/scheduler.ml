@@ -14,6 +14,7 @@ type state =
   | Done
   | Cancelled
   | Deadline_exceeded
+  | Failed of string
 
 let state_name = function
   | Queued -> "queued"
@@ -22,9 +23,10 @@ let state_name = function
   | Done -> "done"
   | Cancelled -> "cancelled"
   | Deadline_exceeded -> "deadline_exceeded"
+  | Failed _ -> "failed"
 
 let is_terminal = function
-  | Done | Cancelled | Deadline_exceeded -> true
+  | Done | Cancelled | Deadline_exceeded | Failed _ -> true
   | Queued | Running | Reporting -> false
 
 type policy = Round_robin | Widest_ci
@@ -119,9 +121,6 @@ let create ?(quantum = 256) ?(max_live = 4) ?(policy = Round_robin)
     live = [];
     all = [];
   }
-
-let quantum t = t.quantum
-let domains t = t.domains
 
 (* ---- Tenant accounting ------------------------------------------------ *)
 
@@ -230,8 +229,8 @@ let terminal_of_reason : Driver.stop_reason -> state = function
   | Driver.Cancelled -> Cancelled
   | Target_reached | Time_up | Walk_budget_exhausted -> Done
 
-(* A queued entry that will never run: no driver exists, so there is no
-   report to emit and no result to fill. *)
+(* An entry retired with no report to emit and no result to fill: a
+   queued one that will never run, or one whose start or quantum raised. *)
 let finalize_unstarted t e term =
   e.state <- term;
   account_finish t e;
@@ -268,11 +267,23 @@ let finalize_started t e term ~reason =
        });
   t.live <- List.filter (fun x -> x != e) t.live
 
+(* The exception ends this session only: whatever state it left its
+   driver in, the scheduler and every other session keep going. *)
+let fail t e exn =
+  (match Sink.metrics t.sink with
+  | Some m -> Wj_obs.Counter.incr (Metrics.counter m "sched.failed")
+  | None -> ());
+  t.live <- List.filter (fun x -> x != e) t.live;
+  finalize_unstarted t e (Failed (Printexc.to_string exn))
+
 let begin_entry t e =
-  e.state <- Running;
-  e.handle <- Some (e.start t);
-  t.live <- t.live @ [ e ];
-  emit t (Event.Session_started { session = e.id })
+  match e.start t with
+  | h ->
+    e.state <- Running;
+    e.handle <- Some h;
+    t.live <- t.live @ [ e ];
+    emit t (Event.Session_started { session = e.id })
+  | exception exn -> fail t e exn
 
 (* One admission pass: walk the FIFO in order, retiring queued entries
    that were cancelled or whose deadline passed before they ever ran, and
@@ -365,11 +376,14 @@ let tick t =
         | None, _ -> ()
       in
       span (fun tr -> Wj_obs.Trace.span_begin tr ~cat:"sched" ("quantum:" ^ e.label));
-      let stopped = h.Session.advance ~max_steps:t.quantum in
+      let stopped =
+        try Ok (h.Session.advance ~max_steps:t.quantum) with exn -> Error exn
+      in
       span (fun tr -> Wj_obs.Trace.span_end tr ~cat:"sched" ());
       match stopped with
-      | Some r -> finalize_started t e (terminal_of_reason r) ~reason:(Some r)
-      | None ->
+      | Error exn -> fail t e exn
+      | Ok (Some r) -> finalize_started t e (terminal_of_reason r) ~reason:(Some r)
+      | Ok None ->
         if Sink.wants_reports t.sink || Sink.metrics t.sink <> None then (
           match h.Session.progress () with
           | Some p ->
@@ -535,7 +549,6 @@ let submit t ?(label = "") ?deadline ?token ?tenant ?pin (cfg : Run_config.t) q
 
 let state s = s.state
 let id s = s.id
-let tenant s = s.tenant
 let quanta s = s.quanta
 let stop_reason s = s.reason
 let cancel s = Token.cancel s.token

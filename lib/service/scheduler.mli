@@ -28,6 +28,7 @@
         │ token cancelled / deadline passed           └► Deadline_exceeded
         └────────────────────────────────────────────► Cancelled
                                                      └► Deadline_exceeded
+      Queued/Running ── start or quantum raised ─────► Failed
     v}
 
     [Reporting] is transient within one {!tick}: the final progress report
@@ -46,13 +47,17 @@ type state =
   | Done  (** driver resolved its own stop condition *)
   | Cancelled  (** token cancelled (queued or mid-run) *)
   | Deadline_exceeded  (** deadline passed (queued or mid-run) *)
+  | Failed of string
+      (** the session's start or a quantum raised; the exception's text.
+          The session has no result, and the scheduler's sink counts it
+          in ["sched.failed"]. *)
 
 val state_name : state -> string
 (** Lowercase snake-case name (["queued"], ["deadline_exceeded"], ...),
     also used as the [outcome] string of [Session_finished] events. *)
 
 val is_terminal : state -> bool
-(** [Done], [Cancelled] or [Deadline_exceeded]. *)
+(** [Done], [Cancelled], [Deadline_exceeded] or [Failed]. *)
 
 type policy =
   | Round_robin  (** rotate through live sessions, one quantum each *)
@@ -76,8 +81,7 @@ type policy =
       sessions in flight (queued + running), so one aggressive client
       cannot fill the whole queue.
 
-    Rejections raise {!Rejected}; {!admission} is the non-raising
-    pre-flight check.  When the scheduler sink carries a metrics
+    Rejections raise {!Rejected}.  When the scheduler sink carries a metrics
     registry, per-tenant counters land under ["tenant.<name>."]:
     [submitted], [finished], [rejected]. *)
 
@@ -153,18 +157,6 @@ val create :
     request's trace shows its own grants.  Raises [Invalid_argument]
     when [quantum < 1] or [max_live < 1]. *)
 
-val quantum : t -> int
-(** The configured steps-per-grant. *)
-
-val domains : t -> int
-(** The configured drain-time shard count (1 = single-domain). *)
-
-val admission : t -> ?tenant:string -> unit -> reject option
-(** Would a {!submit} with this [tenant] be rejected right now?  [None]
-    means it would be admitted.  Inherently racy against concurrent
-    submitters — the authoritative check is the {!Rejected} exception —
-    but exact for a host that serializes submissions (the daemon). *)
-
 val in_flight : t -> ?tenant:string -> unit -> int
 (** Non-terminal (queued + running) sessions; with [tenant], only that
     tenant's.  Tenant accounting is maintained by the submitting
@@ -222,8 +214,9 @@ val tick : t -> bool
     (retiring queued sessions whose token was cancelled or whose deadline
     passed), pick one live session per {!policy}, and either grant it a
     quantum of steps or — if its token was cancelled or deadline passed —
-    interrupt and finalize it.  Returns [false] when no session is live or
-    queued (i.e. nothing left to do). *)
+    interrupt and finalize it.  A session whose start or quantum raises is
+    retired as [Failed]; the exception does not escape [tick].  Returns
+    [false] when no session is live or queued (i.e. nothing left to do). *)
 
 val drain : t -> unit
 (** [tick] until everything submitted has reached a terminal state.  With
@@ -246,9 +239,6 @@ val id : session -> int
 (** Scheduler-unique id, in admission order; keys the [Session_*] events
     and the ["session<id>."] metric scope. *)
 
-val tenant : session -> string option
-(** The admission-quota bucket the session was submitted under, if any. *)
-
 val quanta : session -> int
 (** Quanta granted to this session so far (the fairness measure). *)
 
@@ -263,7 +253,7 @@ val cancel : session -> unit
 val result : session -> Wj_core.Session.outcome option
 (** The driver outcome, once terminal.  Present for cancelled and
     deadline-exceeded sessions too (the estimate so far), except a
-    session that never started. *)
+    session that never started or that failed. *)
 
 type info = {
   info_id : int;

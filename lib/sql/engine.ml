@@ -44,16 +44,10 @@ let apply_clauses (cfg : Wj_core.Run_config.t) (statement : Ast.statement)
 let apply_backend (cfg : Wj_core.Run_config.t) catalog =
   fst (Wj_storage.Backend.prepare_catalog cfg.Wj_core.Run_config.backend catalog)
 
-(* Build one registry per bound query, sharing physical indexes through
-   [shared] (threaded across a statement's aggregates — and, in [serve],
-   across every statement of the batch). *)
-let build_registries shared queries =
-  List.map
-    (fun (_, q) ->
-      let r = Wj_core.Registry.build_for_query ?share:!shared q in
-      (match !shared with None -> shared := Some (q, r) | Some _ -> ());
-      r)
-    queries
+(* One registry per bound query, each a view over [store], the one index
+   store of the catalog the statement was bound against. *)
+let registries store (bound : Binder.bound) =
+  List.map (fun (_, q) -> Wj_core.Registry.build_for_query ~store q) bound.queries
 
 (* The exact executor's answer for one bound aggregate: per group under
    GROUP BY, one value otherwise. *)
@@ -67,7 +61,7 @@ let execute_session ?on_report (cfg : Wj_core.Run_config.t) catalog sql =
   let statement = Parser.parse sql in
   let bound = Binder.bind catalog statement in
   let cfg = apply_clauses cfg statement bound in
-  let registries = build_registries (ref None) bound.Binder.queries in
+  let registries = registries (Wj_core.Registry.create_store ()) bound in
   let items =
     List.map2
       (fun (item, q) registry ->
@@ -151,17 +145,17 @@ let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)
     Scheduler.create ?quantum ?max_live ?policy ?domains ~sink
       ?clock:cfg.Wj_core.Run_config.clock ()
   in
-  (* One shared-index thread across the whole batch: statements over the
-     same joins reuse one physical registry, which is the point of
-     admitting them into one service. *)
-  let shared = ref None in
+  (* One index store for the batch's catalog: statements over the same
+     tables reuse its indexes, which is the point of admitting them into
+     one service. *)
+  let store = Wj_core.Registry.create_store () in
   let statements =
     List.mapi
       (fun si sql ->
         let statement = Parser.parse sql in
         let bound = Binder.bind catalog statement in
         let cfg = apply_clauses cfg statement bound in
-        let registries = build_registries shared bound.Binder.queries in
+        let registries = registries store bound in
         let pendings =
           List.map2
             (fun (item, q) registry ->
@@ -266,8 +260,10 @@ let render_served served =
             render_outcome buf label o
           | None ->
             Buffer.add_string buf
-              (Printf.sprintf "%s: %s before running\n" (item_label si.item)
-                 (Scheduler.state_name si.session_state)))
+              (Printf.sprintf "%s: %s\n" (item_label si.item)
+                 (match si.session_state with
+                 | Scheduler.Failed msg -> "failed: " ^ msg
+                 | st -> Scheduler.state_name st ^ " before running")))
         s.served_items)
     served;
   Buffer.contents buf

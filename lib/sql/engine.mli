@@ -1,8 +1,9 @@
 (** One-call SQL execution: parse, bind, run.
 
     [SELECT ONLINE ...] statements run wander join with periodic reports;
-    plain [SELECT ...] statements run the exact executor.  A statement with
-    several aggregates shares one index registry across them. *)
+    plain [SELECT ...] statements run the exact executor.  Each call
+    builds its indexes into one fresh {!Wj_core.Registry.store}, so a
+    statement with several aggregates builds each index once. *)
 
 type item_outcome =
   | Online_scalar of Wj_core.Online.outcome
@@ -52,20 +53,23 @@ val render : result -> string
 
     [serve] admits every ONLINE aggregate of a list of statements into one
     {!Wj_service.Scheduler.t} and drains it: the statements run
-    {e concurrently}, interleaved by bounded quanta of walks, over one
-    shared physical index registry.  Because quantum scheduling never
-    perturbs a session's PRNG stream, serving a batch produces bit-for-bit
-    the same estimates as running {!execute_session} on each statement in
-    turn (for walk-budget-bounded statements; wall-clock-bounded ones stop
-    at whatever their share of time allowed).  Exact (non-ONLINE) items
-    run synchronously at submission. *)
+    {e concurrently}, interleaved by bounded quanta of walks.  Every
+    statement's registry is a view over one {!Wj_core.Registry.store}
+    for the batch, so each index is built once for the whole batch.  The
+    store hands each query exactly the index kinds it asks for, and
+    quantum scheduling never perturbs a session's PRNG stream, so serving
+    a batch produces bit-for-bit the same estimates as running
+    {!execute_session} on each statement in turn (for walk-budget-bounded
+    statements; wall-clock-bounded ones stop at whatever their share of
+    time allowed).  Exact (non-ONLINE) items run synchronously at
+    submission. *)
 
 type served_item = {
   item : Ast.select_item;
   outcome : item_outcome option;
       (** [None] when the session was cancelled or timed out while still
-          queued (it never ran); cancelled {e running} sessions report the
-          estimate accumulated so far *)
+          queued (it never ran), or failed; cancelled {e running}
+          sessions report the estimate accumulated so far *)
   session_state : Wj_service.Scheduler.state;
   session_reason : Wj_obs.Event.stop_reason option;
       (** why the session's driver loop stopped (target reached, time up,
@@ -126,15 +130,6 @@ val apply_clauses :
     [max_time], CONFIDENCE beats [confidence], REPORTINTERVAL beats
     [report_every] — exactly the override rule {!execute_session} and
     {!serve} apply. *)
-
-val build_registries :
-  (Wj_core.Query.t * Wj_core.Registry.t) option ref ->
-  (Ast.select_item * Wj_core.Query.t) list ->
-  Wj_core.Registry.t list
-(** One index registry per bound query, sharing physical indexes through
-    the ref: the first registry built is stored there and every later
-    build (this statement's other aggregates, later statements) reuses
-    its indexes. *)
 
 val exact_item : Wj_core.Query.t -> Wj_core.Registry.t -> item_outcome
 (** The exact executor's answer for one bound aggregate: [Exact_groups]

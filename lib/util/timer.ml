@@ -2,7 +2,7 @@ let now () = Unix.gettimeofday ()
 
 type kind = Wall | Virtual | Hybrid
 
-type t = { kind : kind; mutable origin : float; mutable vtime : float }
+type t = { kind : kind; origin : float; mutable vtime : float }
 
 let wall () = { kind = Wall; origin = now (); vtime = 0.0 }
 let virtual_ () = { kind = Virtual; origin = 0.0; vtime = 0.0 }
@@ -20,13 +20,6 @@ let advance t dt =
   | Virtual | Hybrid ->
     if dt < 0.0 then invalid_arg "Timer.advance: negative amount";
     t.vtime <- t.vtime +. dt
-
-let reset t =
-  match t.kind with
-  | Wall | Hybrid ->
-    t.origin <- now ();
-    t.vtime <- 0.0
-  | Virtual -> t.vtime <- 0.0
 
 let is_virtual t = t.kind = Virtual || t.kind = Hybrid
 

@@ -23,14 +23,11 @@ val hybrid : unit -> t
     simulated. *)
 
 val elapsed : t -> float
-(** Seconds since the clock was created (or since the last {!reset}). *)
+(** Seconds since the clock was created. *)
 
 val advance : t -> float -> unit
 (** Add seconds to a virtual clock.  Raises [Invalid_argument] on a wall
     clock or on a negative amount. *)
-
-val reset : t -> unit
-(** Restart the clock at 0. *)
 
 val is_virtual : t -> bool
 

@@ -1038,6 +1038,94 @@ let test_normalization () =
   diff "SELECT COUNT(*) FROM t1, t2 WHERE t1.x = t2.y"
        "SELECT COUNT(*) FROM t2, t1 WHERE t1.x = t2.y"
 
+(* ---- the index store ------------------------------------------------------ *)
+
+(* A daemon's answer depends on the request alone, not on what it served
+   before: A leaves an ordered l_suppkey index in the daemon's store, and
+   B, which needs a hash index there, must still match a lone in-process
+   run bit for bit. *)
+let test_answer_ignores_earlier_requests () =
+  let catalog = Wj_tpch.Generator.catalog (Wj_tpch.Generator.generate ~seed:7 ~sf:0.01 ()) in
+  let a =
+    "SELECT ONLINE SUM(l_quantity) FROM orders, lineitem WHERE o_orderkey = \
+     l_orderkey AND l_suppkey < 50"
+  and b =
+    "SELECT ONLINE SUM(l_quantity) FROM supplier, lineitem WHERE s_suppkey = \
+     l_suppkey AND s_nationkey = 3"
+  in
+  let seed = 3 and max_walks = 20_000 in
+  let cfg = Run_config.make ~seed ~max_walks ~max_time:3600.0 () in
+  let alone =
+    match (Engine.execute_session cfg catalog b).Engine.items with
+    | [ (_, Engine.Online_scalar o) ] -> o.Online.final
+    | _ -> Alcotest.fail "expected one scalar online item"
+  in
+  with_daemon catalog (fun d ->
+      let extra =
+        [ ("seed", Json.Int seed); ("max_walks", Json.Int max_walks); ("time", Json.Float 3600.0) ]
+      in
+      ignore (query d a ~extra);
+      let _, lines = query d b ~extra in
+      match Option.bind (Json.member "items" (final_of lines)) Json.to_list with
+      | Some [ item ] ->
+        Alcotest.(check (option int)) "walks" (Some alone.walks) (jint "walks" item);
+        Alcotest.(check bool) "bit-for-bit estimate" true
+          (Int64.equal (bits alone.estimate) (bits (Option.get (jflt "estimate" item))));
+        Alcotest.(check bool) "bit-for-bit half-width" true
+          (Int64.equal (bits alone.half_width) (bits (Option.get (jflt "half_width" item))))
+      | _ -> Alcotest.fail "expected one final item")
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A session that raises fails alone.  The daemon serves a paged catalog
+   whose lineitem segments are truncated after its indexes were built, so
+   the next lineitem walk's page fault raises [Failure]: that request
+   gets a "failed" final line carrying the message, and the daemon still
+   answers the request after it. *)
+let test_failed_session_over_http () =
+  let dir = Filename.temp_dir "wj_failed" "" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let paged, _ =
+        Wj_storage.Backend.prepare_catalog
+          (Wj_storage.Backend.paged ~dir ~pool_pages:16 ())
+          (catalog ())
+      in
+      with_daemon paged (fun d ->
+          let walk =
+            "SELECT ONLINE SUM(l_quantity) FROM orders, lineitem WHERE o_orderkey = l_orderkey"
+          in
+          let extra = [ ("max_walks", Json.Int 2_000); ("cache", Json.Bool false) ] in
+          let status lines = jstr "status" (final_of lines) in
+          let _, warm = query d walk ~extra in
+          Alcotest.(check (option string)) "healthy segments: done" (Some "done") (status warm);
+          let seg = Filename.concat dir "lineitem" in
+          Array.iter (fun f -> Unix.truncate (Filename.concat seg f) 0) (Sys.readdir seg);
+          let resp, lines = query d walk ~extra in
+          Alcotest.(check int) "status 200" 200 resp.Http.status;
+          Alcotest.(check (option string)) "truncated segment: failed" (Some "failed")
+            (status lines);
+          (match Option.bind (Json.member "items" (final_of lines)) Json.to_list with
+          | Some [ item ] ->
+            Alcotest.(check (option string)) "item state" (Some "failed") (jstr "state" item);
+            let msg = Option.value (jstr "message" item) ~default:"" in
+            Alcotest.(check bool) ("message names the short read: " ^ msg) true
+              (String.starts_with ~prefix:{|Failure("Segment: short read|} msg)
+          | _ -> Alcotest.fail "expected one final item");
+          let _, after =
+            query d
+              "SELECT ONLINE COUNT(*) FROM nation, region WHERE n_regionkey = r_regionkey"
+              ~extra
+          in
+          Alcotest.(check (option string)) "the next request is answered" (Some "done")
+            (status after)))
+
 let () =
   Alcotest.run "wj_daemon"
     [
@@ -1069,6 +1157,13 @@ let () =
             test_stop_cancels_streams;
           Alcotest.test_case "a query that arrives after stop gets 503" `Quick
             test_stop_refuses_late_query;
+          Alcotest.test_case "a raising session fails alone over HTTP" `Quick
+            test_failed_session_over_http;
+        ] );
+      ( "index store",
+        [
+          Alcotest.test_case "an answer ignores earlier requests" `Quick
+            test_answer_ignores_earlier_requests;
         ] );
       ( "observability",
         [

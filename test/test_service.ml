@@ -239,7 +239,7 @@ let test_cancel_mid_run () =
   | None -> Alcotest.fail "partial outcome expected"
   | Some o ->
     Alcotest.(check int) "no steps after cancel"
-      (quanta_before * Scheduler.quantum sched)
+      (quanta_before * 64)
       o.Online.final.walks;
     Alcotest.(check bool) "stop reason is Cancelled" true
       (o.Online.stopped_because = Online.Cancelled));
@@ -314,8 +314,6 @@ let test_queue_bound () =
     | exception Scheduler.Rejected (Scheduler.Queue_full { queued = 2; max_queued = 1 }) ->
       true
     | exception Scheduler.Rejected _ | _ -> false);
-  Alcotest.(check bool) "admission probe agrees" true
-    (Scheduler.admission sched () <> None);
   Alcotest.(check int) "in_flight counts queued + live" 2
     (Scheduler.in_flight sched ());
   Scheduler.drain sched;
@@ -352,10 +350,10 @@ let test_tenant_quota_accounting () =
   Alcotest.(check int) "alice's in_flight" 2
     (Scheduler.in_flight sched ~tenant:"alice" ());
   (* Quotas are per tenant; other tenants and anonymous submissions pass. *)
-  let b1 = submit ~tenant:"bob" 4 in
-  let anon = submit 5 in
-  Alcotest.(check (option string)) "tenant recorded" (Some "bob") (Scheduler.tenant b1);
-  Alcotest.(check (option string)) "anonymous session" None (Scheduler.tenant anon);
+  ignore (submit ~tenant:"bob" 4);
+  ignore (submit 5);
+  Alcotest.(check int) "bob's in_flight" 1 (Scheduler.in_flight sched ~tenant:"bob" ());
+  Alcotest.(check int) "anonymous counted in the total" 4 (Scheduler.in_flight sched ());
   Scheduler.drain sched;
   Alcotest.(check int) "alice drains" 0 (Scheduler.in_flight sched ~tenant:"alice" ());
   Alcotest.(check bool) "alice can submit again" true
@@ -414,6 +412,48 @@ let test_scoped_metrics () =
   Alcotest.(check int) "a stopped on budget" 1
     (Snapshot.counter_value snap
        (Printf.sprintf "session%d.driver.stop.walk_budget_exhausted" (Scheduler.id a)))
+
+(* ---- a session that raises ---------------------------------------------- *)
+
+(* A session whose sink raises on its 200th report — one report per walk,
+   so inside its fourth 64-walk quantum: the exception must end that
+   session as [Failed], counted, while [tick] returns normally and its
+   peer still runs to its budget. *)
+let test_failed_session_contained () =
+  let q = chain_query () in
+  let reg = Registry.build_for_query q in
+  let m = Metrics.create () in
+  let sched =
+    Scheduler.create ~quantum:64 ~sink:(Sink.of_metrics m) ~clock:(Timer.virtual_ ()) ()
+  in
+  let reports = ref 0 in
+  let raising =
+    Sink.of_fn (function
+      | Event.Report _ ->
+        incr reports;
+        if !reports = 200 then failwith "boom at report 200"
+      | _ -> ())
+  in
+  let bad_cfg =
+    Run_config.make ~seed:5 ~max_walks:5_000 ~max_time:3600.0 ~report_every:0.0
+      ~clock:(Timer.virtual_ ()) ~plan_choice:Run_config.First_enumerated ~sink:raising ()
+  in
+  let bad = Scheduler.submit sched bad_cfg q reg in
+  let good = Scheduler.submit sched (walk_cfg ~seed:6 ~max_walks:2_000 ()) q reg in
+  Scheduler.drain sched;
+  (match Scheduler.state bad with
+  | Scheduler.Failed msg ->
+    Alcotest.(check string) "the exception's text"
+      (Printexc.to_string (Failure "boom at report 200")) msg
+  | st -> Alcotest.failf "raising session ended %s" (Scheduler.state_name st));
+  Alcotest.(check int) "failed in its fourth quantum" 4 (Scheduler.quanta bad);
+  Alcotest.(check bool) "no result" true (Scheduler.result bad = None);
+  Alcotest.(check bool) "peer done" true (Scheduler.state good = Scheduler.Done);
+  Alcotest.(check int) "peer ran its budget" 2_000
+    (Option.get (scalar (Scheduler.result good))).Online.final.walks;
+  Alcotest.(check int) "sched.failed" 1
+    (Snapshot.counter_value (Snapshot.of_metrics m) "sched.failed");
+  Alcotest.(check bool) "nothing left to tick" false (Scheduler.tick sched)
 
 (* ---- domain-sharded drain ------------------------------------------------ *)
 (* 16 pinned walk sessions over TPC-H joins: the four physical shapes of
@@ -545,7 +585,6 @@ let test_sharded_pinning_groups () =
   let sched =
     Scheduler.create ~quantum:128 ~domains:2 ~sink ~clock:(Timer.virtual_ ()) ()
   in
-  Alcotest.(check int) "domains recorded" 2 (Scheduler.domains sched);
   let submit pin seed =
     Scheduler.submit sched ~pin
       (Run_config.make ~seed ~max_walks:200 ~max_time:3600.0
@@ -677,6 +716,130 @@ let test_submit_group_by_kind () =
   | Some (Wj_core.Session.Scalar _) -> Alcotest.fail "GROUP BY query ran as a scalar session"
   | None -> Alcotest.fail "session never ran"
 
+(* ---- one index store per catalog ----------------------------------------- *)
+
+let sf01_catalog =
+  lazy (Wj_tpch.Generator.catalog (Wj_tpch.Generator.generate ~seed:7 ~sf:0.01 ()))
+
+let only_scalar = function
+  | [ Wj_sql.Engine.Online_scalar o ] -> o
+  | _ -> Alcotest.fail "expected one scalar online item"
+
+let same_outcome name (a : Online.outcome) (b : Online.outcome) =
+  Alcotest.(check string) (name ^ ": plan") a.plan_description b.plan_description;
+  Alcotest.(check int) (name ^ ": walks") a.final.walks b.final.walks;
+  Alcotest.(check bool) (name ^ ": bit-for-bit estimate") true
+    (float_eq a.final.estimate b.final.estimate);
+  Alcotest.(check bool) (name ^ ": bit-for-bit half-width") true
+    (float_eq a.final.half_width b.final.half_width)
+
+(* A registry depends on its query alone.  A needs an ordered index on
+   l_suppkey (its predicate), B a hash index (its join): served after A in
+   one batch, B must still get the hash index a lone run builds. *)
+let test_registry_depends_on_query () =
+  let catalog = Lazy.force sf01_catalog in
+  let a =
+    "SELECT ONLINE SUM(l_quantity) FROM orders, lineitem WHERE o_orderkey = \
+     l_orderkey AND l_suppkey < 50"
+  and b =
+    "SELECT ONLINE SUM(l_quantity) FROM supplier, lineitem WHERE s_suppkey = \
+     l_suppkey AND s_nationkey = 3"
+  in
+  let cfg = Run_config.make ~seed:3 ~max_walks:20_000 ~max_time:3600.0 () in
+  let alone =
+    only_scalar (List.map snd (Wj_sql.Engine.execute_session cfg catalog b).items)
+  in
+  let after_a =
+    match Wj_sql.Engine.serve cfg catalog [ a; b ] with
+    | [ _; s ] ->
+      only_scalar (List.filter_map (fun (i : Wj_sql.Engine.served_item) -> i.outcome) s.served_items)
+    | _ -> Alcotest.fail "expected two served statements"
+  in
+  same_outcome "B after A = B alone" alone after_a
+
+(* Registries built over one store share each (table, column, kind) index
+   physically; without a store each build makes its own. *)
+let test_store_shares_indexes () =
+  let catalog = Lazy.force tpch_catalog in
+  let bind sql =
+    match (Wj_sql.Binder.bind catalog (Wj_sql.Parser.parse sql)).queries with
+    | [ (_, q) ] -> q
+    | _ -> Alcotest.fail "expected one bound aggregate"
+  in
+  let q3 =
+    bind
+      (Printf.sprintf
+         "SELECT ONLINE SUM(l_extendedprice * (1 - l_discount)) FROM customer, \
+          orders, lineitem WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey \
+          AND c_mktsegment_id = %d AND o_orderdate < DATE '1995-03-15' AND \
+          l_shipdate > DATE '1995-03-15'"
+         (Wj_tpch.Generator.segment_id "BUILDING"))
+  and count2 =
+    bind
+      "SELECT ONLINE COUNT(*) FROM customer, orders WHERE c_custkey = o_custkey \
+       AND o_orderdate < DATE '1994-01-01'"
+  in
+  let index q reg table column =
+    let pos = ref (-1) in
+    Array.iteri (fun i t -> if Table.name t = table then pos := i) q.Query.tables;
+    let column = Table.column_index q.Query.tables.(!pos) column in
+    Option.get (Registry.find reg ~pos:!pos ~column)
+  in
+  let cols = [ ("customer", "c_custkey"); ("orders", "o_custkey"); ("orders", "o_orderdate") ] in
+  let store = Registry.create_store () in
+  let r3 = Registry.build_for_query ~store q3 in
+  let r2 = Registry.build_for_query ~store count2 in
+  let fresh = Registry.build_for_query count2 in
+  List.iter
+    (fun (table, column) ->
+      Alcotest.(check bool) (column ^ " shared through the store") true
+        (index q3 r3 table column == index count2 r2 table column);
+      Alcotest.(check bool) (column ^ " fresh without a store") false
+        (index q3 r3 table column == index count2 fresh table column))
+    cols
+
+(* Cyclic f ⋈ g ⋈ h: the optimizer's trie variants build tries lazily, at
+   session start, in the batch's one store. *)
+let triangle_catalog =
+  lazy
+    (let prng = Wj_util.Prng.create 17 in
+     let mk name c1 c2 =
+       int_table name [ c1; c2 ]
+         (List.init 3_000 (fun _ -> [ Wj_util.Prng.int prng 30; Wj_util.Prng.int prng 30 ]))
+     in
+     let catalog = Wj_storage.Catalog.create () in
+     List.iter (Wj_storage.Catalog.add_table catalog) [ mk "f" "a" "b"; mk "g" "b" "c"; mk "h" "c" "a" ];
+     catalog)
+
+(* Two statements on two domains reach one store at once: every estimate
+   and walk count must equal the single-domain batch. *)
+let test_store_across_domains () =
+  let catalog = Lazy.force triangle_catalog in
+  let where = " FROM f, g, h WHERE f.b = g.b AND g.c = h.c AND h.a = f.a" in
+  let sqls = [ "SELECT ONLINE COUNT(*)" ^ where; "SELECT ONLINE SUM(f.a)" ^ where ] in
+  let cfg =
+    Run_config.make ~seed:4 ~max_walks:20_000 ~max_time:3600.0 ~clock:(Timer.virtual_ ()) ()
+  in
+  let outcomes ~domains =
+    List.concat_map
+      (fun (s : Wj_sql.Engine.served) ->
+        List.map
+          (fun (i : Wj_sql.Engine.served_item) -> only_scalar (Option.to_list i.outcome))
+          s.served_items)
+      (Wj_sql.Engine.serve ~quantum:256 ~domains cfg catalog sqls)
+  in
+  let one = outcomes ~domains:1 and two = outcomes ~domains:2 in
+  let mentions s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (o : Online.outcome) ->
+      Alcotest.(check bool) "a trie-intersect plan" true (mentions o.plan_description "intersect"))
+    one;
+  List.iter2 (same_outcome "2 domains = 1 domain") one two
+
 let () =
   Alcotest.run "wj_service"
     [
@@ -703,6 +866,11 @@ let () =
             test_tenant_quota_accounting;
           Alcotest.test_case "prune forgets terminal sessions" `Quick test_prune;
         ] );
+      ( "failure",
+        [
+          Alcotest.test_case "a raising session fails alone" `Quick
+            test_failed_session_contained;
+        ] );
       ( "metrics",
         [ Alcotest.test_case "per-session scoped families" `Quick test_scoped_metrics ]
       );
@@ -722,5 +890,14 @@ let () =
           Alcotest.test_case "group-by rides the scheduler" `Quick test_serve_group_by;
           Alcotest.test_case "submit: the query picks the session kind" `Quick
             test_submit_group_by_kind;
+        ] );
+      ( "index store",
+        [
+          Alcotest.test_case "serve [A; B] gives B what B alone gives" `Quick
+            test_registry_depends_on_query;
+          Alcotest.test_case "one store shares exact indexes" `Quick
+            test_store_shares_indexes;
+          Alcotest.test_case "two domains build tries in one store" `Quick
+            test_store_across_domains;
         ] );
     ]

@@ -335,8 +335,6 @@ let test_timer_virtual () =
   Timer.advance c 1.5;
   Timer.advance c 0.25;
   check_float "advanced" 1.75 (Timer.elapsed c);
-  Timer.reset c;
-  check_float "reset" 0.0 (Timer.elapsed c);
   Alcotest.check_raises "negative" (Invalid_argument "Timer.advance: negative amount")
     (fun () -> Timer.advance c (-1.0))
 
@@ -356,9 +354,7 @@ let test_timer_hybrid () =
   let after = Timer.elapsed c in
   (* Simulated charge plus (tiny) real elapsed time. *)
   Alcotest.(check bool) "charge visible" true (after -. before >= 2.0);
-  Alcotest.(check bool) "real time included" true (after >= 2.0);
-  Timer.reset c;
-  Alcotest.(check bool) "reset clears both parts" true (Timer.elapsed c < 0.5)
+  Alcotest.(check bool) "real time included" true (after >= 2.0)
 
 let test_timer_time_it () =
   let x, dt = Timer.time_it (fun () -> 42) in
