@@ -240,7 +240,7 @@ let metrics_finish ~json m_opt =
     | None -> ()
     | Some file ->
       Out_channel.with_open_text file (fun oc ->
-          output_string oc (Wj_obs.Snapshot.to_json snap);
+          output_string oc (Wj_util.Json.to_string (Wj_obs.Snapshot.to_json snap));
           output_char oc '\n');
       Printf.printf "metrics JSON written to %s\n" file)
 
@@ -419,7 +419,8 @@ let print_recorder_summary recorder =
 
 let write_record recorder file =
   Out_channel.with_open_text file (fun oc ->
-      output_string oc (Wj_obs.Recorder.to_json recorder));
+      output_string oc (Wj_util.Json.to_string (Wj_obs.Recorder.to_json recorder));
+      output_char oc '\n');
   Printf.printf "flight record written to %s (load in chrome://tracing)\n" file
 
 (* One live table row per scheduler session, updated from the milestone
@@ -1000,58 +1001,37 @@ let watch_term =
 
 (* --- wjd-top (remote live view) ----------------------------------------- *)
 
-(* A remote [top]: poll a running daemon's [/stats] (whose metrics
-   snapshot carries the per-session progress gauges) and [/metrics] (the
-   same Prometheus text any scraper sees) and redraw an ANSI table — no
-   local catalog, just the wire. *)
+(* A remote [top]: poll a running daemon's [/stats], whose metrics
+   snapshot carries every counter and the per-session progress gauges,
+   and redraw an ANSI table — no local catalog, just the wire. *)
 
-(* First label-less sample of a family in Prometheus text exposition. *)
-let prom_value body name =
-  String.split_on_char '\n' body
-  |> List.find_map (fun line ->
-         if String.length line = 0 || line.[0] = '#' then None
-         else
-           match String.index_opt line ' ' with
-           | Some i when String.sub line 0 i = name ->
-             float_of_string_opt
-               (String.sub line (i + 1) (String.length line - i - 1))
-           | _ -> None)
+(* "session<N>.progress.<field>" gauges of a snapshot, grouped per
+   session id. *)
+let session_rows snap =
+  let rows = Hashtbl.create 8 in
+  List.iter
+    (fun (name, entry) ->
+      match (entry, String.index_opt name '.') with
+      | Wj_obs.Snapshot.Gauge v, Some dot when String.starts_with ~prefix:"session" name -> (
+        match int_of_string_opt (String.sub name 7 (dot - 7)) with
+        | Some id ->
+          let field = String.sub name (dot + 1) (String.length name - dot - 1) in
+          let cells = Option.value (Hashtbl.find_opt rows id) ~default:[] in
+          Hashtbl.replace rows id ((field, v) :: cells)
+        | None -> ())
+      | _ -> ())
+    snap;
+  Hashtbl.fold (fun id cells acc -> (id, cells) :: acc) rows [] |> List.sort compare
 
-(* "session<N>.progress.<field>" gauges out of a /stats response, grouped
-   per session id. *)
-let session_rows stats_json =
-  let rows : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
-  (match
-     Option.bind (Json.member "metrics" stats_json) (Json.member "gauges")
-   with
-  | Some (Json.Obj fields) ->
-    List.iter
-      (fun (name, v) ->
-        match Json.to_float v with
-        | None -> ()
-        | Some value ->
-          if String.starts_with ~prefix:"session" name then (
-            match String.index_opt name '.' with
-            | Some dot -> (
-              match int_of_string_opt (String.sub name 7 (dot - 7)) with
-              | Some id ->
-                let cell =
-                  match Hashtbl.find_opt rows id with
-                  | Some r -> r
-                  | None ->
-                    let r = ref [] in
-                    Hashtbl.add rows id r;
-                    r
-                in
-                cell :=
-                  (String.sub name (dot + 1) (String.length name - dot - 1), value)
-                  :: !cell
-              | None -> ())
-            | None -> ()))
-      fields
-  | _ -> ());
-  Hashtbl.fold (fun id cell acc -> (id, !cell) :: acc) rows []
-  |> List.sort compare
+(* Walks so far across every walker: the daemon's walker counters exist
+   only per session ("session<N>.walker.walks"). *)
+let total_walks snap =
+  List.fold_left
+    (fun acc (name, entry) ->
+      match entry with
+      | Wj_obs.Snapshot.Counter n when String.ends_with ~suffix:".walker.walks" name -> acc + n
+      | _ -> acc)
+    0 snap
 
 let wjd_top_run url interval iterations =
   let url =
@@ -1064,10 +1044,7 @@ let wjd_top_run url interval iterations =
   let prev = ref None in
   (* (poll time, cumulative walks) for the walks/s rate *)
   let rec poll n =
-    match
-      ( Wj_daemon.Http.fetch (url ^ "/stats"),
-        Wj_daemon.Http.fetch (url ^ "/metrics") )
-    with
+    match Wj_daemon.Http.fetch (url ^ "/stats") with
     | exception Unix.Unix_error (e, _, _) ->
       if n = 0 then begin
         Printf.eprintf "connection to %s failed: %s\n" url (Unix.error_message e);
@@ -1080,72 +1057,67 @@ let wjd_top_run url interval iterations =
     | exception Wj_daemon.Http.Bad_request msg ->
       Printf.eprintf "malformed response from %s: %s\n" url msg;
       1
-    | stats, metrics ->
-      if stats.Wj_daemon.Http.status <> 200 || metrics.Wj_daemon.Http.status <> 200
-      then begin
-        Printf.eprintf "HTTP %d from %s\n"
-          (max stats.Wj_daemon.Http.status metrics.Wj_daemon.Http.status)
-          url;
-        1
+    | stats when stats.Wj_daemon.Http.status <> 200 ->
+      Printf.eprintf "HTTP %d from %s\n" stats.Wj_daemon.Http.status url;
+      1
+    | stats ->
+      let j =
+        try Json.parse (String.trim stats.Wj_daemon.Http.resp_body)
+        with Json.Parse_error _ -> Json.Null
+      in
+      let jint name = Option.value (Option.bind (Json.member name j) Json.to_int) ~default:0 in
+      let snap =
+        match Json.member "metrics" j with
+        | Some m -> ( try Wj_obs.Snapshot.of_json m with Json.Parse_error _ -> [])
+        | None -> []
+      in
+      let count = Wj_obs.Snapshot.counter_value snap in
+      let now = Unix.gettimeofday () in
+      let walks = total_walks snap in
+      let rate =
+        match !prev with
+        | Some (t0, w0) when now > t0 && walks >= w0 ->
+          float_of_int (walks - w0) /. (now -. t0)
+        | _ -> Float.nan
+      in
+      prev := Some (now, walks);
+      let lines =
+        Printf.sprintf "wjd %s  live %d  queued %d  in-flight %d  epoch %d" url
+          (jint "live") (jint "queued") (jint "in_flight") (jint "epoch")
+        :: Printf.sprintf
+             "requests %d (%d rejected, %d errors)  walks/s %s  cache %d entries (%d \
+              hits, %d misses)  traces %d  heap %.1f Mw"
+             (count "http.requests") (count "http.rejected") (count "http.errors")
+             (if Float.is_nan rate then "-" else Printf.sprintf "%.0f" rate)
+             (jint "cache_entries") (count "cache.hits") (count "cache.misses")
+             (jint "traces")
+             (Wj_obs.Snapshot.gauge_value snap "gc.heap_words" /. 1e6)
+        :: Printf.sprintf "%-12s %12s %15s %13s" "SESSION" "WALKS" "ESTIMATE" "CI+/-"
+        :: List.map
+             (fun (id, cells) ->
+               let fmt key spec =
+                 match List.assoc_opt key cells with
+                 | Some v -> Printf.sprintf spec v
+                 | None -> "-"
+               in
+               Printf.sprintf "%-12s %12s %15s %13s"
+                 (Printf.sprintf "session%d" id)
+                 (fmt "progress.walks" "%.0f")
+                 (fmt "progress.estimate" "%.6g")
+                 (fmt "progress.half_width" "%.4g"))
+             (session_rows snap)
+      in
+      if tty then begin
+        if !drawn > 0 then Printf.printf "\027[%dA" !drawn;
+        List.iter (fun l -> Printf.printf "\027[2K%s\n" l) lines;
+        drawn := List.length lines
       end
+      else List.iter print_endline lines;
+      flush stdout;
+      if iterations > 0 && n + 1 >= iterations then 0
       else begin
-        let j =
-          try Json.parse (String.trim stats.Wj_daemon.Http.resp_body)
-          with Json.Parse_error _ -> Json.Null
-        in
-        let jint name =
-          Option.value (Option.bind (Json.member name j) Json.to_int) ~default:0
-        in
-        let body = metrics.Wj_daemon.Http.resp_body in
-        let pv name = Option.value (prom_value body name) ~default:0.0 in
-        let now = Unix.gettimeofday () in
-        let walks = pv "wj_walker_walks" in
-        let rate =
-          match !prev with
-          | Some (t0, w0) when now > t0 && walks >= w0 ->
-            (walks -. w0) /. (now -. t0)
-          | _ -> Float.nan
-        in
-        prev := Some (now, walks);
-        let lines =
-          Printf.sprintf "wjd %s  live %d  queued %d  in-flight %d  epoch %d" url
-            (jint "live") (jint "queued") (jint "in_flight") (jint "epoch")
-          :: Printf.sprintf
-               "requests %.0f (%.0f rejected, %.0f errors)  walks/s %s  cache %d \
-                entries (%.0f hits, %.0f misses)  traces %d  heap %.1f Mw"
-               (pv "wj_http_requests") (pv "wj_http_rejected") (pv "wj_http_errors")
-               (if Float.is_nan rate then "-" else Printf.sprintf "%.0f" rate)
-               (jint "cache_entries") (pv "wj_cache_hits") (pv "wj_cache_misses")
-               (jint "traces")
-               (pv "wj_gc_heap_words" /. 1e6)
-          :: Printf.sprintf "%-12s %12s %15s %13s" "SESSION" "WALKS" "ESTIMATE"
-               "CI+/-"
-          :: List.map
-               (fun (id, cells) ->
-                 let fmt key spec =
-                   match List.assoc_opt key cells with
-                   | Some v -> Printf.sprintf spec v
-                   | None -> "-"
-                 in
-                 Printf.sprintf "%-12s %12s %15s %13s"
-                   (Printf.sprintf "session%d" id)
-                   (fmt "progress.walks" "%.0f")
-                   (fmt "progress.estimate" "%.6g")
-                   (fmt "progress.half_width" "%.4g"))
-               (session_rows j)
-        in
-        if tty then begin
-          if !drawn > 0 then Printf.printf "\027[%dA" !drawn;
-          List.iter (fun l -> Printf.printf "\027[2K%s\n" l) lines;
-          drawn := List.length lines
-        end
-        else List.iter print_endline lines;
-        flush stdout;
-        if iterations > 0 && n + 1 >= iterations then 0
-        else begin
-          Unix.sleepf interval;
-          poll (n + 1)
-        end
+        Unix.sleepf interval;
+        poll (n + 1)
       end
   in
   poll 0
@@ -1177,7 +1149,7 @@ let commands =
     ("suggest", "Suggest a full-join order from wander-join cardinality estimates.", suggest_term);
     ("wjd", "Run the wander-join network daemon (HTTP/1.1 + JSON, see PROTOCOL.md).", wjd_term);
     ("watch", "Submit SQL to a running wjd and watch the CI shrink live.", watch_term);
-    ("wjd-top", "Live remote view of a running wjd: poll /stats + /metrics.", wjd_top_term);
+    ("wjd-top", "Live remote view of a running wjd: poll /stats.", wjd_top_term);
   ]
 
 let () =

@@ -172,19 +172,28 @@ module Driver = struct
      the per-step path, and a Chrome timeline of a scheduled run shows
      each driver's granted slices.  The begin/end pair brackets the loop
      unconditionally, so nesting balances on every exit — quantum
-     exhausted, stop condition resolved, or interrupted between calls. *)
+     exhausted, stop condition resolved, interrupted between calls, or a
+     step or sink that raises. *)
   let advance t ~max_steps =
     if max_steps < 1 then invalid_arg "Engine.Driver.advance: max_steps must be >= 1";
     (match t.trace with
     | Some tr -> Wj_obs.Trace.span_begin tr ~cat:"engine" "driver.advance"
     | None -> ());
+    let close () =
+      match t.trace with
+      | Some tr -> Wj_obs.Trace.span_end tr ~cat:"engine" ()
+      | None -> ()
+    in
     let steps = ref 0 in
-    while t.stop = None && !steps < max_steps do
-      if tick t then incr steps
-    done;
-    (match t.trace with
-    | Some tr -> Wj_obs.Trace.span_end tr ~cat:"engine" ()
-    | None -> ());
+    (try
+       while t.stop = None && !steps < max_steps do
+         if tick t then incr steps
+       done
+     with e ->
+       let bt = Printexc.get_raw_backtrace () in
+       close ();
+       Printexc.raise_with_backtrace e bt);
+    close ();
     t.stop
 
   let drain t =

@@ -39,7 +39,7 @@ type t = {
   metrics : Metrics.t;
   sched : Scheduler.t;
   cache : Estimate_cache.t;
-  trace_store : Trace_store.t;
+  traces : string Lru.t;  (* trace id -> retained Chrome-trace document *)
   access_log : out_channel option;
   close_log : bool;  (* the channel was opened here, close it on stop *)
   log_mu : Mutex.t;
@@ -190,7 +190,7 @@ let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
     metrics;
     sched;
     cache = Estimate_cache.create ?capacity:cache_capacity metrics;
-    trace_store = Trace_store.create ?capacity:trace_capacity ();
+    traces = Lru.create ~capacity:(Option.value trace_capacity ~default:64);
     access_log = access_log_chan;
     close_log;
     log_mu = Mutex.create ();
@@ -431,16 +431,21 @@ let log_request t fields =
           flush oc
         end)
 
-(* Failed requests log a short line: no statement was executed, so the
-   execution fields would all be vacuous. *)
-let log_failure t ~trace_id ~outcome code =
+(* A request refused before anything ran: counted under [http.rejected]
+   (admission) or [http.errors], logged as a short line (no statement
+   was executed, so the execution fields would all be vacuous), and
+   answered with an error body. *)
+let refuse t fd ~trace_id ~rejected ~status ?(headers = []) code msg =
+  Counter.incr (if rejected then t.rejected else t.errors);
   log_request t
     [
       ("ts", Json.Float (Unix.gettimeofday ()));
       ("trace", Json.Str trace_id);
-      ("outcome", Json.Str outcome);
+      ("outcome", Json.Str (if rejected then "rejected" else "error"));
       ("code", Json.Str code);
-    ]
+    ];
+  Http.respond fd ~status ~headers:((Http.trace_header, trace_id) :: headers)
+    (error_body code msg ^ "\n")
 
 let stmt_hash norm = Digest.to_hex (Digest.string norm)
 
@@ -449,30 +454,16 @@ let stmt_hash norm = Digest.to_hex (Digest.string norm)
    slow-query line reports the best-evidenced fit — the scope with the
    most CI samples behind it. *)
 let fit_json recorder =
-  let best =
-    List.fold_left
-      (fun acc scope ->
-        match
-          Wj_obs.Convergence.fit (Wj_obs.Recorder.convergence recorder ~scope)
-        with
-        | Some f
-          when (match acc with
-               | None -> true
-               | Some prev -> f.Wj_obs.Convergence.points > prev.Wj_obs.Convergence.points)
-          -> Some f
-        | _ -> acc)
-      None
-      (Wj_obs.Recorder.convergence_scopes recorder)
-  in
-  match best with
-  | None -> Json.Null
-  | Some f ->
-    Json.Obj
-      [
-        ("c", Json.Float f.Wj_obs.Convergence.c);
-        ("exponent", Json.Float f.exponent);
-        ("points", Json.Int f.points);
-      ]
+  Wj_obs.Recorder.convergence_scopes recorder
+  |> List.filter_map (fun scope ->
+         Wj_obs.Convergence.fit (Wj_obs.Recorder.convergence recorder ~scope))
+  |> List.fold_left
+       (fun best (f : Wj_obs.Convergence.fit) ->
+         match best with
+         | Some (b : Wj_obs.Convergence.fit) when b.points >= f.points -> best
+         | _ -> Some f)
+       None
+  |> Wj_obs.Convergence.fit_json
 
 (* ---- /query ----------------------------------------------------------- *)
 
@@ -541,9 +532,10 @@ let submit_fresh t req ~traced statement key epoch =
           in
           (item, p))
         (List.combine bound.Binder.queries registries)
-    with Scheduler.Rejected _ as e ->
+    with e ->
       (* A multi-aggregate statement admits one session per aggregate;
-         roll the already-admitted ones back before reporting 429. *)
+         roll the already-admitted ones back before reporting 429 (or
+         any other submission failure). *)
       List.iter
         (fun s ->
           Hashtbl.remove t.routes (Scheduler.id s);
@@ -652,8 +644,8 @@ let exact_cost pendings =
            | _ -> n)
          0 pendings)
 
-let handle_query t fd ~trace_id ~traced req =
-  let t0 = Unix.gettimeofday () in
+(* Answer a submitted statement; [t0] is when its submission began. *)
+let handle_query t fd ~trace_id ~traced ~t0 req submitted =
   let trace_hdr = [ (Http.trace_header, trace_id) ] in
   (* One structured line per completed request: who, what (by normalized
      statement hash), how it went, and what it cost. *)
@@ -690,16 +682,13 @@ let handle_query t fd ~trace_id ~traced req =
         else [])
     end
   in
-  match Mutex.protect t.mu (fun () -> submit_statement t req ~traced) with
+  match submitted with
   | `Cached (norm, results) ->
     log ~outcome:"done" ~cache:"hit" ~norm ();
     Http.respond fd ~status:200 ~headers:trace_hdr
       (Json.to_string (final_json ~status:"done" ~cached:true results) ^ "\n")
   | `Stopping ->
-    Counter.incr t.rejected;
-    log_failure t ~trace_id ~outcome:"rejected" "stopping";
-    Http.respond fd ~status:503 ~headers:trace_hdr
-      (error_body "stopping" "the daemon is shutting down" ^ "\n")
+    refuse t fd ~trace_id ~rejected:true ~status:503 "stopping" "the daemon is shutting down"
   | `Submitted (norm, key, epoch, token, stream, pendings, recorder) ->
     let streaming = req.want_stream && stream.live > 0 in
     if streaming then Http.start_chunked fd ~status:200 ~headers:trace_hdr ();
@@ -725,8 +714,9 @@ let handle_query t fd ~trace_id ~traced req =
               then "stored"
               else "skipped_cheap";
           if traced then
-            Trace_store.put t.trace_store ~id:trace_id
-              (Wj_obs.Recorder.to_json recorder);
+            ignore
+              (Lru.add t.traces trace_id
+                 (Json.to_string (Wj_obs.Recorder.to_json recorder)));
           (final_json ~status ~cached:false items, status, !disposition))
     in
     (* Log before the final line goes out: a client that has read its
@@ -767,7 +757,7 @@ let refresh_runtime_gauges t =
   g "sched.live" (float_of_int (Scheduler.live_count t.sched));
   g "sched.queued" (float_of_int (Scheduler.queued_count t.sched));
   g "cache.entries" (float_of_int (Estimate_cache.length t.cache));
-  g "trace.retained" (float_of_int (Trace_store.length t.trace_store));
+  g "trace.retained" (float_of_int (Lru.length t.traces));
   List.iter
     (fun (name, n) ->
       g (Printf.sprintf "tenant.%s.in_flight" name) (float_of_int n))
@@ -777,17 +767,18 @@ let handle_stats t fd =
   let body =
     Mutex.protect t.mu (fun () ->
         refresh_runtime_gauges t;
-        Printf.sprintf
-          {|{"in_flight":%d,"live":%d,"queued":%d,"cache_entries":%d,"traces":%d,"epoch":%d,"metrics":%s}|}
-          (Scheduler.in_flight t.sched ())
-          (Scheduler.live_count t.sched)
-          (Scheduler.queued_count t.sched)
-          (Estimate_cache.length t.cache)
-          (Trace_store.length t.trace_store)
-          (Catalog.epoch t.catalog)
-          (Snapshot.to_json (Snapshot.of_metrics t.metrics)))
+        Json.Obj
+          [
+            ("in_flight", Json.Int (Scheduler.in_flight t.sched ()));
+            ("live", Json.Int (Scheduler.live_count t.sched));
+            ("queued", Json.Int (Scheduler.queued_count t.sched));
+            ("cache_entries", Json.Int (Estimate_cache.length t.cache));
+            ("traces", Json.Int (Lru.length t.traces));
+            ("epoch", Json.Int (Catalog.epoch t.catalog));
+            ("metrics", Snapshot.to_json (Snapshot.of_metrics t.metrics));
+          ])
   in
-  Http.respond fd ~status:200 (body ^ "\n")
+  Http.respond fd ~status:200 (Json.to_string body ^ "\n")
 
 let handle_metrics t fd =
   let body =
@@ -798,8 +789,8 @@ let handle_metrics t fd =
   Http.respond fd ~status:200 ~content_type:Wj_obs.Prom.content_type body
 
 let handle_trace t fd id =
-  match Mutex.protect t.mu (fun () -> Trace_store.find t.trace_store id) with
-  | Some doc -> Http.respond fd ~status:200 doc
+  match Mutex.protect t.mu (fun () -> Lru.find t.traces id) with
+  | Some doc -> Http.respond fd ~status:200 (doc ^ "\n")
   | None ->
     Http.respond fd ~status:404
       (error_body "not_found" ("no retained trace: " ^ id) ^ "\n")
@@ -834,41 +825,30 @@ let handle t fd =
     | ("GET" | "POST"), "/query" -> (
       let trace_id = Http.request_trace_id req in
       let traced = Http.header req Http.trace_header <> None in
-      let trace_hdr = (Http.trace_header, trace_id) in
-      match decode_query_req t (body_json ()) with
-      | qreq -> (
-        try handle_query t fd ~trace_id ~traced qreq with
-        | Scheduler.Rejected r ->
-          Counter.incr t.rejected;
-          log_failure t ~trace_id ~outcome:"rejected" "rejected";
-          Http.respond fd ~status:429
-            ~headers:[ ("retry-after", string_of_int t.retry_after); trace_hdr ]
-            (error_body "rejected" (Scheduler.reject_description r) ^ "\n")
-        | Lexer.Lex_error (msg, off) ->
-          Counter.incr t.errors;
-          log_failure t ~trace_id ~outcome:"error" "lex";
-          Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-            (error_body "lex" (Printf.sprintf "%s (offset %d)" msg off) ^ "\n")
-        | Parser.Parse_error msg ->
-          Counter.incr t.errors;
-          log_failure t ~trace_id ~outcome:"error" "parse";
-          Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-            (error_body "parse" msg ^ "\n")
-        | Binder.Bind_error msg ->
-          Counter.incr t.errors;
-          log_failure t ~trace_id ~outcome:"error" "bind";
-          Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-            (error_body "bind" msg ^ "\n"))
-      | exception Bad_param name ->
-        Counter.incr t.errors;
-        log_failure t ~trace_id ~outcome:"error" "bad_request";
-        Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-          (error_body "bad_request" ("missing or malformed parameter: " ^ name) ^ "\n")
-      | exception Json.Parse_error msg ->
-        Counter.incr t.errors;
-        log_failure t ~trace_id ~outcome:"error" "bad_request";
-        Http.respond fd ~status:400 ~headers:[ trace_hdr ]
-          (error_body "bad_request" ("malformed JSON body: " ^ msg) ^ "\n"))
+      let t0 = Unix.gettimeofday () in
+      (* The submission phase (decode, parse, bind, index builds, submit)
+         answers every exception with an error status.  Once submitted, a
+         session that raises ends its own stream as failed. *)
+      match
+        let qreq = decode_query_req t (body_json ()) in
+        (qreq, Mutex.protect t.mu (fun () -> submit_statement t qreq ~traced))
+      with
+      | qreq, submitted -> handle_query t fd ~trace_id ~traced ~t0 qreq submitted
+      | exception Scheduler.Rejected r ->
+        refuse t fd ~trace_id ~rejected:true ~status:429
+          ~headers:[ ("retry-after", string_of_int t.retry_after) ]
+          "rejected" (Scheduler.reject_description r)
+      | exception e ->
+        let status, code, msg =
+          match e with
+          | Lexer.Lex_error (msg, off) -> (400, "lex", Printf.sprintf "%s (offset %d)" msg off)
+          | Parser.Parse_error msg -> (400, "parse", msg)
+          | Binder.Bind_error msg -> (400, "bind", msg)
+          | Bad_param name -> (400, "bad_request", "missing or malformed parameter: " ^ name)
+          | Json.Parse_error msg -> (400, "bad_request", "malformed JSON body: " ^ msg)
+          | e -> (500, "internal", Printexc.to_string e)
+        in
+        refuse t fd ~trace_id ~rejected:false ~status code msg)
     | "GET", "/health" -> handle_health t fd
     | "GET", "/stats" -> handle_stats t fd
     | "GET", "/metrics" -> handle_metrics t fd

@@ -40,7 +40,7 @@
       [http.first_report_ms], [http.target_ci_ms]; log₂-millisecond
       buckets).  A request carrying an [X-WJ-Trace] header runs with
       span tracing on; its Chrome-trace document is retained (bounded
-      LRU, {!Trace_store}) and served at [GET /trace/<id>].  Every
+      {!Lru}) and served at [GET /trace/<id>].  Every
       [/query] response echoes the request's trace id — generated when
       the client sent none.  An optional JSON-lines access log records
       one structured line per request (trace id, tenant,

@@ -94,6 +94,12 @@ let fit t =
     let intercept = (!ly -. (exponent *. !lx)) /. n' in
     Some { c = exp intercept; exponent; points = !n }
 
+let fit_json = function
+  | None -> Wj_util.Json.Null
+  | Some f ->
+    Wj_util.Json.(
+      Obj [ ("c", Float f.c); ("exponent", Float f.exponent); ("points", Int f.points) ])
+
 let convergence_ratio t =
   match fit t with Some f -> Some (f.exponent /. -0.5) | None -> None
 

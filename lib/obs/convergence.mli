@@ -62,6 +62,10 @@ val fit : t -> fit option
 (** Log-log least squares over the strictly positive, finite CI samples;
     [None] with fewer than two usable points or a degenerate axis. *)
 
+val fit_json : fit option -> Wj_util.Json.t
+(** [{"c":..,"exponent":..,"points":..}], or [null] without a fit: the
+    one encoding the flight record and wjd's slow-query log share. *)
+
 val convergence_ratio : t -> float option
 (** [fitted exponent / (-0.5)]: 1.0 is textbook [1/√k] convergence,
     below ~0.5 means the CI is shrinking much slower than walk count

@@ -123,110 +123,68 @@ let scoped_sink t ~scope =
 
 (* ---- JSON export ------------------------------------------------------ *)
 
-let fnum v =
-  if Float.is_nan v then "\"nan\""
-  else if v = infinity then "\"inf\""
-  else if v = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+module Json = Wj_util.Json
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let points_json pts =
+  Json.List
+    (Array.to_list (Array.map (fun (x, y) -> Json.List [ Json.Float x; Json.Float y ]) pts))
 
-let write_points buf pts =
-  Buffer.add_char buf '[';
-  Array.iteri
-    (fun i (x, y) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "[%s,%s]" (fnum x) (fnum y)))
-    pts;
-  Buffer.add_char buf ']'
+let timeseries_json t =
+  Json.Obj
+    (List.map
+       (fun name ->
+         let s = Hashtbl.find t.series name in
+         ( name,
+           Json.Obj
+             [
+               ("pushes", Json.Int (Timeseries.pushes s));
+               ("stride", Json.Int (Timeseries.stride s));
+               ("points", points_json (Timeseries.to_array s));
+             ] ))
+       (series_names t))
 
-let write_timeseries t buf =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i name ->
-      let s = Hashtbl.find t.series name in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    \"";
-      escape buf name;
-      Buffer.add_string buf
-        (Printf.sprintf "\": {\"pushes\":%d,\"stride\":%d,\"points\":" (Timeseries.pushes s)
-           (Timeseries.stride s));
-      write_points buf (Timeseries.to_array s);
-      Buffer.add_char buf '}')
-    (series_names t);
-  Buffer.add_string buf (if t.series_order = [] then "}" else "\n  }")
+let attribution_json (a : Convergence.attribution) =
+  Json.Obj
+    [
+      ("plan", Json.Str a.plan);
+      ("attempts", Json.Int a.attempts);
+      ("successes", Json.Int a.successes);
+      ("variance", Json.Float a.variance);
+      ("share", Json.Float a.share);
+    ]
 
-let write_convergence t buf =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i scope ->
-      let c = Hashtbl.find t.convergence scope in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    \"";
-      escape buf scope;
-      Buffer.add_string buf "\": {\"fit\":";
-      (match Convergence.fit c with
-      | None -> Buffer.add_string buf "null"
-      | Some f ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"c\":%s,\"exponent\":%s,\"points\":%d}" (fnum f.Convergence.c)
-             (fnum f.Convergence.exponent) f.Convergence.points));
-      Buffer.add_string buf
-        (Printf.sprintf ",\"total_attempts\":%d,\"plans\":[" (Convergence.total_attempts c));
-      List.iteri
-        (fun j (a : Convergence.attribution) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"plan\":\"";
-          escape buf a.Convergence.plan;
-          Buffer.add_string buf
-            (Printf.sprintf "\",\"attempts\":%d,\"successes\":%d,\"variance\":%s,\"share\":%s}"
-               a.Convergence.attempts a.Convergence.successes (fnum a.Convergence.variance)
-               (fnum a.Convergence.share)))
-        (Convergence.attribution c);
-      Buffer.add_string buf "],\"ci\":";
-      write_points buf (Convergence.ci_series c);
-      Buffer.add_char buf '}')
-    (convergence_scopes t);
-  Buffer.add_string buf (if t.convergence_order = [] then "}" else "\n  }")
+let convergence_json t =
+  Json.Obj
+    (List.map
+       (fun scope ->
+         let c = Hashtbl.find t.convergence scope in
+         ( scope,
+           Json.Obj
+             [
+               ("fit", Convergence.fit_json (Convergence.fit c));
+               ("total_attempts", Json.Int (Convergence.total_attempts c));
+               ("plans", Json.List (List.map attribution_json (Convergence.attribution c)));
+               ("ci", points_json (Convergence.ci_series c));
+             ] ))
+       (convergence_scopes t))
 
-let write_spans t buf =
-  match t.trace with
-  | None -> Buffer.add_string buf "{}"
+let spans_json = function
+  | None -> Json.Obj []
   | Some tr ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (name, (seconds, count)) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n    \"";
-        escape buf name;
-        Buffer.add_string buf
-          (Printf.sprintf "\": {\"seconds\":%s,\"count\":%d}" (fnum seconds) count))
-      (Trace.totals tr);
-    Buffer.add_string buf (if Trace.totals tr = [] then "}" else "\n  }")
+    Json.Obj
+      (List.map
+         (fun (name, (seconds, count)) ->
+           (name, Json.Obj [ ("seconds", Json.Float seconds); ("count", Json.Int count) ]))
+         (Trace.totals tr))
 
 (* One object, Chrome-trace loadable: chrome://tracing and Perfetto read
    the "traceEvents" key and ignore the recorder's extra sections. *)
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"traceEvents\": ";
-  (match t.trace with
-  | None -> Buffer.add_string buf "[]"
-  | Some tr -> Trace.write_events tr buf);
-  Buffer.add_string buf ",\n  \"timeseries\": ";
-  write_timeseries t buf;
-  Buffer.add_string buf ",\n  \"convergence\": ";
-  write_convergence t buf;
-  Buffer.add_string buf ",\n  \"spans\": ";
-  write_spans t buf;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ( "traceEvents",
+        match t.trace with None -> Json.List [] | Some tr -> Trace.events_json tr );
+      ("timeseries", timeseries_json t);
+      ("convergence", convergence_json t);
+      ("spans", spans_json t.trace);
+    ]

@@ -13,7 +13,7 @@
     [Run_config.with_recorder] / {!Sink.tee} for single sessions, or as
     the scheduler's sink to record a whole multi-session serve.
 
-    {!to_json} dumps everything as one JSON object whose first key is
+    {!to_json} builds everything as one JSON object whose first key is
     ["traceEvents"] — [chrome://tracing] and Perfetto load the file
     directly and ignore the recorder's extra sections. *)
 
@@ -71,6 +71,6 @@ val series : t -> string -> (float * float) array option
 (** The retained [(elapsed, value)] trajectory of one family, if that
     family has been sampled. *)
 
-val to_json : t -> string
+val to_json : t -> Wj_util.Json.t
 (** The combined dump: [{"traceEvents":[...], "timeseries":{...},
     "convergence":{...}, "spans":{...}}]. *)

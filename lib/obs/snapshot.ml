@@ -94,64 +94,35 @@ let render t =
 
 (* ---- JSON ------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let float_to_json v =
-  if Float.is_nan v then "\"nan\""
-  else if v = infinity then "\"inf\""
-  else if v = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+module Json = Wj_util.Json
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let obj title pred show =
-    let rows = List.filter (fun (_, e) -> pred e) t in
-    Buffer.add_string buf (Printf.sprintf "  \"%s\": {" title);
-    List.iteri
-      (fun i (name, e) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s\n    \"%s\": %s" (if i = 0 then "" else ",") (json_escape name)
-             (show e)))
-      rows;
-    Buffer.add_string buf (if rows = [] then "}" else "\n  }")
+  let section pick =
+    Json.Obj (List.filter_map (fun (name, e) -> Option.map (fun v -> (name, v)) (pick e)) t)
   in
-  Buffer.add_string buf "{\n";
-  obj "counters"
-    (function Counter _ -> true | _ -> false)
-    (function Counter n -> string_of_int n | _ -> assert false);
-  Buffer.add_string buf ",\n";
-  obj "gauges"
-    (function Gauge _ -> true | _ -> false)
-    (function Gauge v -> float_to_json v | _ -> assert false);
-  Buffer.add_string buf ",\n";
-  obj "histograms"
-    (function Histogram _ -> true | _ -> false)
-    (function
-      | Histogram a ->
-        Printf.sprintf "{\"buckets\": [%s], \"p50\": %d, \"p95\": %d, \"p99\": %d}"
-          (String.concat ", " (Array.to_list (Array.map string_of_int a)))
-          (quantile a 0.50) (quantile a 0.95) (quantile a 0.99)
-      | _ -> assert false);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
-
-module Json = Wj_util.Json
+  let int n = Json.Int n in
+  Json.Obj
+    [
+      ("counters", section (function Counter n -> Some (int n) | _ -> None));
+      ("gauges", section (function Gauge v -> Some (Json.Float v) | _ -> None));
+      ( "histograms",
+        section (function
+          | Histogram a ->
+            Some
+              (Json.Obj
+                 [
+                   ("buckets", Json.List (Array.to_list (Array.map int a)));
+                   ("p50", int (quantile a 0.50));
+                   ("p95", int (quantile a 0.95));
+                   ("p99", int (quantile a 0.99));
+                 ])
+          | _ -> None) );
+    ]
 
 (* Read back what [to_json] emits: an object of three objects whose
    values are ints, numbers (or the non-finite strings), and histogram
    objects. *)
-let of_json s =
+let of_json doc =
   let fail msg = raise (Json.Parse_error ("Snapshot.of_json: " ^ msg)) in
   let fields = function Json.Obj fs -> fs | _ -> fail "expected an object" in
   let int_of = function Json.Int n -> n | _ -> fail "expected an integer" in
@@ -179,5 +150,5 @@ let of_json s =
       | "gauges" -> entries (fun x -> Gauge (gauge_of x)) v
       | "histograms" -> entries (fun x -> Histogram (histogram_of x)) v
       | s -> fail ("unknown section " ^ s))
-    (fields (Json.parse s))
+    (fields doc)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -1,8 +1,9 @@
 (** Point-in-time view of a {!Metrics.t}, with text and JSON renderings.
 
-    The JSON dump round-trips: [of_json (to_json s)] reconstructs [s]
-    exactly (floats are printed with 17 significant digits; non-finite
-    gauges are encoded as the strings ["nan"], ["inf"], ["-inf"]).
+    The JSON value round-trips through text:
+    [of_json (Json.parse (Json.to_string (to_json s)))] reconstructs [s]
+    exactly ({!Wj_util.Json} prints floats with 17 significant digits
+    and non-finite gauges as the strings ["nan"], ["inf"], ["-inf"]).
     Histograms are emitted as [{"buckets": [...], "p50": .., "p95": ..,
     "p99": ..}]; the quantiles are derived data and only the buckets are
     read back (a bare bucket array, the pre-flight-recorder shape, still
@@ -34,9 +35,9 @@ val equal : t -> t -> bool
 val render : t -> string
 (** Human-readable table, grouped counters / histograms / gauges. *)
 
-val to_json : t -> string
+val to_json : t -> Wj_util.Json.t
+(** [{"counters":{..},"gauges":{..},"histograms":{..}}]. *)
 
-val of_json : string -> t
-(** Parses through {!Wj_util.Json.parse}.  Raises
-    {!Wj_util.Json.Parse_error} on malformed JSON (including trailing
-    garbage) and on a document that is not a snapshot. *)
+val of_json : Wj_util.Json.t -> t
+(** Raises {!Wj_util.Json.Parse_error} on a value that is not a
+    snapshot. *)

@@ -116,54 +116,34 @@ let merge ~into src =
 
 (* ---- Chrome trace_event export --------------------------------------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+module Json = Wj_util.Json
 
-let micros seconds = seconds *. 1e6
+let micros seconds = Json.Float (seconds *. 1e6)
 
 (* One event as a Chrome trace_event object.  [ts]/[dur] are microseconds
    relative to the trace clock's origin, which Chrome renders fine (it
    normalises to the earliest timestamp). *)
-let write_event buf ev =
+let event_json ev =
   let ph, extra =
     match ev.ph with
-    | Begin -> ("B", "")
-    | End -> ("E", "")
-    | Complete dur -> ("X", Printf.sprintf ",\"dur\":%.3f" (micros dur))
-    | Instant -> ("i", ",\"s\":\"t\"")
+    | Begin -> ("B", [])
+    | End -> ("E", [])
+    | Complete dur -> ("X", [ ("dur", micros dur) ])
+    | Instant -> ("i", [ ("s", Json.Str "t") ])
   in
-  Buffer.add_string buf "{\"name\":\"";
-  escape buf ev.name;
-  Buffer.add_string buf "\",\"cat\":\"";
-  escape buf ev.cat;
-  Buffer.add_string buf
-    (Printf.sprintf "\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":1%s}" ph
-       (micros ev.ts) extra)
+  Json.Obj
+    ([
+       ("name", Json.Str ev.name);
+       ("cat", Json.Str ev.cat);
+       ("ph", Json.Str ph);
+       ("ts", micros ev.ts);
+       ("pid", Json.Int 1);
+       ("tid", Json.Int 1);
+     ]
+    @ extra)
 
-let write_events t buf =
-  Buffer.add_char buf '[';
-  for i = 0 to t.len - 1 do
-    if i > 0 then Buffer.add_char buf ',';
-    write_event buf t.events.(i)
-  done;
-  Buffer.add_char buf ']'
-
-let to_json t =
-  let buf = Buffer.create (256 + (t.len * 96)) in
-  Buffer.add_string buf "{\"traceEvents\":";
-  write_events t buf;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let events_json t = Json.List (List.init t.len (fun i -> event_json t.events.(i)))
+let to_json t = Json.Obj [ ("traceEvents", events_json t) ]
 
 (* ---- Chrome trace_event reader ---------------------------------------- *)
 
@@ -172,7 +152,6 @@ let to_json t =
    event objects.  Other members, and event fields beside name / cat /
    ph / ts, are skipped. *)
 let events_of_json s =
-  let module Json = Wj_util.Json in
   let fail msg = raise (Json.Parse_error ("Trace.events_of_json: " ^ msg)) in
   let event = function
     | Json.Obj fs ->

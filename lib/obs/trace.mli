@@ -3,7 +3,7 @@
     A trace is a bounded, preallocated buffer of begin/end/complete/
     instant events plus running per-name duration totals.  Producers
     (driver quanta, scheduler grants, optimizer trials, simulated I/O)
-    open and close spans; {!to_json} emits the standard
+    open and close spans; {!to_json} builds the standard
     [{"traceEvents":[...]}] object that [chrome://tracing] and Perfetto
     load directly.
 
@@ -68,11 +68,10 @@ val merge : into:t -> t -> unit
     at the sharded-drain join barrier, in shard order, so trace output
     is deterministic for a fixed seed and pinning. *)
 
-val write_events : t -> Buffer.t -> unit
-(** Append the JSON array of trace events (the value of the
-    ["traceEvents"] key) to [buf]. *)
+val events_json : t -> Wj_util.Json.t
+(** The array of buffered events: the value of the ["traceEvents"] key. *)
 
-val to_json : t -> string
+val to_json : t -> Wj_util.Json.t
 (** The complete Chrome-loadable object: [{"traceEvents":[...]}]. *)
 
 val events_of_json : string -> (string * string * string * float) list
@@ -82,6 +81,7 @@ val events_of_json : string -> (string * string * string * float) list
     are skipped.  Parses through {!Wj_util.Json.parse}; raises
     {!Wj_util.Json.Parse_error} on malformed JSON (including trailing
     garbage) and on a document of the wrong shape.  This is the
-    verification half of the exporter: [events_of_json (to_json t)]
-    returns one tuple per buffered event, with timestamps equal up to
-    the microsecond formatting of the writer. *)
+    verification half of the exporter:
+    [events_of_json (Wj_util.Json.to_string (to_json t))] returns one
+    tuple per buffered event, with its timestamp up to float rounding
+    of the seconds-to-microseconds scaling. *)

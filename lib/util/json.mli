@@ -1,9 +1,12 @@
 (** Dependency-free JSON values: the repository's one JSON codec.
 
     One constructor per JSON shape, a printer and a recursive-descent
-    parser.  The daemon's wire format, the metrics snapshot reader
-    ([Wj_obs.Snapshot.of_json]) and the trace reader
-    ([Wj_obs.Trace.events_of_json]) all parse through {!parse}.
+    parser.  Every JSON document the program writes is a [t] printed by
+    {!to_string}: the daemon's wire format and access log, the metrics
+    snapshot ([Wj_obs.Snapshot.to_json]), the Chrome trace events and
+    the flight record ([Wj_obs.Recorder.to_json]).  Every reader parses through {!parse},
+    the snapshot ([Wj_obs.Snapshot.of_json]) and trace
+    ([Wj_obs.Trace.events_of_json]) readers included.
 
     Numbers keep the int/float split OCaml-side ([Int] prints without a
     decimal point, [Float] with 17 significant digits so float bits
@@ -27,7 +30,7 @@ exception Parse_error of string
 val to_string : t -> string
 (** Compact (single-line) rendering.  Non-finite floats — JSON has no
     syntax for them — are encoded as the strings ["nan"], ["inf"],
-    ["-inf"], matching [Wj_obs.Snapshot]'s convention. *)
+    ["-inf"], which {!to_float} decodes. *)
 
 val parse : string -> t
 (** Raises {!Parse_error} on malformed input or trailing garbage. *)

@@ -403,7 +403,7 @@ let test_cache_hit_and_staleness () =
       let stats = Http.fetch (Daemon.url d ^ "/stats") in
       let snap =
         match Json.member "metrics" (Json.parse (String.trim stats.Http.resp_body)) with
-        | Some m -> Snapshot.of_json (Json.to_string m)
+        | Some m -> Snapshot.of_json m
         | None -> Alcotest.fail "no metrics in /stats"
       in
       Alcotest.(check int) "one hit counted" 1 (Snapshot.counter_value snap "cache.hits");
@@ -676,6 +676,23 @@ let test_trace_roundtrip () =
         let t2 = Http.fetch (Daemon.url d ^ "/trace/" ^ gen) in
         Alcotest.(check int) "untraced query retains no trace" 404
           t2.Http.status)
+
+let test_trace_retention () =
+  with_daemon ~trace_capacity:2 (catalog ()) (fun d ->
+      let sql = "SELECT ONLINE COUNT(*) FROM nation, region WHERE n_regionkey = r_regionkey" in
+      List.iter
+        (fun id ->
+          let resp, _ =
+            query d sql
+              ~headers:[ (Http.trace_header, id) ]
+              ~extra:[ ("max_walks", Json.Int 200); ("cache", Json.Bool false) ]
+          in
+          Alcotest.(check int) (id ^ " ok") 200 resp.Http.status)
+        [ "first"; "second"; "third" ];
+      let status id = (Http.fetch (Daemon.url d ^ "/trace/" ^ id)).Http.status in
+      Alcotest.(check int) "the oldest trace is evicted" 404 (status "first");
+      Alcotest.(check int) "second retained" 200 (status "second");
+      Alcotest.(check int) "third retained" 200 (status "third"))
 
 (* The whole observability surface at once — tracing on, access log on,
    /metrics scraped concurrently — must not move a single bit of the
@@ -1126,6 +1143,63 @@ let test_failed_session_over_http () =
           Alcotest.(check (option string)) "the next request is answered" (Some "done")
             (status after)))
 
+(* A submission that raises is answered 500.  The lineitem segments are
+   truncated before the first request, so building that request's
+   lineitem index raises [Failure]: the client gets a 500 "internal"
+   error naming the short read, the daemon counts it in [http.errors]
+   and logs it, and it answers the next request. *)
+let test_raising_submission_over_http () =
+  let dir = Filename.temp_dir "wj_internal" "" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let paged, _ =
+        Wj_storage.Backend.prepare_catalog
+          (Wj_storage.Backend.paged ~dir ~pool_pages:16 ())
+          (catalog ())
+      in
+      let seg = Filename.concat dir "lineitem" in
+      Array.iter (fun f -> Unix.truncate (Filename.concat seg f) 0) (Sys.readdir seg);
+      let log = Filename.concat dir "access.log" in
+      with_daemon ~access_log:log paged (fun d ->
+          let extra = [ ("max_walks", Json.Int 2_000); ("cache", Json.Bool false) ] in
+          let resp, lines =
+            query d
+              "SELECT ONLINE SUM(l_quantity) FROM orders, lineitem WHERE o_orderkey = l_orderkey"
+              ~extra
+          in
+          Alcotest.(check int) "status 500" 500 resp.Http.status;
+          (match lines with
+          | [ err ] ->
+            Alcotest.(check (option string)) "error line" (Some "error") (jstr "type" err);
+            Alcotest.(check (option string)) "code" (Some "internal") (jstr "code" err);
+            let msg = Option.value (jstr "message" err) ~default:"" in
+            Alcotest.(check bool) ("message names the short read: " ^ msg) true
+              (String.starts_with ~prefix:{|Failure("Segment: short read|} msg)
+          | _ -> Alcotest.fail "expected one error line");
+          let _, after =
+            query d
+              "SELECT ONLINE COUNT(*) FROM nation, region WHERE n_regionkey = r_regionkey"
+              ~extra
+          in
+          Alcotest.(check (option string)) "the next request is answered" (Some "done")
+            (jstr "status" (final_of after));
+          let stats = Json.parse (String.trim (Http.fetch (Daemon.url d ^ "/stats")).Http.resp_body) in
+          let snap = Snapshot.of_json (Option.get (Json.member "metrics" stats)) in
+          Alcotest.(check int) "counted in http.errors" 1
+            (Snapshot.counter_value snap "http.errors"));
+      let logged =
+        In_channel.with_open_text log In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map Json.parse
+        |> List.filter (fun j -> jstr "code" j = Some "internal")
+      in
+      match logged with
+      | [ line ] ->
+        Alcotest.(check (option string)) "logged outcome" (Some "error") (jstr "outcome" line)
+      | _ -> Alcotest.fail "expected one access-log line with code internal")
+
 let () =
   Alcotest.run "wj_daemon"
     [
@@ -1159,6 +1233,8 @@ let () =
             test_stop_refuses_late_query;
           Alcotest.test_case "a raising session fails alone over HTTP" `Quick
             test_failed_session_over_http;
+          Alcotest.test_case "a raising submission gets a 500" `Quick
+            test_raising_submission_over_http;
         ] );
       ( "index store",
         [
@@ -1172,6 +1248,8 @@ let () =
           Alcotest.test_case "/stats shape" `Quick test_stats_shape;
           Alcotest.test_case "X-WJ-Trace round-trips through /trace/<id>" `Quick
             test_trace_roundtrip;
+          Alcotest.test_case "trace retention keeps the newest" `Quick
+            test_trace_retention;
           Alcotest.test_case "tracing + access log + scraping move no bits"
             `Quick test_obs_bit_for_bit;
           Alcotest.test_case "cache admission skips cheap exact answers" `Quick

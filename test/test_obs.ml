@@ -22,6 +22,7 @@ module Table = Wj_storage.Table
 module Schema = Wj_storage.Schema
 module Value = Wj_storage.Value
 module Timer = Wj_util.Timer
+module Json = Wj_util.Json
 module Buffer_pool = Wj_storage.Buffer_pool
 module Sim = Wj_iosim.Sim
 module Estimator = Wj_stats.Estimator
@@ -115,8 +116,8 @@ let test_snapshot_roundtrip () =
   Gauge.set (Metrics.gauge m "weird.nan") nan;
   Gauge.set (Metrics.gauge m "weird.inf") infinity;
   let snap = Snapshot.of_metrics m in
-  let json = Snapshot.to_json snap in
-  let back = Snapshot.of_json json in
+  let json = Json.to_string (Snapshot.to_json snap) in
+  let back = Snapshot.of_json (Json.parse json) in
   Alcotest.(check bool) "round-trips" true (Snapshot.equal snap back);
   Alcotest.(check int) "counter read" 12345 (Snapshot.counter_value back "walks");
   Alcotest.(check (array int))
@@ -334,7 +335,7 @@ let rejects name parse doc =
 
 let test_snapshot_rejects_malformed () =
   List.iter
-    (rejects "Snapshot.of_json" Snapshot.of_json)
+    (rejects "Snapshot.of_json" (fun doc -> Snapshot.of_json (Json.parse doc)))
     [
       {|{"counters":{"a":1}} junk|};
       {|{"counters":{"a":1-2}}|};
@@ -365,7 +366,7 @@ let test_trace_json_roundtrip () =
   Timer.advance clock 0.001;
   Trace.span_end tr ~cat:"driver" ();
   Trace.complete tr ~cat:"io" ~dur:0.004 "read";
-  let events = Trace.events_of_json (Trace.to_json tr) in
+  let events = Trace.events_of_json (Json.to_string (Trace.to_json tr)) in
   Alcotest.(check int) "one tuple per buffered event" (Trace.length tr)
     (List.length events);
   Alcotest.(check (list (triple string string string)))
@@ -395,6 +396,103 @@ let test_progress_accessors () =
   Alcotest.(check int) "successes" 4 p.successes;
   Alcotest.(check int) "tuples" 30 p.tuples;
   Alcotest.(check (float 1e-12)) "success_rate" 0.4 (Progress.success_rate p)
+
+(* ---- every writer through the one codec --------------------------------- *)
+
+(* Names holding quotes, backslashes, control bytes and bytes >= 0x80. *)
+let hostile_name_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:(oneof [ oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031' ];
+                    char_range '\128' '\255'; printable ])
+      (int_range 1 10))
+
+let hostile_names_test =
+  QCheck.Test.make ~name:"snapshot, trace and recorder dumps parse whatever the names"
+    ~count:200
+    (QCheck.make ~print:(Printf.sprintf "%S") hostile_name_gen)
+    (fun name ->
+      let roundtrip v = Json.parse (Json.to_string v) in
+      let m = Metrics.create () in
+      Counter.add (Metrics.counter m (name ^ ".c")) 3;
+      Gauge.set (Metrics.gauge m (name ^ ".nan")) nan;
+      Gauge.set (Metrics.gauge m (name ^ ".inf")) infinity;
+      Gauge.set (Metrics.gauge m (name ^ ".-inf")) neg_infinity;
+      Histogram.observe (Metrics.histogram m ~buckets:2 (name ^ ".h")) 1;
+      let snap = Snapshot.of_metrics m in
+      let back = Snapshot.of_json (roundtrip (Snapshot.to_json snap)) in
+      let tr = Trace.create ~clock:(Timer.virtual_ ()) () in
+      Trace.span_begin tr ~cat:name name;
+      Trace.instant tr ~cat:name name;
+      Trace.span_end tr ~cat:name ();
+      Trace.complete tr ~cat:name ~dur:0.5 name;
+      let events = Trace.events_of_json (Json.to_string (Trace.to_json tr)) in
+      let r = Wj_obs.Recorder.create ~tracing:true ~metrics:m ~clock:(Timer.virtual_ ()) () in
+      Wj_obs.Recorder.sample r;
+      let c = Wj_obs.Recorder.convergence r ~scope:name in
+      Wj_obs.Convergence.observe c ~plan:name ~success:true 1.0;
+      Wj_obs.Convergence.note_ci c ~walks:1 ~half_width:2.0;
+      Wj_obs.Convergence.note_ci c ~walks:4 ~half_width:1.0;
+      let dump = roundtrip (Wj_obs.Recorder.to_json r) in
+      let path keys =
+        List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some dump) keys
+      in
+      let last_y series =
+        match Option.bind (path [ "timeseries"; series; "points" ]) Json.to_list with
+        | Some [ Json.List [ _; y ] ] -> Json.to_float y
+        | _ -> None
+      in
+      Snapshot.equal snap back
+      && Float.is_nan (Snapshot.gauge_value back (name ^ ".nan"))
+      && Snapshot.gauge_value back (name ^ ".inf") = infinity
+      && Snapshot.gauge_value back (name ^ ".-inf") = neg_infinity
+      && List.length events = 4
+      && List.for_all (fun (n, cat, _, _) -> n = name && cat = name) events
+      && Option.bind (last_y (name ^ ".nan")) (fun y -> Some (Float.is_nan y)) = Some true
+      && last_y (name ^ ".inf") = Some infinity
+      && Option.bind (path [ "convergence"; name; "plans" ]) Json.to_list
+         |> Option.map (List.map (fun p -> Option.bind (Json.member "plan" p) Json.to_str))
+         = Some [ Some name ])
+
+(* The readers behind /stats and /trace/<id> take a mutated document —
+   a byte replaced, deleted or inserted, or the text cut short — and
+   return or raise [Parse_error], never anything else. *)
+let readers_mutation_test =
+  let m = Metrics.create () in
+  Counter.add (Metrics.counter m "walks") 12;
+  Gauge.set (Metrics.gauge m "g") infinity;
+  Histogram.observe (Metrics.histogram m ~buckets:3 "h") 2;
+  let tr = Trace.create ~clock:(Timer.virtual_ ()) () in
+  Trace.span_begin tr "a";
+  Trace.complete tr ~dur:0.25 "b";
+  Trace.span_end tr ();
+  let docs =
+    [
+      Json.to_string (Snapshot.to_json (Snapshot.of_metrics m));
+      Json.to_string (Trace.to_json tr);
+    ]
+  in
+  let gen =
+    QCheck.Gen.(
+      oneofl docs >>= fun doc ->
+      let n = String.length doc in
+      int_range 0 (n - 1) >>= fun i ->
+      char >>= fun c ->
+      oneofl
+        [
+          String.mapi (fun j d -> if j = i then c else d) doc;
+          String.sub doc 0 i ^ String.sub doc (i + 1) (n - i - 1);
+          String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (n - i);
+          String.sub doc 0 i;
+        ])
+  in
+  QCheck.Test.make ~name:"mutated snapshot and trace documents raise only Parse_error"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun doc ->
+      (try ignore (Snapshot.of_json (Json.parse doc)) with Json.Parse_error _ -> ());
+      (try ignore (Trace.events_of_json doc) with Json.Parse_error _ -> ());
+      true)
 
 let () =
   Alcotest.run "wj_obs"
@@ -440,5 +538,10 @@ let () =
           Alcotest.test_case "recorder-off gating allocates nothing" `Quick
             test_off_state_gating_allocates_nothing;
           Alcotest.test_case "progress accessors" `Quick test_progress_accessors;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest hostile_names_test;
+          QCheck_alcotest.to_alcotest readers_mutation_test;
         ] );
     ]

@@ -22,6 +22,7 @@ module Table = Wj_storage.Table
 module Schema = Wj_storage.Schema
 module Value = Wj_storage.Value
 module Timer = Wj_util.Timer
+module Json = Wj_util.Json
 module Estimator = Wj_stats.Estimator
 
 (* ---- data builders ----------------------------------------------------- *)
@@ -155,6 +156,42 @@ let test_trace_unbalanced_end () =
   Trace.span_end tr ();
   Alcotest.(check int) "nested depth" 1 (Trace.depth tr)
 
+(* A step or a report sink that raises still closes the quantum's
+   driver.advance span on its way out. *)
+let test_raising_advance_balances () =
+  List.iter
+    (fun (what, in_step) ->
+      List.iter
+        (fun n ->
+          let trace = Trace.create ~clock:(Timer.virtual_ ()) () in
+          let walks = ref 0 in
+          let step () =
+            incr walks;
+            if in_step && !walks = n then failwith what
+          in
+          let on_event = function
+            | Event.Report _ when (not in_step) && !walks = n -> failwith what
+            | _ -> ()
+          in
+          let progress () =
+            Wj_obs.Progress.make ~elapsed:0.0 ~walks:!walks ~successes:0 ~tuples:0
+              ~estimate:0.0 ~half_width:0.0 ()
+          in
+          (* A report after every step: the virtual clock never moves. *)
+          let driver =
+            Engine.Driver.make ~sink:(Sink.make ~on_event ~trace ()) ~progress
+              ~report_every:0.0 ~max_time:60.0 ~clock:(Trace.clock trace)
+              ~walks:(fun () -> !walks) ~step ()
+          in
+          (match Engine.Driver.advance driver ~max_steps:1_000 with
+          | _ -> Alcotest.failf "%s raising at report %d: advance returned" what n
+          | exception Failure _ -> ());
+          Alcotest.(check int)
+            (Printf.sprintf "%s raising at report %d: depth" what n)
+            0 (Trace.depth trace))
+        [ 1; 7 ])
+    [ ("step", true); ("sink", false) ]
+
 let test_trace_json_shape () =
   let clock = Timer.virtual_ () in
   let tr = Trace.create ~clock () in
@@ -163,7 +200,7 @@ let test_trace_json_shape () =
   Trace.instant tr "mark";
   Trace.span_end tr ~cat:"t" ();
   Trace.complete tr ~dur:0.125 "io";
-  let json = Trace.to_json tr in
+  let json = Json.to_string (Trace.to_json tr) in
   let has sub =
     let n = String.length json and m = String.length sub in
     let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
@@ -310,7 +347,7 @@ let test_scheduled_scopes_and_gauges () =
   (* The scheduler published per-session progress gauges into the shared
      registry; they must survive a JSON round trip under their scope. *)
   let snap = Snapshot.of_metrics (Recorder.metrics recorder) in
-  let back = Snapshot.of_json (Snapshot.to_json snap) in
+  let back = Snapshot.of_json (Json.parse (Json.to_string (Snapshot.to_json snap))) in
   Alcotest.(check bool) "snapshot round-trips" true (Snapshot.equal snap back);
   List.iter
     (fun (id, (o : Online.outcome)) ->
@@ -345,8 +382,12 @@ let test_histogram_quantiles () =
   Alcotest.(check bool) "render shows p50" true (has rendered "p50=0");
   Alcotest.(check bool) "render shows p95" true (has rendered "p95=5");
   Alcotest.(check bool) "render shows p99" true (has rendered "p99=5");
-  let json = Snapshot.to_json snap in
-  Alcotest.(check bool) "json carries quantiles" true (has json "\"p95\": 5");
+  let json = Json.parse (Json.to_string (Snapshot.to_json snap)) in
+  let p95 =
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some json)
+      [ "histograms"; "lat"; "p95" ]
+  in
+  Alcotest.(check (option int)) "json carries quantiles" (Some 5) (Option.bind p95 Json.to_int);
   (* Legacy dumps encoded histograms as bare bucket arrays; the parser
      must still accept that shape. *)
   let legacy = {|{
@@ -356,7 +397,7 @@ let test_histogram_quantiles () =
   },
   "gauges": {}
 }|} in
-  let back = Snapshot.of_json legacy in
+  let back = Snapshot.of_json (Json.parse legacy) in
   Alcotest.(check (array int)) "legacy bare-array histogram parses"
     [| 90; 0; 0; 0; 0; 9; 0; 0; 0; 1 |]
     (Snapshot.histogram_value back "lat")
@@ -380,7 +421,7 @@ let test_recorder_json () =
   let c = Recorder.convergence recorder ~scope:"" in
   Convergence.observe c ~plan:"p" ~success:true 1.0;
   Convergence.note_ci c ~walks:1 ~half_width:2.0;
-  let json = Recorder.to_json recorder in
+  let json = Json.to_string (Recorder.to_json recorder) in
   let has sub =
     let n = String.length json and m = String.length sub in
     let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
@@ -418,6 +459,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest trace_nesting_balanced;
           Alcotest.test_case "unbalanced end is safe" `Quick test_trace_unbalanced_end;
+          Alcotest.test_case "a raising step or sink closes its span" `Quick
+            test_raising_advance_balances;
           Alcotest.test_case "chrome json shape" `Quick test_trace_json_shape;
         ] );
       ( "transparency",

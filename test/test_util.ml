@@ -4,6 +4,7 @@ module Prng = Wj_util.Prng
 module Vec = Wj_util.Vec
 module Normal = Wj_util.Normal
 module Timer = Wj_util.Timer
+module Json = Wj_util.Json
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -361,6 +362,94 @@ let test_timer_time_it () =
   Alcotest.(check int) "result" 42 x;
   Alcotest.(check bool) "non-negative duration" true (dt >= 0.0)
 
+(* ---- JSON codec ---------------------------------------------------------- *)
+
+(* Strings that stress the escaper: quotes, backslashes, every control
+   byte and bytes >= 0x80, which print raw. *)
+let json_string_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:(oneof [ oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012'; '\127' ];
+                    char_range '\000' '\031'; char_range '\128' '\255'; printable ])
+      (int_range 0 12))
+
+(* Finite floats only: JSON has no non-finite numbers, so the codec
+   prints those as strings and they come back as [Str]. *)
+let json_float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.0; -0.0; 1.0; -3.0; 0.1; 1e300; -1e-300; 5e-324; max_float; min_float ];
+        map float_of_int int;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+      ])
+
+let json_gen =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) (oneof [ oneofl [ min_int; max_int; 0; -1 ]; int ]);
+                 map (fun f -> Json.Float f) json_float_gen;
+                 map (fun s -> Json.Str s) json_string_gen;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             let sub = list_size (int_range 0 4) (self (n / 3)) in
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.List l) sub);
+                 (1, map (fun kvs -> Json.Obj kvs)
+                       (list_size (int_range 0 4) (pair json_string_gen (self (n / 3)))));
+               ]))
+
+let json_arb = QCheck.make ~print:Json.to_string json_gen
+
+(* Structural equality with floats compared by their bits, so -0.0 and
+   0.0 differ. *)
+let rec json_same a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal json_same xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && json_same v1 v2) xs ys
+  | _ -> a = b
+
+let json_roundtrip_test =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:1000 json_arb (fun v ->
+      json_same (Json.parse (Json.to_string v)) v)
+
+(* A byte replaced, deleted, inserted or the document cut short: the
+   result parses or raises [Parse_error], never anything else. *)
+let json_mutation_test =
+  let gen =
+    QCheck.Gen.(
+      json_gen >>= fun v ->
+      let doc = Json.to_string v in
+      let n = String.length doc in
+      int_range 0 (n - 1) >>= fun i ->
+      char >>= fun c ->
+      oneofl
+        [
+          String.mapi (fun j d -> if j = i then c else d) doc;
+          String.sub doc 0 i ^ String.sub doc (i + 1) (n - i - 1);
+          String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (n - i);
+          String.sub doc 0 i;
+        ])
+  in
+  QCheck.Test.make ~name:"mutated documents raise only Parse_error" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun doc ->
+      match Json.parse doc with
+      | _ -> true
+      | exception Json.Parse_error _ -> true)
+
 let () =
   Alcotest.run "wj_util"
     [
@@ -408,5 +497,10 @@ let () =
           Alcotest.test_case "wall clock" `Quick test_timer_wall;
           Alcotest.test_case "hybrid clock" `Quick test_timer_hybrid;
           Alcotest.test_case "time_it" `Quick test_timer_time_it;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest json_roundtrip_test;
+          QCheck_alcotest.to_alcotest json_mutation_test;
         ] );
     ]
