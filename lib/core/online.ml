@@ -46,7 +46,15 @@ let make_report ~confidence ~elapsed est =
     half_width = Estimator.half_width est ~confidence;
   }
 
-let pick_plan ~plan_choice ~eager_checks ~sink ?convergence q registry prng clock =
+(* The optimizer's trials draw from the seed's own stream, exactly as a
+   lone trial run would; the walks draw from a stream split off a copy of
+   it.  So the walks depend on the seed and the chosen plan alone, never on
+   how many trials ran or whether any did. *)
+let streams seed =
+  let trials = Prng.create seed in
+  (trials, Prng.split (Prng.copy trials))
+
+let pick_plan ~plan_choice ~eager_checks ~sink ?convergence q registry trials clock =
   let prepare plan = Walker.prepare ~eager_checks ~sink q registry plan in
   match plan_choice with
   | Fixed plan -> (prepare plan, plan, 0.0, 0)
@@ -57,7 +65,7 @@ let pick_plan ~plan_choice ~eager_checks ~sink ?convergence q registry prng cloc
   | Optimize config ->
     let t0 = Timer.elapsed clock in
     let r =
-      Optimizer.choose ~config ~eager_checks ~sink ?convergence q registry prng
+      Optimizer.choose ~config ~eager_checks ~sink ?convergence q registry trials
     in
     let dt = Timer.elapsed clock -. t0 in
     (r.best, r.best_plan, dt, r.total_trial_walks)
@@ -103,10 +111,10 @@ let start_session ?(eager_checks = true) ?on_report (cfg : Run_config.t) q regis
   let convergence =
     Option.map (fun r -> Wj_obs.Recorder.convergence r ~scope) cfg.recorder
   in
-  let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
+  let trials, prng = streams (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
   let prepared, plan, optimizer_time, optimizer_walks =
     pick_plan ~plan_choice:cfg.plan_choice ~eager_checks ~sink ?convergence q
-      registry prng clock
+      registry trials clock
   in
   (* Trial walks only pick the plan: a pool of every candidate's walks has
      many times the chosen plan's per-walk variance, so the estimate is
@@ -212,9 +220,9 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   (* Group estimators have no single CI trajectory, so the recorder only
      contributes metrics sampling and tracing here — no convergence scope. *)
   let sink = Run_config.resolved_sink cfg in
-  let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
+  let trials, prng = streams (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
   let prepared, plan, _, _ =
-    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks:true ~sink q registry prng
+    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks:true ~sink q registry trials
       clock
   in
   if Sink.wants_reports sink then

@@ -81,6 +81,11 @@ module Session : sig
   (** Raises [Invalid_argument] while the session is still running. *)
 end
 
+val streams : int -> Wj_util.Prng.t * Wj_util.Prng.t
+(** [streams seed] is [(trials, walks)]: the optimizer's trial stream, the
+    one [Prng.create seed] gives, and a walk stream split off a copy of it.
+    A session's walks thus depend on its seed and chosen plan alone. *)
+
 val start_session :
   ?eager_checks:bool ->
   ?on_report:(report -> unit) ->
