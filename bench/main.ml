@@ -691,7 +691,7 @@ let abl_stratified () =
       ~agg:Wj_stats.Estimator.Sum ~expr:(Query.Col (1, 1)) ()
   in
   let reg = Wj_core.Registry.build_for_query q in
-  Wj_core.Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_ordered ta ~column:0);
+  Wj_core.Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_trie ta ~columns:[ 0 ]);
   let walks = if !quick then 50_000 else 200_000 in
   let plain = online_run_group_by ~max_walks:walks ~max_time:60.0 q reg in
   let strat =

@@ -727,7 +727,7 @@ let groupby_run sf seed tbl_dir spec stratified time =
       in
       let q = { q with Wj_core.Query.group_by = Some (pos, seg_id) } in
       Wj_core.Registry.add reg ~pos ~column:seg_id
-        (Wj_index.Index.build_ordered q.Wj_core.Query.tables.(pos) ~column:seg_id);
+        (Wj_index.Index.build_trie q.Wj_core.Query.tables.(pos) ~columns:[ seg_id ]);
       let out = Wj_core.Stratified.run ~seed ~max_time:time q reg in
       Printf.printf "stratified, %d walks total:\n" out.total_walks;
       List.iter
@@ -1023,13 +1023,16 @@ let session_rows snap =
     snap;
   Hashtbl.fold (fun id cells acc -> (id, cells) :: acc) rows [] |> List.sort compare
 
-(* Walks so far across every walker: the daemon's walker counters exist
-   only per session ("session<N>.walker.walks"). *)
+(* Walks so far across every walker: the daemon counts a live session's
+   walks under "session<N>.walker.walks" and folds a pruned session's into
+   the unscoped "walker.walks". *)
 let total_walks snap =
   List.fold_left
     (fun acc (name, entry) ->
       match entry with
-      | Wj_obs.Snapshot.Counter n when String.ends_with ~suffix:".walker.walks" name -> acc + n
+      | Wj_obs.Snapshot.Counter n
+        when name = "walker.walks" || String.ends_with ~suffix:".walker.walks" name ->
+        acc + n
       | _ -> acc)
     0 snap
 

@@ -3,9 +3,10 @@
    ordered index (Section 4.1).
 
    Scenario: correlate two event streams — every reading must pair with the
-   probe measurements taken within +/-30 ticks of it.  The ordered B+-tree
-   answers "how many probes fall in [t-30, t+30]" and "give me the k-th"
-   in O(log n), which is exactly what a random walk step needs.
+   probe measurements taken within +/-30 ticks of it.  The ordered index
+   (a one-column trie: a sorted (key, row) array) answers "how many probes
+   fall in [t-30, t+30]" with two binary searches and "give me the k-th"
+   with one array read, which is exactly what a random walk step needs.
 
    Shown twice: through the core API (Query.Band) and through the SQL
    dialect (ts2 BETWEEN ts - 30 AND ts + 30).

@@ -6,7 +6,7 @@ module Table = Wj_storage.Table
    on different domains reach one store through [ensure_trie]. *)
 type store = {
   mu : Mutex.t;
-  built : (string * int list * [ `Hash | `Ordered | `Trie ], Index.t) Hashtbl.t;
+  built : (string * int list * [ `Hash | `Trie ], Index.t) Hashtbl.t;
 }
 
 type t = {
@@ -41,23 +41,23 @@ let obtain store table columns kind =
         let idx =
           match (kind, columns) with
           | `Hash, [ column ] -> Index.build_hash table ~column
-          | `Ordered, [ column ] -> Index.build_ordered table ~column
           | _ -> Index.build_trie table ~columns
         in
         Hashtbl.replace store.built key idx;
         idx)
 
-let build_for_query ?(ordered_predicates = true) ?(store = create_store ()) q =
+let build_for_query ?(store = create_store ()) q =
   let t = view store in
-  (* A base-table column that got an ordered index earlier in this query
-     keeps that kind for every later slot over it (aliases included). *)
+  (* A base-table column that got an ordered index (its one-column trie)
+     earlier in this query keeps that kind for every later slot over it
+     (aliases included). *)
   let ordered_cols : (string * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let ensure pos column ~ordered =
     let table = q.Query.tables.(pos) in
     let key = (Table.name table, column) in
     let ordered = ordered || Hashtbl.mem ordered_cols key in
     if ordered then Hashtbl.replace ordered_cols key ();
-    add t ~pos ~column (obtain store table [ column ] (if ordered then `Ordered else `Hash))
+    add t ~pos ~column (obtain store table [ column ] (if ordered then `Trie else `Hash))
   in
   List.iter
     (fun (cond : Query.join_cond) ->
@@ -66,21 +66,20 @@ let build_for_query ?(ordered_predicates = true) ?(store = create_store ()) q =
       ensure lp lc ~ordered;
       ensure rp rc ~ordered)
     q.Query.joins;
-  if ordered_predicates then
-    List.iter
-      (fun p ->
-        let pos, column =
-          match p with
-          | Query.Cmp { table; column; _ }
-          | Query.Between { table; column; _ }
-          | Query.Member { table; column; _ } -> (table, column)
-        in
-        (* Only integer columns can be indexed; skip string predicates. *)
-        let schema = Table.schema q.Query.tables.(pos) in
-        match Wj_storage.Schema.ty_of schema column with
-        | Wj_storage.Value.TInt -> ensure pos column ~ordered:true
-        | TFloat | TStr -> ())
-      q.Query.predicates;
+  List.iter
+    (fun p ->
+      let pos, column =
+        match p with
+        | Query.Cmp { table; column; _ }
+        | Query.Between { table; column; _ }
+        | Query.Member { table; column; _ } -> (table, column)
+      in
+      (* Only integer columns can be indexed; skip string predicates. *)
+      let schema = Table.schema q.Query.tables.(pos) in
+      match Wj_storage.Schema.ty_of schema column with
+      | Wj_storage.Value.TInt -> ensure pos column ~ordered:true
+      | TFloat | TStr -> ())
+    q.Query.predicates;
   t
 
 let ensure_trie t table ~pos ~columns =
@@ -106,7 +105,6 @@ let export_metrics t m =
 let entries idx =
   match idx.Index.kind with
   | Index.Hash h -> Wj_index.Hash_index.total_entries h
-  | Index.Ordered b -> Wj_index.Btree.length b
   | Index.Trie tr -> Wj_index.Trie.length tr
 
 (* Slots count once per position; a trie counts once however many

@@ -3,7 +3,7 @@
     Walk-plan generation treats index availability as the ground truth for
     which directions a walk may take (§4.1): an edge R_a → R_b exists only
     if R_b has an index on its column of the join condition, of a kind that
-    can answer the condition (hash or ordered for equality, ordered for
+    can answer the condition (hash or trie for equality, trie for
     band/range joins).
 
     A registry is a per-query view over a {!store}, which holds the
@@ -36,16 +36,16 @@ val find : t -> pos:int -> column:int -> Wj_index.Index.t option
 val can_serve : t -> pos:int -> column:int -> op:Query.join_op -> bool
 (** Is there an index on the slot able to answer the join op? *)
 
-val build_for_query :
-  ?ordered_predicates:bool -> ?store:store -> Query.t -> t
+val build_for_query : ?store:store -> Query.t -> t
 (** Registers every index the query can use: one per join-condition side
-    (hash for equality, ordered B+-tree for band joins) and — when
-    [ordered_predicates] (default true) — an ordered index on every
-    predicate column, enabling Olken sampling at the walk's start table.
-    A base-table column that needs an ordered index anywhere in the query
-    gets it at every slot registered after that need (aliased tables
-    share indexes, as in a real system).  Indexes come from [store]
-    (default: a fresh one), which builds each on first request. *)
+    (hash for equality, the column's one-column trie for band joins) and
+    the one-column trie of every integer predicate column, enabling Olken
+    sampling at the walk's start table.  A base-table column that needs a
+    trie anywhere in the query gets it at every slot registered after that
+    need (aliased tables share indexes, as in a real system).  A slot's
+    trie is the physical index {!ensure_trie} hands out for that one
+    column.  Indexes come from [store] (default: a fresh one), which
+    builds each on first request. *)
 
 val ensure_trie :
   t -> Wj_storage.Table.t -> pos:int -> columns:int list -> Wj_index.Index.t

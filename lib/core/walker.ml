@@ -388,7 +388,7 @@ let advance_start t prng path =
       t.phase_cost <-
         (match t.start with
         | Uniform _ -> 1
-        | Olken { index; _ } -> 1 + Index.probe_cost index);
+        | Olken { index; _ } -> 1 + Index.count_cost index);
       let start_pos = t.plan.order.(0) in
       note_row_access t start_pos row;
       path.(start_pos) <- row;
@@ -446,7 +446,7 @@ let bind_and_vet t c path ~row ~d =
 (* Probe the step's index from the already-bound parent row, sample one
    neighbour uniformly, bind and vet it.  A plain step locates its
    neighbour set once, reads d off the locate and selects the drawn row
-   out of it, so it is charged [count_cost + resolve_cost + 1]. *)
+   out of it, so it is charged [count_cost + 1]. *)
 let advance_step t prng path i =
   let c = t.steps.(i) in
   let step = c.step in
@@ -469,7 +469,7 @@ let advance_step t prng path i =
       if d = 0 then reject_empty t
       else begin
         let row = Index.located_nth located (Prng.int prng d) in
-        t.phase_cost <- cost + Index.resolve_cost step.index + 1;
+        t.phase_cost <- cost + 1;
         bind_and_vet t c path ~row ~d
       end
     | Some ci ->

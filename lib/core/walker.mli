@@ -63,11 +63,11 @@ val walk : prepared -> Wj_util.Prng.t -> outcome
     A plain step locates the bound parent row's neighbour set in the
     step's index once ({!Wj_index.Index.locate_eq}/[locate_range]), draws
     one of its d rows uniformly, selects it out of the locate, binds and
-    vets it.  It costs the index's [count_cost + resolve_cost] plus one
-    tuple fetch, and multiplies the walk's inverse probability by d.  A
-    step allocates nothing: it locates into a buffer the step owns, boxes
-    no float and runs its checks in loops, so a walk's minor allocation is
-    its [path] and its outcome.
+    vets it.  It costs the index's [count_cost] plus one tuple fetch, and
+    multiplies the walk's inverse probability by d.  A step allocates
+    nothing: it locates into a buffer the step owns, boxes no float and
+    runs its checks in loops, so a walk's minor allocation is its [path]
+    and its outcome.
 
     When the step carries a pre-intersection spec ({!Walk_plan.step.isect})
     the neighbour set is first narrowed through the step's trie by every

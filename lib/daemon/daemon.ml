@@ -882,15 +882,19 @@ let scheduler_loop t =
   while not t.stopping do
     if Scheduler.tick t.sched then begin
       incr ticks;
-      (* Terminal sessions accumulate in the introspection list; a
-         long-running daemon trims them periodically. *)
+      (* Terminal sessions accumulate in the introspection list and the
+         registry; a long-running daemon trims them periodically, and
+         whenever it goes idle. *)
       if !ticks land 1023 = 0 then Scheduler.prune t.sched;
       (* Release the mutex between quanta so handlers can submit. *)
       Mutex.unlock t.mu;
       Thread.yield ();
       Mutex.lock t.mu
     end
-    else Condition.wait t.work t.mu
+    else begin
+      Scheduler.prune t.sched;
+      Condition.wait t.work t.mu
+    end
   done;
   Mutex.unlock t.mu
 

@@ -1,15 +1,16 @@
-(** Facade over the three physical index kinds.
+(** Facade over the two physical index kinds.
 
     Every consumer — walker, exact executor, optimizer, registry — speaks
     one capability surface: [count] ("how many neighbours does this tuple
     have?"), [nth] ("give me the k-th neighbour"), [locate] (both at
     once, for the walker's step) and [iter].  Equality edges are served
-    by any kind; band/range edges require an ordered one (B+-tree or
-    trie).  Leapfrog walks distinct keys with {!Trie}'s own cursors. *)
+    by either kind; band/range edges, Olken starts on a range predicate
+    and stratified GROUP BY need the ordered one, a trie (a one-column
+    trie is a sorted (key, row) array).  Leapfrog walks distinct keys with
+    {!Trie}'s own cursors. *)
 
 type kind =
   | Hash of Hash_index.t
-  | Ordered of Btree.t
   | Trie of Trie.t
 
 type t = { kind : kind; column : int }
@@ -17,7 +18,6 @@ type t = { kind : kind; column : int }
     key column, the one equality/range lookups address. *)
 
 val build_hash : Wj_storage.Table.t -> column:int -> t
-val build_ordered : Wj_storage.Table.t -> column:int -> t
 
 val build_trie : Wj_storage.Table.t -> columns:int list -> t
 (** Multi-column sorted trie; lookups below address the first column,
@@ -56,9 +56,7 @@ val supports_range : t -> bool
     A walk step locates the rows that answer its probe once, reads the
     neighbour count off the locate, and selects the drawn row out of it.
     Hash groups and trie level-0 slot ranges are one shape, a span: a
-    slice of the index's own row array, so a select is one array read.  A
-    B+-tree has no row array; it locates a base rank and a select descends
-    from the root.
+    slice of the index's own row array, so a select is one array read.
 
     The locate writes into a caller-owned {!located} made once per index
     with {!locator}, so a walk step allocates nothing.
@@ -74,9 +72,8 @@ val locator : t -> located
 (** A fresh buffer for the index's locates, holding an empty probe. *)
 
 val locate_eq : located -> int -> unit
-(** Locate the rows matching a key: one directory lookup (hash), two rank
-    descents (B+-tree: the base rank and the count), one level-0 narrow
-    (trie).  Counted as a [count]-style probe by {!probes}. *)
+(** Locate the rows matching a key: one directory lookup (hash), one
+    level-0 narrow (trie).  Counted as one probe by {!probes}. *)
 
 val locate_range : located -> lo:int -> hi:int -> unit
 (** Range variant.  Raises [Invalid_argument] on a hash index. *)
@@ -89,32 +86,19 @@ val located_nth : located -> int -> int
 (** Row id of the k-th located row; same row as [nth_eq]/[nth_range].
     Raises [Invalid_argument] out of range. *)
 
-val resolve_cost : t -> int
-(** Abstract cost of {!located_nth} given an already-located probe: 0 for
-    hash and trie (a span read), [height] for a B+-tree (the select
-    descent).  A walk step is charged [count_cost + resolve_cost]. *)
-
 (** {2 Cost and accounting} *)
 
-val probe_cost : t -> int
-(** Abstract cost of one point lookup (a select/nth), in index-entry
-    accesses: 1 for hash, one root-to-leaf descent ([height]) for a
-    B+-tree, [key columns x ceil(log2 n)] for a trie. *)
-
 val count_cost : t -> int
-(** Abstract cost of one {e counted} lookup (a {!locate_eq}), the
-    first half of a walk step.  This is where the structures genuinely differ: 1 for hash
-    (a group's length is two adjacent offsets); [2 x height] for a counted B+-tree — a
-    range count is two rank descents ([rank_le - rank_lt]), which the old
-    flat-descent [probe_cost] under-charged; [key columns x ceil(log2 n)]
-    for a trie (one binary search per level of the narrow chain).  Feeds
+(** Abstract cost of one locate, in index-entry accesses: 1 for hash (a
+    group's length is two adjacent offsets), [key columns x ceil(log2 n)]
+    for a trie (one binary search per level of the narrow chain).  A
+    select out of a locate is a span read and costs nothing more.  Feeds
     the optimizer's E[T] estimate and the I/O simulation
     ({!Wj_iosim.Cost_model.index_level_cost} is calibrated against these
     units). *)
 
 val probes : t -> int
 (** Lifetime query-probe count of the underlying physical index (directory
-    lookups for hash, root-to-leaf descents for ordered, binary searches
-    for trie).  Always on; the observability layer snapshots these into
+    lookups for hash, binary searches for trie).  Always on; the observability layer snapshots these into
     gauges.  An index is shared by every query over its catalog's
     {!Wj_core.Registry.store}, so the count spans them all. *)

@@ -23,11 +23,20 @@ let row t slot = t.rows.(slot)
 let rows t = t.rows
 let probes t = t.probes
 
+(* Compare two row positions by their keys at levels [l..]: 0 on a tie,
+   which [Array.stable_sort] breaks by position, i.e. by row id. *)
+let rec compare_keys cols l i j =
+  if l = Array.length cols then 0
+  else begin
+    let a = Array.unsafe_get cols l in
+    let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get a j) in
+    if c <> 0 then c else compare_keys cols (l + 1) i j
+  end
+
 let build_filtered ?keep table ~columns =
   if columns = [||] then invalid_arg "Trie.build: no key columns";
   let n = Table.length table in
-  let readers = Array.map (fun c -> Table.int_reader table c) columns in
-  let rows =
+  let kept =
     match keep with
     | None -> Array.init n Fun.id
     | Some f ->
@@ -37,19 +46,13 @@ let build_filtered ?keep table ~columns =
       done;
       Array.of_list !acc
   in
-  let m = Array.length readers in
-  let cmp a b =
-    let rec go l =
-      if l = m then Int.compare a b
-      else begin
-        let c = Int.compare (readers.(l) a) (readers.(l) b) in
-        if c <> 0 then c else go (l + 1)
-      end
-    in
-    go 0
-  in
-  Array.sort cmp rows;
-  let keys = Array.map (fun read -> Array.map read rows) readers in
+  (* Read each key column once, in row order, then sort positions against
+     those arrays: no reader call (or page fetch) per comparison. *)
+  let cols = Array.map (fun c -> Array.map (Table.int_reader table c) kept) columns in
+  let perm = Array.init (Array.length kept) Fun.id in
+  Array.stable_sort (compare_keys cols 0) perm;
+  let rows = Array.map (fun p -> kept.(p)) perm in
+  let keys = Array.map (fun a -> Array.map (fun p -> a.(p)) perm) cols in
   { columns = Array.copy columns; rows; keys; probes = 0 }
 
 let build table ~columns = build_filtered table ~columns

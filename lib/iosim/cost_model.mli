@@ -19,12 +19,9 @@ type t = {
   random_io : float;  (** seconds per buffer-pool miss *)
   seq_io : float;  (** seconds per sequentially scanned page *)
   index_level_cost : float;
-      (** seconds per abstract index-entry access ({!Wj_index.Index.probe_cost}
-          unit).  Calibrated against the probe-cost units: a counted
-          B+-tree lookup reports [2 x height] accesses (two rank descents)
-          and a trie [levels x ceil(log2 n)], so the per-unit charge is
-          half the old per-level constant — one cached interior descent
-          costs the same seconds as before the recalibration. *)
+      (** seconds per abstract index-entry access ({!Wj_index.Index.count_cost}
+          unit): a hash locate reports 1 access, a trie locate
+          [levels x ceil(log2 n)], one per binary-search step. *)
 }
 
 val default : t

@@ -101,6 +101,20 @@ let families t =
   Hashtbl.fold (fun name fam acc -> (name, fam) :: acc) t.core.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* Add a counter's value or a histogram's buckets into the family [name]
+   of [into] (find-or-create, so the family set does not depend on which
+   cells were zero); a gauge is not a count and is left to the caller. *)
+let add_counts into name = function
+  | Counter c -> Counter.add (counter into name) (Counter.value c)
+  | Histogram h ->
+    let buckets = Histogram.buckets h in
+    let dst = histogram into ~buckets name in
+    for b = 0 to buckets - 1 do
+      let n = Histogram.count h b in
+      if n <> 0 then Histogram.add dst b n
+    done
+  | Gauge _ -> ()
+
 (* Fold [src]'s families into [into] (find-or-create under [into]'s
    prefix): counters and histograms add, gauges take the source's value.
    [families] is name-sorted, so a fixed sequence of merges lands cells
@@ -111,15 +125,21 @@ let merge ~into src =
   List.iter
     (fun (name, fam) ->
       match fam with
-      | Counter c ->
-        let v = Counter.value c in
-        if v <> 0 then Counter.add (counter into name) v
-      | Histogram h ->
-        let buckets = Histogram.buckets h in
-        let dst = histogram into ~buckets name in
-        for b = 0 to buckets - 1 do
-          let n = Histogram.count h b in
-          if n <> 0 then Histogram.add dst b n
-        done
-      | Gauge g -> Gauge.set (gauge into name) (Gauge.value g))
+      | Gauge g -> Gauge.set (gauge into name) (Gauge.value g)
+      | Counter _ | Histogram _ -> add_counts into name fam)
     (families src)
+
+(* Retire a scope: its counters and histograms add into the same names one
+   scope up, its gauges are dropped, and every one of its names leaves the
+   table.  Handles into the scope keep their cells but are no longer
+   reachable by name. *)
+let fold_scope t name =
+  let scope = t.prefix ^ name ^ "." in
+  let n = String.length scope in
+  List.iter
+    (fun (full, fam) ->
+      if String.starts_with ~prefix:scope full then begin
+        add_counts t (String.sub full n (String.length full - n)) fam;
+        Hashtbl.remove t.core.table full
+      end)
+    (families t)

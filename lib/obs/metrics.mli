@@ -60,3 +60,12 @@ val merge : into:t -> t -> unit
     order, to combine per-domain registries into the submitter-visible
     one.  Raises [Invalid_argument] on a kind mismatch between same-named
     families. *)
+
+val fold_scope : t -> string -> unit
+(** [fold_scope t name] retires the scope ["<name>."] under [t]'s prefix:
+    each of its counters and histograms adds into the family of the same
+    name without the scope (find-or-create, as {!merge} does), its gauges
+    are dropped, and all its names are removed from the registry.  A
+    long-running host calls this for each finished session so its
+    registry, and every snapshot of it, stays bounded while the unscoped
+    totals keep counting.  Raises [Invalid_argument] on a kind mismatch. *)

@@ -118,7 +118,9 @@ let merge ~into src =
 
 module Json = Wj_util.Json
 
-let micros seconds = Json.Float (seconds *. 1e6)
+(* Microseconds rounded to the nanosecond: finer digits are clock noise
+   and only lengthen the document. *)
+let micros seconds = Json.Float (Float.round (seconds *. 1e9) /. 1e3)
 
 (* One event as a Chrome trace_event object.  [ts]/[dur] are microseconds
    relative to the trace clock's origin, which Chrome renders fine (it

@@ -556,8 +556,14 @@ let result s = s.result
 
 (* Long-running hosts (the wjd daemon) submit an unbounded stream of
    sessions; without pruning, [all] — kept only for {!sessions}
-   introspection — would grow forever. *)
-let prune t = t.all <- List.filter (fun e -> not (is_terminal e.state)) t.all
+   introspection — and the registry's "session<id>." families would grow
+   forever. *)
+let prune t =
+  let live, gone = List.partition (fun e -> not (is_terminal e.state)) t.all in
+  t.all <- live;
+  match Sink.metrics t.sink with
+  | None -> ()
+  | Some m -> List.iter (fun e -> Metrics.fold_scope m ("session" ^ string_of_int e.id)) gone
 
 let live_count t = List.length t.live
 let queued_count t = Queue.length t.queue

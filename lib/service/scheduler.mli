@@ -266,8 +266,11 @@ val sessions : t -> info list
 (** Every submission since the last {!prune}, in admission order. *)
 
 val prune : t -> unit
-(** Forget terminal sessions from the {!sessions} introspection list.
-    Long-running hosts (the [wjd] daemon) call this periodically so an
-    unbounded submission stream does not grow scheduler memory without
-    bound.  Existing session handles stay valid — only the [info]
-    listing shrinks. *)
+(** Forget terminal sessions from the {!sessions} introspection list, and
+    retire each one's ["session<id>."] metric families
+    ({!Wj_obs.Metrics.fold_scope}): counters and histograms add into the
+    unscoped families, gauges are dropped.  Long-running hosts (the [wjd]
+    daemon) call this periodically so an unbounded submission stream
+    grows neither scheduler memory nor the metrics registry.  Existing
+    session handles stay valid — only the [info] listing and the
+    registry shrink. *)

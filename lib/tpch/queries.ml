@@ -284,5 +284,4 @@ let build ?(variant = Barebone) ?(agg = Wj_stats.Estimator.Sum)
   Query.make ~tables ~joins ~predicates ~group_by ~agg
     ~expr:(revenue_expr l lineitem_pos) ()
 
-let registry ?ordered_predicates q =
-  Wj_core.Registry.build_for_query ?ordered_predicates q
+let registry q = Wj_core.Registry.build_for_query q

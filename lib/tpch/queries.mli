@@ -43,6 +43,5 @@ val tables_of : spec -> int
 
 val name_of : spec -> string
 
-val registry :
-  ?ordered_predicates:bool -> Wj_core.Query.t -> Wj_core.Registry.t
+val registry : Wj_core.Query.t -> Wj_core.Registry.t
 (** Convenience: {!Wj_core.Registry.build_for_query}. *)

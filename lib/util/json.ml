@@ -34,8 +34,16 @@ let float_str f =
   else if f = Float.infinity then "\"inf\""
   else if f = Float.neg_infinity then "\"-inf\""
   else
-    let s = Printf.sprintf "%.17g" f in
-    (* Keep a float-typed token: %.17g prints 1.0 as "1". *)
+    (* The shortest of 15, 16 and 17 significant digits that parses back
+       to [f]; 17 always does. *)
+    let s =
+      let p15 = Printf.sprintf "%.15g" f in
+      if float_of_string p15 = f then p15
+      else
+        let p16 = Printf.sprintf "%.16g" f in
+        if float_of_string p16 = f then p16 else Printf.sprintf "%.17g" f
+    in
+    (* Keep a float-typed token: %g prints 1.0 as "1". *)
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
 
 let rec write buf = function

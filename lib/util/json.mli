@@ -9,8 +9,8 @@
     ([Wj_obs.Trace.events_of_json]) readers included.
 
     Numbers keep the int/float split OCaml-side ([Int] prints without a
-    decimal point, [Float] with 17 significant digits so float bits
-    round-trip); both parse back from the same JSON number token (a
+    decimal point, [Float] with the fewest of 15, 16 or 17 significant
+    digits that parse back to the same bits); both parse back from the same JSON number token (a
     token with [.], [e] or [E] becomes [Float]).  Strings are assumed
     UTF-8 and escaped per RFC 8259 ([\uXXXX] escapes decode to raw bytes
     for the BMP's Latin-1 range and are re-escaped on print). *)

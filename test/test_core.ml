@@ -256,7 +256,7 @@ let test_join_graph_band_needs_ordered () =
   Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_hash tb ~column:0);
   let g = Join_graph.of_query q reg in
   Alcotest.(check bool) "hash refused" true (Join_graph.walkable g ~from:0 ~into:1 = []);
-  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_ordered tb ~column:0);
+  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_trie tb ~columns:[ 0 ]);
   let g = Join_graph.of_query q reg in
   Alcotest.(check bool) "ordered accepted" true (Join_graph.walkable g ~from:0 ~into:1 <> [])
 
@@ -738,17 +738,19 @@ let test_online_group_by_should_stop () =
    selects the drawn row out of that locate, whichever index answers it. *)
 let test_step_cost_charged_once () =
   (* A two-table FK chain: s1.b = i mod 100 joins exactly one s2 row, so
-     every walk succeeds with inv_p = |s1| * 1. *)
+     every walk succeeds with inv_p = |s1| * 1.  A zero-width band is the
+     same join answered by a range locate. *)
   let s1 = int_table "s1" [ "a"; "b" ] (List.init 300 (fun i -> [ i; i mod 100 ])) in
   let s2 = int_table "s2" [ "b"; "c" ] (List.init 100 (fun i -> [ i; i ])) in
-  let q =
+  let query op =
     Query.make
       ~tables:[ ("s1", s1); ("s2", s2) ]
-      ~joins:[ { left = (0, 1); right = (1, 0); op = Eq } ]
+      ~joins:[ { left = (0, 1); right = (1, 0); op } ]
       ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
   in
   List.iter
-    (fun (kind, index, probes) ->
+    (fun (kind, index, op, probes) ->
+      let q = query op in
       let reg = Registry.create () in
       Registry.add reg ~pos:1 ~column:0 index;
       let plan =
@@ -757,7 +759,7 @@ let test_step_cost_charged_once () =
         | None -> Alcotest.fail "no plan s1 -> s2"
       in
       let prepared = Walker.prepare q reg plan in
-      let step_cost = Index.count_cost index + Index.resolve_cost index + 1 in
+      let step_cost = Index.count_cost index + 1 in
       let prng = Prng.create 17 in
       for i = 1 to 256 do
         (* The uniform start probes no index: every probe is the step's. *)
@@ -775,9 +777,9 @@ let test_step_cost_charged_once () =
           (Walker.steps_of_last_walk prepared)
       done)
     [
-      ("hash", Index.build_hash s2 ~column:0, 1);
-      ("ordered", Index.build_ordered s2 ~column:0, 3);
-      ("trie", Index.build_trie s2 ~columns:[ 0 ], 1);
+      ("hash", Index.build_hash s2 ~column:0, Query.Eq, 1);
+      ("trie", Index.build_trie s2 ~columns:[ 0 ], Query.Eq, 1);
+      ("trie band", Index.build_trie s2 ~columns:[ 0 ], Query.Band { lo = 0; hi = 0 }, 1);
     ]
 
 (* The walk step allocates nothing: over every Q7 plan, a walk's minor
@@ -910,8 +912,8 @@ let test_choose_start_deterministic_tiebreak () =
         ~predicates ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
     in
     let reg = Registry.build_for_query q in
-    Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_ordered ta ~column:0);
-    Registry.add reg ~pos:0 ~column:1 (Wj_index.Index.build_ordered ta ~column:1);
+    Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_trie ta ~columns:[ 0 ]);
+    Registry.add reg ~pos:0 ~column:1 (Wj_index.Index.build_trie ta ~columns:[ 1 ]);
     let plan = Option.get (Walk_plan.of_order q reg [| 0; 1 |]) in
     Walker.prepare q reg plan
   in

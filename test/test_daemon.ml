@@ -627,6 +627,52 @@ let test_stats_shape () =
       | Some (Json.Obj _) -> ()
       | _ -> Alcotest.fail "metrics member missing or not an object")
 
+(* /stats stays bounded: a finished session's "session<N>." families fold
+   into the unscoped ones when the scheduler prunes it (the daemon prunes
+   whenever its scheduler goes idle), so 64 requests leave as many
+   families as one did, and the unscoped counters keep every walk. *)
+let test_stats_bounded () =
+  with_daemon (catalog ()) (fun d ->
+      let sql =
+        "SELECT ONLINE COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey"
+      in
+      let run seed =
+        let resp, _ =
+          query d sql ~extra:[ ("seed", Json.Int seed); ("max_walks", Json.Int 256) ]
+        in
+        Alcotest.(check int) "query ok" 200 resp.Http.status
+      in
+      let snapshot () =
+        let resp = Http.fetch (Daemon.url d ^ "/stats") in
+        match Json.member "metrics" (Json.parse (String.trim resp.Http.resp_body)) with
+        | Some m -> Snapshot.of_json m
+        | None -> Alcotest.fail "/stats has no metrics member"
+      in
+      (* The prune runs on the scheduler thread just after the final line
+         is queued; wait for it rather than race it. *)
+      let rec settled tries =
+        let snap = snapshot () in
+        if List.exists (fun (name, _) -> String.starts_with ~prefix:"session" name) snap
+        then
+          if tries = 0 then Alcotest.fail "finished sessions were never pruned"
+          else begin
+            Thread.delay 0.01;
+            settled (tries - 1)
+          end
+        else snap
+      in
+      run 1;
+      let one = settled 500 in
+      for seed = 2 to 64 do
+        run seed
+      done;
+      let many = settled 500 in
+      Alcotest.(check int) "families after 64 requests = after one" (List.length one)
+        (List.length many);
+      let walks snap = Snapshot.counter_value snap "walker.walks" in
+      Alcotest.(check bool) "unscoped walks keep counting" true
+        (walks many >= 64 * 256 && walks many > walks one))
+
 let test_trace_roundtrip () =
   with_daemon (catalog ()) (fun d ->
       let sql =
@@ -1246,6 +1292,7 @@ let () =
           Alcotest.test_case "/metrics exposition + reconciliation" `Quick
             test_metrics_endpoint;
           Alcotest.test_case "/stats shape" `Quick test_stats_shape;
+          Alcotest.test_case "/stats stays bounded" `Quick test_stats_bounded;
           Alcotest.test_case "X-WJ-Trace round-trips through /trace/<id>" `Quick
             test_trace_roundtrip;
           Alcotest.test_case "trace retention keeps the newest" `Quick

@@ -51,7 +51,7 @@ let test_stratified_matches_exact () =
   let q = skewed_query () in
   let reg = Registry.build_for_query q in
   (* The group column needs an ordered index for stratification. *)
-  Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_ordered q.Query.tables.(0) ~column:0);
+  Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_trie q.Query.tables.(0) ~columns:[ 0 ]);
   let exact = Exact.group_aggregate q reg in
   let out = Stratified.run ~seed:4 ~max_walks:60_000 ~max_time:30.0 q reg in
   Alcotest.(check int) "all groups present" (List.length exact) (List.length out.strata);
@@ -74,7 +74,7 @@ let test_stratified_boosts_small_groups () =
      same number of walks. *)
   let q = skewed_query () in
   let reg = Registry.build_for_query q in
-  Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_ordered q.Query.tables.(0) ~column:0);
+  Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_trie q.Query.tables.(0) ~columns:[ 0 ]);
   let walks = 30_000 in
   let strat = Stratified.run ~seed:9 ~allocation:Stratified.Equal ~max_walks:walks ~max_time:30.0 q reg in
   let plain =
@@ -97,7 +97,7 @@ let test_stratified_boosts_small_groups () =
 let test_stratified_allocations () =
   let q = skewed_query () in
   let reg = Registry.build_for_query q in
-  Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_ordered q.Query.tables.(0) ~column:0);
+  Registry.add reg ~pos:0 ~column:0 (Wj_index.Index.build_trie q.Query.tables.(0) ~columns:[ 0 ]);
   List.iter
     (fun allocation ->
       let out = Stratified.run ~seed:2 ~allocation ~max_walks:5_000 ~max_time:30.0 q reg in
@@ -448,25 +448,6 @@ let test_walker_path_distribution () =
         (ratio > 0.9 && ratio < 1.1))
     counts
 
-(* Identical operation sequences must agree across branching factors. *)
-let btree_degree_equivalence =
-  QCheck.Test.make ~name:"btree results independent of min_degree" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 200) (pair (int_range 0 40) (int_range 0 100)))
-    (fun pairs ->
-      let t2 = Wj_index.Btree.create ~min_degree:2 () in
-      let t16 = Wj_index.Btree.create ~min_degree:16 () in
-      List.iter
-        (fun (k, v) ->
-          Wj_index.Btree.insert t2 ~key:k ~value:v;
-          Wj_index.Btree.insert t16 ~key:k ~value:v)
-        pairs;
-      List.for_all
-        (fun (k, _) ->
-          Wj_index.Btree.count_eq t2 k = Wj_index.Btree.count_eq t16 k
-          && Wj_index.Btree.rank_lt t2 k = Wj_index.Btree.rank_lt t16 k)
-        pairs
-      && Wj_index.Btree.length t2 = Wj_index.Btree.length t16)
-
 (* The SQL front end must fail only through its three declared exceptions,
    never with Match_failure / Invalid_argument / out-of-bounds. *)
 let sql_fuzz =
@@ -566,7 +547,6 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "walker path distribution" `Slow test_walker_path_distribution;
-          QCheck_alcotest.to_alcotest btree_degree_equivalence;
           QCheck_alcotest.to_alcotest sql_fuzz;
           QCheck_alcotest.to_alcotest sql_fuzz_structured;
           Alcotest.test_case "hybrid SUM" `Slow test_hybrid_sum;

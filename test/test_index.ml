@@ -1,7 +1,7 @@
-(* Tests for wj_index: Hash_index, the counted B+-tree, the Index facade. *)
+(* Tests for wj_index: Hash_index, the ordered index (a one-column trie),
+   the Index facade. *)
 
 module Hash_index = Wj_index.Hash_index
-module Btree = Wj_index.Btree
 module Index = Wj_index.Index
 module Table = Wj_storage.Table
 module Schema = Wj_storage.Schema
@@ -103,7 +103,6 @@ let hash_matches_model (column, probes) =
   let kinds =
     [
       ("hash", Index.build_hash t ~column:0);
-      ("ordered", Index.build_ordered t ~column:0);
       ("trie", Index.build_trie t ~columns:[ 0 ]);
     ]
   in
@@ -131,10 +130,8 @@ let hash_matches_model (column, probes) =
           List.iteri
             (fun i r -> if Index.nth_eq idx k i <> r then fail "%s nth_eq %d %d" kind k i)
             located;
-          (* Hash groups and trie runs list a key's rows in row order; a
-             B+-tree orders ties by its own splits. *)
-          let expect = if kind = "ordered" then List.sort compare located else located in
-          if expect <> rows then fail "%s located rows of %d" kind k;
+          (* Hash groups and trie runs list a key's rows in row order. *)
+          if located <> rows then fail "%s located rows of %d" kind k;
           if not (raises (fun () -> Index.located_nth l d)) then
             fail "%s located_nth %d past the end" kind k)
         kinds)
@@ -160,80 +157,72 @@ let test_hash_model_edges () =
   check "extreme keys" [ min_int; max_int; -1; 0; min_int; max_int; -1 ] [ 1; min_int + 1 ];
   check "colliding multiples" (List.init 500 (fun i -> (i mod 50) lsl 40)) [ 1 lsl 41 ]
 
-(* ---- Btree: unit tests ----------------------------------------------- *)
+(* ---- The ordered index: a one-column trie through the facade ---------- *)
 
-let check_inv t =
-  match Btree.check_invariants t with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("invariant violated: " ^ msg)
+(* The ordered index over [keys] (row i holds keys.(i)), as the registry
+   builds it for a range predicate, a band join or a GROUP BY column. *)
+let ordered keys = Index.build_trie (small_table (List.map (fun k -> (k, 0)) keys)) ~columns:[ 0 ]
 
-let test_btree_empty () =
-  let t = Btree.create () in
-  Alcotest.(check int) "length" 0 (Btree.length t);
-  Alcotest.(check int) "count" 0 (Btree.count_range t ~lo:min_int ~hi:max_int);
-  Alcotest.check_raises "no entry" (Invalid_argument "Btree.nth_in_range: out of range")
-    (fun () -> ignore (Btree.nth_in_range t ~lo:min_int ~hi:max_int 0));
-  check_inv t
+let out_of_range = Invalid_argument "Trie.nth_range: out of range"
 
-let test_btree_sequential () =
-  let t = Btree.create ~min_degree:2 () in
-  for i = 0 to 999 do
-    Btree.insert t ~key:i ~value:(i * 10)
-  done;
-  check_inv t;
-  Alcotest.(check int) "length" 1000 (Btree.length t);
-  Alcotest.(check int) "count all" 1000 (Btree.count_range t ~lo:0 ~hi:999);
-  Alcotest.(check int) "count half" 500 (Btree.count_range t ~lo:0 ~hi:499);
-  Alcotest.(check int) "count one" 1 (Btree.count_eq t 42);
-  Alcotest.(check bool) "nth" true (Btree.nth t 42 = (42, 420));
-  Alcotest.(check int) "min" 0 (fst (Btree.nth t 0));
-  Alcotest.(check int) "max" 999 (fst (Btree.nth t 999));
-  Alcotest.(check int) "rank_lt" 500 (Btree.rank_lt t 500)
+(* Every row in rank order: keys ascending, ties by row id. *)
+let dump o =
+  let rows = ref [] in
+  Index.iter_range o ~lo:min_int ~hi:max_int (fun r -> rows := r :: !rows);
+  List.rev !rows
 
-let test_btree_reverse_and_duplicates () =
-  let t = Btree.create ~min_degree:2 () in
-  for i = 999 downto 0 do
-    Btree.insert t ~key:(i / 10) ~value:i
-  done;
-  check_inv t;
-  Alcotest.(check int) "count dup key" 10 (Btree.count_eq t 50);
-  Alcotest.(check int) "range [10,19]" 100 (Btree.count_range t ~lo:10 ~hi:19);
-  Alcotest.(check int) "empty range" 0 (Btree.count_range t ~lo:5 ~hi:4)
+let test_ordered_empty () =
+  let o = ordered [] in
+  Alcotest.(check int) "count" 0 (Index.count_range o ~lo:min_int ~hi:max_int);
+  Alcotest.check_raises "no entry" out_of_range (fun () ->
+      ignore (Index.nth_range o ~lo:min_int ~hi:max_int 0));
+  Alcotest.(check (list int)) "no rows" [] (dump o)
 
-let test_btree_nth_in_range () =
-  let t = Btree.create () in
-  List.iter (fun k -> Btree.insert t ~key:k ~value:(100 + k)) [ 1; 3; 5; 7; 9 ];
-  Alcotest.(check int) "first >= 4" 105 (Btree.nth_in_range t ~lo:4 ~hi:10 0);
-  Alcotest.(check int) "second" 107 (Btree.nth_in_range t ~lo:4 ~hi:10 1);
-  let out_of_range = Invalid_argument "Btree.nth_in_range: out of range" in
+let test_ordered_sequential () =
+  let o = ordered (List.init 1000 Fun.id) in
+  Alcotest.(check int) "count all" 1000 (Index.count_range o ~lo:0 ~hi:999);
+  Alcotest.(check int) "count half" 500 (Index.count_range o ~lo:0 ~hi:499);
+  Alcotest.(check int) "count one" 1 (Index.count_eq o 42);
+  Alcotest.(check int) "nth" 42 (Index.nth_range o ~lo:min_int ~hi:max_int 42);
+  Alcotest.(check int) "min" 0 (Index.nth_range o ~lo:min_int ~hi:max_int 0);
+  Alcotest.(check int) "max" 999 (Index.nth_range o ~lo:min_int ~hi:max_int 999);
+  Alcotest.(check int) "rank_lt" 500 (Index.count_range o ~lo:min_int ~hi:499)
+
+let test_ordered_reverse_and_duplicates () =
+  (* Row r holds key (999 - r) / 10: keys arrive in descending order. *)
+  let o = ordered (List.init 1000 (fun r -> (999 - r) / 10)) in
+  Alcotest.(check int) "count dup key" 10 (Index.count_eq o 50);
+  Alcotest.(check int) "range [10,19]" 100 (Index.count_range o ~lo:10 ~hi:19);
+  Alcotest.(check int) "empty range" 0 (Index.count_range o ~lo:5 ~hi:4);
+  Alcotest.(check (list int)) "ties in row order"
+    [ 490; 491; 492; 493; 494; 495; 496; 497; 498; 499 ]
+    (List.init 10 (Index.nth_eq o 50))
+
+let test_ordered_nth_range () =
+  let o = ordered [ 1; 3; 5; 7; 9 ] in
+  Alcotest.(check int) "first >= 4" 2 (Index.nth_range o ~lo:4 ~hi:10 0);
+  Alcotest.(check int) "second" 3 (Index.nth_range o ~lo:4 ~hi:10 1);
   Alcotest.check_raises "out of range" out_of_range (fun () ->
-      ignore (Btree.nth_in_range t ~lo:4 ~hi:10 3));
+      ignore (Index.nth_range o ~lo:4 ~hi:10 3));
   Alcotest.check_raises "empty" out_of_range (fun () ->
-      ignore (Btree.nth_in_range t ~lo:10 ~hi:4 0))
+      ignore (Index.nth_range o ~lo:10 ~hi:4 0))
 
-let test_btree_iter_range () =
-  let t = Btree.create ~min_degree:2 () in
-  for i = 0 to 199 do
-    Btree.insert t ~key:(i mod 50) ~value:i
-  done;
+let test_ordered_iter_range () =
+  let keys = Array.init 200 (fun i -> i mod 50) in
+  let o = ordered (Array.to_list keys) in
   let collected = ref [] in
-  Btree.iter_range t ~lo:10 ~hi:12 (fun k v -> collected := (k, v) :: !collected);
-  Alcotest.(check int) "count" 12 (List.length !collected);
+  Index.iter_range o ~lo:10 ~hi:12 (fun r -> collected := r :: !collected);
+  let rows = List.rev !collected in
+  Alcotest.(check int) "count" 12 (List.length rows);
   List.iter
-    (fun (k, v) ->
-      Alcotest.(check bool) "key in range" true (k >= 10 && k <= 12);
-      Alcotest.(check int) "value consistent" k (v mod 50))
-    !collected;
-  (* keys are emitted in order *)
-  let keys = List.rev_map fst !collected in
-  Alcotest.(check bool) "sorted" true (List.sort compare keys = keys)
+    (fun r -> Alcotest.(check bool) "key in range" true (keys.(r) >= 10 && keys.(r) <= 12))
+    rows;
+  (* Emitted in (key, row) order. *)
+  let order = List.map (fun r -> (keys.(r), r)) rows in
+  Alcotest.(check bool) "sorted" true (List.sort compare order = order)
 
-let test_btree_sample_uniform () =
-  let t = Btree.create () in
-  for i = 0 to 9 do
-    Btree.insert t ~key:i ~value:i
-  done;
-  let idx = { Index.kind = Index.Ordered t; column = 0 } in
+let test_ordered_sample_uniform () =
+  let idx = ordered (List.init 10 Fun.id) in
   let prng = Prng.create 5 in
   let counts = Array.make 10 0 in
   let draws = 20_000 in
@@ -253,90 +242,69 @@ let test_btree_sample_uniform () =
   Alcotest.(check int) "inverted range" 0
     (Index.located_count (located_range idx ~lo:9 ~hi:0))
 
-let test_btree_of_table () =
-  let t = small_table [ (3, 0); (1, 0); (2, 0); (1, 0) ] in
-  let b = Btree.of_table t ~column:0 in
-  Alcotest.(check int) "length" 4 (Btree.length b);
-  Alcotest.(check int) "dup count" 2 (Btree.count_eq b 1);
-  check_inv b
+let test_ordered_of_table () =
+  let o = Index.build_trie (small_table [ (3, 0); (1, 0); (2, 0); (1, 0) ]) ~columns:[ 0 ] in
+  Alcotest.(check int) "length" 4 (Index.count_range o ~lo:min_int ~hi:max_int);
+  Alcotest.(check int) "dup count" 2 (Index.count_eq o 1);
+  Alcotest.(check (list int)) "rank order" [ 1; 3; 2; 0 ] (dump o)
 
-let test_btree_min_degree_validation () =
-  Alcotest.check_raises "min_degree" (Invalid_argument "Btree.create: min_degree must be >= 2")
-    (fun () -> ignore (Btree.create ~min_degree:1 ()))
+let test_ordered_key_columns_validation () =
+  Alcotest.check_raises "no key columns" (Invalid_argument "Index.build_trie: no key columns")
+    (fun () -> ignore (Index.build_trie (small_table []) ~columns:[]))
 
-let test_btree_extreme_keys () =
-  let t = Btree.create () in
-  Btree.insert t ~key:max_int ~value:1;
-  Btree.insert t ~key:min_int ~value:2;
-  Btree.insert t ~key:0 ~value:3;
-  Alcotest.(check int) "all" 3 (Btree.count_range t ~lo:min_int ~hi:max_int);
-  Alcotest.(check int) "upper half" 2 (Btree.count_range t ~lo:0 ~hi:max_int);
-  Alcotest.(check bool) "max key present" true (Btree.count_eq t max_int = 1)
+let test_ordered_extreme_keys () =
+  let o = ordered [ max_int; min_int; 0 ] in
+  Alcotest.(check int) "all" 3 (Index.count_range o ~lo:min_int ~hi:max_int);
+  Alcotest.(check int) "upper half" 2 (Index.count_range o ~lo:0 ~hi:max_int);
+  Alcotest.(check bool) "max key present" true (Index.count_eq o max_int = 1);
+  Alcotest.(check (list int)) "rank order" [ 1; 2; 0 ] (dump o)
 
-(* ---- Btree: property tests vs a reference model ---------------------- *)
+(* ---- The ordered index: property tests vs a reference model ----------- *)
 
-type op = Ins of int * int | CountRange of int * int
-
-let op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (6, map2 (fun k v -> Ins (k, v)) (int_range 0 60) (int_range 0 1000));
-        (2, map2 (fun a b -> CountRange (min a b, max a b)) (int_range 0 60) (int_range 0 60));
-      ])
-
-let op_print = function
-  | Ins (k, v) -> Printf.sprintf "Ins(%d,%d)" k v
-  | CountRange (a, b) -> Printf.sprintf "Count(%d,%d)" a b
-
-let btree_vs_model =
-  QCheck.Test.make ~name:"btree agrees with a sorted-list model" ~count:200
+(* The index is static: the generated keys are its rows, then every range
+   count, the full dump and every rank are checked against a sorted list. *)
+let ordered_vs_model =
+  QCheck.Test.make ~name:"agrees with a sorted-list model" ~count:200
     (QCheck.make
-       ~print:(fun ops -> String.concat ";" (List.map op_print ops))
-       QCheck.Gen.(list_size (int_range 0 400) op_gen))
-    (fun ops ->
-      let t = Btree.create ~min_degree:2 () in
-      let model = ref [] in
+       ~print:QCheck.Print.(pair (list int) (list (pair int int)))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 400) (int_range 0 60))
+           (list_size (int_range 0 100)
+              (map2 (fun a b -> (min a b, max a b)) (int_range 0 60) (int_range 0 60)))))
+    (fun (keys, ranges) ->
+      let o = ordered keys in
+      let model = List.sort compare (List.mapi (fun row k -> (k, row)) keys) in
       let ok = ref true in
       List.iter
-        (fun op ->
-          match op with
-          | Ins (k, v) ->
-            Btree.insert t ~key:k ~value:v;
-            model := (k, v) :: !model
-          | CountRange (lo, hi) ->
-            let expected =
-              List.length (List.filter (fun (k, _) -> k >= lo && k <= hi) !model)
-            in
-            if Btree.count_range t ~lo ~hi <> expected then ok := false)
-        ops;
-      (* Final deep comparison. *)
-      (match Btree.check_invariants t with Ok () -> () | Error _ -> ok := false);
-      if Btree.length t <> List.length !model then ok := false;
-      let dumped = ref [] in
-      Btree.iter_range t ~lo:min_int ~hi:max_int (fun k v -> dumped := (k, v) :: !dumped);
-      let sort l = List.sort compare l in
-      if sort !dumped <> sort !model then ok := false;
+        (fun (lo, hi) ->
+          let expected = List.length (List.filter (fun (k, _) -> k >= lo && k <= hi) model) in
+          if Index.count_range o ~lo ~hi <> expected then ok := false)
+        ranges;
+      (* Final deep comparison: the rows in (key, row) order. *)
+      if dump o <> List.map snd model then ok := false;
       (* rank/select consistency *)
-      let model_keys = Array.of_list (List.sort compare (List.map fst !model)) in
-      for r = 0 to Btree.length t - 1 do
-        let k, _ = Btree.nth t r in
-        if model_keys.(r) <> k then ok := false
-      done;
+      let n = List.length model in
+      if Index.count_range o ~lo:min_int ~hi:max_int <> n then ok := false;
+      List.iteri
+        (fun r (_, row) -> if Index.nth_range o ~lo:min_int ~hi:max_int r <> row then ok := false)
+        model;
       !ok)
 
-let btree_rank_select_inverse =
+(* rank_lt k is the count of keys below k; nth r the row of rank r. *)
+let ordered_rank_select_inverse =
   QCheck.Test.make ~name:"rank_lt and nth are consistent" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (int_range 0 50))
     (fun keys ->
-      let t = Btree.create ~min_degree:2 () in
-      List.iteri (fun i k -> Btree.insert t ~key:k ~value:i) keys;
+      let o = ordered keys in
+      let key = Array.of_list keys in
+      let n = Array.length key in
+      let nth r = key.(Index.nth_range o ~lo:min_int ~hi:max_int r) in
       List.for_all
         (fun k ->
-          let r = Btree.rank_lt t k in
+          let r = if k = min_int then 0 else Index.count_range o ~lo:min_int ~hi:(k - 1) in
           (* All entries below rank r have key < k; entry at r (if any) >= k *)
-          (r = 0 || fst (Btree.nth t (r - 1)) < k)
-          && (r = Btree.length t || fst (Btree.nth t r) >= k))
+          (r = 0 || nth (r - 1) < k) && (r = n || nth r >= k))
         keys)
 
 (* ---- Index facade ---------------------------------------------------- *)
@@ -344,7 +312,7 @@ let btree_rank_select_inverse =
 let test_index_facade_eq () =
   let t = small_table [ (1, 0); (2, 0); (1, 0) ] in
   let h = Index.build_hash t ~column:0 in
-  let o = Index.build_ordered t ~column:0 in
+  let o = Index.build_trie t ~columns:[ 0 ] in
   Alcotest.(check int) "hash count" 2 (Index.count_eq h 1);
   Alcotest.(check int) "ordered count" 2 (Index.count_eq o 1);
   Alcotest.(check bool) "hash nth valid" true (List.mem (Index.nth_eq h 1 0) [ 0; 2 ]);
@@ -354,20 +322,19 @@ let test_index_facade_eq () =
   Alcotest.check_raises "hash range"
     (Invalid_argument "Index.count_range: hash index cannot answer ranges") (fun () ->
       ignore (Index.count_range h ~lo:0 ~hi:1));
-  Alcotest.check_raises "ordered nth_eq out of range"
-    (Invalid_argument "Index.nth_eq: out of range") (fun () -> ignore (Index.nth_eq o 1 2));
-  Alcotest.check_raises "ordered nth_range out of range"
-    (Invalid_argument "Index.nth_range: out of range") (fun () ->
+  Alcotest.check_raises "ordered nth_eq out of range" out_of_range (fun () ->
+      ignore (Index.nth_eq o 1 2));
+  Alcotest.check_raises "ordered nth_range out of range" out_of_range (fun () ->
       ignore (Index.nth_range o ~lo:1 ~hi:2 3))
 
 let test_index_facade_range () =
   let t = small_table [ (10, 0); (20, 0); (30, 0); (40, 0) ] in
-  let o = Index.build_ordered t ~column:0 in
+  let o = Index.build_trie t ~columns:[ 0 ] in
   Alcotest.(check int) "range count" 2 (Index.count_range o ~lo:15 ~hi:35);
   let rows = ref [] in
   Index.iter_range o ~lo:15 ~hi:35 (fun r -> rows := r :: !rows);
   Alcotest.(check (list int)) "iter rows" [ 2; 1 ] !rows;
-  Alcotest.(check bool) "probe cost positive" true (Index.probe_cost o >= 1)
+  Alcotest.(check bool) "count cost positive" true (Index.count_cost o >= 1)
 
 let () =
   Alcotest.run "wj_index"
@@ -380,19 +347,19 @@ let () =
           Alcotest.test_case "model edge cases" `Quick test_hash_model_edges;
           QCheck_alcotest.to_alcotest hash_vs_model;
         ] );
-      ( "btree",
+      ( "ordered",
         [
-          Alcotest.test_case "empty" `Quick test_btree_empty;
-          Alcotest.test_case "sequential" `Quick test_btree_sequential;
-          Alcotest.test_case "reverse + duplicates" `Quick test_btree_reverse_and_duplicates;
-          Alcotest.test_case "nth_in_range" `Quick test_btree_nth_in_range;
-          Alcotest.test_case "iter_range" `Quick test_btree_iter_range;
-          Alcotest.test_case "sample uniform" `Slow test_btree_sample_uniform;
-          Alcotest.test_case "of_table" `Quick test_btree_of_table;
-          Alcotest.test_case "min_degree validation" `Quick test_btree_min_degree_validation;
-          Alcotest.test_case "extreme keys" `Quick test_btree_extreme_keys;
-          QCheck_alcotest.to_alcotest btree_vs_model;
-          QCheck_alcotest.to_alcotest btree_rank_select_inverse;
+          Alcotest.test_case "empty" `Quick test_ordered_empty;
+          Alcotest.test_case "sequential" `Quick test_ordered_sequential;
+          Alcotest.test_case "reverse + duplicates" `Quick test_ordered_reverse_and_duplicates;
+          Alcotest.test_case "nth_range" `Quick test_ordered_nth_range;
+          Alcotest.test_case "iter_range" `Quick test_ordered_iter_range;
+          Alcotest.test_case "sample uniform" `Slow test_ordered_sample_uniform;
+          Alcotest.test_case "of_table" `Quick test_ordered_of_table;
+          Alcotest.test_case "key columns validation" `Quick test_ordered_key_columns_validation;
+          Alcotest.test_case "extreme keys" `Quick test_ordered_extreme_keys;
+          QCheck_alcotest.to_alcotest ordered_vs_model;
+          QCheck_alcotest.to_alcotest ordered_rank_select_inverse;
         ] );
       ( "facade",
         [

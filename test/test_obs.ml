@@ -103,6 +103,29 @@ let test_metrics_kind_mismatch () =
     (Invalid_argument "Metrics: x is registered as another kind") (fun () ->
       ignore (Metrics.histogram m "x"))
 
+(* Retiring a scope: counters and histograms add one scope up, gauges go,
+   and no scoped name is left; other scopes are untouched. *)
+let test_metrics_fold_scope () =
+  let m = Metrics.create () in
+  let s3 = Metrics.scoped m "session3" and s4 = Metrics.scoped m "session4" in
+  Counter.add (Metrics.counter m "walker.walks") 5;
+  Counter.add (Metrics.counter s3 "walker.walks") 7;
+  Counter.add (Metrics.counter s4 "walker.walks") 11;
+  ignore (Metrics.counter s3 "walker.rejects");
+  Histogram.observe (Metrics.histogram s3 ~buckets:4 "depth") 2;
+  Gauge.set (Metrics.gauge s3 "progress.walks") 7.0;
+  Metrics.fold_scope m "session3";
+  let names = List.map fst (Metrics.families m) in
+  Alcotest.(check (list string)) "families"
+    [ "depth"; "session4.walker.walks"; "walker.rejects"; "walker.walks" ]
+    names;
+  let snap = Snapshot.of_metrics m in
+  Alcotest.(check int) "counter added" 12 (Snapshot.counter_value snap "walker.walks");
+  Alcotest.(check int) "zero counter kept" 0 (Snapshot.counter_value snap "walker.rejects");
+  Alcotest.(check int) "other scope untouched" 11
+    (Snapshot.counter_value snap "session4.walker.walks");
+  Alcotest.(check int) "histogram added" 1 (Histogram.count (Metrics.histogram m "depth") 2)
+
 (* ---- snapshot: render + JSON round-trip -------------------------------- *)
 
 let test_snapshot_roundtrip () =
@@ -503,6 +526,7 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "kind mismatch" `Quick test_metrics_kind_mismatch;
+          Alcotest.test_case "fold a scope" `Quick test_metrics_fold_scope;
         ] );
       ( "snapshot",
         [

@@ -425,6 +425,47 @@ let json_roundtrip_test =
   QCheck.Test.make ~name:"parse (to_string v) = v" ~count:1000 json_arb (fun v ->
       json_same (Json.parse (Json.to_string v)) v)
 
+(* Significant digits of a printed float: the mantissa's digits without
+   leading or trailing zeros. *)
+let significant_digits s =
+  let mantissa = match String.index_opt s 'e' with Some i -> String.sub s 0 i | None -> s in
+  let digits = String.concat "" (String.split_on_char '.' mantissa) in
+  let digits = String.concat "" (String.split_on_char '-' digits) in
+  let n = String.length digits in
+  let first = ref 0 and last = ref (n - 1) in
+  while !first < n && digits.[!first] = '0' do incr first done;
+  while !last >= !first && digits.[!last] = '0' do decr last done;
+  !last - !first + 1
+
+(* A finite float prints as the shortest %g form that parses back to it:
+   one significant digit fewer no longer round-trips.  Subnormals are
+   exempt: with under 15 digits of precision, a shorter form than the
+   15 digits printed can parse back to them. *)
+let json_float_shortest_test =
+  QCheck.Test.make ~name:"a float prints in its shortest round-trip form" ~count:1000
+    (QCheck.make ~print:string_of_float json_float_gen)
+    (fun f ->
+      let s = Json.to_string (Json.Float f) in
+      let d = significant_digits s in
+      Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float f)
+      && (d <= 1
+         || Float.abs f < Float.min_float
+         || float_of_string (Printf.sprintf "%.*g" (d - 1) f) <> f))
+
+let test_json_float_forms () =
+  List.iter
+    (fun (f, s) -> Alcotest.(check string) (Printf.sprintf "%h" f) s (Json.to_string (Json.Float f)))
+    [
+      (0.1, "0.1");
+      (1.0, "1.0");
+      (-0.0, "-0.0");
+      (1e300, "1e+300");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (1. /. 3., "0.3333333333333333");
+      (5e-324, "4.94065645841247e-324");
+      (6932.020187, "6932.020187");
+    ]
+
 (* A byte replaced, deleted, inserted or the document cut short: the
    result parses or raises [Parse_error], never anything else. *)
 let json_mutation_test =
@@ -501,6 +542,8 @@ let () =
       ( "json",
         [
           QCheck_alcotest.to_alcotest json_roundtrip_test;
+          QCheck_alcotest.to_alcotest json_float_shortest_test;
+          Alcotest.test_case "float forms" `Quick test_json_float_forms;
           QCheck_alcotest.to_alcotest json_mutation_test;
         ] );
     ]
