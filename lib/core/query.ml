@@ -123,6 +123,18 @@ let group_key t path =
 
 let predicates_on t pos = List.filter (fun p -> predicate_table p = pos) t.predicates
 
+let sargable_range = function
+  | Cmp { column; op; value = Value.Int v; _ } -> (
+    match op with
+    | Ceq -> Some (column, v, v)
+    | Cle -> Some (column, min_int, v)
+    | Clt -> Some (column, min_int, v - 1)
+    | Cge -> Some (column, v, max_int)
+    | Cgt -> Some (column, v + 1, max_int)
+    | Cne -> None)
+  | Between { column; lo = Value.Int lo; hi = Value.Int hi; _ } -> Some (column, lo, hi)
+  | Cmp _ | Between _ | Member _ -> None
+
 let compare_with op c =
   match op with
   | Ceq -> c = 0
@@ -338,14 +350,18 @@ let check_join t cond path =
   | Eq -> lv = rv
   | Band { lo; hi } -> rv - lv >= lo && rv - lv <= hi
 
-let join_key_lo cond ~from_left v =
-  match cond.op with Eq -> v | Band { lo; hi } -> if from_left then v + lo else v - hi
-
-let join_key_hi cond ~from_left v =
-  match cond.op with Eq -> v | Band { lo; hi } -> if from_left then v + hi else v - lo
-
 let join_key_range cond ~from_left v =
-  (join_key_lo cond ~from_left v, join_key_hi cond ~from_left v)
+  match cond.op with
+  | Eq -> (v, v)
+  | Band { lo; hi } -> if from_left then (v + lo, v + hi) else (v - hi, v - lo)
+
+(* The left side is bound to [v]: the right side's keys lie in
+   [v + lo, v + hi], written without the pair so a walk step allocates
+   nothing. *)
+let locate_join cond located v =
+  match cond.op with
+  | Eq -> Wj_index.Index.locate_eq located v
+  | Band { lo; hi } -> Wj_index.Index.locate_range located ~lo:(v + lo) ~hi:(v + hi)
 
 let flip cond =
   let op =

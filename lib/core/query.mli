@@ -81,6 +81,13 @@ val group_key : t -> int array -> Value.t
 val predicates_on : t -> int -> predicate list
 (** Selection predicates attached to a table position. *)
 
+val sargable_range : predicate -> (int * int * int) option
+(** [Some (column, lo, hi)] when the predicate is an integer comparison
+    or [BETWEEN] that an ordered index on [column] answers as the
+    inclusive key range [[lo, hi]] ([<>], [IN] and non-integer values
+    give [None]).  The Olken start and index-assisted ripple join sample
+    from that range. *)
+
 val check_predicate : t -> predicate -> int -> bool
 (** [check_predicate q p row]: does the row of the predicate's table
     satisfy it? *)
@@ -125,10 +132,15 @@ val join_key_range : join_cond -> from_left:bool -> int -> int * int
     tuples on the other side must fall in, given the bound side's value.
     [from_left] means the left side is bound and we look up the right. *)
 
-val join_key_lo : join_cond -> from_left:bool -> int -> int
-val join_key_hi : join_cond -> from_left:bool -> int -> int
-(** The two ends of {!join_key_range}, without the pair: a walk step reads
-    them and allocates nothing. *)
+val locate_join : join_cond -> Wj_index.Index.located -> int -> unit
+(** [locate_join cond l v]: locate into [l] the right side's rows that
+    join a left-side row whose key is [v] — the keys of
+    [join_key_range cond ~from_left:true v], by one equality locate for
+    [Eq] and one range locate for [Band].  A walk step orients its
+    condition parent-left, so this is every step's neighbour span: the
+    walker selects one row from it, the exact executor and index ripple
+    join scan it.  [l] must be a locator of the right side's index;
+    raises [Invalid_argument] for a [Band] on a hash index. *)
 
 val flip : join_cond -> join_cond
 (** Same condition with sides swapped (Band bounds negated and swapped). *)

@@ -139,16 +139,7 @@ let run ?(seed = 31) ?(confidence = 0.95) ?(allocation = Adaptive) ?(max_time = 
   in
   while not (stop ()) do
     let s = strata.(pick ()) in
-    (match Walker.walk s.prepared prng with
-    | Walker.Success { path; inv_p } ->
-      let v =
-        match q.Query.agg with
-        | Estimator.Count -> 1.0
-        | Estimator.Sum | Estimator.Avg | Estimator.Variance | Estimator.Stdev ->
-          Walker.value_of s.prepared path
-      in
-      Estimator.add s.est ~u:inv_p ~v
-    | Walker.Failure _ -> Estimator.add_failure s.est);
+    Engine.feed q s.prepared s.est (Walker.walk s.prepared prng);
     incr total
   done;
   let elapsed = Timer.elapsed clock in

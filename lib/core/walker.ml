@@ -1,6 +1,5 @@
 module Index = Wj_index.Index
 module Table = Wj_storage.Table
-module Value = Wj_storage.Value
 module Prng = Wj_util.Prng
 module Counter = Wj_obs.Counter
 module Histogram = Wj_obs.Histogram
@@ -45,7 +44,7 @@ type outcome =
 
 type start_sampler =
   | Uniform of { table : Table.t }
-  | Olken of { index : Index.t; lo : int; hi : int }
+  | Olken of Index.located (* the predicate's range, located once *)
 
 (* The result of one phase of a walk (its start, or one plan step). *)
 type phase =
@@ -66,18 +65,16 @@ type path_check = {
   pc_counter : Counter.t option; (* walker.rejects.nontree.<label> *)
 }
 
-(* Compiled constraint pre-intersection: the step's trie narrowed level by
-   level — level 0 by the tree-edge key, level l+1 by folded edge l.  Keys
-   of the already-bound other sides are flat column reads. *)
-type compiled_isec = {
-  ci_trie : Wj_index.Trie.t;
-  ci_other : int array; (* per fold: bound position supplying the key *)
-  ci_key : (int -> int) array; (* per fold: other row -> join key *)
-  ci_lo : int array; (* per fold: key-range delta (Eq: 0) *)
-  ci_hi : int array;
-  ci_labels : string array;
-  ci_counters : Counter.t option array;
-  ci_cost : int; (* abstract probe cost of the whole narrow chain *)
+(* A folded non-tree edge, compiled: the step narrows its located span
+   at the next trie level by the key of the edge's already-bound other
+   side (a flat column read) shifted by the edge's range. *)
+type compiled_fold = {
+  f_other : int; (* bound position supplying the key *)
+  f_key : int -> int; (* other row -> join key *)
+  f_lo : int; (* key-range delta (Eq: 0) *)
+  f_hi : int;
+  f_label : string;
+  f_counter : Counter.t option;
 }
 
 (* Per-step compiled form: everything a step touches resolved to typed
@@ -88,8 +85,11 @@ type compiled_step = {
   key_of_parent : int -> int; (* parent row -> join key (flat column read) *)
   row_checks : (int -> bool) array; (* predicates on the step's table *)
   path_checks : path_check array; (* non-tree joins due after this step *)
-  isect : compiled_isec option;
-  located : Index.located; (* the step's locate buffer, reused every walk *)
+  folds : compiled_fold array; (* trie level l + 1 narrows by folds.(l) *)
+  located : Index.located;
+      (* the locate buffer of the step's index ([isect.itrie] when it folds
+         edges), reused every walk *)
+  cost : int; (* that index's [count_cost] *)
 }
 
 type prepared = {
@@ -97,6 +97,7 @@ type prepared = {
   plan : Walk_plan.t;
   start : start_sampler;
   start_count : int;
+  start_cost : int; (* a start's charge: the tuple fetch, plus the locate for Olken *)
   start_pred : Query.predicate option; (* the Olken-sampled predicate, if any *)
   start_preds : Query.predicate list; (* checked after sampling the start *)
   start_checks : (int -> bool) array; (* compiled [start_preds] *)
@@ -112,21 +113,6 @@ type prepared = {
   factor : factor; (* HT factor of the most recent [Advanced] phase *)
 }
 
-(* Integer range implied by a sargable predicate, if any. *)
-let sargable_range (p : Query.predicate) =
-  match p with
-  | Query.Cmp { column; op; value = Value.Int v; _ } -> (
-    match op with
-    | Query.Ceq -> Some (column, v, v)
-    | Query.Cle -> Some (column, min_int, v)
-    | Query.Clt -> Some (column, min_int, v - 1)
-    | Query.Cge -> Some (column, v, max_int)
-    | Query.Cgt -> Some (column, v + 1, max_int)
-    | Query.Cne -> None)
-  | Query.Between { column; lo = Value.Int lo; hi = Value.Int hi; _ } ->
-    Some (column, lo, hi)
-  | Query.Cmp _ | Query.Between _ | Query.Member _ -> None
-
 (* Choose the most selective Olken-sampleable predicate on the start table;
    the remaining predicates stay as post-sampling checks.  When two
    candidates have the same qualifying range count, the tie breaks
@@ -139,26 +125,32 @@ let choose_start q registry pos =
   let candidates =
     List.filter_map
       (fun p ->
-        match sargable_range p with
+        match Query.sargable_range p with
         | None -> None
         | Some (column, lo, hi) -> (
           match Registry.find registry ~pos ~column with
           | Some index when Index.supports_range index ->
-            Some (p, index, lo, hi, Index.count_range index ~lo ~hi)
+            let located = Index.locator index in
+            Index.locate_range located ~lo ~hi;
+            Some (p, index, located)
           | Some _ | None -> None))
       preds
   in
   match candidates with
-  | [] -> (Uniform { table }, Table.length table, None, preds)
+  | [] -> (Uniform { table }, Table.length table, 1, None, preds)
   | first :: rest ->
+    let count (_, _, l) = Index.located_count l in
     let best =
       List.fold_left
-        (fun ((_, _, _, _, best_c) as acc) ((_, _, _, _, c) as cand) ->
-          if c < best_c then cand else acc)
+        (fun acc cand -> if count cand < count acc then cand else acc)
         first rest
     in
-    let p, index, lo, hi, count = best in
-    (Olken { index; lo; hi }, count, Some p, List.filter (fun p' -> p' != p) preds)
+    let p, index, located = best in
+    ( Olken located,
+      Index.located_count located,
+      1 + Index.count_cost index,
+      Some p,
+      List.filter (fun p' -> p' != p) preds )
 
 let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
     (plan : Walk_plan.t) =
@@ -205,61 +197,42 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
              cs))
       checks_at
   in
-  let start, start_count, start_pred, start_preds =
+  let start, start_count, start_cost, start_pred, start_preds =
     choose_start q registry plan.order.(0)
   in
-  let compile_isect (step : Walk_plan.step) =
-    match step.isect with
-    | None -> None
-    | Some { itrie; folds } ->
-      let tr =
-        match Wj_index.Index.as_trie itrie with
-        | Some tr -> tr
-        | None -> invalid_arg "Walker.prepare: intersect index is not a trie"
-      in
-      let folds = Array.of_list folds in
-      let labels = Array.map (fun (f : Walk_plan.fold) -> edge_label f.edge) folds in
-      Some
-        {
-          ci_trie = tr;
-          ci_other =
-            Array.map (fun (f : Walk_plan.fold) -> fst f.oriented.Query.left) folds;
-          ci_key =
-            Array.map
-              (fun (f : Walk_plan.fold) ->
-                Query.int_key_reader q ~pos:(fst f.oriented.Query.left)
-                  ~col:(snd f.oriented.Query.left))
-              folds;
-          ci_lo =
-            Array.map
-              (fun (f : Walk_plan.fold) ->
-                match f.oriented.Query.op with
-                | Query.Eq -> 0
-                | Query.Band { lo; _ } -> lo)
-              folds;
-          ci_hi =
-            Array.map
-              (fun (f : Walk_plan.fold) ->
-                match f.oriented.Query.op with
-                | Query.Eq -> 0
-                | Query.Band { hi; _ } -> hi)
-              folds;
-          ci_labels = labels;
-          ci_counters = Array.map edge_counter labels;
-          ci_cost = Wj_index.Index.count_cost itrie;
-        }
+  let compile_fold (f : Walk_plan.fold) =
+    let (other, col), label = (f.oriented.Query.left, edge_label f.edge) in
+    let f_lo, f_hi =
+      match f.oriented.Query.op with
+      | Query.Eq -> (0, 0)
+      | Query.Band { lo; hi } -> (lo, hi)
+    in
+    {
+      f_other = other;
+      f_key = Query.int_key_reader q ~pos:other ~col;
+      f_lo;
+      f_hi;
+      f_label = label;
+      f_counter = edge_counter label;
+    }
   in
   let steps =
     Array.mapi
       (fun i (step : Walk_plan.step) ->
         let _, lcol = step.cond.Query.left in
+        let index, folds =
+          match step.isect with
+          | None -> (step.index, [||])
+          | Some { itrie; folds } -> (itrie, Array.of_list (List.map compile_fold folds))
+        in
         {
           step;
           key_of_parent = Query.int_key_reader q ~pos:step.parent ~col:lcol;
           row_checks = Query.compile_predicates q step.into;
           path_checks = compiled_checks_at.(i + 1);
-          isect = compile_isect step;
-          located = Index.locator step.index;
+          folds;
+          located = Index.locator index;
+          cost = Index.count_cost index;
         })
       plan.steps
   in
@@ -268,6 +241,7 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
     plan;
     start;
     start_count;
+    start_cost;
     start_pred;
     start_preds;
     start_checks = Array.of_list (List.map (Query.compile_predicate q) start_preds);
@@ -333,9 +307,9 @@ let sample_start t prng =
   | Uniform { table } ->
     let n = Table.length table in
     if n = 0 then -1 else Prng.int prng n
-  | Olken { index; lo; hi } ->
+  | Olken located ->
     if t.start_count = 0 then -1
-    else Index.nth_range index ~lo ~hi (Prng.int prng t.start_count)
+    else Index.located_nth located (Prng.int prng t.start_count)
 
 (* Short-circuiting conjunction over compiled checks (the array preserves
    the predicate-list order the boxed path evaluated in).  Loops, not
@@ -385,10 +359,7 @@ let advance_start t prng path =
     let row = sample_start t prng in
     if row < 0 then reject_empty t
     else begin
-      t.phase_cost <-
-        (match t.start with
-        | Uniform _ -> 1
-        | Olken { index; _ } -> 1 + Index.count_cost index);
+      t.phase_cost <- t.start_cost;
       let start_pos = t.plan.order.(0) in
       note_row_access t start_pos row;
       path.(start_pos) <- row;
@@ -418,9 +389,8 @@ let advance_start t prng path =
     Histogram.add s.i_phase_cost 0 t.phase_cost);
   result
 
-(* Bind and vet a sampled candidate row (shared by the plain and the
-   pre-intersected step paths).  [d] is the size of the set the row was
-   drawn from — the step's HT factor. *)
+(* Bind and vet a sampled candidate row.  [d] is the size of the set the
+   row was drawn from — the step's HT factor. *)
 let bind_and_vet t c path ~row ~d =
   let step = c.step in
   note_row_access t step.Walk_plan.into row;
@@ -443,84 +413,53 @@ let bind_and_vet t c path ~row ~d =
     Dead_unbound
   end
 
+(* Narrow the located span by each folded edge, at trie level l + 1 for
+   fold l: the index of the first fold that empties it, or -1. *)
+let narrow_folds folds located path =
+  let n = Array.length folds in
+  let l = ref 0 and failed = ref (-1) in
+  while !failed < 0 && !l < n do
+    let f = folds.(!l) in
+    let ov = f.f_key path.(f.f_other) in
+    Index.narrow located ~level:(!l + 1) ~lo:(ov + f.f_lo) ~hi:(ov + f.f_hi);
+    if Index.located_count located = 0 then failed := !l else incr l
+  done;
+  !failed
+
 (* Probe the step's index from the already-bound parent row, sample one
-   neighbour uniformly, bind and vet it.  A plain step locates its
-   neighbour set once, reads d off the locate and selects the drawn row
-   out of it, so it is charged [count_cost + 1]. *)
+   neighbour uniformly, bind and vet it.  The one step path: locate the
+   parent key's neighbour span once, narrow it by every folded edge
+   (none on a plain step), read d off the span and select the drawn row
+   out of it, so a step is charged its index's [count_cost + 1].  An
+   empty span consumes no PRNG draw — the walk is dead either way, and
+   plans stay internally deterministic (variant plans draw differently
+   from the base plan, as any two distinct plans do). *)
 let advance_step t prng path i =
   let c = t.steps.(i) in
   let step = c.step in
   let v = c.key_of_parent path.(step.Walk_plan.parent) in
+  note_index_probe t step.into c.cost;
+  t.phase_cost <- c.cost;
+  let located = c.located in
+  Query.locate_join step.cond located v;
   let result =
-    match c.isect with
-    | None ->
-      let cond = step.cond in
-      let cost = Index.count_cost step.index in
-      note_index_probe t step.into cost;
-      t.phase_cost <- cost;
-      let located = c.located in
-      (match cond.op with
-      | Query.Eq -> Index.locate_eq located v
-      | Query.Band _ ->
-        Index.locate_range located
-          ~lo:(Query.join_key_lo cond ~from_left:true v)
-          ~hi:(Query.join_key_hi cond ~from_left:true v));
-      let d = Index.located_count located in
-      if d = 0 then reject_empty t
+    if Index.located_count located = 0 then reject_empty t
+    else begin
+      let failed = narrow_folds c.folds located path in
+      if failed >= 0 then begin
+        (* The folded edge has no satisfying neighbour: a non-tree reject
+           caught before sampling, charged to that edge. *)
+        let f = c.folds.(failed) in
+        note_nontree_reject t ~pos:step.into ~label:f.f_label ~counter:f.f_counter;
+        Dead_unbound
+      end
       else begin
+        let d = Index.located_count located in
         let row = Index.located_nth located (Prng.int prng d) in
-        t.phase_cost <- cost + 1;
+        t.phase_cost <- c.cost + 1;
         bind_and_vet t c path ~row ~d
       end
-    | Some ci ->
-      (* Constraint pre-intersection: narrow the trie by the tree key,
-         then by each folded non-tree edge's key, and sample uniformly
-         from the surviving slot range.  An empty range consumes no PRNG
-         draw — the walk is dead either way, and plans stay internally
-         deterministic (variant plans draw differently from the base
-         plan, as any two distinct plans do). *)
-      note_index_probe t step.into ci.ci_cost;
-      t.phase_cost <- ci.ci_cost;
-      let tr = ci.ci_trie in
-      let n = Wj_index.Trie.length tr in
-      let lo = Wj_index.Trie.narrow_start tr ~level:0 ~lo:0 ~hi:n v in
-      let hi = Wj_index.Trie.upper_bound tr ~level:0 ~lo ~hi:n v in
-      if lo >= hi then reject_empty t
-      else begin
-        let nfolds = Array.length ci.ci_key in
-        let slo = ref lo and shi = ref hi in
-        let failed = ref (-1) in
-        let l = ref 0 in
-        while !failed < 0 && !l < nfolds do
-          let ov = ci.ci_key.(!l) path.(ci.ci_other.(!l)) in
-          let level = !l + 1 in
-          let nlo =
-            Wj_index.Trie.narrow_start tr ~level ~lo:!slo ~hi:!shi (ov + ci.ci_lo.(!l))
-          in
-          let nhi =
-            Wj_index.Trie.upper_bound tr ~level ~lo:nlo ~hi:!shi (ov + ci.ci_hi.(!l))
-          in
-          if nlo >= nhi then failed := !l
-          else begin
-            slo := nlo;
-            shi := nhi;
-            incr l
-          end
-        done;
-        if !failed >= 0 then begin
-          (* The folded edge has no satisfying neighbour: a non-tree
-             reject caught before sampling, charged to that edge. *)
-          note_nontree_reject t ~pos:step.into ~label:ci.ci_labels.(!failed)
-            ~counter:ci.ci_counters.(!failed);
-          Dead_unbound
-        end
-        else begin
-          let d = !shi - !slo in
-          let row = Wj_index.Trie.row tr (!slo + Prng.int prng d) in
-          t.phase_cost <- t.phase_cost + 1;
-          bind_and_vet t c path ~row ~d
-        end
-      end
+    end
   in
   (match t.stats with
   | None -> ()

@@ -60,24 +60,27 @@ val walk : prepared -> Wj_util.Prng.t -> outcome
     and a [Walk_succeeded]/[Walk_failed] event.  Every call returns a
     fresh [path].
 
-    A plain step locates the bound parent row's neighbour set in the
-    step's index once ({!Wj_index.Index.locate_eq}/[locate_range]), draws
-    one of its d rows uniformly, selects it out of the locate, binds and
-    vets it.  It costs the index's [count_cost] plus one tuple fetch, and
-    multiplies the walk's inverse probability by d.  A step allocates
-    nothing: it locates into a buffer the step owns, boxes no float and
-    runs its checks in loops, so a walk's minor allocation is its [path]
-    and its outcome.
+    Every step takes one path.  It locates the bound parent row's
+    neighbour span in the step's index once ({!Query.locate_join}); when
+    the step carries a pre-intersection spec ({!Walk_plan.step.isect})
+    that index is the spec's trie and the span is narrowed by every
+    folded non-tree edge ({!Wj_index.Index.narrow}).  The step then draws
+    one of the span's d rows uniformly, selects it out of the span,
+    binds and vets it.  It costs the index's [count_cost] plus one tuple
+    fetch, and multiplies the walk's inverse probability by d, the
+    intersected count when edges are folded.  A step allocates nothing:
+    it locates into a buffer the step owns, boxes no float and runs its
+    checks in loops, so a walk's minor allocation is its [path] and its
+    outcome.
 
-    When the step carries a pre-intersection spec ({!Walk_plan.step.isect})
-    the neighbour set is first narrowed through the step's trie by every
-    folded non-tree edge; the sample is uniform over the intersected set
-    and its count is the HT factor.  An empty intersection is a non-tree
-    reject caught before sampling: it consumes no PRNG draw, does not
-    count the step's table in the failure depth, and is attributed to the
-    folded edge in the per-edge reject counters
-    (["walker.rejects.nontree.<edge>"]) and [Nontree_reject] events, as
-    are post-bind non-tree check failures. *)
+    An empty span consumes no PRNG draw.  An empty fold is a non-tree
+    reject caught before sampling: it does not count the step's table in
+    the failure depth, and is attributed to the folded edge in the
+    per-edge reject counters (["walker.rejects.nontree.<edge>"]) and
+    [Nontree_reject] events, as are post-bind non-tree check failures.
+
+    An Olken start selects its row out of the predicate's range, located
+    once by {!prepare}: a start probes no index. *)
 
 val steps_of_last_walk : prepared -> int
 (** Abstract cost (index-entry accesses + tuple fetches) of the most recent

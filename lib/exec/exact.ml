@@ -81,26 +81,30 @@ let enumerate q plan emit =
           ~col:(snd step.Walk_plan.cond.Query.left))
       plan.Walk_plan.steps
   in
+  let locators =
+    Array.map
+      (fun (step : Walk_plan.step) -> Index.locator step.Walk_plan.index)
+      plan.Walk_plan.steps
+  in
   let rec descend i =
     if i > nsteps then ()
     else if i = nsteps then emit path
     else begin
       let step = plan.Walk_plan.steps.(i) in
-      let cond = step.Walk_plan.cond in
       let v = key_readers.(i) path.(step.Walk_plan.parent) in
-      let visit row =
+      let located = locators.(i) in
+      Query.locate_join step.Walk_plan.cond located v;
+      (* Deeper steps locate into their own buffers, so this span holds
+         for the whole scan. *)
+      for k = 0 to Index.located_count located - 1 do
+        let row = Index.located_nth located k in
         incr rows_visited;
         path.(step.Walk_plan.into) <- row;
         if
           all_checks row_checks.(step.Walk_plan.into) row
           && all_checks compiled_checks_at.(i + 1) path
         then descend (i + 1)
-      in
-      match cond.Query.op with
-      | Query.Eq -> Index.iter_eq step.Walk_plan.index v visit
-      | Query.Band _ ->
-        let lo, hi = Query.join_key_range cond ~from_left:true v in
-        Index.iter_range step.Walk_plan.index ~lo ~hi visit
+      done
     end
   in
   let start_pos = plan.Walk_plan.order.(0) in

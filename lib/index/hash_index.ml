@@ -122,13 +122,6 @@ let nth t key k =
   if k < 0 || lo + k >= t.offsets.(g + 1) then invalid_arg "Hash_index.nth: out of range";
   t.rows.(lo + k)
 
-let iter_key t key f =
-  let g = group t key in
-  if g >= 0 then
-    for i = t.offsets.(g) to t.offsets.(g + 1) - 1 do
-      f t.rows.(i)
-    done
-
 let probes t = t.probes
 let distinct_keys t = Array.length t.offsets - 1
 let total_entries t = Array.length t.rows

@@ -36,9 +36,6 @@ val nth : t -> int -> int -> int
     matching [key]; raises [Invalid_argument] on an absent key or when
     [k] is out of range. *)
 
-val iter_key : t -> int -> (int -> unit) -> unit
-(** The rows matching a key, in row order. *)
-
 (** {2 Groups}
 
     The span interface {!Index.locate_eq} reads: one counted lookup finds
@@ -58,7 +55,7 @@ val rows : t -> int array
 (** {2 Accounting} *)
 
 val probes : t -> int
-(** Number of query lookups ([count]/[nth]/[iter_key]/[group]) served
+(** Number of query lookups ([count]/[nth]/[group]) served
     since the build.  An always-on plain-int counter (one store per
     lookup); approximate under multicore races. *)
 

@@ -34,16 +34,6 @@ let nth_range t ~lo ~hi k =
   | Hash _ -> invalid_arg "Index.nth_range: hash index cannot answer ranges"
   | Trie tr -> Trie.nth_range tr ~lo ~hi k
 
-let iter_eq t key f =
-  match t.kind with
-  | Hash h -> Hash_index.iter_key h key f
-  | Trie tr -> Trie.iter_eq tr key f
-
-let iter_range t ~lo ~hi f =
-  match t.kind with
-  | Hash _ -> invalid_arg "Index.iter_range: hash index cannot answer ranges"
-  | Trie tr -> Trie.iter_range tr ~lo ~hi f
-
 let supports_range t = match t.kind with Hash _ -> false | Trie _ -> true
 
 (* ---- Located probes: locate once, then select -------------------------- *)
@@ -61,14 +51,25 @@ let locator t =
   let span = match t.kind with Hash h -> Hash_index.rows h | Trie tr -> Trie.rows tr in
   { src = t.kind; span; lo = 0; count = 0 }
 
+(* Restrict the span to the rows whose level-[level] key lies in [lo, hi]:
+   the first slot with key >= lo (the one counted probe), then the end of
+   the run of keys <= hi from there. *)
+let narrow l ~level ~lo ~hi =
+  match l.src with
+  | Trie tr ->
+    let top = l.lo + l.count in
+    let slo = Trie.narrow_start tr ~level ~lo:l.lo ~hi:top lo in
+    l.lo <- slo;
+    l.count <- Trie.upper_bound tr ~level ~lo:slo ~hi:top hi - slo
+  | Hash _ -> invalid_arg "Index.narrow: a hash span has no key levels"
+
 (* One level-0 narrow from the trie's root. *)
 let locate_range l ~lo ~hi =
   match l.src with
   | Trie tr ->
-    let n = Trie.length tr in
-    let slo = Trie.narrow_start tr ~level:0 ~lo:0 ~hi:n lo in
-    l.lo <- slo;
-    l.count <- Trie.upper_bound tr ~level:0 ~lo:slo ~hi:n hi - slo
+    l.lo <- 0;
+    l.count <- Trie.length tr;
+    narrow l ~level:0 ~lo ~hi
   | Hash _ -> invalid_arg "Index.locate_range: hash index cannot answer ranges"
 
 let locate_eq l key =

@@ -2,8 +2,9 @@
 
     Every consumer — walker, exact executor, optimizer, registry — speaks
     one capability surface: [count] ("how many neighbours does this tuple
-    have?"), [nth] ("give me the k-th neighbour"), [locate] (both at
-    once, for the walker's step) and [iter].  Equality edges are served
+    have?"), [nth] ("give me the k-th neighbour") and [locate] (a span
+    answering both at once, which a caller then narrows, selects one row
+    from, or scans).  Equality edges are served
     by either kind; band/range edges, Olken starts on a range predicate
     and stratified GROUP BY need the ordered one, a trie (a one-column
     trie is a sorted (key, row) array).  Leapfrog walks distinct keys with
@@ -21,12 +22,11 @@ val build_hash : Wj_storage.Table.t -> column:int -> t
 
 val build_trie : Wj_storage.Table.t -> columns:int list -> t
 (** Multi-column sorted trie; lookups below address the first column,
-    deeper levels serve {!Trie.narrow_start} pre-intersection and leapfrog.
+    deeper levels serve {!narrow} pre-intersection and leapfrog.
     Raises [Invalid_argument] on an empty column list. *)
 
 val as_trie : t -> Trie.t option
-(** The underlying trie, for multi-level operations the single-column
-    surface cannot express. *)
+(** The underlying trie, for its distinct-key cursors. *)
 
 val count_eq : t -> int -> int
 (** Number of rows whose indexed column equals the key. *)
@@ -42,24 +42,22 @@ val nth_range : t -> lo:int -> hi:int -> int -> int
 (** Row id of the k-th row in the inclusive range.
     Raises [Invalid_argument] on a hash index or when out of range. *)
 
-val iter_eq : t -> int -> (int -> unit) -> unit
-(** Iterate the row ids matching a key (exact executor's index join). *)
-
-val iter_range : t -> lo:int -> hi:int -> (int -> unit) -> unit
-(** Iterate row ids in an inclusive key range.
-    Raises [Invalid_argument] on a hash index. *)
-
 val supports_range : t -> bool
 
 (** {2 Located probes}
 
-    A walk step locates the rows that answer its probe once, reads the
-    neighbour count off the locate, and selects the drawn row out of it.
-    Hash groups and trie level-0 slot ranges are one shape, a span: a
-    slice of the index's own row array, so a select is one array read.
+    Every read of an index's rows goes one way: locate the key's rows
+    once, {!narrow} the span by deeper trie levels if the caller folds
+    more keys, then select one row ({!located_nth} at a drawn rank) or
+    scan them all ({!located_nth} at every rank below {!located_count},
+    in slot order).  Hash groups and trie slot ranges are one shape, a
+    span: a slice of the index's own row array, so a select is one array
+    read.
 
     The locate writes into a caller-owned {!located} made once per index
-    with {!locator}, so a walk step allocates nothing.
+    with {!locator}, so a walk step allocates nothing.  A span located
+    once and never overwritten (an Olken start's fixed range) serves any
+    number of selects with no further probe.
     [located_nth l k] returns the same row id as [nth_eq]/[nth_range]
     with the same key and [k]. *)
 
@@ -77,6 +75,15 @@ val locate_eq : located -> int -> unit
 
 val locate_range : located -> lo:int -> hi:int -> unit
 (** Range variant.  Raises [Invalid_argument] on a hash index. *)
+
+val narrow : located -> level:int -> lo:int -> hi:int -> unit
+(** [narrow l ~level ~lo ~hi] keeps the located rows whose level-[level]
+    key lies in [[lo, hi]]: one binary search, counted as one probe, and
+    the end of the run found from there.  The span must be a trie node
+    at [level] (its level keys sorted): a level-0 locate of one key,
+    narrowed by one key at each level in between.  A key range is
+    therefore only valid at the last level narrowed.  Raises
+    [Invalid_argument] on a hash span, which has no levels. *)
 
 val located_count : located -> int
 (** The neighbour count [d]; 0 for an absent key.  Free — the locate

@@ -132,12 +132,3 @@ let nth_range t ~lo:klo ~hi:khi i =
   t.rows.(lo + i)
 
 let nth_eq t k i = nth_range t ~lo:k ~hi:k i
-
-let iter_range t ~lo:klo ~hi:khi f =
-  let n = length t in
-  let lo = narrow_start t ~level:0 ~lo:0 ~hi:n klo in
-  for s = lo to upper_bound t ~level:0 ~lo ~hi:n khi - 1 do
-    f t.rows.(s)
-  done
-
-let iter_eq t k f = iter_range t ~lo:k ~hi:k f

@@ -12,8 +12,9 @@
     Two access styles share the structure:
 
     - {!narrow_start} refines a node by a key range at the next level — the
-      walker's constraint pre-intersection stacks one narrow per folded
-      non-tree edge and samples uniformly from the surviving slot range;
+      narrow behind {!Index.narrow}, which the walker's constraint
+      pre-intersection stacks once per folded non-tree edge before it
+      samples uniformly from the surviving slot range;
     - {!cursor} iterates the distinct keys of a node in sorted order with
       [seek]/[next] — the leapfrog intersection primitive of the
       worst-case-optimal exact executor. *)
@@ -91,8 +92,6 @@ val count_eq : t -> int -> int
 val nth_eq : t -> int -> int -> int
 val count_range : t -> lo:int -> hi:int -> int
 val nth_range : t -> lo:int -> hi:int -> int -> int
-val iter_eq : t -> int -> (int -> unit) -> unit
-val iter_range : t -> lo:int -> hi:int -> (int -> unit) -> unit
 
 val probes : t -> int
 (** Lifetime narrow/seek count (one per binary-search operation). *)

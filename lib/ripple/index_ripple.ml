@@ -17,8 +17,9 @@ type report = Wj_obs.Progress.t = {
 }
 
 (* Sum of the aggregate expression over all completions of [row] bound at
-   the plan's start position; also counts them. *)
-let complete q (plan : Walk_plan.t) row =
+   the plan's start position; also counts them.  [locators] holds one
+   locate buffer per plan step. *)
+let complete q (plan : Walk_plan.t) locators row =
   let kq = Query.k q in
   let rank = Array.make kq 0 in
   Array.iteri (fun i pos -> rank.(pos) <- i) plan.order;
@@ -46,18 +47,16 @@ let complete q (plan : Walk_plan.t) row =
         Table.int_cell q.Query.tables.(step.Walk_plan.parent) path.(step.Walk_plan.parent)
           (snd cond.Query.left)
       in
-      let visit r =
+      let located = locators.(i) in
+      Query.locate_join cond located v;
+      for k = 0 to Index.located_count located - 1 do
+        let r = Index.located_nth located k in
         path.(step.Walk_plan.into) <- r;
         if
           Query.row_passes q step.Walk_plan.into r
           && List.for_all (fun c -> Query.check_join q c path) checks_at.(i + 1)
         then descend (i + 1)
-      in
-      match cond.Query.op with
-      | Query.Eq -> Index.iter_eq step.Walk_plan.index v visit
-      | Query.Band _ ->
-        let lo, hi = Query.join_key_range cond ~from_left:true v in
-        Index.iter_range step.Walk_plan.index ~lo ~hi visit
+      done
     end
   in
   let start = plan.order.(0) in
@@ -91,12 +90,13 @@ let run ?(seed = 7) ?(confidence = 0.95) ?target ?(max_time = 10.0)
   let start_pos = plan.order.(0) in
   let table = q.Query.tables.(start_pos) in
   let n = Table.length table in
+  let locators = Array.map (fun (s : Walk_plan.step) -> Index.locator s.index) plan.steps in
   let est = Estimator.create q.Query.agg in
   let completions = ref 0 in
   (* One driver step = one sampled start tuple, fully completed. *)
   let step () =
     let row = Prng.int prng n in
-    let sum, count = complete q plan row in
+    let sum, count = complete q plan locators row in
     completions := !completions + count;
     if count = 0 then Estimator.add_failure est
     else

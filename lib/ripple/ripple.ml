@@ -1,6 +1,5 @@
 module Query = Wj_core.Query
 module Table = Wj_storage.Table
-module Value = Wj_storage.Value
 module Index = Wj_index.Index
 module Estimator = Wj_stats.Estimator
 module Target = Wj_stats.Target
@@ -28,7 +27,7 @@ type outcome = {
 (* How a table's random tuples are produced. *)
 type source =
   | Shuffled of { perm : int array; mutable cursor : int }
-  | Sampled of { index : Index.t; lo : int; hi : int; count : int }
+  | Sampled of Index.located (* the predicate's range, located once *)
 
 type pool = {
   pos : int;
@@ -87,35 +86,20 @@ let make_pool q registry mode prng pos =
     | Index_assisted ->
       List.find_map
         (fun p ->
-          match p with
-          | Query.Cmp { column; op; value = Value.Int v; _ } -> (
-            let range =
-              match op with
-              | Query.Ceq -> Some (v, v)
-              | Query.Cle -> Some (min_int, v)
-              | Query.Clt -> Some (min_int, v - 1)
-              | Query.Cge -> Some (v, max_int)
-              | Query.Cgt -> Some (v + 1, max_int)
-              | Query.Cne -> None
-            in
-            match range with
-            | None -> None
-            | Some (lo, hi) -> (
-              match Wj_core.Registry.find registry ~pos ~column with
-              | Some index when Index.supports_range index -> Some (index, lo, hi)
-              | Some _ | None -> None))
-          | Query.Between { column; lo = Value.Int lo; hi = Value.Int hi; _ } -> (
+          match Query.sargable_range p with
+          | None -> None
+          | Some (column, lo, hi) -> (
             match Wj_core.Registry.find registry ~pos ~column with
-            | Some index when Index.supports_range index -> Some (index, lo, hi)
-            | Some _ | None -> None)
-          | Query.Cmp _ | Query.Between _ | Query.Member _ -> None)
+            | Some index when Index.supports_range index ->
+              let located = Index.locator index in
+              Index.locate_range located ~lo ~hi;
+              Some located
+            | Some _ | None -> None))
         (Query.predicates_on q pos)
   in
   let source, population =
     match sargable with
-    | Some (index, lo, hi) ->
-      let count = Index.count_range index ~lo ~hi in
-      (Sampled { index; lo; hi; count }, float_of_int count)
+    | Some located -> (Sampled located, float_of_int (Index.located_count located))
     | None ->
       let perm = Array.init n Fun.id in
       Prng.shuffle prng perm;
@@ -167,11 +151,12 @@ let next_tuple prng pool =
       pool.attempts <- pool.attempts + 1;
       Some row
     end
-  | Sampled s ->
-    if s.count = 0 then None
+  | Sampled located ->
+    let count = Index.located_count located in
+    if count = 0 then None
     else begin
       pool.attempts <- pool.attempts + 1;
-      Some (Index.nth_range s.index ~lo:s.lo ~hi:s.hi (Prng.int prng s.count))
+      Some (Index.located_nth located (Prng.int prng count))
     end
 
 let check_agg q =

@@ -10,8 +10,10 @@
       O(1) per tuple, but selection predicates force retrieving
       non-qualifying tuples too (they count toward n_i and never join);
     - [Index_assisted] (IRJ): tables with a sargable predicate sample
-      qualifying tuples directly through an ordered index (O(log N) per
-      tuple, with replacement), and N_i becomes the qualifying count.
+      qualifying tuples directly out of the predicate's range in an
+      ordered index, located once when the run starts (O(log N) once,
+      then one array read per tuple, with replacement), and N_i becomes
+      the qualifying count.
 
     Confidence intervals use the first-order large-sample decomposition of
     the estimator variance, Var(Ỹ) ≈ Σ_i N_i² σ̂_i² / n_i, where σ̂_i² is

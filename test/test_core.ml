@@ -452,6 +452,30 @@ let test_walker_olken_start () =
     | Walker.Failure _ -> ()
   done
 
+(* The Olken start's range is located once, at prepare: a walk selects
+   its start row out of that span and probes the start index no more. *)
+let test_walker_olken_start_located_once () =
+  let q =
+    chain_query
+      ~predicates:[ Query.Cmp { table = 0; column = 1; op = Query.Cge; value = Value.Int 20 } ]
+      ()
+  in
+  let reg = Registry.build_for_query q in
+  let plan = Option.get (Walk_plan.of_order q reg [| 0; 1; 2 |]) in
+  let prepared = Walker.prepare q reg plan in
+  Alcotest.(check bool) "olken start" true (Walker.uses_olken_start prepared);
+  let index = Option.get (Registry.find reg ~pos:0 ~column:1) in
+  let before = Index.probes index in
+  let prng = Prng.create 11 in
+  let successes = ref 0 in
+  for _ = 1 to 500 do
+    match Walker.walk prepared prng with
+    | Walker.Success _ -> incr successes
+    | Walker.Failure _ -> ()
+  done;
+  Alcotest.(check bool) "walks succeed" true (!successes > 0);
+  Alcotest.(check int) "no start probes" 0 (Index.probes index - before)
+
 let test_walker_dead_end_fails () =
   (* r2 row (99, 999) joins nothing in r3: walks through it must fail. *)
   let q = chain_query () in
@@ -1102,6 +1126,8 @@ let () =
           Alcotest.test_case "estimates SUM" `Slow test_walker_estimates_sum;
           Alcotest.test_case "all plans unbiased" `Slow test_walker_all_plans_unbiased;
           Alcotest.test_case "olken start" `Quick test_walker_olken_start;
+          Alcotest.test_case "olken start located once" `Quick
+            test_walker_olken_start_located_once;
           Alcotest.test_case "dead ends fail" `Quick test_walker_dead_end_fails;
           Alcotest.test_case "band join" `Slow test_walker_band_join;
           Alcotest.test_case "eager vs lazy checks" `Slow test_walker_eager_vs_lazy_checks;

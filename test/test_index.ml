@@ -45,6 +45,9 @@ let located_range idx ~lo ~hi =
   Index.locate_range l ~lo ~hi;
   l
 
+(* A scan: every located row, in slot order. *)
+let scan l = List.init (Index.located_count l) (Index.located_nth l)
+
 let test_hash_sample () =
   let t = small_table [ (1, 0); (1, 0); (2, 0) ] in
   let idx = Index.build_hash t ~column:0 in
@@ -57,10 +60,9 @@ let test_hash_sample () =
 
 let test_hash_iter () =
   let t = small_table [ (5, 0); (5, 0); (6, 0) ] in
-  let h = Hash_index.build t ~column:0 in
-  let seen = ref [] in
-  Hash_index.iter_key h 5 (fun r -> seen := r :: !seen);
-  Alcotest.(check (list int)) "rows" [ 1; 0 ] !seen
+  let h = Index.build_hash t ~column:0 in
+  Alcotest.(check (list int)) "rows" [ 0; 1 ] (scan (located_eq h 5));
+  Alcotest.(check (list int)) "absent" [] (scan (located_eq h 7))
 
 (* ---- Hash_index and located probes against a per-key model ----------- *)
 
@@ -118,9 +120,6 @@ let hash_matches_model (column, probes) =
       List.iteri (fun i r -> if Hash_index.nth h k i <> r then fail "nth %d %d" k i) rows;
       if not (raises (fun () -> Hash_index.nth h k d)) then fail "nth %d past the end" k;
       if not (raises (fun () -> Hash_index.nth h k (-1))) then fail "nth %d -1" k;
-      let seen = ref [] in
-      Hash_index.iter_key h k (fun r -> seen := r :: !seen);
-      if List.rev !seen <> rows then fail "iter_key %d" k;
       List.iter
         (fun (kind, idx) ->
           let l = Index.locator idx in
@@ -166,10 +165,7 @@ let ordered keys = Index.build_trie (small_table (List.map (fun k -> (k, 0)) key
 let out_of_range = Invalid_argument "Trie.nth_range: out of range"
 
 (* Every row in rank order: keys ascending, ties by row id. *)
-let dump o =
-  let rows = ref [] in
-  Index.iter_range o ~lo:min_int ~hi:max_int (fun r -> rows := r :: !rows);
-  List.rev !rows
+let dump o = scan (located_range o ~lo:min_int ~hi:max_int)
 
 let test_ordered_empty () =
   let o = ordered [] in
@@ -210,9 +206,7 @@ let test_ordered_nth_range () =
 let test_ordered_iter_range () =
   let keys = Array.init 200 (fun i -> i mod 50) in
   let o = ordered (Array.to_list keys) in
-  let collected = ref [] in
-  Index.iter_range o ~lo:10 ~hi:12 (fun r -> collected := r :: !collected);
-  let rows = List.rev !collected in
+  let rows = scan (located_range o ~lo:10 ~hi:12) in
   Alcotest.(check int) "count" 12 (List.length rows);
   List.iter
     (fun r -> Alcotest.(check bool) "key in range" true (keys.(r) >= 10 && keys.(r) <= 12))
@@ -331,10 +325,46 @@ let test_index_facade_range () =
   let t = small_table [ (10, 0); (20, 0); (30, 0); (40, 0) ] in
   let o = Index.build_trie t ~columns:[ 0 ] in
   Alcotest.(check int) "range count" 2 (Index.count_range o ~lo:15 ~hi:35);
-  let rows = ref [] in
-  Index.iter_range o ~lo:15 ~hi:35 (fun r -> rows := r :: !rows);
-  Alcotest.(check (list int)) "iter rows" [ 2; 1 ] !rows;
+  Alcotest.(check (list int)) "scanned rows" [ 1; 2 ] (scan (located_range o ~lo:15 ~hi:35));
   Alcotest.(check bool) "count cost positive" true (Index.count_cost o >= 1)
+
+(* ---- Narrowing a located span ----------------------------------------- *)
+
+(* A two-column trie over (a, b) rows, located at one [a] and narrowed at
+   level 1 to a [b] range, lists exactly the model's rows with that [a]
+   and [b] in range, in (b, row) order; each narrow is one probe. *)
+let narrow_vs_model =
+  QCheck.Test.make ~name:"narrow agrees with a sorted-list model" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (pair int int)) (list (triple int int int)))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 300) (pair (int_range 0 8) (int_range (-20) 20)))
+           (list_size (int_range 1 40)
+              (triple (int_range (-1) 9) (int_range (-25) 25) (int_range (-25) 25)))))
+    (fun (rows, probes) ->
+      let idx = Index.build_trie (small_table rows) ~columns:[ 0; 1 ] in
+      let model = List.sort compare (List.mapi (fun row (a, b) -> (a, b, row)) rows) in
+      List.for_all
+        (fun (a, lo, hi) ->
+          let l = located_eq idx a in
+          let p0 = Index.probes idx in
+          Index.narrow l ~level:1 ~lo ~hi;
+          let expected =
+            List.filter_map
+              (fun (a', b, row) -> if a' = a && b >= lo && b <= hi then Some row else None)
+              model
+          in
+          Index.probes idx - p0 = 1
+          && Index.located_count l = List.length expected
+          && scan l = expected)
+        probes)
+
+let test_narrow_hash_raises () =
+  let h = Index.build_hash (small_table [ (1, 2); (1, 3) ]) ~column:0 in
+  Alcotest.check_raises "hash span"
+    (Invalid_argument "Index.narrow: a hash span has no key levels") (fun () ->
+      Index.narrow (located_eq h 1) ~level:1 ~lo:2 ~hi:2)
 
 let () =
   Alcotest.run "wj_index"
@@ -365,5 +395,7 @@ let () =
         [
           Alcotest.test_case "equality ops" `Quick test_index_facade_eq;
           Alcotest.test_case "range ops" `Quick test_index_facade_range;
+          Alcotest.test_case "narrow on a hash span raises" `Quick test_narrow_hash_raises;
+          QCheck_alcotest.to_alcotest narrow_vs_model;
         ] );
     ]

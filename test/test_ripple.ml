@@ -100,6 +100,25 @@ let test_ripple_index_assisted () =
   Alcotest.(check bool) "mode recorded" true (out.mode = Ripple.Index_assisted);
   check_close "IRJ" out.final.estimate out.final.half_width exact
 
+(* The sampled table's range is located once, when the pool is made:
+   a run's index probes do not grow with its rounds. *)
+let test_ripple_index_assisted_locates_once () =
+  let predicates = [ Query.Cmp { table = 0; column = 1; op = Query.Clt; value = Value.Int 20 } ] in
+  let q = two_table_query ~predicates 13 800 in
+  let reg = Registry.build_for_query q in
+  let index = Option.get (Registry.find reg ~pos:0 ~column:1) in
+  let probes_of rounds =
+    let before = Wj_index.Index.probes index in
+    let out =
+      Ripple.run ~seed:7 ~mode:Ripple.Index_assisted ~max_rounds:rounds ~max_time:30.0 q reg
+    in
+    Alcotest.(check bool) (Printf.sprintf "%d rounds ran" rounds) true (out.final.walks > 0);
+    Wj_index.Index.probes index - before
+  in
+  let few = probes_of 10 in
+  Alcotest.(check int) "setup locate only" 1 few;
+  Alcotest.(check int) "independent of rounds" few (probes_of 600)
+
 let test_ripple_target_stop () =
   let q = two_table_query 15 2000 in
   let reg = Registry.build_for_query q in
@@ -219,6 +238,8 @@ let () =
           Alcotest.test_case "avg" `Slow test_ripple_avg;
           Alcotest.test_case "predicate" `Slow test_ripple_with_predicate;
           Alcotest.test_case "index-assisted" `Slow test_ripple_index_assisted;
+          Alcotest.test_case "index-assisted locates once" `Quick
+            test_ripple_index_assisted_locates_once;
           Alcotest.test_case "target stop" `Slow test_ripple_target_stop;
           Alcotest.test_case "reports" `Quick test_ripple_reports;
           Alcotest.test_case "rejects variance" `Quick test_ripple_rejects_variance;
