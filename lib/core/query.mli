@@ -137,9 +137,10 @@ val locate_join : join_cond -> Wj_index.Index.located -> int -> unit
     join a left-side row whose key is [v] — the keys of
     [join_key_range cond ~from_left:true v], by one equality locate for
     [Eq] and one range locate for [Band].  A walk step orients its
-    condition parent-left, so this is every step's neighbour span: the
-    walker selects one row from it, the exact executor and index ripple
-    join scan it.  [l] must be a locator of the right side's index;
+    condition parent-left, so this is every step's neighbour span:
+    {!Walker.walk} selects one row from it and {!Walker.scan}, the only
+    scanner, visits all of them (the exact executor and the index ripple
+    join run on it).  [l] must be a locator of the right side's index;
     raises [Invalid_argument] for a [Band] on a hash index. *)
 
 val flip : join_cond -> join_cond

@@ -101,6 +101,9 @@ type prepared = {
   start_pred : Query.predicate option; (* the Olken-sampled predicate, if any *)
   start_preds : Query.predicate list; (* checked after sampling the start *)
   start_checks : (int -> bool) array; (* compiled [start_preds] *)
+  scan_start_checks : (int -> bool) array;
+      (* every start-table predicate, the Olken-sampled one too: a scanned
+         start row is not drawn from that predicate's range *)
   start_path_checks : path_check array; (* non-tree joins due at the start *)
   steps : compiled_step array;
   extract : int array -> float; (* compiled aggregate expression *)
@@ -245,6 +248,7 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
     start_pred;
     start_preds;
     start_checks = Array.of_list (List.map (Query.compile_predicate q) start_preds);
+    scan_start_checks = Query.compile_predicates q plan.order.(0);
     start_path_checks = compiled_checks_at.(0);
     steps;
     extract = Query.compile_expr q;
@@ -507,6 +511,37 @@ let walk t prng =
   let outcome = walk_impl t prng in
   record_outcome t ~cost:t.last_steps outcome;
   outcome
+
+(* ---- Exhaustive scan: the same compiled steps, every row of each span -- *)
+
+let scan t path ~start_row emit =
+  let rows = ref 1 in
+  let nsteps = Array.length t.steps in
+  let rec descend i =
+    if i = nsteps then emit path
+    else begin
+      let c = t.steps.(i) in
+      let step = c.step in
+      let located = c.located in
+      Query.locate_join step.cond located (c.key_of_parent path.(step.Walk_plan.parent));
+      (* Deeper steps locate into their own buffers, so this span holds
+         for the whole loop. *)
+      if Index.located_count located > 0 && narrow_folds c.folds located path < 0 then
+        for r = 0 to Index.located_count located - 1 do
+          let row = Index.located_nth located r in
+          incr rows;
+          path.(step.into) <- row;
+          if all_row_checks c.row_checks row && first_failing_check c.path_checks path < 0
+          then descend (i + 1)
+        done
+    end
+  in
+  path.(t.plan.order.(0)) <- start_row;
+  if
+    all_row_checks t.scan_start_checks start_row
+    && first_failing_check t.start_path_checks path < 0
+  then descend 0;
+  !rows
 
 let steps_of_last_walk t = t.last_steps
 let value_of t path = t.extract path

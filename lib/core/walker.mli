@@ -10,7 +10,11 @@
     accumulates the inverse sampling probability (Eq. 3), and fails fast on
     an empty neighbour set, a violated predicate, or a violated non-tree
     edge.  Failed walks are part of the probability space and must be fed
-    to the estimator as zeros (§3.1). *)
+    to the estimator as zeros (§3.1).
+
+    [scan] runs the same compiled steps exhaustively: from a given start
+    row it visits every row of each step's span, which is the exact
+    executor's nested loop and the index ripple join's completion. *)
 
 type outcome =
   | Success of { path : int array; inv_p : float }
@@ -81,6 +85,24 @@ val walk : prepared -> Wj_util.Prng.t -> outcome
 
     An Olken start selects its row out of the predicate's range, located
     once by {!prepare}: a start probes no index. *)
+
+val scan : prepared -> int array -> start_row:int -> (int array -> unit) -> int
+(** [scan t path ~start_row emit] enumerates every completion of
+    [start_row] bound at the plan's start table, in [path] (length
+    [Query.k], overwritten): the exact counterpart of {!walk} on the same
+    compiled steps.  It vets the start row against every predicate on
+    its table, the Olken-sampled one included, and the non-tree edges
+    due at the start.  Then each step locates its span as {!walk} does,
+    narrows it by every folded edge, and scans all of its rows in slot
+    order, vetting each with the step's predicates and due non-tree
+    edges.  Each complete path is passed to [emit], which must not keep
+    [path] (the next completion overwrites it).
+
+    It draws no random number and touches neither the sink nor
+    {!steps_of_last_walk}, so it can run between walks without moving a
+    fixed-seed result.  It shares the step buffers with {!walk}: one
+    [prepared] serves one thread at a time.  Returns the rows it bound:
+    the start row plus every row scanned at a step, vetted or not. *)
 
 val steps_of_last_walk : prepared -> int
 (** Abstract cost (index-entry accesses + tuple fetches) of the most recent

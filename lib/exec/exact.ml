@@ -1,6 +1,6 @@
 module Query = Wj_core.Query
 module Walk_plan = Wj_core.Walk_plan
-module Index = Wj_index.Index
+module Walker = Wj_core.Walker
 module Trie = Wj_index.Trie
 module Table = Wj_storage.Table
 module Value = Wj_storage.Value
@@ -54,66 +54,14 @@ let all_checks checks x =
   let rec go i = i >= n || (checks.(i) x && go (i + 1)) in
   go 0
 
-(* Enumerates every qualifying path and feeds it to [emit].  Predicates,
-   join checks and join-key reads are compiled against the typed columns
-   once, so the scan allocates no Value.t per visited row. *)
-let enumerate q plan emit =
-  let kq = Query.k q in
+(* Feeds every qualifying path to [emit]: the walker's compiled plan
+   scanned from each start row in slot order. *)
+let enumerate q registry plan emit =
+  let prepared = Walker.prepare q registry plan in
+  let path = Array.make (Query.k q) (-1) in
   let rows_visited = ref 0 in
-  let rank = Array.make kq 0 in
-  Array.iteri (fun i pos -> rank.(pos) <- i) plan.Walk_plan.order;
-  let checks_at = Array.make kq [] in
-  List.iter
-    (fun (c : Query.join_cond) ->
-      let at = max rank.(fst c.left) rank.(fst c.right) in
-      checks_at.(at) <- c :: checks_at.(at))
-    plan.Walk_plan.nontree;
-  let compiled_checks_at =
-    Array.map (fun cs -> Array.of_list (List.map (Query.compile_join q) cs)) checks_at
-  in
-  let row_checks = Array.init kq (fun pos -> Query.compile_predicates q pos) in
-  let path = Array.make kq (-1) in
-  let nsteps = Array.length plan.Walk_plan.steps in
-  let key_readers =
-    Array.map
-      (fun (step : Walk_plan.step) ->
-        Query.int_key_reader q ~pos:step.Walk_plan.parent
-          ~col:(snd step.Walk_plan.cond.Query.left))
-      plan.Walk_plan.steps
-  in
-  let locators =
-    Array.map
-      (fun (step : Walk_plan.step) -> Index.locator step.Walk_plan.index)
-      plan.Walk_plan.steps
-  in
-  let rec descend i =
-    if i > nsteps then ()
-    else if i = nsteps then emit path
-    else begin
-      let step = plan.Walk_plan.steps.(i) in
-      let v = key_readers.(i) path.(step.Walk_plan.parent) in
-      let located = locators.(i) in
-      Query.locate_join step.Walk_plan.cond located v;
-      (* Deeper steps locate into their own buffers, so this span holds
-         for the whole scan. *)
-      for k = 0 to Index.located_count located - 1 do
-        let row = Index.located_nth located k in
-        incr rows_visited;
-        path.(step.Walk_plan.into) <- row;
-        if
-          all_checks row_checks.(step.Walk_plan.into) row
-          && all_checks compiled_checks_at.(i + 1) path
-        then descend (i + 1)
-      done
-    end
-  in
-  let start_pos = plan.Walk_plan.order.(0) in
-  let start_table = q.Query.tables.(start_pos) in
-  for row = 0 to Table.length start_table - 1 do
-    incr rows_visited;
-    path.(start_pos) <- row;
-    if all_checks row_checks.(start_pos) row && all_checks compiled_checks_at.(0) path
-    then descend 0
+  for start_row = 0 to Table.length q.Query.tables.(plan.Walk_plan.order.(0)) - 1 do
+    rows_visited := !rows_visited + Walker.scan prepared path ~start_row emit
   done;
   !rows_visited
 
@@ -348,13 +296,12 @@ let run_enumerate ?(strategy = Auto) ?plan q registry emit =
   match resolve_strategy q strategy with
   | Leapfrog -> leapfrog_enumerate q emit
   | Nested_loop | Auto ->
-    let plan = pick_plan q registry plan in
-    enumerate q plan emit
+    enumerate q registry (pick_plan q registry plan) emit
 
-let aggregate ?strategy ?plan q registry =
-  let acc = new_acc () in
+(* Count a path and add its value to the sums the aggregate needs. *)
+let accumulate q =
   let extract = Query.compile_expr q in
-  let emit path =
+  fun acc path ->
     acc.count <- acc.count + 1;
     match q.Query.agg with
     | Estimator.Count -> ()
@@ -362,15 +309,17 @@ let aggregate ?strategy ?plan q registry =
       let v = extract path in
       acc.sum <- acc.sum +. v;
       acc.sum_sq <- acc.sum_sq +. (v *. v)
-  in
-  let rows_visited = run_enumerate ?strategy ?plan q registry emit in
+
+let aggregate ?strategy ?plan q registry =
+  let acc = new_acc () in
+  let rows_visited = run_enumerate ?strategy ?plan q registry (accumulate q acc) in
   { value = acc_value q.Query.agg acc; join_size = acc.count; rows_visited }
 
 let group_aggregate ?strategy ?plan q registry =
   if q.Query.group_by = None then
     invalid_arg "Exact.group_aggregate: query has no GROUP BY";
   let groups : (Value.t, accumulator) Hashtbl.t = Hashtbl.create 16 in
-  let extract = Query.compile_expr q in
+  let accumulate = accumulate q in
   let emit path =
     let key = Query.group_key q path in
     let acc =
@@ -381,13 +330,7 @@ let group_aggregate ?strategy ?plan q registry =
         Hashtbl.add groups key a;
         a
     in
-    acc.count <- acc.count + 1;
-    match q.Query.agg with
-    | Estimator.Count -> ()
-    | Estimator.Sum | Estimator.Avg | Estimator.Variance | Estimator.Stdev ->
-      let v = extract path in
-      acc.sum <- acc.sum +. v;
-      acc.sum_sq <- acc.sum_sq +. (v *. v)
+    accumulate acc path
   in
   let rows_visited = run_enumerate ?strategy ?plan q registry emit in
   Hashtbl.fold

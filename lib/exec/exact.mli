@@ -2,7 +2,7 @@
 
     Two executors behind one surface.  The classic index-nested-loop join
     follows a walk plan but enumerates every index neighbour instead of
-    sampling one.  The leapfrog executor is a worst-case-optimal multiway
+    sampling one: it is {!Wj_core.Walker.scan} from every start row.  The leapfrog executor is a worst-case-optimal multiway
     join: it builds per-table sorted tries keyed by the query's Eq-join
     variable classes and resolves one variable at a time by intersecting
     distinct-key cursors — on cyclic queries (triangles and denser) it
@@ -37,7 +37,11 @@ val aggregate :
 (** Raises [Invalid_argument] when the nested-loop path is taken and the
     query admits no walk plan, or when [~strategy:Leapfrog] is forced on
     a query where {!leapfrog_applicable} is false.  [?plan] only affects
-    the nested-loop path. *)
+    the nested-loop path, which enumerates the plan the way
+    {!Wj_core.Walker.walk} walks it ({!Wj_core.Walker.scan}): a plan with
+    pre-intersected steps ({!Wj_core.Walk_plan.step.isect}) narrows each
+    span by its folded edges, so every variant of a plan gives the same
+    answer. *)
 
 val group_aggregate :
   ?strategy:strategy ->

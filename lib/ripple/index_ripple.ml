@@ -1,7 +1,7 @@
 module Query = Wj_core.Query
 module Walk_plan = Wj_core.Walk_plan
+module Walker = Wj_core.Walker
 module Table = Wj_storage.Table
-module Index = Wj_index.Index
 module Estimator = Wj_stats.Estimator
 module Target = Wj_stats.Target
 module Timer = Wj_util.Timer
@@ -15,57 +15,6 @@ type report = Wj_obs.Progress.t = {
   estimate : float;
   half_width : float;
 }
-
-(* Sum of the aggregate expression over all completions of [row] bound at
-   the plan's start position; also counts them.  [locators] holds one
-   locate buffer per plan step. *)
-let complete q (plan : Walk_plan.t) locators row =
-  let kq = Query.k q in
-  let rank = Array.make kq 0 in
-  Array.iteri (fun i pos -> rank.(pos) <- i) plan.order;
-  let checks_at = Array.make kq [] in
-  List.iter
-    (fun (c : Query.join_cond) ->
-      let at = max rank.(fst c.left) rank.(fst c.right) in
-      checks_at.(at) <- c :: checks_at.(at))
-    plan.nontree;
-  let path = Array.make kq (-1) in
-  let nsteps = Array.length plan.steps in
-  let sum = ref 0.0 and count = ref 0 in
-  let rec descend i =
-    if i = nsteps then begin
-      incr count;
-      match q.Query.agg with
-      | Estimator.Count -> ()
-      | Estimator.Sum | Estimator.Avg | Estimator.Variance | Estimator.Stdev ->
-        sum := !sum +. Query.eval_expr q path
-    end
-    else begin
-      let step = plan.steps.(i) in
-      let cond = step.Walk_plan.cond in
-      let v =
-        Table.int_cell q.Query.tables.(step.Walk_plan.parent) path.(step.Walk_plan.parent)
-          (snd cond.Query.left)
-      in
-      let located = locators.(i) in
-      Query.locate_join cond located v;
-      for k = 0 to Index.located_count located - 1 do
-        let r = Index.located_nth located k in
-        path.(step.Walk_plan.into) <- r;
-        if
-          Query.row_passes q step.Walk_plan.into r
-          && List.for_all (fun c -> Query.check_join q c path) checks_at.(i + 1)
-        then descend (i + 1)
-      done
-    end
-  in
-  let start = plan.order.(0) in
-  path.(start) <- row;
-  if
-    Query.row_passes q start row
-    && List.for_all (fun c -> Query.check_join q c path) checks_at.(0)
-  then descend 0;
-  (!sum, !count)
 
 let run ?(seed = 7) ?(confidence = 0.95) ?target ?(max_time = 10.0)
     ?(max_samples = max_int) ?clock ?start ?(sink = Wj_obs.Sink.noop) q registry =
@@ -90,25 +39,34 @@ let run ?(seed = 7) ?(confidence = 0.95) ?target ?(max_time = 10.0)
   let start_pos = plan.order.(0) in
   let table = q.Query.tables.(start_pos) in
   let n = Table.length table in
-  let locators = Array.map (fun (s : Walk_plan.step) -> Index.locator s.index) plan.steps in
+  let prepared = Walker.prepare q registry plan in
+  let path = Array.make (Query.k q) (-1) in
   let est = Estimator.create q.Query.agg in
   let completions = ref 0 in
-  (* One driver step = one sampled start tuple, fully completed. *)
+  (* One driver step = one sampled start tuple, fully completed: the sum
+     of the aggregate expression over its completions, and their count. *)
   let step () =
-    let row = Prng.int prng n in
-    let sum, count = complete q plan locators row in
-    completions := !completions + count;
-    if count = 0 then Estimator.add_failure est
+    let sum = ref 0.0 and count = ref 0 in
+    let emit path =
+      incr count;
+      match q.Query.agg with
+      | Estimator.Count -> ()
+      | Estimator.Sum | Estimator.Avg | Estimator.Variance | Estimator.Stdev ->
+        sum := !sum +. Walker.value_of prepared path
+    in
+    let (_ : int) = Walker.scan prepared path ~start_row:(Prng.int prng n) emit in
+    completions := !completions + !count;
+    if !count = 0 then Estimator.add_failure est
     else
       match q.Query.agg with
       | Estimator.Count ->
         (* The COUNT estimator is the mean of the u components, so the
            whole observation N * count is carried by u. *)
-        Estimator.add est ~u:(float_of_int (n * count)) ~v:1.0
+        Estimator.add est ~u:(float_of_int (n * !count)) ~v:1.0
       | Estimator.Sum ->
         (* Uniform start tuple has p = 1/N: the observation is
            u*v = N * (total over completions). *)
-        Estimator.add est ~u:(float_of_int n) ~v:sum
+        Estimator.add est ~u:(float_of_int n) ~v:!sum
       | Estimator.Avg | Estimator.Variance | Estimator.Stdev -> assert false
   in
   let make_report () =

@@ -1,7 +1,8 @@
 (** Classic index ripple join (§2; Lipton & Naughton style).
 
     Random sampling happens on one table only; each sampled tuple t is
-    completed to t ⋈ R_2 ⋈ ... ⋈ R_k exhaustively through the indexes.  The
+    completed to t ⋈ R_2 ⋈ ... ⋈ R_k exhaustively through the indexes
+    ({!Wj_core.Walker.scan} on the walk plan).  The
     per-sample totals, scaled by |R_1|, are i.i.d. observations of the
     aggregate, so the standard mean/variance confidence interval applies —
     the tightest possible CI machinery, at the cost of a potentially huge

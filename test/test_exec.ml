@@ -9,6 +9,8 @@ module Schema = Wj_storage.Schema
 module Value = Wj_storage.Value
 module Prng = Wj_util.Prng
 module Estimator = Wj_stats.Estimator
+module Generator = Wj_tpch.Generator
+module Queries = Wj_tpch.Queries
 
 let int_table name cols rows =
   let schema = Schema.make (List.map (fun c -> { Schema.name = c; ty = Value.TInt }) cols) in
@@ -205,6 +207,93 @@ let test_exact_counts_work () =
   Alcotest.(check bool) "rows visited >= table scan" true
     (r.rows_visited >= Table.length q.Query.tables.(0))
 
+(* Fixed-data pins on TPC-H Q3/Q7/Q10 at SF 0.005: value (hex), join size
+   and rows visited under the FROM-order plan and under a second
+   [of_order] plan.  The value is pinned per plan because the nested loop
+   sums in the plan's slot order.  [rows_visited] is its cost accounting
+   (wjd's estimate cache admits on it), so it is pinned with the answer. *)
+type exact_pin = {
+  p_spec : Queries.spec;
+  p_join_size : int;
+  p_from : string * int; (* FROM order: value, rows visited *)
+  p_order : string list; (* the second plan's table order, by alias *)
+  p_order_pin : string * int;
+}
+
+let exact_pins =
+  [
+    {
+      p_spec = Queries.Q3;
+      p_join_size = 188;
+      p_from = ("0x1.7162f0772db79p+24", 5077);
+      p_order = [ "lineitem"; "orders"; "customer" ];
+      p_order_pin = ("0x1.7162f0772db79p+24", 47068);
+    };
+    {
+      p_spec = Queries.Q7;
+      p_join_size = 18;
+      p_from = ("0x1.fa5b8324d4008p+20", 58140);
+      p_order = [ "n2"; "customer"; "orders"; "lineitem"; "supplier"; "n1" ];
+      p_order_pin = ("0x1.fa5b8324d4008p+20", 2111);
+    };
+    {
+      p_spec = Queries.Q10;
+      p_join_size = 608;
+      p_from = ("0x1.259973cdcc02cp+26", 10050);
+      p_order = [ "orders"; "lineitem"; "customer"; "nation" ];
+      p_order_pin = ("0x1.259973cdcc02ep+26", 9908);
+    };
+  ]
+
+let test_exact_tpch_pins () =
+  let d = Generator.generate ~seed:7 ~sf:0.005 () in
+  List.iter
+    (fun p ->
+      let name = Queries.name_of p.p_spec in
+      let q = Queries.build ~variant:Standard p.p_spec d in
+      let reg = Queries.registry q in
+      let check label order (value, rows) =
+        let plan =
+          match Walk_plan.of_order q reg order with
+          | Some plan -> plan
+          | None -> Alcotest.failf "%s: %s not walkable" name label
+        in
+        let r = Exact.aggregate ~plan q reg in
+        let label = name ^ " " ^ label in
+        Alcotest.(check string) (label ^ " value") value (Printf.sprintf "%h" r.value);
+        Alcotest.(check int) (label ^ " join size") p.p_join_size r.join_size;
+        Alcotest.(check int) (label ^ " rows visited") rows r.rows_visited
+      in
+      check "FROM order" (Array.init (Query.k q) Fun.id) p.p_from;
+      let position alias =
+        let rec find i = if q.Query.names.(i) = alias then i else find (i + 1) in
+        find 0
+      in
+      check "of_order" (Array.of_list (List.map position p.p_order)) p.p_order_pin)
+    exact_pins
+
+(* Per-group VARIANCE (count, sum and sum of squares all feed it), pinned
+   bit for bit with each group's join size and the shared rows visited. *)
+let test_exact_group_pinned () =
+  let q = random_chain_query ~agg:Estimator.Variance 17 [ 25; 25 ] 4 in
+  let q = { q with Query.group_by = Some (0, 0) } in
+  let reg = Registry.build_for_query q in
+  let got =
+    List.map
+      (fun (key, (r : Exact.result)) ->
+        ((Value.to_display key, Printf.sprintf "%h" r.value), (r.join_size, r.rows_visited)))
+      (Exact.group_aggregate q reg)
+  in
+  Alcotest.(check (list (pair (pair string string) (pair int int))))
+    "groups"
+    [
+      (("0", "0x1.5f58d0fac687dp+0"), (56, 183));
+      (("1", "0x1.39ce739ce739cp+0"), (31, 183));
+      (("2", "0x1.68ffa619fc7d1p+0"), (27, 183));
+      (("3", "0x1.6810ecf56be69p+0"), (44, 183));
+    ]
+    got
+
 let () =
   Alcotest.run "wj_exec"
     [
@@ -221,5 +310,8 @@ let () =
           Alcotest.test_case "plan invariance" `Quick test_exact_plan_invariance;
           Alcotest.test_case "empty result" `Quick test_exact_empty_result;
           Alcotest.test_case "cost accounting" `Quick test_exact_counts_work;
+          Alcotest.test_case "TPC-H value, join size, rows visited pinned" `Quick
+            test_exact_tpch_pins;
+          Alcotest.test_case "group results pinned" `Quick test_exact_group_pinned;
         ] );
     ]

@@ -227,6 +227,29 @@ let test_index_ripple_rejects_avg () =
     (Invalid_argument "Index_ripple.run: only SUM and COUNT are supported") (fun () ->
       ignore (Index_ripple.run ~max_time:0.01 q reg))
 
+(* Fixed-seed pins: with [max_samples] binding (and no time limit in
+   reach) a run is deterministic, so its estimate and half-width (hex),
+   samples and completions are pinned bit for bit: SUM from either end
+   of the chain, and COUNT with a predicate on the sampled table. *)
+let test_index_ripple_pinned () =
+  let check ?start label q (estimate, half_width, walks, successes) =
+    let reg = Registry.build_for_query q in
+    let r = Index_ripple.run ~seed:3 ?start ~max_samples:2_000 ~max_time:600.0 q reg in
+    Alcotest.(check string) (label ^ " estimate") estimate (Printf.sprintf "%h" r.estimate);
+    Alcotest.(check string) (label ^ " half-width") half_width
+      (Printf.sprintf "%h" r.half_width);
+    Alcotest.(check int) (label ^ " samples") walks r.walks;
+    Alcotest.(check int) (label ^ " completions") successes r.successes
+  in
+  let chain = three_table_query 31 500 in
+  check "sum" chain ("0x1.daedecp+20", "0x1.35bb9f31e7999p+14", 2000, 541184);
+  check ~start:2 "sum from r3" chain
+    ("0x1.d8030cp+20", "0x1.c5d12795da8fp+15", 2000, 543735);
+  let predicates = [ Query.Cmp { table = 0; column = 1; op = Query.Clt; value = Value.Int 50 } ] in
+  check "count, predicate"
+    (two_table_query ~predicates 41 600)
+    ("0x1.206999999999ap+12", "0x1.ac829f035b819p+7", 2000, 15382)
+
 let () =
   Alcotest.run "wj_ripple"
     [
@@ -253,5 +276,6 @@ let () =
           Alcotest.test_case "start choice" `Quick test_index_ripple_start_choice;
           Alcotest.test_case "target" `Slow test_index_ripple_target;
           Alcotest.test_case "rejects avg" `Quick test_index_ripple_rejects_avg;
+          Alcotest.test_case "fixed-seed pins" `Quick test_index_ripple_pinned;
         ] );
     ]

@@ -193,25 +193,27 @@ let test_auto_picks_leapfrog_on_cyclic () =
      paths; on a cyclic query their tuple-visit accounting must coincide. *)
   Alcotest.(check int) "auto = leapfrog cost" lf.rows_visited auto.rows_visited
 
-let test_leapfrog_band_residual () =
-  (* Cyclic through an extra band edge; Eq edges carry the leapfrog, the
-     band runs as a residual leaf filter. *)
+(* A triangle closed by a Band edge. *)
+let band_triangle () =
   let prng = Prng.create 21 in
   let pairs n = List.init n (fun _ -> [ Prng.int prng 6; Prng.int prng 6 ]) in
   let t0 = int_table "t0" [ "x"; "y" ] (pairs 20) in
   let t1 = int_table "t1" [ "x"; "y" ] (pairs 20) in
   let t2 = int_table "t2" [ "x"; "y" ] (pairs 20) in
-  let q =
-    Query.make
-      ~tables:[ ("t0", t0); ("t1", t1); ("t2", t2) ]
-      ~joins:
-        [
-          { left = (0, 1); right = (1, 0); op = Eq };
-          { left = (1, 1); right = (2, 0); op = Eq };
-          { left = (2, 1); right = (0, 0); op = Band { lo = -1; hi = 1 } };
-        ]
-      ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
-  in
+  Query.make
+    ~tables:[ ("t0", t0); ("t1", t1); ("t2", t2) ]
+    ~joins:
+      [
+        { left = (0, 1); right = (1, 0); op = Eq };
+        { left = (1, 1); right = (2, 0); op = Eq };
+        { left = (2, 1); right = (0, 0); op = Band { lo = -1; hi = 1 } };
+      ]
+    ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
+
+let test_leapfrog_band_residual () =
+  (* Cyclic through an extra band edge; Eq edges carry the leapfrog, the
+     band runs as a residual leaf filter. *)
+  let q = band_triangle () in
   Alcotest.(check bool) "applicable with band" true (Exact.leapfrog_applicable q);
   let reg = Registry.build_for_query q in
   let lf = Exact.aggregate ~strategy:Exact.Leapfrog q reg in
@@ -338,6 +340,81 @@ let test_cyclic_goldens () =
   Alcotest.(check string) "trie-intersect estimate" "0x1.e4c162fc962fdp+12"
     (Printf.sprintf "%h" est_isect)
 
+(* The nested loop enumerates a plan the way the walker walks it, folded
+   edges included: every intersect variant of a plan gives Leapfrog's
+   answer.  COUNT and SUM on the walk triangle (the hash plan and
+   trie-intersect(1)), and COUNT on a triangle closed by a Band edge,
+   over every plan, so some variant folds the Band edge. *)
+let test_variants_enumerate_exactly () =
+  let agree q plans =
+    let reg = Registry.build_for_query q in
+    let lf = Exact.aggregate ~strategy:Exact.Leapfrog q reg in
+    List.iter
+      (fun base ->
+        List.iter
+          (fun plan ->
+            let nl = Exact.aggregate ~strategy:Exact.Nested_loop ~plan q reg in
+            let label = Walk_plan.describe q plan in
+            Alcotest.(check int) (label ^ " join size") lf.join_size nl.join_size;
+            Alcotest.(check (float 1e-6)) (label ^ " value") lf.value nl.value)
+          (Walk_plan.intersect_variants q reg base))
+      (plans q reg);
+    lf
+  in
+  let first q reg = Walk_plan.enumerate ~max_plans:1 q reg in
+  let q = walk_triangle () in
+  Alcotest.(check int) "triangle count" 7739 (agree q first).join_size;
+  ignore (agree { q with Query.agg = Estimator.Sum; expr = Query.Col (2, 1) } first);
+  let band = band_triangle () in
+  let folds_band (plan : Walk_plan.t) =
+    Array.exists
+      (fun (s : Walk_plan.step) ->
+        match s.isect with
+        | None -> false
+        | Some { folds; _ } ->
+          List.exists
+            (fun (f : Walk_plan.fold) -> f.oriented.Query.op <> Query.Eq)
+            folds)
+      plan.steps
+  in
+  let reg = Registry.build_for_query band in
+  Alcotest.(check bool) "some variant folds the Band edge" true
+    (List.exists
+       (fun base -> List.exists folds_band (Walk_plan.intersect_variants band reg base))
+       (Walk_plan.enumerate band reg));
+  Alcotest.(check int) "band triangle vs brute"
+    (List.length (brute_force band))
+    (agree band Walk_plan.enumerate).join_size
+
+(* A scan draws nothing and leaves no trace a walk can see: walks with a
+   scan of one start row after each give the same outcomes and costs, bit
+   for bit, as walks alone, and the scans of all 200 start rows count
+   every triangle. *)
+let test_scan_between_walks () =
+  let q = walk_triangle () in
+  let reg = Registry.build_for_query q in
+  let _, variant = variant_plans q reg in
+  let walks ~scan =
+    let prepared = Walker.prepare q reg variant in
+    let prng = Prng.create 5 in
+    let path = Array.make (Query.k q) (-1) in
+    let found = ref 0 in
+    let trace =
+      List.init 200 (fun start_row ->
+          let outcome = Walker.walk prepared prng in
+          let cost = Walker.steps_of_last_walk prepared in
+          if scan then ignore (Walker.scan prepared path ~start_row (fun _ -> incr found));
+          match outcome with
+          | Walker.Success { inv_p; _ } -> (Printf.sprintf "%h" inv_p, cost)
+          | Walker.Failure { depth } -> (Printf.sprintf "failed at %d" depth, cost))
+    in
+    (trace, !found)
+  in
+  let alone, _ = walks ~scan:false in
+  let interleaved, found = walks ~scan:true in
+  Alcotest.(check (list (pair string int))) "walks unmoved" alone interleaved;
+  Alcotest.(check int) "scans count every triangle" 7739 found
+
 let test_cyclic_walk_estimate_within_ci () =
   let q = walk_triangle () in
   let reg = Registry.build_for_query q in
@@ -384,6 +461,10 @@ let () =
           Alcotest.test_case "per-edge reject metrics" `Quick
             test_per_edge_reject_metrics;
           Alcotest.test_case "cyclic fixed-seed goldens" `Quick test_cyclic_goldens;
+          Alcotest.test_case "intersect variants enumerate exactly" `Quick
+            test_variants_enumerate_exactly;
+          Alcotest.test_case "scan between walks moves nothing" `Quick
+            test_scan_between_walks;
           Alcotest.test_case "cyclic estimate within CI of exact" `Quick
             test_cyclic_walk_estimate_within_ci;
         ] );
