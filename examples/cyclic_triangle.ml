@@ -76,8 +76,8 @@ let () =
   (* Index only a.x<-b and d<-c directions: b.x and d.y get indexes, the
      middle b.m = d.m edge gets none. *)
   let partial = Wj_core.Registry.create () in
-  Wj_core.Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_hash b ~column:0);
-  Wj_core.Registry.add partial ~pos:2 ~column:1 (Wj_index.Index.build_hash dd ~column:1);
+  Wj_core.Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
+  Wj_core.Registry.add partial ~pos:2 ~column:1 (Wj_index.Index.build_trie dd ~columns:[ 1 ]);
   let graph = Wj_core.Join_graph.of_query chain partial in
   Printf.printf "chain with unindexed middle edge; directed spanning tree exists: %b\n"
     (Wj_core.Join_graph.has_directed_spanning_tree graph);

@@ -21,10 +21,10 @@ let of_query q registry =
       let lc = snd cond.left in
       push pairs (key lp rp) cond;
       (* Walking lp -> rp requires an index on (rp, rc). *)
-      if Registry.can_serve registry ~pos:rp ~column:rc ~op:cond.op then
+      if Registry.find registry ~pos:rp ~column:rc <> None then
         push walk (lp, rp) cond;
       (* Walking rp -> lp requires an index on (lp, lc). *)
-      if Registry.can_serve registry ~pos:lp ~column:lc ~op:cond.op then
+      if Registry.find registry ~pos:lp ~column:lc <> None then
         push walk (rp, lp) cond)
     q.Query.joins;
   { k; pairs; walk }

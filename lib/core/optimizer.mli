@@ -53,8 +53,9 @@ val choose :
   result
 (** Runs the trial protocol over [plans] (default: all enumerated plans,
     each followed by its {!Walk_plan.intersect_variants} — so on cyclic
-    queries the trials also decide the index-granularity axis, hash
-    sampling + rejection versus trie pre-intersection per non-tree edge).
+    queries the trials also decide the index-granularity axis, plain
+    ("hash") sampling + rejection versus trie pre-intersection per
+    non-tree edge).
     [sink] is threaded to every trial {!Walker.prepare}, so trial walks
     count in the sink's walker metrics like any other walk; when the sink
     carries a trace the whole trial protocol is one ["optimizer.trials"]

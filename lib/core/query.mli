@@ -140,8 +140,7 @@ val locate_join : join_cond -> Wj_index.Index.located -> int -> unit
     condition parent-left, so this is every step's neighbour span:
     {!Walker.walk} selects one row from it and {!Walker.scan}, the only
     scanner, visits all of them (the exact executor and the index ripple
-    join run on it).  [l] must be a locator of the right side's index;
-    raises [Invalid_argument] for a [Band] on a hash index. *)
+    join run on it).  [l] must be a locator of the right side's index. *)
 
 val flip : join_cond -> join_cond
 (** Same condition with sides swapped (Band bounds negated and swapped). *)

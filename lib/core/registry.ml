@@ -1,12 +1,12 @@
 module Index = Wj_index.Index
 module Table = Wj_storage.Table
 
-(* Every index built over one catalog's tables, keyed by base-table name,
-   key columns and kind.  [mu] guards the table and each build: sessions
+(* Every index built over one catalog's tables, keyed by base-table name
+   and key columns.  [mu] guards the table and each build: sessions
    on different domains reach one store through [ensure_trie]. *)
 type store = {
   mu : Mutex.t;
-  built : (string * int list * [ `Hash | `Trie ], Index.t) Hashtbl.t;
+  built : (string * int list, Index.t) Hashtbl.t;
 }
 
 type t = {
@@ -22,49 +22,25 @@ let store t = t.store
 let add t ~pos ~column index = Hashtbl.replace t.slots (pos, column) index
 let find t ~pos ~column = Hashtbl.find_opt t.slots (pos, column)
 
-let can_serve t ~pos ~column ~op =
-  match find t ~pos ~column with
-  | None -> false
-  | Some idx -> (
-    match op with
-    | Query.Eq -> true
-    | Query.Band _ -> Index.supports_range idx)
-
-(* The store's index of exactly [kind] over [columns] of [table], built on
-   first request. *)
-let obtain store table columns kind =
+(* The store's index over [columns] of [table], built on first request. *)
+let obtain store table columns =
   Mutex.protect store.mu (fun () ->
-      let key = (Table.name table, columns, kind) in
+      let key = (Table.name table, columns) in
       match Hashtbl.find_opt store.built key with
       | Some idx -> idx
       | None ->
-        let idx =
-          match (kind, columns) with
-          | `Hash, [ column ] -> Index.build_hash table ~column
-          | _ -> Index.build_trie table ~columns
-        in
+        let idx = Index.build_trie table ~columns in
         Hashtbl.replace store.built key idx;
         idx)
 
 let build_for_query ?(store = create_store ()) q =
   let t = view store in
-  (* A base-table column that got an ordered index (its one-column trie)
-     earlier in this query keeps that kind for every later slot over it
-     (aliases included). *)
-  let ordered_cols : (string * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let ensure pos column ~ordered =
-    let table = q.Query.tables.(pos) in
-    let key = (Table.name table, column) in
-    let ordered = ordered || Hashtbl.mem ordered_cols key in
-    if ordered then Hashtbl.replace ordered_cols key ();
-    add t ~pos ~column (obtain store table [ column ] (if ordered then `Trie else `Hash))
-  in
+  let ensure pos column = add t ~pos ~column (obtain store q.Query.tables.(pos) [ column ]) in
   List.iter
     (fun (cond : Query.join_cond) ->
-      let ordered = match cond.op with Query.Eq -> false | Query.Band _ -> true in
       let lp, lc = cond.left and rp, rc = cond.right in
-      ensure lp lc ~ordered;
-      ensure rp rc ~ordered)
+      ensure lp lc;
+      ensure rp rc)
     q.Query.joins;
   List.iter
     (fun p ->
@@ -77,13 +53,13 @@ let build_for_query ?(store = create_store ()) q =
       (* Only integer columns can be indexed; skip string predicates. *)
       let schema = Table.schema q.Query.tables.(pos) in
       match Wj_storage.Schema.ty_of schema column with
-      | Wj_storage.Value.TInt -> ensure pos column ~ordered:true
+      | Wj_storage.Value.TInt -> ensure pos column
       | TFloat | TStr -> ())
     q.Query.predicates;
   t
 
 let ensure_trie t table ~pos ~columns =
-  let idx = obtain t.store table columns `Trie in
+  let idx = obtain t.store table columns in
   Hashtbl.replace t.tries (pos, columns) idx;
   idx
 
@@ -102,10 +78,7 @@ let export_metrics t m =
         (float_of_int (Index.probes idx)))
     t.tries
 
-let entries idx =
-  match idx.Index.kind with
-  | Index.Hash h -> Wj_index.Hash_index.total_entries h
-  | Index.Trie tr -> Wj_index.Trie.length tr
+let entries = Wj_index.Trie.length
 
 (* Slots count once per position; a trie counts once however many
    positions alias its base table. *)

@@ -2,17 +2,17 @@
 
     Walk-plan generation treats index availability as the ground truth for
     which directions a walk may take (§4.1): an edge R_a → R_b exists only
-    if R_b has an index on its column of the join condition, of a kind that
-    can answer the condition (hash or trie for equality, trie for
-    band/range joins).
+    if R_b has an index on its column of the join condition.  Every index
+    is a {!Wj_index.Trie}, which answers equality and band/range
+    conditions alike.
 
     A registry is a per-query view over a {!store}, which holds the
     physical indexes.  Keep one store per catalog: the store keys an index
-    by base-table name, key columns and kind, so two tables of one name
-    must not reach one store.  It never drops or rebuilds an index, since
-    no code path mutates an indexed table.  The store hands out the index
-    of exactly the kind asked for, so a query's registry depends on the
-    query alone, never on what the store built before. *)
+    by base-table name and key columns, so two tables of one name must not
+    reach one store.  It never drops or rebuilds an index, since no code
+    path mutates an indexed table.  An index depends on its table and
+    columns alone, so a query's registry depends on the query alone, never
+    on what the store built before. *)
 
 type store
 (** Every index built over one catalog's tables.  Safe to share across
@@ -33,19 +33,15 @@ val add : t -> pos:int -> column:int -> Wj_index.Index.t -> unit
 
 val find : t -> pos:int -> column:int -> Wj_index.Index.t option
 
-val can_serve : t -> pos:int -> column:int -> op:Query.join_op -> bool
-(** Is there an index on the slot able to answer the join op? *)
-
 val build_for_query : ?store:store -> Query.t -> t
-(** Registers every index the query can use: one per join-condition side
-    (hash for equality, the column's one-column trie for band joins) and
-    the one-column trie of every integer predicate column, enabling Olken
-    sampling at the walk's start table.  A base-table column that needs a
-    trie anywhere in the query gets it at every slot registered after that
-    need (aliased tables share indexes, as in a real system).  A slot's
-    trie is the physical index {!ensure_trie} hands out for that one
-    column.  Indexes come from [store] (default: a fresh one), which
-    builds each on first request. *)
+(** Registers every index the query can use: the column's one-column trie
+    for each join-condition side and for every integer predicate column,
+    enabling Olken sampling at the walk's start table.  One base-table
+    column has one index, shared by every slot over it (aliased tables
+    share indexes, as in a real system), and it is the physical index
+    {!ensure_trie} hands out for that one column.  Indexes come from
+    [store] (default: a fresh one), which builds each on first
+    request. *)
 
 val ensure_trie :
   t -> Wj_storage.Table.t -> pos:int -> columns:int list -> Wj_index.Index.t

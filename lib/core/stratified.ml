@@ -1,7 +1,6 @@
 module Estimator = Wj_stats.Estimator
 module Timer = Wj_util.Timer
 module Value = Wj_storage.Value
-module Index = Wj_index.Index
 module Trie = Wj_index.Trie
 
 type allocation = Equal | Proportional | Adaptive
@@ -49,9 +48,9 @@ let run ?(seed = 31) ?(confidence = 0.95) ?(allocation = Adaptive) ?(max_time = 
     | None -> invalid_arg "Stratified.run: query has no GROUP BY"
   in
   let trie =
-    match Option.bind (Registry.find registry ~pos ~column:col) Index.as_trie with
+    match Registry.find registry ~pos ~column:col with
     | Some tr -> tr
-    | None -> invalid_arg "Stratified.run: GROUP BY column needs an ordered index"
+    | None -> invalid_arg "Stratified.run: GROUP BY column has no index"
   in
   let plans =
     List.filter

@@ -43,5 +43,5 @@ val run :
   Registry.t ->
   outcome
 (** Requires the query to have GROUP BY on an integer column with an
-    ordered index in the registry, and at least one walk plan starting at
+    index in the registry, and at least one walk plan starting at
     the group-by table; raises [Invalid_argument] otherwise. *)

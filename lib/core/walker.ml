@@ -130,13 +130,13 @@ let choose_start q registry pos =
       (fun p ->
         match Query.sargable_range p with
         | None -> None
-        | Some (column, lo, hi) -> (
-          match Registry.find registry ~pos ~column with
-          | Some index when Index.supports_range index ->
-            let located = Index.locator index in
-            Index.locate_range located ~lo ~hi;
-            Some (p, index, located)
-          | Some _ | None -> None))
+        | Some (column, lo, hi) ->
+          Option.map
+            (fun index ->
+              let located = Index.locator index in
+              Index.locate_range located ~lo ~hi;
+              (p, index, located))
+            (Registry.find registry ~pos ~column))
       preds
   in
   match candidates with
@@ -151,7 +151,7 @@ let choose_start q registry pos =
     let p, index, located = best in
     ( Olken located,
       Index.located_count located,
-      1 + Index.count_cost index,
+      1 + Index.count_cost index ~range:true,
       Some p,
       List.filter (fun p' -> p' != p) preds )
 
@@ -235,7 +235,9 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
           path_checks = compiled_checks_at.(i + 1);
           folds;
           located = Index.locator index;
-          cost = Index.count_cost index;
+          cost =
+            Index.count_cost index
+              ~range:(match step.cond.op with Query.Eq -> false | Query.Band _ -> true);
         })
       plan.steps
   in

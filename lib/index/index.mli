@@ -1,48 +1,21 @@
-(** Facade over the two physical index kinds.
+(** The index every consumer speaks: a {!Trie} over one or more integer
+    columns of a table, with its lookups addressing the first column.
 
-    Every consumer — walker, exact executor, optimizer, registry — speaks
-    one capability surface: [count] ("how many neighbours does this tuple
-    have?"), [nth] ("give me the k-th neighbour") and [locate] (a span
-    answering both at once, which a caller then narrows, selects one row
-    from, or scans).  Equality edges are served
-    by either kind; band/range edges, Olken starts on a range predicate
-    and stratified GROUP BY need the ordered one, a trie (a one-column
-    trie is a sorted (key, row) array).  Leapfrog walks distinct keys with
-    {!Trie}'s own cursors. *)
+    Walker, exact executor, optimizer and registry use one capability
+    surface: [locate] (a span answering "how many neighbours does this
+    tuple have?" and "give me the k-th neighbour" at once, which a caller
+    then narrows, selects one row from, or scans).  An equality locate is
+    one lookup in the trie's level-0 key directory, as in a hash index; a
+    range locate is a search over the distinct level-0 keys; deeper levels
+    serve {!narrow}.  Leapfrog and stratified GROUP BY walk distinct keys
+    with {!Trie}'s own cursors. *)
 
-type kind =
-  | Hash of Hash_index.t
-  | Trie of Trie.t
-
-type t = { kind : kind; column : int }
-(** An index over integer column(s) of a table; [column] is the (first)
-    key column, the one equality/range lookups address. *)
-
-val build_hash : Wj_storage.Table.t -> column:int -> t
+type t = Trie.t
 
 val build_trie : Wj_storage.Table.t -> columns:int list -> t
 (** Multi-column sorted trie; lookups below address the first column,
     deeper levels serve {!narrow} pre-intersection and leapfrog.
     Raises [Invalid_argument] on an empty column list. *)
-
-val as_trie : t -> Trie.t option
-(** The underlying trie, for its distinct-key cursors. *)
-
-val count_eq : t -> int -> int
-(** Number of rows whose indexed column equals the key. *)
-
-val nth_eq : t -> int -> int -> int
-(** [nth_eq t key k]: row id of the k-th row with the key.
-    Raises [Invalid_argument] when out of range. *)
-
-val count_range : t -> lo:int -> hi:int -> int
-(** Inclusive range count.  Raises [Invalid_argument] on a hash index. *)
-
-val nth_range : t -> lo:int -> hi:int -> int -> int
-(** Row id of the k-th row in the inclusive range.
-    Raises [Invalid_argument] on a hash index or when out of range. *)
-
-val supports_range : t -> bool
 
 (** {2 Located probes}
 
@@ -50,16 +23,13 @@ val supports_range : t -> bool
     once, {!narrow} the span by deeper trie levels if the caller folds
     more keys, then select one row ({!located_nth} at a drawn rank) or
     scan them all ({!located_nth} at every rank below {!located_count},
-    in slot order).  Hash groups and trie slot ranges are one shape, a
-    span: a slice of the index's own row array, so a select is one array
-    read.
+    in slot order).  A span is a slice of the trie's own row array, so a
+    select is one array read.
 
     The locate writes into a caller-owned {!located} made once per index
     with {!locator}, so a walk step allocates nothing.  A span located
     once and never overwritten (an Olken start's fixed range) serves any
-    number of selects with no further probe.
-    [located_nth l k] returns the same row id as [nth_eq]/[nth_range]
-    with the same key and [k]. *)
+    number of selects with no further probe. *)
 
 type located
 (** A locate buffer bound to one index: after a locate, an answered count
@@ -70,11 +40,13 @@ val locator : t -> located
 (** A fresh buffer for the index's locates, holding an empty probe. *)
 
 val locate_eq : located -> int -> unit
-(** Locate the rows matching a key: one directory lookup (hash), one
-    level-0 narrow (trie).  Counted as one probe by {!probes}. *)
+(** Locate the rows matching a key: one directory lookup and two offset
+    reads.  Counted as one probe by {!probes}.  A key's rows come in
+    (deeper keys, row) order, so on a one-column index in row order. *)
 
 val locate_range : located -> lo:int -> hi:int -> unit
-(** Range variant.  Raises [Invalid_argument] on a hash index. *)
+(** Locate the rows whose key lies in [[lo, hi]]: one search over the
+    distinct keys, counted as one probe. *)
 
 val narrow : located -> level:int -> lo:int -> hi:int -> unit
 (** [narrow l ~level ~lo ~hi] keeps the located rows whose level-[level]
@@ -82,30 +54,48 @@ val narrow : located -> level:int -> lo:int -> hi:int -> unit
     the end of the run found from there.  The span must be a trie node
     at [level] (its level keys sorted): a level-0 locate of one key,
     narrowed by one key at each level in between.  A key range is
-    therefore only valid at the last level narrowed.  Raises
-    [Invalid_argument] on a hash span, which has no levels. *)
+    therefore only valid at the last level narrowed. *)
 
 val located_count : located -> int
 (** The neighbour count [d]; 0 for an absent key.  Free — the locate
     already computed it. *)
 
 val located_nth : located -> int -> int
-(** Row id of the k-th located row; same row as [nth_eq]/[nth_range].
-    Raises [Invalid_argument] out of range. *)
+(** Row id of the k-th located row.  Raises [Invalid_argument] out of
+    range. *)
+
+(** {2 One-shot lookups}
+
+    Each is one locate into a fresh buffer, so one probe per call. *)
+
+val count_eq : t -> int -> int
+(** Number of rows whose indexed column equals the key. *)
+
+val nth_eq : t -> int -> int -> int
+(** [nth_eq t key k]: row id of the k-th row with the key.
+    Raises [Invalid_argument] when out of range. *)
+
+val count_range : t -> lo:int -> hi:int -> int
+(** Inclusive range count. *)
+
+val nth_range : t -> lo:int -> hi:int -> int -> int
+(** Row id of the k-th row in the inclusive range.
+    Raises [Invalid_argument] when out of range. *)
 
 (** {2 Cost and accounting} *)
 
-val count_cost : t -> int
-(** Abstract cost of one locate, in index-entry accesses: 1 for hash (a
-    group's length is two adjacent offsets), [key columns x ceil(log2 n)]
-    for a trie (one binary search per level of the narrow chain).  A
-    select out of a locate is a span read and costs nothing more.  Feeds
-    the optimizer's E[T] estimate and the I/O simulation
-    ({!Wj_iosim.Cost_model.index_level_cost} is calibrated against these
-    units). *)
+val count_cost : t -> range:bool -> int
+(** Abstract cost of one locate, in index-entry accesses: 1 for an
+    equality locate ([range = false]) on a one-column index (a directory
+    lookup, then a run's length from two adjacent offsets); otherwise
+    [key columns x ceil(log2 n)], one binary search per level of the
+    narrow chain.  A select out of a locate is a span read and costs
+    nothing more.  Feeds the optimizer's E[T] estimate and the I/O
+    simulation ({!Wj_iosim.Cost_model.index_level_cost} is calibrated
+    against these units). *)
 
 val probes : t -> int
-(** Lifetime query-probe count of the underlying physical index (directory
-    lookups for hash, binary searches for trie).  Always on; the observability layer snapshots these into
+(** Lifetime query-probe count of the trie (directory lookups and
+    searches).  Always on; the observability layer snapshots these into
     gauges.  An index is shared by every query over its catalog's
     {!Wj_core.Registry.store}, so the count spans them all. *)

@@ -20,7 +20,8 @@ type t = {
   seq_io : float;  (** seconds per sequentially scanned page *)
   index_level_cost : float;
       (** seconds per abstract index-entry access ({!Wj_index.Index.count_cost}
-          unit): a hash locate reports 1 access, a trie locate
+          unit): an equality locate on a one-column index reports 1 access
+          (its key-directory lookup), any other locate
           [levels x ceil(log2 n)], one per binary-search step. *)
 }
 

@@ -88,13 +88,13 @@ let make_pool q registry mode prng pos =
         (fun p ->
           match Query.sargable_range p with
           | None -> None
-          | Some (column, lo, hi) -> (
-            match Wj_core.Registry.find registry ~pos ~column with
-            | Some index when Index.supports_range index ->
-              let located = Index.locator index in
-              Index.locate_range located ~lo ~hi;
-              Some located
-            | Some _ | None -> None))
+          | Some (column, lo, hi) ->
+            Option.map
+              (fun index ->
+                let located = Index.locator index in
+                Index.locate_range located ~lo ~hi;
+                located)
+              (Wj_core.Registry.find registry ~pos ~column))
         (Query.predicates_on q pos)
   in
   let source, population =

@@ -56,7 +56,7 @@ val render : result -> string
     {e concurrently}, interleaved by bounded quanta of walks.  Every
     statement's registry is a view over one {!Wj_core.Registry.store}
     for the batch, so each index is built once for the whole batch.  The
-    store hands each query exactly the index kinds it asks for, and
+    store's index over a column depends on the column alone, and
     quantum scheduling never perturbs a session's PRNG stream, so serving
     a batch produces bit-for-bit the same estimates as running
     {!execute_session} on each statement in turn (for walk-budget-bounded

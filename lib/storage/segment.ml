@@ -52,6 +52,14 @@ type file = {
   path : string;
 }
 
+exception Short_read of { path : string; page : int }
+
+let () =
+  Printexc.register_printer (function
+    | Short_read { path; page } ->
+      Some (Printf.sprintf "Segment.Short_read: %s ends before page %d" path page)
+    | _ -> None)
+
 let open_file pool path =
   let ic = In_channel.open_bin path in
   let length = Int64.to_int (In_channel.length ic) in
@@ -66,7 +74,7 @@ let open_file pool path =
     In_channel.seek ic (Int64.of_int (page * page_bytes));
     match In_channel.really_input ic buf 0 page_bytes with
     | Some () -> ()
-    | None -> failwith (Printf.sprintf "Segment: short read of %s page %d" path page)
+    | None -> raise (Short_read { path; page })
   in
   let fid = Buffer_pool.register_file pool read in
   { pool; fid; page_bytes; slots_per_page = page_bytes / 8; length; path }

@@ -27,6 +27,11 @@ val close_writer : writer -> unit
 
 type file
 
+exception Short_read of { path : string; page : int }
+(** A page fault found the file ending before [page] does: [path] was
+    truncated or replaced after {!open_file}.  Raised by the read that
+    faults [page] in. *)
+
 val open_file : Buffer_pool.t -> string -> file
 (** Opens a segment file and registers it with the pool; the file's page
     size is the pool's [page_bytes].  Raises [Invalid_argument] when the

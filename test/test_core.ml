@@ -231,8 +231,8 @@ let test_join_graph_directed_by_indexes () =
   let q = chain_query () in
   (* Only r2.b and r3.c indexed: walks can only go left-to-right. *)
   let reg = Registry.create () in
-  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_hash q.tables.(1) ~column:0);
-  Registry.add reg ~pos:2 ~column:0 (Wj_index.Index.build_hash q.tables.(2) ~column:0);
+  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_trie q.tables.(1) ~columns:[ 0 ]);
+  Registry.add reg ~pos:2 ~column:0 (Wj_index.Index.build_trie q.tables.(2) ~columns:[ 0 ]);
   let g = Join_graph.of_query q reg in
   Alcotest.(check bool) "0 -> 1" true (Join_graph.walkable g ~from:0 ~into:1 <> []);
   Alcotest.(check bool) "1 -> 0 blocked" true (Join_graph.walkable g ~from:1 ~into:0 = []);
@@ -243,7 +243,7 @@ let test_join_graph_directed_by_indexes () =
           (fun v -> if (Join_graph.reachable_set g 1).(v) then [ v ] else [])
           [ 0; 1; 2 ]))
 
-let test_join_graph_band_needs_ordered () =
+let test_join_graph_band_over_any_slot () =
   let ta = int_table "ta" [ "v" ] [ [ 1 ] ] in
   let tb = int_table "tb" [ "v" ] [ [ 2 ] ] in
   let cond = { Query.left = (0, 0); right = (1, 0); op = Query.Band { lo = 0; hi = 3 } } in
@@ -251,14 +251,18 @@ let test_join_graph_band_needs_ordered () =
     Query.make ~tables:[ ("ta", ta); ("tb", tb) ] ~joins:[ cond ] ~agg:Estimator.Count
       ~expr:(Query.Const 1.0) ()
   in
-  (* A hash index cannot serve a band edge. *)
+  (* The one index kind answers ranges: a band edge is walkable into any
+     side that has an index, and only into such a side. *)
   let reg = Registry.create () in
-  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_hash tb ~column:0);
-  let g = Join_graph.of_query q reg in
-  Alcotest.(check bool) "hash refused" true (Join_graph.walkable g ~from:0 ~into:1 = []);
   Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_trie tb ~columns:[ 0 ]);
   let g = Join_graph.of_query q reg in
-  Alcotest.(check bool) "ordered accepted" true (Join_graph.walkable g ~from:0 ~into:1 <> [])
+  Alcotest.(check bool) "into the indexed side" true (Join_graph.walkable g ~from:0 ~into:1 <> []);
+  Alcotest.(check bool) "not into the unindexed side" true
+    (Join_graph.walkable g ~from:1 ~into:0 = []);
+  let reg = Registry.build_for_query q in
+  let g = Join_graph.of_query q reg in
+  Alcotest.(check bool) "registry: 0 -> 1" true (Join_graph.walkable g ~from:0 ~into:1 <> []);
+  Alcotest.(check bool) "registry: 1 -> 0" true (Join_graph.walkable g ~from:1 ~into:0 <> [])
 
 (* ---- Walk_plan ------------------------------------------------------- *)
 
@@ -280,7 +284,7 @@ let fig4_query_and_registry () =
       ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
   in
   let reg = Registry.create () in
-  let idx pos col = Registry.add reg ~pos ~column:col (Wj_index.Index.build_hash q.tables.(pos) ~column:col) in
+  let idx pos col = Registry.add reg ~pos ~column:col (Wj_index.Index.build_trie q.tables.(pos) ~columns:[ col ]) in
   idx 0 0; (* R2 -> R1 *)
   idx 1 0; (* R1 -> R2 *)
   idx 2 1; (* R2 -> R3 *)
@@ -759,7 +763,8 @@ let test_online_group_by_should_stop () =
 (* ---- Walk steps ------------------------------------------------------ *)
 
 (* One step, one cost: a plain step locates its neighbour set once and
-   selects the drawn row out of that locate, whichever index answers it. *)
+   selects the drawn row out of that locate.  An equality locate is one
+   directory lookup (cost 1), a band's range locate one binary search. *)
 let test_step_cost_charged_once () =
   (* A two-table FK chain: s1.b = i mod 100 joins exactly one s2 row, so
      every walk succeeds with inv_p = |s1| * 1.  A zero-width band is the
@@ -773,7 +778,7 @@ let test_step_cost_charged_once () =
       ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
   in
   List.iter
-    (fun (kind, index, op, probes) ->
+    (fun (kind, index, op, probes, locate_cost) ->
       let q = query op in
       let reg = Registry.create () in
       Registry.add reg ~pos:1 ~column:0 index;
@@ -783,7 +788,7 @@ let test_step_cost_charged_once () =
         | None -> Alcotest.fail "no plan s1 -> s2"
       in
       let prepared = Walker.prepare q reg plan in
-      let step_cost = Index.count_cost index + 1 in
+      let step_cost = locate_cost + 1 in
       let prng = Prng.create 17 in
       for i = 1 to 256 do
         (* The uniform start probes no index: every probe is the step's. *)
@@ -801,9 +806,9 @@ let test_step_cost_charged_once () =
           (Walker.steps_of_last_walk prepared)
       done)
     [
-      ("hash", Index.build_hash s2 ~column:0, Query.Eq, 1);
-      ("trie", Index.build_trie s2 ~columns:[ 0 ], Query.Eq, 1);
-      ("trie band", Index.build_trie s2 ~columns:[ 0 ], Query.Band { lo = 0; hi = 0 }, 1);
+      ("trie", Index.build_trie s2 ~columns:[ 0 ], Query.Eq, 1, 1);
+      (* ceil (log2 100) = 7 *)
+      ("trie band", Index.build_trie s2 ~columns:[ 0 ], Query.Band { lo = 0; hi = 0 }, 1, 7);
     ]
 
 (* The walk step allocates nothing: over every Q7 plan, a walk's minor
@@ -993,8 +998,8 @@ let test_decompose_two_components () =
       ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
   in
   let reg = Registry.create () in
-  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_hash b ~column:0);
-  Registry.add reg ~pos:2 ~column:1 (Wj_index.Index.build_hash d ~column:1);
+  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
+  Registry.add reg ~pos:2 ~column:1 (Wj_index.Index.build_trie d ~columns:[ 1 ]);
   let g = Join_graph.of_query q reg in
   Alcotest.(check bool) "no dst" false (Join_graph.has_directed_spanning_tree g);
   let comps = Decompose.decompose g in
@@ -1031,10 +1036,10 @@ let test_decompose_is_partition =
         (fun i (x, y) ->
           if i < k - 1 || (x + y) mod 2 = 0 then begin
             Registry.add reg ~pos:y ~column:i
-              (Wj_index.Index.build_hash (List.assoc (Printf.sprintf "t%d" y) tables) ~column:i);
+              (Wj_index.Index.build_trie (List.assoc (Printf.sprintf "t%d" y) tables) ~columns:[ i ]);
             if i < k - 1 then
               Registry.add reg ~pos:x ~column:i
-                (Wj_index.Index.build_hash (List.assoc (Printf.sprintf "t%d" x) tables) ~column:i)
+                (Wj_index.Index.build_trie (List.assoc (Printf.sprintf "t%d" x) tables) ~columns:[ i ])
           end)
         edges;
       let g = Join_graph.of_query q reg in
@@ -1068,8 +1073,8 @@ let test_hybrid_two_components () =
       ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
   in
   let partial = Registry.create () in
-  Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_hash b ~column:0);
-  Registry.add partial ~pos:2 ~column:1 (Wj_index.Index.build_hash d ~column:1);
+  Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
+  Registry.add partial ~pos:2 ~column:1 (Wj_index.Index.build_trie d ~columns:[ 1 ]);
   let full = Registry.build_for_query q in
   let exact = float_of_int (Exact.aggregate q full).join_size in
   let out = Hybrid.run_session (Run_config.make ~seed:10 ~max_time:3.0 ()) q partial in
@@ -1109,7 +1114,8 @@ let () =
           Alcotest.test_case "chain" `Quick test_join_graph_chain;
           Alcotest.test_case "directions follow indexes" `Quick
             test_join_graph_directed_by_indexes;
-          Alcotest.test_case "band needs ordered" `Quick test_join_graph_band_needs_ordered;
+          Alcotest.test_case "band edge walkable over any slot" `Quick
+            test_join_graph_band_over_any_slot;
         ] );
       ( "walk_plan",
         [

@@ -114,9 +114,9 @@ let test_stratified_allocations () =
 let test_stratified_validation () =
   let q = skewed_query () in
   let reg = Registry.build_for_query q in
-  (* No ordered index on the group column -> refused. *)
-  Alcotest.check_raises "needs ordered index"
-    (Invalid_argument "Stratified.run: GROUP BY column needs an ordered index")
+  (* No index on the group column -> refused. *)
+  Alcotest.check_raises "needs an index"
+    (Invalid_argument "Stratified.run: GROUP BY column has no index")
     (fun () -> ignore (Stratified.run ~max_time:0.01 q reg));
   let q2 = { q with Query.group_by = None } in
   Alcotest.check_raises "needs group by"
@@ -499,7 +499,7 @@ let test_hybrid_sum () =
       ~agg:Estimator.Sum ~expr:(Col (2, 1)) ()
   in
   let partial = Registry.create () in
-  Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_hash b ~column:0);
+  Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
   (* c unindexed on m: edge b~c unwalkable either way -> decomposition,
      because c can still be its own component (any single vertex is). *)
   let full = Registry.build_for_query q in

@@ -494,6 +494,28 @@ let test_serve_paged_needs_one_domain () =
       | _ -> Alcotest.fail "unexpected served shape")
     [ (1, paged); (2, Backend.In_memory) ]
 
+(* A segment truncated after it was opened: faulting a page past the new
+   end raises the typed error naming the file and the page, not
+   [Failure]. *)
+let test_short_read () =
+  let page_bytes = 16 in
+  let path = Filename.concat (Lazy.force scratch) "short_read.seg" in
+  let w = Wj_storage.Segment.create_writer path ~page_bytes in
+  for i = 0 to 7 do
+    Wj_storage.Segment.put_int w i
+  done;
+  Wj_storage.Segment.close_writer w;
+  let pool = Buffer_pool.create ~page_bytes ~capacity:4 () in
+  let f = Wj_storage.Segment.open_file pool path in
+  Unix.truncate path (2 * page_bytes);
+  (match Wj_storage.Segment.read_int f 5 with
+  | v -> Alcotest.failf "read %d past the end" v
+  | exception Wj_storage.Segment.Short_read { path = p; page } ->
+    Alcotest.(check string) "path" path p;
+    Alcotest.(check int) "page" 2 page);
+  Alcotest.(check int) "a page before the new end still reads" 3
+    (Wj_storage.Segment.read_int f 3)
+
 let () =
   Alcotest.run "wj_extmem"
     [
@@ -501,6 +523,7 @@ let () =
         [
           Alcotest.test_case "read faults and re-reads" `Quick test_read_faults_and_rereads;
           Alcotest.test_case "read evicts the LRU page" `Quick test_read_evicts_lru;
+          Alcotest.test_case "a truncated segment raises Short_read" `Quick test_short_read;
         ] );
       ( "roundtrip",
         [

@@ -1,8 +1,9 @@
-(* Tests for wj_index: Hash_index, the ordered index (a one-column trie),
-   the Index facade. *)
+(* Tests for wj_index: the one index kind (a trie whose level 0 has a
+   key directory) against per-key and sorted models, the ordered lookups
+   of a one-column trie, and the Index facade. *)
 
-module Hash_index = Wj_index.Hash_index
 module Index = Wj_index.Index
+module Trie = Wj_index.Trie
 module Table = Wj_storage.Table
 module Schema = Wj_storage.Schema
 module Prng = Wj_util.Prng
@@ -14,21 +15,6 @@ let small_table rows =
   let t = Table.create ~name:"t" ~schema () in
   List.iter (fun (k, v) -> ignore (Table.insert t [| Int k; Int v |])) rows;
   t
-
-(* ---- Hash_index ------------------------------------------------------ *)
-
-let test_hash_build_count_nth () =
-  let t = small_table [ (1, 0); (2, 0); (1, 0); (3, 0); (1, 0) ] in
-  let h = Hash_index.build t ~column:0 in
-  Alcotest.(check int) "count 1" 3 (Hash_index.count h 1);
-  Alcotest.(check int) "count 2" 1 (Hash_index.count h 2);
-  Alcotest.(check int) "count absent" 0 (Hash_index.count h 99);
-  Alcotest.(check int) "nth insertion order" 0 (Hash_index.nth h 1 0);
-  Alcotest.(check int) "nth 1" 2 (Hash_index.nth h 1 1);
-  Alcotest.(check int) "nth 2" 4 (Hash_index.nth h 1 2);
-  Alcotest.(check int) "distinct" 3 (Hash_index.distinct_keys h);
-  Alcotest.(check int) "entries" 5 (Hash_index.total_entries h);
-  Alcotest.(check int) "column" 0 (Hash_index.table_column h)
 
 (* A walk step's draw: locate the key once, pick uniformly among the
    located count, select the row out of the locate. *)
@@ -48,9 +34,39 @@ let located_range idx ~lo ~hi =
 (* A scan: every located row, in slot order. *)
 let scan l = List.init (Index.located_count l) (Index.located_nth l)
 
+(* The distinct level-0 keys, each with the rows of its run, in cursor
+   order. *)
+let level0_runs idx =
+  let c = Trie.cursor idx ~level:0 ~lo:0 ~hi:(Trie.length idx) in
+  let acc = ref [] in
+  while not (Trie.at_end c) do
+    let lo, hi = Trie.child c in
+    acc := (Trie.key c, List.init (hi - lo) (fun i -> Trie.row idx (lo + i))) :: !acc;
+    Trie.next c
+  done;
+  List.rev !acc
+
+(* ---- The level-0 key directory: equality lookups ----------------------- *)
+
+let test_hash_build_count_nth () =
+  let t = small_table [ (1, 0); (2, 0); (1, 0); (3, 0); (1, 0) ] in
+  let h = Index.build_trie t ~columns:[ 0 ] in
+  Alcotest.(check int) "count 1" 3 (Index.count_eq h 1);
+  Alcotest.(check int) "count 2" 1 (Index.count_eq h 2);
+  Alcotest.(check int) "count absent" 0 (Index.count_eq h 99);
+  Alcotest.(check int) "nth row order" 0 (Index.nth_eq h 1 0);
+  Alcotest.(check int) "nth 1" 2 (Index.nth_eq h 1 1);
+  Alcotest.(check int) "nth 2" 4 (Index.nth_eq h 1 2);
+  Alcotest.(check (list int)) "distinct" [ 1; 2; 3 ] (List.map fst (level0_runs h));
+  Alcotest.(check int) "entries" 5 (Trie.length h);
+  let p0 = Index.probes h in
+  ignore (Index.count_eq h 1);
+  ignore (Index.nth_eq h 3 0);
+  Alcotest.(check int) "one probe per lookup" 2 (Index.probes h - p0)
+
 let test_hash_sample () =
   let t = small_table [ (1, 0); (1, 0); (2, 0) ] in
-  let idx = Index.build_hash t ~column:0 in
+  let idx = Index.build_trie t ~columns:[ 0 ] in
   let prng = Prng.create 3 in
   for _ = 1 to 50 do
     let row = draw_located prng (located_eq idx 1) in
@@ -60,11 +76,11 @@ let test_hash_sample () =
 
 let test_hash_iter () =
   let t = small_table [ (5, 0); (5, 0); (6, 0) ] in
-  let h = Index.build_hash t ~column:0 in
+  let h = Index.build_trie t ~columns:[ 0 ] in
   Alcotest.(check (list int)) "rows" [ 0; 1 ] (scan (located_eq h 5));
   Alcotest.(check (list int)) "absent" [] (scan (located_eq h 7))
 
-(* ---- Hash_index and located probes against a per-key model ----------- *)
+(* ---- One- and two-column tries against per-key and sorted models ------ *)
 
 (* Keys drawn so that columns repeat keys, hit both ends of the int range
    and spread over wide values. *)
@@ -79,72 +95,109 @@ let key_gen =
         (1, int);
       ])
 
+(* Empty, one repeated key, dense and sparse domains, and mixed keys. *)
 let column_gen =
   QCheck.Gen.(
     frequency
       [
         (1, return []);
         (1, map2 (fun k n -> List.init n (fun _ -> k)) key_gen (int_range 1 200));
+        (1, map (fun n -> List.init n (fun i -> i mod 37)) (int_range 1 300));
         (1, map (fun n -> List.init n (fun i -> (i * 7919) - 100_000)) (int_range 1 300));
         (5, list_size (int_range 0 300) key_gen);
       ])
 
-let column_arb =
+(* A table's two columns, probe keys and probe ranges.  The second column
+   cycles through its own generated keys. *)
+let table_arb =
   QCheck.make
-    ~print:QCheck.Print.(pair (list int) (list int))
-    QCheck.Gen.(pair column_gen (list_size (int_range 0 10) key_gen))
+    ~print:
+      QCheck.Print.(
+        quad (list int) (list int) (list int) (list (pair int int)))
+    QCheck.Gen.(
+      quad column_gen
+        (list_size (int_range 1 20) key_gen)
+        (list_size (int_range 0 10) key_gen)
+        (list_size (int_range 0 10) (pair key_gen key_gen)))
 
-(* [model] maps each key to its rows in row order; a key absent from the
-   column maps to []. *)
-let hash_matches_model (column, probes) =
-  let t = small_table (List.map (fun k -> (k, 0)) column) in
-  let keyed = List.mapi (fun row k -> (k, row)) column in
-  let model k = List.filter_map (fun (k', row) -> if k' = k then Some row else None) keyed in
-  let distinct = List.sort_uniq compare column in
-  let h = Hash_index.build t ~column:0 in
-  let kinds =
-    [
-      ("hash", Index.build_hash t ~column:0);
-      ("trie", Index.build_trie t ~columns:[ 0 ]);
-    ]
-  in
+let in_range ~lo ~hi k = k >= lo && k <= hi
+
+(* The level-0 equality locate is one probe and lists a key's rows in
+   (deeper keys, row) order, which on a one-column trie is row order, as
+   a per-key model lists them; an absent key has count 0.  Range locates,
+   level-1 narrows and the level-0 cursor agree with a sorted model. *)
+let index_matches_models (column, bs, probes, ranges) =
+  let b = Array.of_list bs in
+  let rows = List.mapi (fun row a -> (a, b.(row mod Array.length b), row)) column in
+  let t = small_table (List.map (fun (a, b, _) -> (a, b)) rows) in
   let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  if Hash_index.distinct_keys h <> List.length distinct then fail "distinct_keys";
-  if Hash_index.total_entries h <> List.length column then fail "total_entries";
+  let distinct = List.sort_uniq compare column in
+  let keys = distinct @ probes in
+  let ranges = List.map (fun (x, y) -> (min x y, max x y)) ranges in
   List.iter
-    (fun k ->
-      let rows = model k in
-      let d = List.length rows in
-      if Hash_index.count h k <> d then fail "count %d" k;
-      List.iteri (fun i r -> if Hash_index.nth h k i <> r then fail "nth %d %d" k i) rows;
-      if not (raises (fun () -> Hash_index.nth h k d)) then fail "nth %d past the end" k;
-      if not (raises (fun () -> Hash_index.nth h k (-1))) then fail "nth %d -1" k;
+    (fun (name, columns, model) ->
+      let idx = Index.build_trie t ~columns in
+      let sorted = List.sort compare (List.map model rows) in
+      let rows_where p = List.filter_map (fun (k, row) -> if p k then Some row else None) sorted in
       List.iter
-        (fun (kind, idx) ->
-          let l = Index.locator idx in
-          Index.locate_eq l k;
-          if Index.located_count l <> d then fail "%s located_count %d" kind k;
-          let located = List.init d (Index.located_nth l) in
+        (fun k ->
+          let p0 = Index.probes idx in
+          let l = located_eq idx k in
+          if Index.probes idx - p0 <> 1 then fail "%s locate_eq %d: probes" name k;
+          let expected = rows_where (fun (a, _) -> a = k) in
+          if scan l <> expected then fail "%s locate_eq %d: rows" name k;
+          if List.length expected = 0 && Index.count_eq idx k <> 0 then
+            fail "%s absent %d: count" name k;
+          if not (raises (fun () -> Index.located_nth l (List.length expected))) then
+            fail "%s located_nth %d past the end" name k;
           List.iteri
-            (fun i r -> if Index.nth_eq idx k i <> r then fail "%s nth_eq %d %d" kind k i)
-            located;
-          (* Hash groups and trie runs list a key's rows in row order. *)
-          if located <> rows then fail "%s located rows of %d" kind k;
-          if not (raises (fun () -> Index.located_nth l d)) then
-            fail "%s located_nth %d past the end" kind k)
-        kinds)
-    (distinct @ probes);
+            (fun i r -> if Index.nth_eq idx k i <> r then fail "%s nth_eq %d %d" name k i)
+            expected)
+        keys;
+      List.iter
+        (fun (lo, hi) ->
+          let p0 = Index.probes idx in
+          let l = located_range idx ~lo ~hi in
+          if Index.probes idx - p0 <> 1 then fail "%s locate_range: probes" name;
+          if scan l <> rows_where (fun (a, _) -> in_range ~lo ~hi a) then
+            fail "%s locate_range [%d, %d]" name lo hi;
+          if Index.count_range idx ~lo ~hi <> Index.located_count l then
+            fail "%s count_range [%d, %d]" name lo hi;
+          if List.length columns = 2 then
+            List.iter
+              (fun k ->
+                let l = located_eq idx k in
+                Index.narrow l ~level:1 ~lo ~hi;
+                if scan l <> rows_where (fun (a, b) -> a = k && in_range ~lo ~hi b) then
+                  fail "%s narrow %d to [%d, %d]" name k lo hi)
+              keys)
+        ranges;
+      let runs = List.map (fun k -> (k, rows_where (fun (a, _) -> a = k))) distinct in
+      if level0_runs idx <> runs then fail "%s level-0 cursor" name;
+      List.iter
+        (fun k ->
+          let c = Trie.cursor idx ~level:0 ~lo:0 ~hi:(Trie.length idx) in
+          Trie.seek c k;
+          match (Trie.at_end c, List.find_opt (fun k' -> k' >= k) distinct) with
+          | true, None -> ()
+          | false, Some k' when Trie.key c = k' -> ()
+          | _ -> fail "%s seek %d" name k)
+        keys)
+    [
+      ("one column", [ 0 ], fun (a, _, row) -> ((a, a), row));
+      ("two columns", [ 0; 1 ], fun (a, b, row) -> ((a, b), row));
+    ];
   true
 
 let hash_vs_model =
   QCheck.Test.make ~name:"hash index and located probes agree with a per-key model"
-    ~count:300 column_arb hash_matches_model
+    ~count:300 table_arb index_matches_models
 
 (* The edge cases the generator may miss, checked every run. *)
 let test_hash_model_edges () =
   let check name column probes =
-    match hash_matches_model (column, probes) with
+    match index_matches_models (column, [ 3; -1; 3 ], probes, [ (min_int, max_int); (-1, 5) ]) with
     | true -> ()
     | false -> Alcotest.fail name
     | exception QCheck.Test.Test_fail (_, msgs) ->
@@ -162,7 +215,7 @@ let test_hash_model_edges () =
    builds it for a range predicate, a band join or a GROUP BY column. *)
 let ordered keys = Index.build_trie (small_table (List.map (fun k -> (k, 0)) keys)) ~columns:[ 0 ]
 
-let out_of_range = Invalid_argument "Trie.nth_range: out of range"
+let out_of_range = Invalid_argument "Index.located_nth: out of range"
 
 (* Every row in rank order: keys ascending, ties by row id. *)
 let dump o = scan (located_range o ~lo:min_int ~hi:max_int)
@@ -305,20 +358,15 @@ let ordered_rank_select_inverse =
 
 let test_index_facade_eq () =
   let t = small_table [ (1, 0); (2, 0); (1, 0) ] in
-  let h = Index.build_hash t ~column:0 in
   let o = Index.build_trie t ~columns:[ 0 ] in
-  Alcotest.(check int) "hash count" 2 (Index.count_eq h 1);
-  Alcotest.(check int) "ordered count" 2 (Index.count_eq o 1);
-  Alcotest.(check bool) "hash nth valid" true (List.mem (Index.nth_eq h 1 0) [ 0; 2 ]);
-  Alcotest.(check bool) "ordered nth valid" true (List.mem (Index.nth_eq o 1 1) [ 0; 2 ]);
-  Alcotest.(check bool) "range support" true (Index.supports_range o);
-  Alcotest.(check bool) "no range support" false (Index.supports_range h);
-  Alcotest.check_raises "hash range"
-    (Invalid_argument "Index.count_range: hash index cannot answer ranges") (fun () ->
-      ignore (Index.count_range h ~lo:0 ~hi:1));
-  Alcotest.check_raises "ordered nth_eq out of range" out_of_range (fun () ->
+  Alcotest.(check int) "count" 2 (Index.count_eq o 1);
+  Alcotest.(check int) "absent count" 0 (Index.count_eq o 7);
+  Alcotest.(check (list int)) "nth in row order" [ 0; 2 ] (List.init 2 (Index.nth_eq o 1));
+  Alcotest.(check int) "range of one key" 2 (Index.count_range o ~lo:1 ~hi:1);
+  Alcotest.check_raises "nth_eq out of range" out_of_range (fun () ->
       ignore (Index.nth_eq o 1 2));
-  Alcotest.check_raises "ordered nth_range out of range" out_of_range (fun () ->
+  Alcotest.check_raises "nth_eq absent" out_of_range (fun () -> ignore (Index.nth_eq o 7 0));
+  Alcotest.check_raises "nth_range out of range" out_of_range (fun () ->
       ignore (Index.nth_range o ~lo:1 ~hi:2 3))
 
 let test_index_facade_range () =
@@ -326,7 +374,12 @@ let test_index_facade_range () =
   let o = Index.build_trie t ~columns:[ 0 ] in
   Alcotest.(check int) "range count" 2 (Index.count_range o ~lo:15 ~hi:35);
   Alcotest.(check (list int)) "scanned rows" [ 1; 2 ] (scan (located_range o ~lo:15 ~hi:35));
-  Alcotest.(check bool) "count cost positive" true (Index.count_cost o >= 1)
+  (* An equality locate is one directory lookup; a range locate, or any
+     locate on a deeper trie, one binary search per level. *)
+  Alcotest.(check int) "equality cost" 1 (Index.count_cost o ~range:false);
+  Alcotest.(check int) "range cost" 2 (Index.count_cost o ~range:true);
+  let o2 = Index.build_trie t ~columns:[ 0; 1 ] in
+  Alcotest.(check int) "two-level equality cost" 4 (Index.count_cost o2 ~range:false)
 
 (* ---- Narrowing a located span ----------------------------------------- *)
 
@@ -360,12 +413,6 @@ let narrow_vs_model =
           && scan l = expected)
         probes)
 
-let test_narrow_hash_raises () =
-  let h = Index.build_hash (small_table [ (1, 2); (1, 3) ]) ~column:0 in
-  Alcotest.check_raises "hash span"
-    (Invalid_argument "Index.narrow: a hash span has no key levels") (fun () ->
-      Index.narrow (located_eq h 1) ~level:1 ~lo:2 ~hi:2)
-
 let () =
   Alcotest.run "wj_index"
     [
@@ -395,7 +442,6 @@ let () =
         [
           Alcotest.test_case "equality ops" `Quick test_index_facade_eq;
           Alcotest.test_case "range ops" `Quick test_index_facade_range;
-          Alcotest.test_case "narrow on a hash span raises" `Quick test_narrow_hash_raises;
           QCheck_alcotest.to_alcotest narrow_vs_model;
         ] );
     ]

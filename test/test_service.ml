@@ -733,9 +733,9 @@ let same_outcome name (a : Online.outcome) (b : Online.outcome) =
   Alcotest.(check bool) (name ^ ": bit-for-bit half-width") true
     (float_eq a.final.half_width b.final.half_width)
 
-(* A registry depends on its query alone.  A needs an ordered index on
-   l_suppkey (its predicate), B a hash index (its join): served after A in
-   one batch, B must still get the hash index a lone run builds. *)
+(* A registry depends on its query alone.  A indexes l_suppkey for its
+   predicate, B for its join: served after A in one batch, B must still
+   give what a lone run gives. *)
 let test_registry_depends_on_query () =
   let catalog = Lazy.force sf01_catalog in
   let a =
@@ -757,7 +757,7 @@ let test_registry_depends_on_query () =
   in
   same_outcome "B after A = B alone" alone after_a
 
-(* Registries built over one store share each (table, column, kind) index
+(* Registries built over one store share each (table, columns) index
    physically; without a store each build makes its own. *)
 let test_store_shares_indexes () =
   let catalog = Lazy.force tpch_catalog in
@@ -813,6 +813,34 @@ let triangle_catalog =
 
 (* Two statements on two domains reach one store at once: every estimate
    and walk count must equal the single-domain batch. *)
+(* One physical index per (table, columns).  Q7's two nation aliases join
+   on n_nationkey and carry a predicate on it: every slot over that column
+   holds the one index the store hands out for it, and so does every
+   other slot.  The entry count is the sum of the slots' table sizes. *)
+let test_one_index_per_column () =
+  let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
+  let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q7 d in
+  let store = Registry.create_store () in
+  let reg = Registry.build_for_query ~store q in
+  Alcotest.(check int) "total entries" 106_722 (Registry.total_entries reg);
+  let other = Registry.build_for_query ~store q in
+  Registry.iter reg (fun ~pos ~column idx ->
+      Alcotest.(check bool)
+        (Printf.sprintf "slot %d.%d is the store's index" pos column)
+        true
+        (idx == Registry.ensure_trie other q.Query.tables.(pos) ~pos ~columns:[ column ]));
+  let nation = ref [] in
+  Array.iteri
+    (fun pos t ->
+      if Table.name t = "nation" then
+        nation :=
+          Option.get (Registry.find reg ~pos ~column:(Table.column_index t "n_nationkey"))
+          :: !nation)
+    q.Query.tables;
+  match !nation with
+  | [ n2; n1 ] -> Alcotest.(check bool) "both nation aliases share one index" true (n1 == n2)
+  | _ -> Alcotest.fail "Q7 has two nation aliases"
+
 let test_store_across_domains () =
   let catalog = Lazy.force triangle_catalog in
   let where = " FROM f, g, h WHERE f.b = g.b AND g.c = h.c AND h.a = f.a" in
@@ -899,5 +927,6 @@ let () =
             test_store_shares_indexes;
           Alcotest.test_case "two domains build tries in one store" `Quick
             test_store_across_domains;
+          Alcotest.test_case "one index per (table, columns)" `Quick test_one_index_per_column;
         ] );
     ]
