@@ -1,13 +1,12 @@
-(* Cyclic queries and decomposition (§3.3, §4.1).
+(* Cyclic queries (§3.3): a triangle join F(a,b) ⋈ G(b,c) ⋈ H(c,a).  The
+   walk covers a spanning tree (say F -> G -> H) and the third edge
+   (H.a = F.a) is verified after the walk; failures count as zeros.  The
+   optimizer may instead fold that edge into the last step's trie
+   (pre-intersection), which the printed plan shows.
 
-   Part 1 — a triangle join F(a,b) ⋈ G(b,c) ⋈ H(c,a): the walk covers a
-   spanning tree (F -> G -> H) and the third edge (H.a = F.a) is verified
-   after the walk; failures count as zeros.
-
-   Part 2 — a 4-table chain A - B - D - C whose middle join column is
-   unindexed on both sides: no directed spanning tree exists, the graph
-   decomposes into components {A, B} and {C, D}, and the hybrid
-   wander/ripple estimator combines the two walk streams.
+   Every join column is indexed on demand, so a walk order always exists
+   and the paper's directed-spanning-tree decomposition (§4.1, Appendix B)
+   is never needed.
 
    Run with: dune exec examples/cyclic_triangle.exe *)
 
@@ -31,7 +30,6 @@ let () =
   let random_pairs n =
     List.init n (fun _ -> (Wj_util.Prng.int prng dom, Wj_util.Prng.int prng dom))
   in
-  (* ---- Part 1: triangle ---------------------------------------------- *)
   let f = two_int_table "f" "a" "b" (random_pairs 4000) in
   let g = two_int_table "g" "b" "c" (random_pairs 4000) in
   let h = two_int_table "h" "c" "a" (random_pairs 4000) in
@@ -54,49 +52,5 @@ let () =
       (Wj_core.Run_config.make ~seed:8 ~max_time:1.0 ())
       triangle registry
   in
-  Printf.printf "wander join estimate:  %.1f +/- %.1f  (plan %s)\n\n"
-    out.final.estimate out.final.half_width out.plan_description;
-
-  (* ---- Part 2: chain with an unindexed middle edge -------------------- *)
-  let a = two_int_table "a" "k" "x" (random_pairs 3000) in
-  let b = two_int_table "b" "x" "m" (random_pairs 3000) in
-  let dd = two_int_table "d" "m" "y" (random_pairs 3000) in
-  let c = two_int_table "c" "y" "k2" (random_pairs 3000) in
-  let chain =
-    Query.make
-      ~tables:[ ("a", a); ("b", b); ("d", dd); ("c", c) ]
-      ~joins:
-        [
-          { left = (0, 1); right = (1, 0); op = Eq }; (* a.x = b.x *)
-          { left = (1, 1); right = (2, 0); op = Eq }; (* b.m = d.m (unindexed) *)
-          { left = (3, 0); right = (2, 1); op = Eq }; (* c.y = d.y *)
-        ]
-      ~agg:Count ~expr:(Const 1.0) ()
-  in
-  (* Index only a.x<-b and d<-c directions: b.x and d.y get indexes, the
-     middle b.m = d.m edge gets none. *)
-  let partial = Wj_core.Registry.create () in
-  Wj_core.Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
-  Wj_core.Registry.add partial ~pos:2 ~column:1 (Wj_index.Index.build_trie dd ~columns:[ 1 ]);
-  let graph = Wj_core.Join_graph.of_query chain partial in
-  Printf.printf "chain with unindexed middle edge; directed spanning tree exists: %b\n"
-    (Wj_core.Join_graph.has_directed_spanning_tree graph);
-  let components = Wj_core.Decompose.decompose graph in
-  List.iter
-    (fun (comp : Wj_core.Decompose.component) ->
-      Printf.printf "  component rooted at %s: {%s}\n" chain.names.(comp.root)
-        (String.concat ", " (List.map (fun v -> chain.names.(v)) comp.members)))
-    components;
-  (* Ground truth needs full indexes; the hybrid run uses only the partial
-     registry. *)
-  let full = Wj_core.Registry.build_for_query chain in
-  let exact2 = Wj_exec.Exact.aggregate chain full in
-  let hy =
-    Wj_core.Hybrid.run_session
-      (Wj_core.Run_config.make ~seed:4 ~max_time:3.0 ())
-      chain partial
-  in
-  Printf.printf "exact chain count: %.0f\n" exact2.value;
-  Printf.printf "hybrid estimate:   %.1f +/- %.1f  (%d walks across %d components)\n"
-    hy.estimate hy.half_width hy.walks (List.length hy.components);
-  Printf.printf "component plans: %s\n" (String.concat " | " hy.component_plans)
+  Printf.printf "wander join estimate:  %.1f +/- %.1f  (plan %s)\n"
+    out.final.estimate out.final.half_width out.plan_description

@@ -2,8 +2,8 @@
 
     A walk is {!Walker.walk}: one loop, one step path.  {!feed} turns its
     outcome into an estimator observation, and {!Driver} is the single
-    execution loop shared by the Online and Hybrid drivers and by the
-    ripple-join baselines: stop conditions (confidence target, deadline,
+    execution loop shared by the Online drivers (scalar and GROUP BY)
+    and by the ripple-join baselines: stop conditions (confidence target, deadline,
     walk budget, cancellation) plus periodic reporting, with the polling
     cadence of each check configurable. *)
 
@@ -13,7 +13,7 @@ type t
 val create : ?batch:int -> ?prefetch:bool -> Walker.prepared -> t
 (** [batch] and [prefetch] are accepted and ignored: every walk is one
     {!Walker.walk}.  They survive only because the benchmark ledger
-    ([bench/ledger/ledger.ml]) still passes them; ROADMAP item 12 deletes
+    ([bench/ledger/ledger.ml]) still passes them; ROADMAP item 13 deletes
     [create] and [next] together with the ledger's batch-64 rows. *)
 
 val next : t -> Wj_util.Prng.t -> Walker.outcome

@@ -69,7 +69,7 @@ let choose ?(config = default_config) ?(eager_checks = true) ?(sink = Wj_obs.Sin
       |> List.concat_map (Walk_plan.intersect_variants q registry)
   in
   if plans = [] then
-    invalid_arg "Optimizer.choose: query admits no walk plan (needs decomposition)";
+    invalid_arg "Optimizer.choose: query admits no walk plan";
   let trials =
     List.map
       (fun plan ->

@@ -54,8 +54,8 @@ val choose :
 (** Runs the trial protocol over [plans] (default: all enumerated plans,
     each followed by its {!Walk_plan.intersect_variants} — so on cyclic
     queries the trials also decide the index-granularity axis, plain
-    ("hash") sampling + rejection versus trie pre-intersection per
-    non-tree edge).
+    sampling + rejection versus trie pre-intersection per non-tree
+    edge).
     [sink] is threaded to every trial {!Walker.prepare}, so trial walks
     count in the sink's walker metrics like any other walk; when the sink
     carries a trace the whole trial protocol is one ["optimizer.trials"]
@@ -65,4 +65,4 @@ val choose :
     per-plan variance attribution includes the trial phase — the same
     Var[X₁] evidence this optimizer decides on, preserved as an
     explainable input.  Raises [Invalid_argument] when no walk plan
-    exists — use {!Decompose} / {!Hybrid} in that case. *)
+    exists (a registry missing the indexes every order needs). *)

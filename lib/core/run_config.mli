@@ -1,7 +1,7 @@
 (** One record for everything a run session shares across drivers.
 
-    The Online and Hybrid drivers (and {!Wj_sql.Engine} above them)
-    share the same knobs: seed, confidence, budgets, reporting
+    The Online drivers, scalar and GROUP BY (and {!Wj_sql.Engine} above
+    them), share the same knobs: seed, confidence, budgets, reporting
     cadence, clock, cancellation, plan choice.  [Run_config.t] is the
     single source of truth for those knobs plus the observability
     {!Wj_obs.Sink.t}; every driver's [run_session] takes one. *)

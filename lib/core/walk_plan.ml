@@ -22,95 +22,86 @@ type t = {
   nontree : Query.join_cond list;
 }
 
+(* The index-directed join graph (§4.1): the conditions, in query order,
+   that can be walked from [from] into [into] — those linking the two
+   positions whose [into] side carries an index. *)
+let walkable q registry ~from ~into =
+  List.filter
+    (fun (c : Query.join_cond) ->
+      let (lp, lc), (rp, rc) = (c.left, c.right) in
+      (lp = from && rp = into && Registry.find registry ~pos:rp ~column:rc <> None)
+      || (rp = from && lp = into && Registry.find registry ~pos:lp ~column:lc <> None))
+    q.Query.joins
+
 (* Orients [cond] with [parent] on the left and [into] on the right, and
    fetches the index backing the step. *)
-let make_step q registry ~parent ~into cond =
-  ignore q;
+let make_step registry ~parent ~into cond =
   let cond = if fst cond.Query.left = parent then cond else Query.flip cond in
   let _, col = cond.Query.right in
   match Registry.find registry ~pos:into ~column:col with
   | Some index -> { into; parent; cond; index; isect = None }
-  | None -> invalid_arg "Walk_plan.make_step: missing index (walkable lied?)"
+  | None -> invalid_arg "Walk_plan.make_step: missing index"
 
-(* Conditions inside the member set not used as tree steps become non-tree
-   edges; conditions leaving the set are the caller's (Hybrid's) business. *)
-let nontree_of q ~allowed used =
-  List.filter
-    (fun (c : Query.join_cond) ->
-      allowed.(fst c.left) && allowed.(fst c.right) && not (List.memq c used))
-    q.Query.joins
+(* Conditions not used as tree steps become non-tree edges. *)
+let nontree_of q used =
+  List.filter (fun c -> not (List.memq c used)) q.Query.joins
 
-let enumerate_allowed ~max_plans q registry allowed =
-  let graph = Join_graph.of_query q registry in
+let enumerate ?(max_plans = 256) q registry =
   let k = Query.k q in
-  let target = Array.fold_left (fun a b -> if b then a + 1 else a) 0 allowed in
   let plans = ref [] in
   let count = ref 0 in
   let exception Done in
   let rec extend in_set order_rev steps_rev used depth =
-    if depth = target then begin
+    if depth = k then begin
       let order = Array.of_list (List.rev order_rev) in
       let steps = Array.of_list (List.rev steps_rev) in
-      plans := { order; steps; nontree = nontree_of q ~allowed used } :: !plans;
+      plans := { order; steps; nontree = nontree_of q used } :: !plans;
       incr count;
       if !count >= max_plans then raise Done
     end
     else
       for into = 0 to k - 1 do
-        if allowed.(into) && not in_set.(into) then
+        if not in_set.(into) then
           for parent = 0 to k - 1 do
             if in_set.(parent) then
               List.iter
                 (fun cond ->
-                  let step = make_step q registry ~parent ~into cond in
+                  let step = make_step registry ~parent ~into cond in
                   in_set.(into) <- true;
                   extend in_set (into :: order_rev) (step :: steps_rev)
                     (cond :: used) (depth + 1);
                   in_set.(into) <- false)
-                (Join_graph.walkable graph ~from:parent ~into)
+                (walkable q registry ~from:parent ~into)
           done
       done
   in
   (try
      for start = 0 to k - 1 do
-       if allowed.(start) then begin
-         let in_set = Array.make k false in
-         in_set.(start) <- true;
-         extend in_set [ start ] [] [] 1
-       end
+       let in_set = Array.make k false in
+       in_set.(start) <- true;
+       extend in_set [ start ] [] [] 1
      done
    with Done -> ());
   List.rev !plans
 
-let enumerate ?(max_plans = 256) q registry =
-  enumerate_allowed ~max_plans q registry (Array.make (Query.k q) true)
-
-let enumerate_subset ?(max_plans = 256) q registry ~members =
-  let allowed = Array.make (Query.k q) false in
-  List.iter (fun m -> allowed.(m) <- true) members;
-  enumerate_allowed ~max_plans q registry allowed
-
 let of_order q registry order =
-  let graph = Join_graph.of_query q registry in
   let k = Query.k q in
   if Array.length order <> k then None
   else begin
-    let in_set = Array.make k false in
-    in_set.(order.(0)) <- true;
     let rec build i steps used =
       if i = k then
         Some
           {
             order = Array.copy order;
             steps = Array.of_list (List.rev steps);
-            nontree = nontree_of q ~allowed:(Array.make k true) used;
+            nontree = nontree_of q used;
           }
       else begin
         let into = order.(i) in
         let candidate =
           Array.to_seq order |> Seq.take i
           |> Seq.filter_map (fun parent ->
-                 match Join_graph.walkable graph ~from:parent ~into with
+                 match walkable q registry ~from:parent ~into with
                  | [] -> None
                  | cond :: _ -> Some (parent, cond))
           |> Seq.uncons
@@ -118,10 +109,7 @@ let of_order q registry order =
         match candidate with
         | None -> None
         | Some ((parent, cond), _) ->
-          in_set.(into) <- true;
-          build (i + 1)
-            (make_step q registry ~parent ~into cond :: steps)
-            (cond :: used)
+          build (i + 1) (make_step registry ~parent ~into cond :: steps) (cond :: used)
       end
     in
     build 1 [] []
@@ -227,7 +215,7 @@ let granularity t =
         acc + match s.isect with None -> 0 | Some i -> List.length i.folds)
       0 t.steps
   in
-  if folds = 0 then "hash" else Printf.sprintf "trie-intersect(%d)" folds
+  if folds = 0 then "plain" else Printf.sprintf "trie-intersect(%d)" folds
 
 let describe q t =
   let names = q.Query.names in

@@ -46,16 +46,13 @@ type t = {
 }
 
 val enumerate : ?max_plans:int -> Query.t -> Registry.t -> t list
-(** All walk plans, capped at [max_plans] (default 256).  Empty when the
-    directed graph admits no valid walk order — callers then fall back to
-    {!Decompose}. *)
-
-val enumerate_subset :
-  ?max_plans:int -> Query.t -> Registry.t -> members:int list -> t list
-(** Walk plans confined to a subset of table positions (a decomposition
-    component): orders cover exactly the members; join conditions leaving
-    the subset are ignored (they are checked across components by
-    {!Hybrid}). *)
+(** All walk plans, capped at [max_plans] (default 256).  A step may walk
+    a join condition into a table only when that table's side of the
+    condition has an index in the registry (the index-directed join
+    graph, §4.1); the conditions between two tables are tried in query
+    order.  Empty when the directed graph admits no valid walk order,
+    which a registry from {!Registry.build_for_query} never leaves: it
+    indexes both sides of every join condition. *)
 
 val of_order : Query.t -> Registry.t -> int array -> t option
 (** The plan following the given table order, choosing for each step the
@@ -75,8 +72,9 @@ val intersect_variants : ?max_variants:int -> Query.t -> Registry.t -> t -> t li
     through {!Registry.ensure_trie} (cached, physically shared). *)
 
 val granularity : t -> string
-(** ["hash"] for a plain plan, ["trie-intersect(n)"] when [n] non-tree
-    edges are folded — the index-granularity axis of [Plan_chosen]. *)
+(** ["plain"] for a plan that folds no edge, ["trie-intersect(n)"] when
+    [n] non-tree edges are folded — the index-granularity axis of
+    [Plan_chosen]. *)
 
 val describe : Query.t -> t -> string
 (** e.g. ["customer -> orders -> lineitem (non-tree: ...)"]; folded edges

@@ -93,7 +93,6 @@ type compiled_step = {
 }
 
 type prepared = {
-  query : Query.t;
   plan : Walk_plan.t;
   start : start_sampler;
   start_count : int;
@@ -114,6 +113,7 @@ type prepared = {
   mutable last_steps : int;
   mutable phase_cost : int; (* abstract cost of the most recent phase *)
   factor : factor; (* HT factor of the most recent [Advanced] phase *)
+  path : int array; (* the bound rows of the current walk, reused every walk *)
 }
 
 (* Choose the most selective Olken-sampleable predicate on the start table;
@@ -242,7 +242,6 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
       plan.steps
   in
   {
-    query = q;
     plan;
     start;
     start_count;
@@ -261,6 +260,7 @@ let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
     last_steps = 0;
     phase_cost = 0;
     factor = { value = 0.0 };
+    path = Array.make kq (-1);
   }
 
 let start_cardinality t = t.start_count
@@ -475,7 +475,7 @@ let advance_step t prng path i =
   result
 
 let walk_impl t prng =
-  let path = Array.make (Query.k t.query) (-1) in
+  let path = t.path in
   (* Bind and vet the start tuple. *)
   match advance_start t prng path with
   | Dead_unbound ->
@@ -489,8 +489,6 @@ let walk_impl t prng =
     let depth = ref 1 in
     let inv_p = ref t.factor.value in
     let ok = ref true in
-    (* Walk the remaining tables (plans over a decomposition component have
-       fewer steps than k - 1). *)
     let nsteps = Array.length t.steps in
     let i = ref 0 in
     while !ok && !i < nsteps do

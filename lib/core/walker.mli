@@ -18,6 +18,8 @@
 
 type outcome =
   | Success of { path : int array; inv_p : float }
+      (** [path.(pos)]: the row bound at table position [pos].  The array
+          is reused by the next {!walk} on the same walker. *)
   | Failure of { depth : int }
       (** [depth]: how many tables were bound before the walk died. *)
 
@@ -61,8 +63,10 @@ val walk : prepared -> Wj_util.Prng.t -> outcome
 (** One random walk.  It samples, binds and vets the start tuple, then
     advances one plan step at a time.  The sink sees [Walk_started], then
     the outcome: walks / successes / failures / failure-depth histogram,
-    and a [Walk_succeeded]/[Walk_failed] event.  Every call returns a
-    fresh [path].
+    and a [Walk_succeeded]/[Walk_failed] event.  A [Success]'s [path] is
+    the walker's own buffer: it is valid until the next [walk] on the
+    same [prepared], which overwrites it, so a caller reads it at once
+    and copies what it keeps.
 
     Every step takes one path.  It locates the bound parent row's
     neighbour span in the step's index once ({!Query.locate_join}); when
@@ -74,8 +78,8 @@ val walk : prepared -> Wj_util.Prng.t -> outcome
     fetch, and multiplies the walk's inverse probability by d, the
     intersected count when edges are folded.  A step allocates nothing:
     it locates into a buffer the step owns, boxes no float and runs its
-    checks in loops, so a walk's minor allocation is its [path] and its
-    outcome.
+    checks in loops, and the path is bound into the [prepared]'s buffer,
+    so a walk's minor allocation is its outcome.
 
     An empty span consumes no PRNG draw.  An empty fold is a non-tree
     reject caught before sampling: it does not count the step's table in

@@ -4,8 +4,8 @@
     {!Histogram} and {!Gauge} instances are carved, plus a name table.
     Lookups are find-or-create: asking twice for ["walker.walks"] returns
     the same counter, so independently prepared walkers (optimizer trials,
-    parallel domains, hybrid components) sharing one registry accumulate
-    into the same cells.
+    parallel domains) sharing one registry accumulate into the same
+    cells.
 
     Registration ([counter]/[histogram]/[gauge]) allocates and is meant
     for setup time; the returned handles are then free of any name lookup

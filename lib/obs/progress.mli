@@ -1,9 +1,9 @@
 (** The unified progress record of every driver.
 
-    Every driver ([Online], [Ripple], [Index_ripple], the stratified and
-    hybrid drivers) reports the same three quantities in this one shape:
-    work performed, work that contributed to the estimate, and the
-    current estimate with its confidence half-width.  [Progress.t] is
+    Every driver ([Online], [Ripple], [Index_ripple]) reports the same
+    three quantities in this one shape: work performed, work that
+    contributed to the estimate, and the current estimate with its
+    confidence half-width.  [Progress.t] is
     carried by every driver's [history] and by {!Event.Report} ticks.
 
     What the fields count, per driver:
@@ -23,17 +23,6 @@ type t = {
   estimate : float;
   half_width : float;
 }
-
-val make :
-  ?tuples:int ->
-  elapsed:float ->
-  walks:int ->
-  successes:int ->
-  estimate:float ->
-  half_width:float ->
-  unit ->
-  t
-(** [tuples] defaults to 0. *)
 
 val success_rate : t -> float
 (** [successes / walks]; 0 when no work was performed yet. *)

@@ -1,16 +1,12 @@
-(* Tests for wj_core: Query, Join_graph, Walk_plan, Walker, Optimizer,
-   Online, Decompose, Hybrid. *)
+(* Tests for wj_core: Query, Walk_plan, Walker, Optimizer, Online. *)
 
 module Query = Wj_core.Query
 module Registry = Wj_core.Registry
-module Join_graph = Wj_core.Join_graph
 module Walk_plan = Wj_core.Walk_plan
 module Walker = Wj_core.Walker
 module Optimizer = Wj_core.Optimizer
 module Online = Wj_core.Online
 module Run_config = Wj_core.Run_config
-module Decompose = Wj_core.Decompose
-module Hybrid = Wj_core.Hybrid
 module Exact = Wj_exec.Exact
 module Index = Wj_index.Index
 module Table = Wj_storage.Table
@@ -209,23 +205,39 @@ let test_query_group_key () =
   let qg = { q with group_by = Some (0, 1) } in
   Alcotest.(check bool) "key" true (Value.equal (Value.Int 10) (Query.group_key qg [| 0; 0; 0 |]))
 
-(* ---- Join_graph ------------------------------------------------------ *)
+(* ---- The index-directed join graph (§4.1) --------------------------- *)
+
+let orders plans = List.map (fun (p : Walk_plan.t) -> Array.to_list p.order) plans
+
+(* Every step walks its condition from [parent] into [into], and into a
+   side the registry indexes: [step.index] is that side's index. *)
+let check_steps_enter_indexed_sides reg (p : Walk_plan.t) =
+  Array.iter
+    (fun (s : Walk_plan.step) ->
+      let rpos, rcol = s.cond.right in
+      Alcotest.(check int) "left side is the parent" s.parent (fst s.cond.left);
+      Alcotest.(check int) "right side is entered" s.into rpos;
+      match Registry.find reg ~pos:s.into ~column:rcol with
+      | Some index -> Alcotest.(check bool) "the indexed side" true (index == s.index)
+      | None -> Alcotest.fail "a step enters an unindexed side")
+    p.steps
 
 let test_join_graph_chain () =
   let q = chain_query () in
   let reg = Registry.build_for_query q in
-  let g = Join_graph.of_query q reg in
-  Alcotest.(check int) "k" 3 (Join_graph.k g);
-  Alcotest.(check bool) "tree" true (Join_graph.is_tree g);
-  Alcotest.(check int) "conds 0-1" 1 (List.length (Join_graph.conds_between g 0 1));
-  Alcotest.(check int) "conds 0-2" 0 (List.length (Join_graph.conds_between g 0 2));
-  (* Full registry: every direction walkable. *)
-  Alcotest.(check bool) "0 -> 1" true (Join_graph.walkable g ~from:0 ~into:1 <> []);
-  Alcotest.(check bool) "1 -> 0" true (Join_graph.walkable g ~from:1 ~into:0 <> []);
+  (* Full registry: every table is a root and both directions of every
+     edge are walkable, but a table is entered only from a neighbour. *)
+  let plans = Walk_plan.enumerate q reg in
+  Alcotest.(check (list (list int))) "orders"
+    [ [ 0; 1; 2 ]; [ 1; 0; 2 ]; [ 1; 2; 0 ]; [ 2; 1; 0 ] ]
+    (orders plans);
+  List.iter
+    (fun (p : Walk_plan.t) ->
+      Alcotest.(check int) "tree: no non-tree edge" 0 (List.length p.nontree);
+      check_steps_enter_indexed_sides reg p)
+    plans;
   Alcotest.(check bool) "0 -> 2 (not adjacent)" true
-    (Join_graph.walkable g ~from:0 ~into:2 = []);
-  Alcotest.(check (list int)) "roots" [ 0; 1; 2 ] (Join_graph.roots g);
-  Alcotest.(check bool) "dst" true (Join_graph.has_directed_spanning_tree g)
+    (Walk_plan.of_order q reg [| 0; 2; 1 |] = None)
 
 let test_join_graph_directed_by_indexes () =
   let q = chain_query () in
@@ -233,15 +245,11 @@ let test_join_graph_directed_by_indexes () =
   let reg = Registry.create () in
   Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_trie q.tables.(1) ~columns:[ 0 ]);
   Registry.add reg ~pos:2 ~column:0 (Wj_index.Index.build_trie q.tables.(2) ~columns:[ 0 ]);
-  let g = Join_graph.of_query q reg in
-  Alcotest.(check bool) "0 -> 1" true (Join_graph.walkable g ~from:0 ~into:1 <> []);
-  Alcotest.(check bool) "1 -> 0 blocked" true (Join_graph.walkable g ~from:1 ~into:0 = []);
-  Alcotest.(check (list int)) "only root 0" [ 0 ] (Join_graph.roots g);
-  Alcotest.(check (list int)) "reachable from 1" [ 1; 2 ]
-    (List.filteri (fun _ _ -> true)
-       (List.concat_map
-          (fun v -> if (Join_graph.reachable_set g 1).(v) then [ v ] else [])
-          [ 0; 1; 2 ]))
+  let plans = Walk_plan.enumerate q reg in
+  Alcotest.(check (list (list int))) "only root 0" [ [ 0; 1; 2 ] ] (orders plans);
+  List.iter (check_steps_enter_indexed_sides reg) plans;
+  Alcotest.(check bool) "0 -> 1" true (Walk_plan.of_order q reg [| 0; 1; 2 |] <> None);
+  Alcotest.(check bool) "1 -> 0 blocked" true (Walk_plan.of_order q reg [| 1; 0; 2 |] = None)
 
 let test_join_graph_band_over_any_slot () =
   let ta = int_table "ta" [ "v" ] [ [ 1 ] ] in
@@ -255,14 +263,16 @@ let test_join_graph_band_over_any_slot () =
      side that has an index, and only into such a side. *)
   let reg = Registry.create () in
   Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_trie tb ~columns:[ 0 ]);
-  let g = Join_graph.of_query q reg in
-  Alcotest.(check bool) "into the indexed side" true (Join_graph.walkable g ~from:0 ~into:1 <> []);
+  let plans = Walk_plan.enumerate q reg in
+  Alcotest.(check (list (list int))) "into the indexed side" [ [ 0; 1 ] ] (orders plans);
+  List.iter (check_steps_enter_indexed_sides reg) plans;
   Alcotest.(check bool) "not into the unindexed side" true
-    (Join_graph.walkable g ~from:1 ~into:0 = []);
+    (Walk_plan.of_order q reg [| 1; 0 |] = None);
   let reg = Registry.build_for_query q in
-  let g = Join_graph.of_query q reg in
-  Alcotest.(check bool) "registry: 0 -> 1" true (Join_graph.walkable g ~from:0 ~into:1 <> []);
-  Alcotest.(check bool) "registry: 1 -> 0" true (Join_graph.walkable g ~from:1 ~into:0 <> [])
+  let plans = Walk_plan.enumerate q reg in
+  Alcotest.(check (list (list int))) "registry: both ways" [ [ 0; 1 ]; [ 1; 0 ] ]
+    (orders plans);
+  List.iter (check_steps_enter_indexed_sides reg) plans
 
 (* ---- Walk_plan ------------------------------------------------------- *)
 
@@ -350,16 +360,6 @@ let test_walk_plan_of_order () =
   Alcotest.(check bool) "invalid order rejected" true
     (Walk_plan.of_order q reg [| 0; 2; 1 |] = None);
   Alcotest.(check bool) "wrong length rejected" true (Walk_plan.of_order q reg [| 0 |] = None)
-
-let test_walk_plan_enumerate_subset () =
-  let q, reg = fig4_query_and_registry () in
-  let plans = Walk_plan.enumerate_subset q reg ~members:[ 0; 1; 2 ] in
-  Alcotest.(check bool) "subset plans exist" true (plans <> []);
-  List.iter
-    (fun (p : Walk_plan.t) ->
-      Alcotest.(check int) "3 tables" 3 (Array.length p.order);
-      Array.iter (fun pos -> Alcotest.(check bool) "in subset" true (pos <= 2)) p.order)
-    plans
 
 (* ---- Walker ---------------------------------------------------------- *)
 
@@ -588,7 +588,7 @@ let test_optimizer_no_plans () =
   let reg = Registry.create () in
   let prng = Prng.create 1 in
   Alcotest.check_raises "no plans"
-    (Invalid_argument "Optimizer.choose: query admits no walk plan (needs decomposition)")
+    (Invalid_argument "Optimizer.choose: query admits no walk plan")
     (fun () -> ignore (Optimizer.choose q reg prng))
 
 (* ---- Online ---------------------------------------------------------- *)
@@ -811,11 +811,11 @@ let test_step_cost_charged_once () =
       ("trie band", Index.build_trie s2 ~columns:[ 0 ], Query.Band { lo = 0; hi = 0 }, 1, 7);
     ]
 
-(* The walk step allocates nothing: over every Q7 plan, a walk's minor
-   allocation is its fresh [path] array and its outcome block (7 + 5
-   words for a success, 7 + 2 for a failure; a Q7 walk mostly fails).
-   Minor words are deterministic, unlike wall time, so this is the walk
-   cost a test can pin. *)
+(* The walk step allocates nothing and the path is the walker's own
+   buffer: over every Q7 plan, a walk's minor allocation is its outcome
+   block (5 words for a success, its float boxed; 2 for a failure; a Q7
+   walk mostly fails).  Minor words are deterministic, unlike wall time,
+   so this is the walk cost a test can pin. *)
 let test_walk_allocation () =
   let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
   let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q7 d in
@@ -836,9 +836,9 @@ let test_walk_allocation () =
       done;
       let per_walk = (Gc.minor_words () -. w0) /. float_of_int n in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.2f minor words per walk <= 12"
+        (Printf.sprintf "%s: %.2f minor words per walk <= 5"
            (Walk_plan.describe q plan) per_walk)
-        true (per_walk <= 12.0))
+        true (per_walk <= 5.0))
     plans
 
 (* The paged read path adds nothing on a hit: Q3 paged through a pool
@@ -885,8 +885,8 @@ let test_paged_walk_allocation () =
       Alcotest.(check int) (name ^ ": no new faults") misses
         (Wj_storage.Buffer_pool.misses pool);
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.2f minor words per walk <= 12" name per_walk)
-        true (per_walk <= 12.0))
+        (Printf.sprintf "%s: %.2f minor words per walk <= 5" name per_walk)
+        true (per_walk <= 5.0))
     plans
 
 (* Observing a run must not move a PRNG draw: a metrics + events sink on
@@ -961,140 +961,6 @@ let test_choose_start_deterministic_tiebreak () =
   Alcotest.(check int) "smaller count" 1 (Walker.start_cardinality p3);
   Alcotest.(check bool) "selective wins" true (Walker.start_predicate p3 = Some pc)
 
-(* ---- Decompose ------------------------------------------------------- *)
-
-let test_scc_known_graph () =
-  (* 0 -> 1 -> 2 -> 0 forms a cycle; 3 hangs off 2. *)
-  let succ = function 0 -> [ 1 ] | 1 -> [ 2 ] | 2 -> [ 0; 3 ] | _ -> [] in
-  let comps = Decompose.scc ~succ ~n:4 in
-  let sorted = List.map (List.sort compare) comps in
-  Alcotest.(check bool) "cycle found" true (List.mem [ 0; 1; 2 ] sorted);
-  Alcotest.(check bool) "singleton" true (List.mem [ 3 ] sorted);
-  (* Sinks first: [3] must precede the cycle. *)
-  let pos_of c = Option.get (List.find_index (fun x -> List.sort compare x = c) sorted) in
-  Alcotest.(check bool) "reverse topological" true (pos_of [ 3 ] < pos_of [ 0; 1; 2 ])
-
-let test_decompose_single_component () =
-  let q = chain_query () in
-  let reg = Registry.build_for_query q in
-  let g = Join_graph.of_query q reg in
-  let comps = Decompose.decompose g in
-  Alcotest.(check int) "one component" 1 (List.length comps);
-  Alcotest.(check (list int)) "all members" [ 0; 1; 2 ] (List.hd comps).members
-
-let test_decompose_two_components () =
-  (* a - b - d - c with the b~d edge unindexed. *)
-  let mk name = int_table name [ "x"; "y" ] [ [ 0; 0 ] ] in
-  let a = mk "a" and b = mk "b" and d = mk "d" and c = mk "c" in
-  let q =
-    Query.make
-      ~tables:[ ("a", a); ("b", b); ("d", d); ("c", c) ]
-      ~joins:
-        [
-          { left = (0, 1); right = (1, 0); op = Eq };
-          { left = (1, 1); right = (2, 0); op = Eq };
-          { left = (3, 0); right = (2, 1); op = Eq };
-        ]
-      ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
-  in
-  let reg = Registry.create () in
-  Registry.add reg ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
-  Registry.add reg ~pos:2 ~column:1 (Wj_index.Index.build_trie d ~columns:[ 1 ]);
-  let g = Join_graph.of_query q reg in
-  Alcotest.(check bool) "no dst" false (Join_graph.has_directed_spanning_tree g);
-  let comps = Decompose.decompose g in
-  Alcotest.(check int) "two components" 2 (List.length comps);
-  let members = List.concat_map (fun (c : Decompose.component) -> c.members) comps in
-  Alcotest.(check (list int)) "partition" [ 0; 1; 2; 3 ] (List.sort compare members);
-  List.iter
-    (fun (comp : Decompose.component) ->
-      Alcotest.(check bool) "root is member" true (List.mem comp.root comp.members))
-    comps
-
-let test_decompose_is_partition =
-  (* Random digraphs: components always partition the vertex set, and each
-     component is reachable from its root. *)
-  QCheck.Test.make ~name:"decompose yields a reachable partition" ~count:150
-    QCheck.(pair (int_range 2 6) (list_of_size (QCheck.Gen.int_range 1 12) (pair (int_range 0 5) (int_range 0 5))))
-    (fun (k, edges) ->
-      let edges =
-        List.filter (fun (a, b) -> a < k && b < k && a <> b) edges
-        |> List.sort_uniq compare
-      in
-      (* Build a connected undirected query graph: ensure a spanning path. *)
-      let edges = List.init (k - 1) (fun i -> (i, i + 1)) @ edges |> List.sort_uniq compare in
-      let mk name = int_table name (List.init (List.length edges) (fun i -> Printf.sprintf "c%d" i)) [ List.map (fun _ -> 0) edges ] in
-      let tables = List.init k (fun i -> (Printf.sprintf "t%d" i, mk (Printf.sprintf "t%d" i))) in
-      let joins =
-        List.mapi (fun i (x, y) -> { Query.left = (x, i); right = (y, i); op = Query.Eq }) edges
-      in
-      let q = Query.make ~tables ~joins ~agg:Estimator.Count ~expr:(Query.Const 1.0) () in
-      (* Random index placement, but guarantee coverage is possible by
-         indexing both sides of the spanning path. *)
-      let reg = Registry.create () in
-      List.iteri
-        (fun i (x, y) ->
-          if i < k - 1 || (x + y) mod 2 = 0 then begin
-            Registry.add reg ~pos:y ~column:i
-              (Wj_index.Index.build_trie (List.assoc (Printf.sprintf "t%d" y) tables) ~columns:[ i ]);
-            if i < k - 1 then
-              Registry.add reg ~pos:x ~column:i
-                (Wj_index.Index.build_trie (List.assoc (Printf.sprintf "t%d" x) tables) ~columns:[ i ])
-          end)
-        edges;
-      let g = Join_graph.of_query q reg in
-      let comps = Decompose.decompose g in
-      let members = List.concat_map (fun (c : Decompose.component) -> c.members) comps in
-      List.sort compare members = List.init k Fun.id
-      && List.for_all
-           (fun (c : Decompose.component) ->
-             let reach = Join_graph.reachable_set g c.root in
-             List.for_all (fun m -> reach.(m)) c.members)
-           comps)
-
-(* ---- Hybrid ---------------------------------------------------------- *)
-
-let test_hybrid_two_components () =
-  let prng = Prng.create 71 in
-  let pairs n = List.init n (fun _ -> [ Prng.int prng 15; Prng.int prng 15 ]) in
-  let a = int_table "a" [ "k"; "x" ] (pairs 400) in
-  let b = int_table "b" [ "x"; "m" ] (pairs 400) in
-  let d = int_table "d" [ "m"; "y" ] (pairs 400) in
-  let c = int_table "c" [ "y"; "z" ] (pairs 400) in
-  let q =
-    Query.make
-      ~tables:[ ("a", a); ("b", b); ("d", d); ("c", c) ]
-      ~joins:
-        [
-          { left = (0, 1); right = (1, 0); op = Eq };
-          { left = (1, 1); right = (2, 0); op = Eq };
-          { left = (3, 0); right = (2, 1); op = Eq };
-        ]
-      ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
-  in
-  let partial = Registry.create () in
-  Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
-  Registry.add partial ~pos:2 ~column:1 (Wj_index.Index.build_trie d ~columns:[ 1 ]);
-  let full = Registry.build_for_query q in
-  let exact = float_of_int (Exact.aggregate q full).join_size in
-  let out = Hybrid.run_session (Run_config.make ~seed:10 ~max_time:3.0 ()) q partial in
-  Alcotest.(check int) "two components" 2 (List.length out.components);
-  Alcotest.(check bool)
-    (Printf.sprintf "hybrid %.0f ~ %.0f (hw %.0f)" out.estimate exact out.half_width)
-    true
-    (Float.abs (out.estimate -. exact) < (4.0 *. out.half_width) +. (0.05 *. exact))
-
-let test_hybrid_single_component_matches () =
-  let q = chain_query () in
-  let reg = Registry.build_for_query q in
-  let out = Hybrid.run_session (Run_config.make ~seed:2 ~max_time:1.0 ()) q reg in
-  Alcotest.(check int) "one component" 1 (List.length out.components);
-  let truth = chain_true_sum () in
-  Alcotest.(check bool)
-    (Printf.sprintf "estimate %.1f ~ %.1f" out.estimate truth)
-    true
-    (Float.abs (out.estimate -. truth) < (4.0 *. out.half_width) +. (0.05 *. truth))
-
 let () =
   Alcotest.run "wj_core"
     [
@@ -1124,7 +990,6 @@ let () =
           Alcotest.test_case "max_plans cap" `Quick test_walk_plan_max_plans;
           Alcotest.test_case "cyclic non-tree" `Quick test_walk_plan_cyclic_nontree;
           Alcotest.test_case "of_order" `Quick test_walk_plan_of_order;
-          Alcotest.test_case "subset" `Quick test_walk_plan_enumerate_subset;
         ] );
       ( "walker",
         [
@@ -1137,7 +1002,7 @@ let () =
           Alcotest.test_case "dead ends fail" `Quick test_walker_dead_end_fails;
           Alcotest.test_case "band join" `Slow test_walker_band_join;
           Alcotest.test_case "eager vs lazy checks" `Slow test_walker_eager_vs_lazy_checks;
-          Alcotest.test_case "a Q7 walk allocates only its path and outcome" `Quick
+          Alcotest.test_case "a Q7 walk allocates only its outcome" `Quick
             test_walk_allocation;
           Alcotest.test_case "a paged Q3 walk allocates nothing on a hit" `Quick
             test_paged_walk_allocation;
@@ -1173,17 +1038,5 @@ let () =
             test_sink_on_off_identical;
           Alcotest.test_case "choose_start tie-break" `Quick
             test_choose_start_deterministic_tiebreak;
-        ] );
-      ( "decompose",
-        [
-          Alcotest.test_case "scc" `Quick test_scc_known_graph;
-          Alcotest.test_case "single component" `Quick test_decompose_single_component;
-          Alcotest.test_case "two components" `Quick test_decompose_two_components;
-          QCheck_alcotest.to_alcotest test_decompose_is_partition;
-        ] );
-      ( "hybrid",
-        [
-          Alcotest.test_case "two components" `Slow test_hybrid_two_components;
-          Alcotest.test_case "single component" `Slow test_hybrid_single_component_matches;
         ] );
     ]

@@ -481,38 +481,6 @@ let sql_fuzz_structured =
       | exception Wj_sql.Parser.Parse_error _ -> true
       | exception Wj_sql.Binder.Bind_error _ -> true)
 
-(* Hybrid with a SUM aggregate (the other tests use COUNT). *)
-let test_hybrid_sum () =
-  let prng = Prng.create 41 in
-  let pairs n = List.init n (fun _ -> [ Prng.int prng 12; Prng.int prng 12 ]) in
-  let a = int_table "a" [ "k"; "x" ] (pairs 300) in
-  let b = int_table "b" [ "x"; "m" ] (pairs 300) in
-  let c = int_table "c" [ "m"; "v" ] (pairs 300) in
-  let q =
-    Query.make
-      ~tables:[ ("a", a); ("b", b); ("c", c) ]
-      ~joins:
-        [
-          { left = (0, 1); right = (1, 0); op = Eq };
-          { left = (1, 1); right = (2, 0); op = Eq };
-        ]
-      ~agg:Estimator.Sum ~expr:(Col (2, 1)) ()
-  in
-  let partial = Registry.create () in
-  Registry.add partial ~pos:1 ~column:0 (Wj_index.Index.build_trie b ~columns:[ 0 ]);
-  (* c unindexed on m: edge b~c unwalkable either way -> decomposition,
-     because c can still be its own component (any single vertex is). *)
-  let full = Registry.build_for_query q in
-  let exact = (Exact.aggregate q full).value in
-  let out =
-    Wj_core.Hybrid.run_session (Run_config.make ~seed:6 ~max_time:3.0 ()) q partial
-  in
-  Alcotest.(check bool) "decomposed" true (List.length out.components >= 2);
-  Alcotest.(check bool)
-    (Printf.sprintf "hybrid sum %.0f ~ %.0f (hw %.0f)" out.estimate exact out.half_width)
-    true
-    (Float.abs (out.estimate -. exact) < (4.0 *. out.half_width) +. (0.05 *. exact))
-
 let () =
   Alcotest.run "wj_extensions"
     [
@@ -549,7 +517,6 @@ let () =
           Alcotest.test_case "walker path distribution" `Slow test_walker_path_distribution;
           QCheck_alcotest.to_alcotest sql_fuzz;
           QCheck_alcotest.to_alcotest sql_fuzz_structured;
-          Alcotest.test_case "hybrid SUM" `Slow test_hybrid_sum;
         ] );
       ( "sql_band",
         [

@@ -412,8 +412,14 @@ let test_trace_json_roundtrip () =
 
 let test_progress_accessors () =
   let p =
-    Progress.make ~elapsed:1.0 ~walks:10 ~successes:4 ~tuples:30 ~estimate:5.0
-      ~half_width:0.5 ()
+    {
+      Progress.elapsed = 1.0;
+      walks = 10;
+      successes = 4;
+      tuples = 30;
+      estimate = 5.0;
+      half_width = 0.5;
+    }
   in
   Alcotest.(check int) "walks" 10 p.walks;
   Alcotest.(check int) "successes" 4 p.successes;

@@ -174,8 +174,14 @@ let test_raising_advance_balances () =
             | _ -> ()
           in
           let progress () =
-            Wj_obs.Progress.make ~elapsed:0.0 ~walks:!walks ~successes:0 ~tuples:0
-              ~estimate:0.0 ~half_width:0.0 ()
+            {
+              Wj_obs.Progress.elapsed = 0.0;
+              walks = !walks;
+              successes = 0;
+              tuples = 0;
+              estimate = 0.0;
+              half_width = 0.0;
+            }
           in
           (* A report after every step: the virtual clock never moves. *)
           let driver =

@@ -278,7 +278,7 @@ let test_preintersection_unbiased_and_fewer_rejects () =
   let reg = Registry.build_for_query q in
   let exact = float_of_int (Exact.join_size q reg) in
   let base, variant = variant_plans q reg in
-  Alcotest.(check string) "base granularity" "hash" (Walk_plan.granularity base);
+  Alcotest.(check string) "base granularity" "plain" (Walk_plan.granularity base);
   let walks = 30_000 in
   let est_base, fails_base = run_walks q reg base ~walks ~seed:424242 in
   let est_isect, fails_isect = run_walks q reg variant ~walks ~seed:424242 in
