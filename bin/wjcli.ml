@@ -679,6 +679,27 @@ let tpch_term =
 
 (* --- plans ------------------------------------------------------------ *)
 
+(* 29992 -> "29,992" *)
+let rec with_commas n =
+  if n < 1000 then string_of_int n
+  else Printf.sprintf "%s,%03d" (with_commas (n / 1000)) (n mod 1000)
+
+(* The halving that ran, read off the reports: a plan dropped at a cut
+   walked exactly that cut's rounds, and the finalists walked until the
+   trials stopped. *)
+let halving_schedule (reports : Wj_core.Optimizer.plan_report list) =
+  let walks = List.map (fun (p : Wj_core.Optimizer.plan_report) -> p.trial_walks) reports in
+  match List.rev (List.sort_uniq compare walks) with
+  | [] | [ 0 ] -> "no trial walk"
+  | stop :: rev_cuts ->
+    let cuts = List.rev rev_cuts in
+    let alive w = List.length (List.filter (fun n -> n > w) walks) in
+    Printf.sprintf "%s plans%s, stopped at %s"
+      (String.concat " \u{2192} " (List.map string_of_int (List.length walks :: List.map alive cuts)))
+      (if cuts = [] then ""
+       else " at rounds " ^ String.concat "/" (List.map with_commas cuts))
+      (with_commas stop)
+
 let plans_run sf seed tbl_dir spec =
   let d = load sf seed tbl_dir in
   let q = Wj_tpch.Queries.build ~variant:Standard spec d in
@@ -687,9 +708,10 @@ let plans_run sf seed tbl_dir spec =
   let t0 = Unix.gettimeofday () in
   let r = Wj_core.Optimizer.choose q reg prng in
   (* The trials only pick the plan, so their time is pure overhead. *)
-  Printf.printf "%d plans enumerated; optimizer trials: %d walks in %.1f ms\n"
+  Printf.printf "%d plans enumerated; optimizer trials: %d walks in %.1f ms; %s\n"
     (List.length r.reports) r.total_trial_walks
-    (1000.0 *. (Unix.gettimeofday () -. t0));
+    (1000.0 *. (Unix.gettimeofday () -. t0))
+    (halving_schedule r.reports);
   List.iter
     (fun (p : Wj_core.Optimizer.plan_report) ->
       Printf.printf "%s %-60s  success %4d/%-5d  Var[X] %.4g  E[T] %.4g  Var*E[T] %.4g\n"

@@ -55,6 +55,45 @@ let run_one_walk ?convergence q trial prng =
     | Some c -> Wj_obs.Convergence.observe c ~plan:trial.tlabel ~success:false 0.0));
   trial.steps <- trial.steps + Walker.steps_of_last_walk trial.prepared
 
+let mean_steps t = float_of_int t.steps /. float_of_int (max 1 t.walks)
+
+(* A plan is supported once it has min(tau/2, the most successes among
+   [trials]) successes: with the backstop triggered nobody may have reached
+   tau, so the requirement degrades rather than failing. *)
+let threshold config trials =
+  let best = List.fold_left (fun acc t -> max acc (Estimator.successes t.est)) 0 trials in
+  min (config.tau / 2) (max 1 best)
+
+let objective ~threshold t =
+  if Estimator.successes t.est < threshold then infinity
+  else begin
+    let var = Estimator.variance_of_walk t.est in
+    (* A zero variance estimate just means "no spread observed yet";
+       keep the cost as a tie-breaker. *)
+    if var <= 0.0 then mean_steps t *. 1e-9 else var *. mean_steps t
+  end
+
+(* Keep the better half (rounded up) of [alive]: supported plans by
+   objective, then the rest by successes (descending) and mean steps;
+   the stable sort breaks ties by enumeration order.  Survivors keep
+   enumeration order, so the trial stream is drawn as before the cut. *)
+let halve config alive =
+  let threshold = threshold config alive in
+  let key t = (objective ~threshold t, - Estimator.successes t.est, mean_steps t) in
+  let ranked = List.stable_sort (fun a b -> compare (key a) (key b)) alive in
+  let n = List.length alive in
+  let keep = List.filteri (fun i _ -> 2 * i < n) ranked in
+  List.filter (fun t -> List.memq t keep) alive
+
+(* Sequential halving (Karnin, Koren & Somekh 2013) over [n] plans: with
+   k = ceil(log2 n), the survivors are cut at cumulative rounds
+   [max_rounds lsr (k - j)] for j = 1 .. k-1, which leaves two finalists
+   for the last half of the budget. *)
+let cut_rounds config n =
+  let rec log2_ceil k = if 1 lsl k >= n then k else log2_ceil (k + 1) in
+  let k = log2_ceil 0 in
+  List.init (max 0 (k - 1)) (fun i -> config.max_rounds lsr (k - 1 - i))
+
 let choose ?(config = default_config) ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop)
     ?convergence ?plans q registry prng =
   let plans =
@@ -90,44 +129,36 @@ let choose ?(config = default_config) ?(eager_checks = true) ?(sink = Wj_obs.Sin
   (match trace with
   | Some tr -> Wj_obs.Trace.span_begin tr ~cat:"optimizer" "optimizer.trials"
   | None -> ());
-  (* Round-robin until one plan hits tau successes (or the backstop). *)
-  let rounds = ref 0 in
-  let done_ () =
-    List.exists (fun t -> Estimator.successes t.est >= config.tau) trials
-    || !rounds >= config.max_rounds
+  (* Sequential halving over the round-robin: survivors take turns in
+     enumeration order, one walk each per round, and are halved at each
+     cut until a survivor hits tau successes (or the backstop). *)
+  let finished alive rounds =
+    (match alive with [ _ ] -> true | _ -> false)
+    || List.exists (fun t -> Estimator.successes t.est >= config.tau) alive
+    || rounds >= config.max_rounds
   in
-  while not (done_ ()) do
-    incr rounds;
-    List.iter (fun t -> run_one_walk ?convergence q t prng) trials
-  done;
+  let rec run alive cuts rounds =
+    if finished alive rounds then alive
+    else
+      match cuts with
+      | c :: later when c <= rounds -> run (halve config alive) later rounds
+      | _ ->
+        List.iter (fun t -> run_one_walk ?convergence q t prng) alive;
+        run alive cuts (rounds + 1)
+  in
+  let survivors = run trials (cut_rounds config (List.length trials)) 0 in
   (match trace with
   | Some tr -> Wj_obs.Trace.span_end tr ~cat:"optimizer" ()
   | None -> ());
-  let threshold =
-    let best_successes =
-      List.fold_left (fun acc t -> max acc (Estimator.successes t.est)) 0 trials
-    in
-    (* With the backstop triggered nobody may have reached tau; degrade the
-       support requirement gracefully rather than failing. *)
-    min (config.tau / 2) (max 1 best_successes)
-  in
-  let objective t =
-    if Estimator.successes t.est < threshold then infinity
-    else begin
-      let var = Estimator.variance_of_walk t.est in
-      let cost = float_of_int t.steps /. float_of_int (max 1 t.walks) in
-      (* A zero variance estimate just means "no spread observed yet";
-         keep the cost as a tie-breaker. *)
-      if var <= 0.0 then cost *. 1e-9 else var *. cost
-    end
-  in
+  let threshold = threshold config survivors in
+  let objective = objective ~threshold in
   let best_trial =
     List.fold_left
       (fun acc t ->
         match acc with
         | None -> Some t
         | Some b -> if objective t < objective b then Some t else acc)
-      None trials
+      None survivors
     |> Option.get
   in
   (* Even if every plan failed the support threshold, pick max successes. *)
@@ -136,7 +167,7 @@ let choose ?(config = default_config) ?(eager_checks = true) ?(sink = Wj_obs.Sin
     else
       List.fold_left
         (fun b t -> if Estimator.successes t.est > Estimator.successes b.est then t else b)
-        (List.hd trials) trials
+        (List.hd survivors) survivors
   in
   let reports =
     List.map
@@ -146,7 +177,7 @@ let choose ?(config = default_config) ?(eager_checks = true) ?(sink = Wj_obs.Sin
           trial_walks = t.walks;
           trial_successes = Estimator.successes t.est;
           var_x = Estimator.variance_of_walk t.est;
-          cost_t = (float_of_int t.steps /. float_of_int (max 1 t.walks));
+          cost_t = mean_steps t;
           objective = objective t;
           chosen = t == best_trial;
         })

@@ -3,9 +3,22 @@
     For a fixed time budget t the variance of the final estimate is
     proportional to Var[X₁]·E[T] (law of total variance), where X₁ is one
     walk's Horvitz–Thompson observation and T one walk's cost.  Both are
-    estimated by trial walks: plans take turns performing one walk each
-    until some plan accumulates τ successful walks; among plans with at
-    least τ/2 successes the one minimising Var[X₁]·E[T] wins.
+    estimated by trial walks: plans take turns performing one walk each,
+    and sequential halving (Karnin, Koren & Somekh, ICML 2013) drops the
+    worse half of the survivors at fixed rounds, until a survivor
+    accumulates τ successful walks or the finalists reach [max_rounds].
+    Among the survivors with at least min(τ/2, their most successes)
+    successes, the one minimising Var[X₁]·E[T] wins.  A query with a
+    single candidate plan runs no trial walk.
+
+    With n candidates and k = ⌈log₂ n⌉, the cuts come at cumulative round
+    [max_rounds lsr (k - j)] for j = 1 … k-1, so the last two plans share
+    the second half of the budget.  Each cut keeps the better ⌈|S|/2⌉ by
+    the same objective; survivors below the support threshold rank after
+    the supported ones, by successes, then by E[T], then in enumeration
+    order.  Survivors keep enumeration order on the one trial stream, so a
+    query that reaches τ before the first cut, or has at most two plans,
+    runs exactly the plain round-robin.
 
     Trial walks pick the plan and nothing else.  Each is an unbiased
     observation, but of its own plan: pooled, the candidates' per-walk
@@ -18,8 +31,9 @@
 type config = {
   tau : int;  (** success threshold; paper default 100 *)
   max_rounds : int;
-      (** backstop: give up the round-robin after this many rounds per plan
-          even if no plan reached τ (all-plans-terrible queries) *)
+      (** backstop: stop after this many rounds even if no plan reached τ
+          (all-plans-terrible queries); the walks each finalist gets, and
+          the scale of the halving cuts *)
 }
 
 val default_config : config
@@ -27,6 +41,8 @@ val default_config : config
 type plan_report = {
   plan : Walk_plan.t;
   trial_walks : int;
+      (** a plan dropped by a cut walked exactly that cut's rounds; its
+          statistics are those it had then *)
   trial_successes : int;
   var_x : float;  (** estimated Var[X₁] *)
   cost_t : float;  (** estimated E[T] in abstract steps *)

@@ -591,6 +591,116 @@ let test_optimizer_no_plans () =
     (Invalid_argument "Optimizer.choose: query admits no walk plan")
     (fun () -> ignore (Optimizer.choose q reg prng))
 
+let test_optimizer_one_candidate () =
+  (* A single-table statement has one plan, fixed before any trial: it is
+     chosen without a walk, and so is the session's plan. *)
+  let t = int_table "t" [ "k"; "v" ] (List.init 20 (fun i -> [ i; i * i ])) in
+  let q =
+    Query.make ~tables:[ ("t", t) ] ~joins:[] ~agg:Estimator.Sum ~expr:(Col (0, 1)) ()
+  in
+  let reg = Registry.build_for_query q in
+  let r = Optimizer.choose q reg (Prng.create 3) in
+  Alcotest.(check int) "no trial walk" 0 r.total_trial_walks;
+  (match r.reports with
+  | [ p ] ->
+    Alcotest.(check bool) "chosen" true p.chosen;
+    Alcotest.(check int) "report walks" 0 p.trial_walks;
+    Alcotest.(check (float 0.0)) "objective" infinity p.objective
+  | ps -> Alcotest.failf "%d reports" (List.length ps));
+  let out = Online.run_session (Run_config.make ~seed:3 ~max_walks:64 ()) q reg in
+  Alcotest.(check int) "session trial walks" 0 out.optimizer_walks;
+  Alcotest.(check int) "session walks" 64 out.final.walks
+
+(* Each plan's trial walks and successes, in enumeration order, and the
+   index of the chosen plan. *)
+let trial_summary (r : Optimizer.result) =
+  let walks = List.map (fun (p : Optimizer.plan_report) -> p.trial_walks) r.reports in
+  let successes = List.map (fun (p : Optimizer.plan_report) -> p.trial_successes) r.reports in
+  let rec chosen i = function
+    | [] -> -1
+    | (p : Optimizer.plan_report) :: ps -> if p.chosen then i else chosen (i + 1) ps
+  in
+  (walks, successes, chosen 0 r.reports)
+
+let check_trials name q ~seed ~total ~walks ~successes ~chosen =
+  let r = Optimizer.choose q (Registry.build_for_query q) (Prng.create seed) in
+  let w, s, c = trial_summary r in
+  Alcotest.(check int) (name ^ " total trial walks") total r.total_trial_walks;
+  Alcotest.(check (list int)) (name ^ " trial walks") walks w;
+  Alcotest.(check (list int)) (name ^ " trial successes") successes s;
+  Alcotest.(check int) (name ^ " chosen plan") chosen c
+
+(* A query that reaches tau before the first cut, and one with two plans
+   (which is never cut), run the plain round-robin: these counts are that
+   protocol's, one walk per plan per round until a plan has 100
+   successes. *)
+let test_optimizer_round_robin_pins () =
+  let prng = Prng.create 7 in
+  let pairs () = List.init 300 (fun _ -> [ Prng.int prng 20; Prng.int prng 20 ]) in
+  let f = int_table "f" [ "a"; "b" ] (pairs ()) in
+  let g = int_table "g" [ "b"; "c" ] (pairs ()) in
+  let h = int_table "h" [ "c"; "a" ] (pairs ()) in
+  let triangle =
+    Query.make
+      ~tables:[ ("f", f); ("g", g); ("h", h) ]
+      ~joins:
+        [
+          { left = (0, 1); right = (1, 0); op = Eq };
+          { left = (1, 1); right = (2, 0); op = Eq };
+          { left = (2, 1); right = (0, 0); op = Eq };
+        ]
+      ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
+  in
+  (* 24 plans (k = 5): the first cut would come at round 312. *)
+  check_trials "triangle" triangle ~seed:5 ~total:4272 ~walks:(List.init 24 (fun _ -> 178))
+    ~successes:[ 7; 98; 9; 89; 9; 91; 5; 89; 10; 93; 8; 91; 8; 95; 14; 94; 8; 94; 4; 97; 9; 100; 8; 90 ]
+    ~chosen:7;
+  let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
+  (* 8 plans (k = 3): the first cut would come at round 1,250. *)
+  check_trials "Q10" (Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q10 d) ~seed:5
+    ~total:1472 ~walks:(List.init 8 (fun _ -> 184))
+    ~successes:[ 5; 3; 8; 100; 97; 98; 17; 4 ] ~chosen:5;
+  let prng = Prng.create 3 in
+  let a = int_table "a" [ "k"; "v" ] (List.init 200 (fun i -> [ Prng.int prng 50; i ])) in
+  let b = int_table "b" [ "k"; "w" ] (List.init 100 (fun i -> [ Prng.int prng 80; i ])) in
+  let two =
+    Query.make ~tables:[ ("a", a); ("b", b) ]
+      ~joins:[ { left = (0, 0); right = (1, 0); op = Eq } ]
+      ~agg:Estimator.Sum ~expr:(Col (1, 1)) ()
+  in
+  check_trials "two plans" two ~seed:5 ~total:256 ~walks:[ 128; 128 ] ~successes:[ 100; 73 ]
+    ~chosen:0
+
+(* Q7 at SF 0.005: no plan reaches tau, so the 32 plans are halved at
+   rounds 5000 lsr 4 .. 5000 lsr 1 and the two finalists run the 5,000-
+   round backstop. *)
+let test_optimizer_halving_cuts () =
+  let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
+  let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q7 d in
+  let reg = Registry.build_for_query q in
+  let run () = Optimizer.choose q reg (Prng.create 5) in
+  let r = run () in
+  let walks = List.map (fun (p : Optimizer.plan_report) -> p.trial_walks) r.reports in
+  let plans_at w = List.length (List.filter (( = ) w) walks) in
+  Alcotest.(check (list int)) "plans dropped at 312/625/1250/2500, finalists at 5000"
+    [ 16; 8; 4; 2; 2 ]
+    (List.map plans_at [ 312; 625; 1250; 2500; 5000 ]);
+  Alcotest.(check int) "closed form"
+    ((16 * 312) + (8 * 625) + (4 * 1250) + (2 * 2500) + (2 * 5000))
+    r.total_trial_walks;
+  List.iter
+    (fun (p : Optimizer.plan_report) ->
+      if p.chosen then Alcotest.(check int) "a finalist is chosen" 5000 p.trial_walks)
+    r.reports;
+  let fields (r : Optimizer.result) =
+    List.map
+      (fun (p : Optimizer.plan_report) ->
+        (Walk_plan.describe q p.plan, p.trial_walks, p.trial_successes, p.var_x, p.cost_t,
+         p.objective, p.chosen))
+      r.reports
+  in
+  Alcotest.(check bool) "same seed, same reports" true (fields r = fields (run ()))
+
 (* ---- Online ---------------------------------------------------------- *)
 
 (* Trial walks pick the plan and nothing else: under [Optimize] the
@@ -1012,6 +1122,10 @@ let () =
           Alcotest.test_case "prefers reverse direction" `Quick
             test_optimizer_prefers_reverse_direction;
           Alcotest.test_case "no plans" `Quick test_optimizer_no_plans;
+          Alcotest.test_case "one candidate, no trials" `Quick test_optimizer_one_candidate;
+          Alcotest.test_case "round-robin before the first cut" `Quick
+            test_optimizer_round_robin_pins;
+          Alcotest.test_case "halving cuts on Q7" `Quick test_optimizer_halving_cuts;
         ] );
       ( "online",
         [

@@ -1,6 +1,7 @@
 (* Coverage of the nominal 95% CI on real joins (Appendix A).
 
-   Each case runs 200 independent sessions under [Optimize] — one seed
+   Each case runs 200 independent sessions under [Optimize] with
+   [Optimizer.default_config], a session's default plan choice — one seed
    each, so every session makes its own plan choice — and compares each
    with the exact answer.  Over n sessions the number of covering CIs is
    Binomial(n, 0.95) when the CI is right, so the empirical coverage must
@@ -13,18 +14,12 @@
    each session the first time its half-width meets the target, a
    data-dependent stopping time — the rule every wjd request follows.
    Those sessions have no walk budget or deadline, so the target is what
-   stops every one of them.
-
-   Q7's trial backstop is cut from 5,000 to 200 rounds per plan: at the
-   default its 32 plans run 160k trial walks per session, 45 s for the
-   case, and the backstop only decides which plan is chosen, which the CI
-   must cover whatever it is. *)
+   stops every one of them. *)
 
 module Query = Wj_core.Query
 module Registry = Wj_core.Registry
 module Online = Wj_core.Online
 module Run_config = Wj_core.Run_config
-module Optimizer = Wj_core.Optimizer
 module Estimator = Wj_stats.Estimator
 module Prng = Wj_util.Prng
 module Schema = Wj_storage.Schema
@@ -58,15 +53,13 @@ let triangle () =
       ]
     ~agg:Estimator.Count ~expr:(Query.Const 1.0) ()
 
-let q7_optimizer = { Optimizer.default_config with max_rounds = 200 }
-
 let q7 () =
   let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
   Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q7 d
 
 (* Run [sessions] seeds to the stopping rule [stop], then check coverage
    and bias against the exact answer. *)
-let check_coverage ~optimizer ~stop q () =
+let check_coverage ~stop q () =
   let reg = Registry.build_for_query q in
   let truth = (Wj_exec.Exact.aggregate q reg).value in
   let max_walks, target =
@@ -78,8 +71,7 @@ let check_coverage ~optimizer ~stop q () =
     List.init sessions (fun seed ->
         let out =
           Online.run_session
-            (Run_config.make ~seed ?max_walks ?target ~max_time:infinity
-               ~plan_choice:(Online.Optimize optimizer) ())
+            (Run_config.make ~seed ?max_walks ?target ~max_time:infinity ())
             q reg
         in
         if target <> None then
@@ -114,14 +106,12 @@ let () =
       ( "coverage",
         [
           Alcotest.test_case "triangle COUNT under Optimize" `Slow
-            (check_coverage ~optimizer:Optimizer.default_config ~stop:(`Walks 5_000)
-               (triangle ()));
+            (check_coverage ~stop:(`Walks 5_000) (triangle ()));
           Alcotest.test_case "Q7 SUM under Optimize" `Slow
-            (check_coverage ~optimizer:q7_optimizer ~stop:(`Walks 20_000) (q7 ()));
+            (check_coverage ~stop:(`Walks 20_000) (q7 ()));
           Alcotest.test_case "triangle COUNT stops at ±5%" `Slow
-            (check_coverage ~optimizer:Optimizer.default_config ~stop:(`Target 0.05)
-               (triangle ()));
+            (check_coverage ~stop:(`Target 0.05) (triangle ()));
           Alcotest.test_case "Q7 SUM stops at ±20%" `Slow
-            (check_coverage ~optimizer:q7_optimizer ~stop:(`Target 0.20) (q7 ()));
+            (check_coverage ~stop:(`Target 0.20) (q7 ()));
         ] );
     ]

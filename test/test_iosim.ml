@@ -180,7 +180,9 @@ let test_sim_online_session_pinned () =
   (* A fixed-seed, fixed-budget Q3 session (optimizer trials included)
      through a 200-page pool on a virtual clock.  The expected figures
      are pinned: any change to the order of the walker's Row_access /
-     Index_probe stream or to the charge formulas moves them. *)
+     Index_probe stream or to the charge formulas moves them, and so does
+     a change to the optimizer's trials (all but the estimate, which
+     depends on the chosen plan alone). *)
   let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.01 () in
   let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q3 d in
   let reg = Wj_tpch.Queries.registry q in
@@ -194,16 +196,16 @@ let test_sim_online_session_pinned () =
   in
   let bits = Int64.bits_of_float in
   Alcotest.(check int) "walks" 5_000 o.final.walks;
-  Alcotest.(check int) "optimizer walks" 17_796 o.optimizer_walks;
+  Alcotest.(check int) "optimizer walks" 14_552 o.optimizer_walks;
   Alcotest.(check int64) "estimate" (bits 37218930.284004912) (bits o.final.estimate);
   Alcotest.(check int64)
-    "charged seconds" (bits 3.4913080000044601)
+    "charged seconds" (bits 3.0050024000028137)
     (bits (Sim.charged_seconds sim));
   Alcotest.(check int64)
     "clock = charges" (bits (Sim.charged_seconds sim))
     (bits (Timer.elapsed clock));
-  Alcotest.(check int) "pool misses" 34_822 (Buffer_pool.misses (Sim.pool sim));
-  Alcotest.(check int) "pool hits" 16_757 (Buffer_pool.hits (Sim.pool sim))
+  Alcotest.(check int) "pool misses" 29_970 (Buffer_pool.misses (Sim.pool sim));
+  Alcotest.(check int) "pool hits" 14_797 (Buffer_pool.hits (Sim.pool sim))
 
 let () =
   Alcotest.run "wj_iosim"
