@@ -267,25 +267,17 @@ let start_cardinality t = t.start_count
 let uses_olken_start t = match t.start with Olken _ -> true | Uniform _ -> false
 let start_predicate t = t.start_pred
 
-(* The event is only constructed inside the [Some] branch: an untraced,
-   unmetered walker allocates nothing here. *)
-let[@inline] note_row_access t pos row =
-  (match t.stats with None -> () | Some s -> Counter.incr s.i_row_accesses);
-  match t.emit with
-  | None -> ()
-  | Some f -> f (Wj_obs.Event.Row_access { pos; row })
+let[@inline] note_row_access t =
+  match t.stats with None -> () | Some s -> Counter.incr s.i_row_accesses
 
-let[@inline] note_index_probe t pos cost =
+let[@inline] note_index_probe t =
   (match t.stats with None -> () | Some s -> Counter.incr s.i_index_probes);
   (* Probes become instants, not spans: their wall durations are below
      clock resolution, while their count and position are what a timeline
      view needs.  The abstract cost lives in walker.phase_cost. *)
-  (match t.trace with
+  match t.trace with
   | None -> ()
-  | Some tr -> Wj_obs.Trace.instant tr ~cat:"walker" "walker.index_probe");
-  match t.emit with
-  | None -> ()
-  | Some f -> f (Wj_obs.Event.Index_probe { pos; cost })
+  | Some tr -> Wj_obs.Trace.instant tr ~cat:"walker" "walker.index_probe"
 
 let[@inline] note_walk_started t =
   match t.emit with None -> () | Some f -> f Wj_obs.Event.Walk_started
@@ -367,7 +359,7 @@ let advance_start t prng path =
     else begin
       t.phase_cost <- t.start_cost;
       let start_pos = t.plan.order.(0) in
-      note_row_access t start_pos row;
+      note_row_access t;
       path.(start_pos) <- row;
       if all_row_checks t.start_checks row then begin
         let fail = first_failing_check t.start_path_checks path in
@@ -399,7 +391,7 @@ let advance_start t prng path =
    row was drawn from — the step's HT factor. *)
 let bind_and_vet t c path ~row ~d =
   let step = c.step in
-  note_row_access t step.Walk_plan.into row;
+  note_row_access t;
   path.(step.Walk_plan.into) <- row;
   if all_row_checks c.row_checks row then begin
     let fail = first_failing_check c.path_checks path in
@@ -444,7 +436,7 @@ let advance_step t prng path i =
   let c = t.steps.(i) in
   let step = c.step in
   let v = c.key_of_parent path.(step.Walk_plan.parent) in
-  note_index_probe t step.into c.cost;
+  note_index_probe t;
   t.phase_cost <- c.cost;
   let located = c.located in
   Query.locate_join step.cond located v;

@@ -39,13 +39,13 @@ val prepare :
 
     [sink] (default {!Wj_obs.Sink.noop}) receives the walker's typed
     events ([Walk_started] / [Walk_succeeded] / [Walk_failed] /
-    [Row_access] / [Index_probe]) and, when it carries a metrics registry, per-phase
-    step counts, rejection causes and a failure-depth histogram under the
-    ["walker.*"] families.  Handles are resolved here, once: a no-op sink
-    costs one branch per site and changes no PRNG draw, so fixed-seed
-    results are bit-for-bit those of an unobserved run.  The I/O
-    simulator ([Wj_iosim.Sim.sink]) charges its page accesses from the
-    [Row_access] and [Index_probe] events. *)
+    [Nontree_reject]) and, when it carries a metrics registry, per-phase
+    step counts, row fetches, index probes, rejection causes and a
+    failure-depth histogram under the ["walker.*"] families.  Handles
+    are resolved here, once: a no-op sink costs one branch per site and
+    changes no PRNG draw, so fixed-seed results are bit-for-bit those of
+    an unobserved run.  The I/O simulator ([Wj_iosim.Sim.sink]) charges
+    each walk once, on its [Walk_succeeded] / [Walk_failed] event. *)
 
 val start_cardinality : prepared -> int
 (** The |R_{λ(1)}| (or Olken-reduced qualifying count) used in the

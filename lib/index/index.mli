@@ -90,9 +90,9 @@ val count_cost : t -> range:bool -> int
     lookup, then a run's length from two adjacent offsets); otherwise
     [key columns x ceil(log2 n)], one binary search per level of the
     narrow chain.  A select out of a locate is a span read and costs
-    nothing more.  Feeds the optimizer's E[T] estimate and the I/O
-    simulation ({!Wj_iosim.Cost_model.index_level_cost} is calibrated
-    against these units). *)
+    nothing more.  Feeds the optimizer's E[T] estimate and, through the
+    walk's cost, the I/O simulation ([Wj_iosim.Sim.sink] charges each
+    unit as one RAM access). *)
 
 val probes : t -> int
 (** Lifetime query-probe count of the trie (directory lookups and

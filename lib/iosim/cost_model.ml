@@ -3,17 +3,9 @@ type t = {
   ram_access : float;
   random_io : float;
   seq_io : float;
-  index_level_cost : float;
 }
 
-let default =
-  {
-    rows_per_page = 32;
-    ram_access = 2e-7;
-    random_io = 1e-4;
-    seq_io = 1e-5;
-    index_level_cost = 2e-7;
-  }
+let default = { rows_per_page = 32; ram_access = 2e-7; random_io = 1e-4; seq_io = 1e-5 }
 
-let pages_of_rows t rows = (rows + t.rows_per_page - 1) / t.rows_per_page
-let scan_seconds t ~rows = float_of_int (pages_of_rows t rows) *. t.seq_io
+let scan_seconds t ~rows =
+  float_of_int ((rows + t.rows_per_page - 1) / t.rows_per_page) *. t.seq_io

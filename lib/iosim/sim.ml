@@ -6,15 +6,15 @@ type t = {
   pool : Buffer_pool.t;
   clock : Timer.t;
   mutable charged : float;
+  mutable seen_misses : int; (* the pool's miss count at the last charge *)
 }
 
-let create ?(model = Cost_model.default) ~pool_pages ~clock () =
-  if not (Timer.is_virtual clock) then
-    invalid_arg "Sim.create: clock must be virtual";
-  { model; pool = Buffer_pool.create ~capacity:pool_pages (); clock; charged = 0.0 }
+let check_virtual fn clock =
+  if not (Timer.is_virtual clock) then invalid_arg (fn ^ ": clock must be virtual")
 
-let model t = t.model
-let pool t = t.pool
+let create ?(model = Cost_model.default) ~pool ~clock () =
+  check_virtual "Sim.create" clock;
+  { model; pool; clock; charged = 0.0; seen_misses = Buffer_pool.misses pool }
 
 let charge_seconds t s =
   t.charged <- t.charged +. s;
@@ -22,34 +22,28 @@ let charge_seconds t s =
 
 let charged_seconds t = t.charged
 
-let touch_row t table row =
-  let page = row / t.model.Cost_model.rows_per_page in
-  if Buffer_pool.touch t.pool ~table ~page then
-    charge_seconds t t.model.Cost_model.ram_access
-  else charge_seconds t t.model.Cost_model.random_io
+(* Every step of the walk is a RAM access; each page fault since the last
+   charge turns one of them into a random I/O. *)
+let charge_walk t ~cost =
+  let misses = Buffer_pool.misses t.pool in
+  let faults = misses - t.seen_misses in
+  t.seen_misses <- misses;
+  let m = t.model in
+  charge_seconds t
+    ((float_of_int cost *. m.Cost_model.ram_access)
+    +. (float_of_int faults *. (m.Cost_model.random_io -. m.Cost_model.ram_access)))
 
-(* Random-order ripple scans its shuffled table in storage order — the
-   first touch of each storage page pays one sequential I/O, later rows of
-   the page are RAM accesses.  Index-assisted retrieval jumps around and
-   pays random I/O per miss. *)
-let ripple_tracer t ~pos ~slot ~sequential =
-  let page = slot / t.model.Cost_model.rows_per_page in
-  if Buffer_pool.touch t.pool ~table:pos ~page then
-    charge_seconds t t.model.Cost_model.ram_access
-  else
-    charge_seconds t
-      (if sequential then t.model.Cost_model.seq_io
-       else t.model.Cost_model.random_io)
-
-let charge_scan t ~rows = charge_seconds t (Cost_model.scan_seconds t.model ~rows)
-
-let warm t ~table ~rows =
-  (* Warming is meant to be invisible: drop the counters after the pre-load. *)
-  let pages = Cost_model.pages_of_rows t.model rows in
-  for page = 0 to pages - 1 do
-    ignore (Buffer_pool.touch t.pool ~table ~page)
-  done;
-  Buffer_pool.reset_stats t.pool
+(* Random-order ripple scans its shuffled table in storage order: the
+   first tuple of each storage page pays one sequential I/O, later tuples
+   of the page are RAM accesses.  An index-sampled tuple jumps anywhere
+   and pays a random I/O. *)
+let ripple_tracer ?(model = Cost_model.default) ~clock () =
+  check_virtual "Sim.ripple_tracer" clock;
+  fun ~pos:_ ~slot ~sequential ->
+    Timer.advance clock
+      (if not sequential then model.Cost_model.random_io
+       else if slot mod model.Cost_model.rows_per_page = 0 then model.Cost_model.seq_io
+       else model.Cost_model.ram_access)
 
 let export_gauges t m =
   let g name v = Wj_obs.Gauge.set (Wj_obs.Metrics.gauge m name) v in
@@ -60,30 +54,14 @@ let export_gauges t m =
   g "pool.capacity" (float_of_int (Buffer_pool.capacity t.pool));
   g "sim.charged_seconds" t.charged
 
-let sink ?metrics ?trace t =
-  (* With a trace attached, every simulated I/O charge is also recorded
-     as a retrospective ("X") span whose duration is the virtual seconds
-     charged — so a Chrome timeline shows where modelled I/O time went. *)
-  let charged_span name f =
-    match trace with
-    | None -> f ()
-    | Some tr ->
-      let before = t.charged in
-      f ();
-      Wj_obs.Trace.complete tr ~cat:"iosim" ~dur:(t.charged -. before) name
-  in
+let sink ?metrics t =
   let on_event ev =
     match (ev : Wj_obs.Event.t) with
-    | Row_access { pos; row } ->
-      charged_span "io.row_access" (fun () -> touch_row t pos row)
-    | Index_probe { cost; _ } ->
-      charged_span "io.index_probe" (fun () ->
-          charge_seconds t (float_of_int cost *. t.model.Cost_model.index_level_cost))
+    | Walk_succeeded { cost } | Walk_failed { cost; _ } -> charge_walk t ~cost
     | Report _ | Stopped _ -> (
       match metrics with Some m -> export_gauges t m | None -> ())
-    | Walk_started | Walk_succeeded _ | Walk_failed _
-    | Plan_chosen _ | Nontree_reject _ | Session_admitted _ | Session_started _
-    | Session_report _ | Session_finished _ | Policy_pick _ ->
+    | Walk_started | Plan_chosen _ | Nontree_reject _ | Session_admitted _
+    | Session_started _ | Session_report _ | Session_finished _ | Policy_pick _ ->
       ()
   in
-  Wj_obs.Sink.make ~on_event ?metrics ?trace ()
+  Wj_obs.Sink.make ~on_event ?metrics ()

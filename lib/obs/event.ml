@@ -4,8 +4,6 @@ type t =
   | Walk_started
   | Walk_succeeded of { cost : int }
   | Walk_failed of { depth : int; cost : int }
-  | Index_probe of { pos : int; cost : int }
-  | Row_access of { pos : int; row : int }
   | Plan_chosen of { description : string; granularity : string }
   | Nontree_reject of { pos : int; edge : string }
   | Report of Progress.t

@@ -1,12 +1,12 @@
 (** The typed event taxonomy of a run session.
 
     Every observable moment of the execution stack is one constructor:
-    walk lifecycle (started / succeeded / failed-at-depth), physical
-    access (index probe, row access), and driver
-    milestones (plan chosen, report tick, stop reason).  They are the
-    walker's only observation hook: the I/O simulator charges its
-    virtual clock from the [Row_access] and [Index_probe] stream, in
-    the order the walker emits it.
+    walk lifecycle (started / succeeded / failed-at-depth), driver
+    milestones (plan chosen, report tick, stop reason) and scheduler
+    milestones.  The walk lifecycle is the walker's only observation
+    hook: the I/O simulator charges its virtual clock once per
+    [Walk_succeeded] / [Walk_failed], from the walk's [cost] and the
+    page faults the walk took.
 
     Emission is pay-for-what-you-use: producers construct an event only
     when a sink with an event callback is attached ({!Sink.wants_events}),
@@ -21,14 +21,10 @@ type t =
       (** [cost]: abstract index-entry accesses + tuple fetches of the walk. *)
   | Walk_failed of { depth : int; cost : int }
       (** [depth]: tables bound before the walk died (§3.1 failure). *)
-  | Index_probe of { pos : int; cost : int }
-      (** Probe against table position [pos]'s step index; [cost] in
-          abstract index-entry accesses. *)
-  | Row_access of { pos : int; row : int }  (** Tuple fetch. *)
   | Plan_chosen of { description : string; granularity : string }
       (** The driver picked a walk plan; [granularity] is the plan's
           index-granularity axis ({!Wj_core.Walk_plan.granularity}:
-          ["hash"], or ["trie-intersect(n)"] when [n] non-tree edges are
+          ["plain"], or ["trie-intersect(n)"] when [n] non-tree edges are
           folded into trie pre-intersection steps). *)
   | Nontree_reject of { pos : int; edge : string }
       (** A walk died on a non-tree edge at table position [pos]; [edge]

@@ -1,4 +1,4 @@
-type phase = Begin | End | Complete of float | Instant
+type phase = Begin | End | Instant
 
 type event = { name : string; cat : string; ph : phase; ts : float }
 
@@ -71,11 +71,6 @@ let span_end t ?(cat = "wj") () =
     credit t name (ts -. t0);
     record t { name; cat; ph = End; ts }
 
-let complete t ?(cat = "wj") ~dur name =
-  let ts = now t in
-  credit t name dur;
-  record t { name; cat; ph = Complete dur; ts = ts -. dur }
-
 let instant t ?(cat = "wj") name =
   credit t name 0.0;
   record t { name; cat; ph = Instant; ts = now t }
@@ -122,7 +117,7 @@ module Json = Wj_util.Json
    and only lengthen the document. *)
 let micros seconds = Json.Float (Float.round (seconds *. 1e9) /. 1e3)
 
-(* One event as a Chrome trace_event object.  [ts]/[dur] are microseconds
+(* One event as a Chrome trace_event object.  [ts] is microseconds
    relative to the trace clock's origin, which Chrome renders fine (it
    normalises to the earliest timestamp). *)
 let event_json ev =
@@ -130,7 +125,6 @@ let event_json ev =
     match ev.ph with
     | Begin -> ("B", [])
     | End -> ("E", [])
-    | Complete dur -> ("X", [ ("dur", micros dur) ])
     | Instant -> ("i", [ ("s", Json.Str "t") ])
   in
   Json.Obj

@@ -1,9 +1,8 @@
 (** Span tracing with a dependency-free Chrome [trace_event] exporter.
 
-    A trace is a bounded, preallocated buffer of begin/end/complete/
-    instant events plus running per-name duration totals.  Producers
-    (driver quanta, scheduler grants, optimizer trials, simulated I/O)
-    open and close spans; {!to_json} builds the standard
+    A trace is a bounded, preallocated buffer of begin/end/instant events
+    plus running per-name duration totals.  Producers (driver quanta,
+    scheduler grants, optimizer trials) open and close spans; {!to_json} builds the standard
     [{"traceEvents":[...]}] object that [chrome://tracing] and Perfetto
     load directly.
 
@@ -29,11 +28,6 @@ val span_end : t -> ?cat:string -> unit -> unit
     name's total.  Unbalanced calls (no span open) are counted as drops
     and otherwise ignored; {!depth} never goes negative. *)
 
-val complete : t -> ?cat:string -> dur:float -> string -> unit
-(** A retrospective span of [dur] seconds ending now (phase ["X"]) — used
-    when the duration is known analytically, e.g. a simulated I/O
-    charge. *)
-
 val instant : t -> ?cat:string -> string -> unit
 (** A zero-duration marker event (phase ["i"]). *)
 
@@ -56,7 +50,7 @@ val clock : t -> Wj_util.Timer.t
 
 val totals : t -> (string * (float * int)) list
 (** Per-name [(total_seconds, event_count)], sorted by name.  Durations
-    come from closed spans and [complete] events; instants count with
+    come from closed spans; instants count with
     zero duration.  Totals survive buffer exhaustion. *)
 
 val merge : into:t -> t -> unit

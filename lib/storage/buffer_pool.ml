@@ -1,17 +1,10 @@
 (* Real buffer pool: a bounded set of page frames shared by every paged
-   table.  Two access modes coexist on one LRU structure:
+   table.  A (file, page) key maps to a frame of bytes faulted in from a
+   registered read-through function; the frame is valid until the next
+   call into the pool, and the least-recently-used frame is recycled.
 
-   - [touch] is the frameless residency-tracking mode the I/O simulation
-     has always used: a (table, page) key either is or is not resident,
-     and the reply feeds the cost model.
-   - [read] is the pager mode: a (file, page) key maps to a frame of
-     bytes faulted in from a registered read-through function.  The
-     frame is valid until the next call into the pool.
-
-   A key packs its id and page into one int, so a lookup hashes an
-   immediate and a hit allocates nothing.  Both modes share the hit/miss
-   counters, so the reconciliation identity accesses = hits + misses
-   holds across either.  The pool is single-domain. *)
+   A key packs its file id and page into one int, so a lookup hashes an
+   immediate and a hit allocates nothing.  The pool is single-domain. *)
 
 module Tbl = Hashtbl.Make (Int)
 
@@ -19,7 +12,7 @@ type node = {
   mutable key : int;
   mutable prev : node;
   mutable next : node;
-  mutable frame : Bytes.t; (* [Bytes.empty] for frameless (touch) entries *)
+  frame : Bytes.t;
 }
 
 type t = {
@@ -90,7 +83,7 @@ let lookup t key =
 let insert t key =
   let node =
     if Tbl.length t.table < t.cap then
-      { key; prev = t.sentinel; next = t.sentinel; frame = Bytes.empty }
+      { key; prev = t.sentinel; next = t.sentinel; frame = Bytes.create t.page_bytes }
     else begin
       let lru = t.sentinel.prev in
       unlink lru;
@@ -102,17 +95,6 @@ let insert t key =
   Tbl.add t.table key node;
   push_front t node;
   node
-
-let touch t ~table ~page =
-  let key = pack ~id:table ~page in
-  if lookup t key != t.sentinel then true
-  else begin
-    (* A recycled frame would pass for this page's bytes in [read]. *)
-    (insert t key).frame <- Bytes.empty;
-    false
-  end
-
-(* ---- Pager mode ------------------------------------------------------- *)
 
 let register_file t read =
   let id = t.nreaders in
@@ -126,7 +108,6 @@ let register_file t read =
   id
 
 let fault_in t node ~file ~page =
-  if Bytes.length node.frame = 0 then node.frame <- Bytes.create t.page_bytes;
   match t.readers.(file) page node.frame with
   | () -> ()
   | exception e ->
@@ -139,11 +120,7 @@ let read t ~file ~page =
   let key = pack ~id:file ~page in
   if file >= t.nreaders then invalid_arg "Buffer_pool.read: unregistered file";
   let node = lookup t key in
-  if node != t.sentinel then begin
-    (* Residency was tracked framelessly (touch mode); materialize. *)
-    if Bytes.length node.frame = 0 then fault_in t node ~file ~page;
-    node.frame
-  end
+  if node != t.sentinel then node.frame
   else begin
     let node = insert t key in
     fault_in t node ~file ~page;
