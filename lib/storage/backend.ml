@@ -17,6 +17,18 @@ let page_bytes = Segment.default_rows_per_page * 8
 let paged ?(dir = default_dir) ?(pool_pages = default_pool_pages) () =
   Paged { dir; pool_pages }
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let temp_dir prefix =
+  let dir = Filename.temp_dir prefix "" in
+  at_exit (fun () -> if Sys.file_exists dir then remove_tree dir);
+  dir
+
 let pp fmt = function
   | In_memory -> Format.fprintf fmt "in-memory"
   | Paged { dir; pool_pages } ->

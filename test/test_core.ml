@@ -959,7 +959,8 @@ let test_paged_walk_allocation () =
   let d = Wj_tpch.Generator.generate ~seed:7 ~sf:0.005 () in
   let q = Wj_tpch.Queries.build ~variant:Standard Wj_tpch.Queries.Q3 d in
   let backend =
-    Wj_storage.Backend.paged ~dir:(Filename.temp_dir "wj_core" "") ~pool_pages:(1 lsl 16) ()
+    Wj_storage.Backend.paged ~dir:(Wj_storage.Backend.temp_dir "wj_core")
+      ~pool_pages:(1 lsl 16) ()
   in
   let tables, pool =
     Wj_storage.Backend.prepare_tables backend (Array.to_list q.Query.tables)
