@@ -480,7 +480,7 @@ let fig13 () =
           let dbo =
             Ripple.run ~seed ~clock ~max_time:vcap ~max_rounds:20_000_000
               ~target:(Target.relative target)
-              ~tuple_tracer:(Sim.ripple_tracer ~model ~clock ()) q reg
+              ~tuple_tracer:(Sim.ripple_tracer ~clock ()) q reg
           in
           (* Wander join through the cold limited pool. *)
           let pq, preg, pool = limited_query sf q in
@@ -613,7 +613,7 @@ let tab3 () =
           let clock = Timer.hybrid () in
           let dbov =
             Ripple.run ~seed ~clock ~max_time:(budget_v /. scale_ratio)
-              ~max_rounds:20_000_000 ~tuple_tracer:(Sim.ripple_tracer ~model ~clock ()) q
+              ~max_rounds:20_000_000 ~tuple_tracer:(Sim.ripple_tracer ~clock ()) q
               reg
           in
           let w1, w2 =

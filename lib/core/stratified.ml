@@ -40,8 +40,9 @@ type stratum = {
   mutable cached_rel_hw : float;
 }
 
-let run ?(seed = 31) ?(confidence = 0.95) ?(allocation = Adaptive) ?(max_time = 5.0)
-    ?max_walks ?clock q registry =
+let confidence = 0.95
+
+let run ?(seed = 31) ?(allocation = Adaptive) ?(max_time = 5.0) ?max_walks q registry =
   let pos, col =
     match q.Query.group_by with
     | Some gb -> gb
@@ -59,7 +60,7 @@ let run ?(seed = 31) ?(confidence = 0.95) ?(allocation = Adaptive) ?(max_time = 
   in
   if plans = [] then
     invalid_arg "Stratified.run: no walk plan starts at the GROUP BY table";
-  let clock = match clock with Some c -> c | None -> Timer.wall () in
+  let clock = Timer.wall () in
   let trials, prng = Online.streams (seed lxor 0x535452) (* "STR" *) in
   let plan =
     match plans with

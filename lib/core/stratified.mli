@@ -34,14 +34,13 @@ type outcome = {
 
 val run :
   ?seed:int ->
-  ?confidence:float ->
   ?allocation:allocation ->
   ?max_time:float ->
   ?max_walks:int ->
-  ?clock:Wj_util.Timer.t ->
   Query.t ->
   Registry.t ->
   outcome
-(** Requires the query to have GROUP BY on an integer column with an
+(** Every group's interval is at 95% confidence, and [max_time] is wall
+    time.  Requires the query to have GROUP BY on an integer column with an
     index in the registry, and at least one walk plan starting at
     the group-by table; raises [Invalid_argument] otherwise. *)

@@ -184,7 +184,7 @@ let fold_variant q registry (plan : t) chosen =
   in
   { plan with steps; nontree }
 
-let intersect_variants ?(max_variants = 8) q registry (plan : t) =
+let intersect_variants q registry (plan : t) =
   match foldable_edges q plan with
   | [] -> [ plan ]
   | foldable ->
@@ -194,7 +194,7 @@ let intersect_variants ?(max_variants = 8) q registry (plan : t) =
     let count = ref 1 in
     (try
        for mask = 1 to (1 lsl min m 10) - 1 do
-         if !count >= max_variants then raise Exit;
+         if !count >= 8 then raise Exit;
          let chosen = ref [] in
          for j = m - 1 downto 0 do
            if mask land (1 lsl j) <> 0 then chosen := fs.(j) :: !chosen

@@ -60,10 +60,10 @@ val of_order : Query.t -> Registry.t -> int array -> t option
     "the plan constructed from the input query" used as the PostgreSQL
     baseline in Table 2. *)
 
-val intersect_variants : ?max_variants:int -> Query.t -> Registry.t -> t -> t list
+val intersect_variants : Query.t -> Registry.t -> t -> t list
 (** The plan itself followed by its index-granularity variants: one per
-    non-empty subset of foldable non-tree edges (capped at [max_variants],
-    default 8), each folding its edges into the step binding the edge's
+    non-empty subset of foldable non-tree edges (at most 8 plans in all),
+    each folding its edges into the step binding the edge's
     later endpoint via a multi-column trie ({!step.isect}).  An edge is
     foldable when its step's tree edge is [Eq]; at most one [Band] edge
     may fold per step (it narrows the trie's last level as a key range).

@@ -61,7 +61,6 @@ type t = {
   mutable threads : Thread.t list;
   default_seed : int;
   default_time : float;
-  retry_after : int;
   requested_port : int;
   requests : Counter.t;
   rejected : Counter.t;
@@ -84,7 +83,7 @@ let ms_bucket ms =
 let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
     ?cache_capacity ?trace_capacity ?access_log
     ?(slow_query_ms = 0.0) ?(default_seed = 11) ?(default_time = 5.0)
-    ?(retry_after = 1) ?(port = 0) catalog =
+    ?(port = 0) catalog =
   let metrics = Metrics.create () in
   let routes = Hashtbl.create 64 in
   (* Request-latency instruments, fed from scheduler lifecycle events:
@@ -207,7 +206,6 @@ let create ?(quantum = 256) ?(max_live = 4) ?(max_queued = 64) ?tenant_quota
     threads = [];
     default_seed;
     default_time;
-    retry_after;
     requested_port = port;
     requests = Metrics.counter metrics "http.requests";
     rejected = Metrics.counter metrics "http.rejected";
@@ -836,7 +834,7 @@ let handle t fd =
       | qreq, submitted -> handle_query t fd ~trace_id ~traced ~t0 qreq submitted
       | exception Scheduler.Rejected r ->
         refuse t fd ~trace_id ~rejected:true ~status:429
-          ~headers:[ ("retry-after", string_of_int t.retry_after) ]
+          ~headers:[ ("retry-after", "1") ]
           "rejected" (Scheduler.reject_description r)
       | exception e ->
         let status, code, msg =

@@ -70,7 +70,6 @@ val create :
   ?slow_query_ms:float ->
   ?default_seed:int ->
   ?default_time:float ->
-  ?retry_after:int ->
   ?port:int ->
   Wj_storage.Catalog.t ->
   t
@@ -88,10 +87,10 @@ val create :
     stderr.  [slow_query_ms] (default 0 = off) is the slow-query
     threshold: requests at or above it log [slow:true] plus their
     convergence fit.  [default_seed] (default 11) and [default_time]
-    (default 5 s) apply to requests that don't override them.
-    [retry_after] (default 1) is the [Retry-After] value, in seconds,
-    sent with [429].  [port] (default 0 = kernel-assigned ephemeral) is
-    the TCP port; the daemon binds loopback only. *)
+    (default 5 s) apply to requests that don't override them.  A [429]
+    carries [Retry-After: 1] (seconds).  [port] (default 0 =
+    kernel-assigned ephemeral) is the TCP port; the daemon binds loopback
+    only. *)
 
 val start : t -> unit
 (** Bind, listen, and spin up the scheduler and accept threads.

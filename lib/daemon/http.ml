@@ -235,12 +235,11 @@ let respond fd ~status ?(headers = []) ?(content_type = "application/json") body
   in
   write_all fd (head ~status ~headers ^ body)
 
-let start_chunked fd ~status ?(headers = []) ?(content_type = "application/json")
-    () =
+let start_chunked fd ~status ?(headers = []) () =
   let headers =
     headers
     @ [
-        ("content-type", content_type);
+        ("content-type", "application/json");
         ("transfer-encoding", "chunked");
         ("connection", "close");
       ]

@@ -66,11 +66,10 @@ val start_chunked :
   Unix.file_descr ->
   status:int ->
   ?headers:(string * string) list ->
-  ?content_type:string ->
   unit ->
   unit
 (** Write the status line and headers of a
-    [Transfer-Encoding: chunked] response. *)
+    [Transfer-Encoding: chunked] response of [application/json] lines. *)
 
 val write_chunk : Unix.file_descr -> string -> unit
 (** One chunk (skipped entirely for [""], which would read as the

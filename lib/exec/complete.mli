@@ -21,11 +21,11 @@ type result = {
 
 val run :
   ?seed:int ->
-  ?confidence:float ->
   ?target:Wj_stats.Target.t ->
   ?report_every:float ->
   ?on_report:(Wj_core.Online.report -> unit) ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
   result
-(** Raises [Invalid_argument] when the query admits no walk plan. *)
+(** Wander join reports its intervals at 95% confidence.  Raises
+    [Invalid_argument] when the query admits no walk plan. *)

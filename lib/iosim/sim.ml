@@ -1,8 +1,9 @@
 module Timer = Wj_util.Timer
 module Buffer_pool = Wj_storage.Buffer_pool
 
+let model = Cost_model.default
+
 type t = {
-  model : Cost_model.t;
   pool : Buffer_pool.t;
   clock : Timer.t;
   mutable charged : float;
@@ -12,9 +13,9 @@ type t = {
 let check_virtual fn clock =
   if not (Timer.is_virtual clock) then invalid_arg (fn ^ ": clock must be virtual")
 
-let create ?(model = Cost_model.default) ~pool ~clock () =
+let create ~pool ~clock () =
   check_virtual "Sim.create" clock;
-  { model; pool; clock; charged = 0.0; seen_misses = Buffer_pool.misses pool }
+  { pool; clock; charged = 0.0; seen_misses = Buffer_pool.misses pool }
 
 let charge_seconds t s =
   t.charged <- t.charged +. s;
@@ -28,22 +29,21 @@ let charge_walk t ~cost =
   let misses = Buffer_pool.misses t.pool in
   let faults = misses - t.seen_misses in
   t.seen_misses <- misses;
-  let m = t.model in
   charge_seconds t
-    ((float_of_int cost *. m.Cost_model.ram_access)
-    +. (float_of_int faults *. (m.Cost_model.random_io -. m.Cost_model.ram_access)))
+    ((float_of_int cost *. model.ram_access)
+    +. (float_of_int faults *. (model.random_io -. model.ram_access)))
 
 (* Random-order ripple scans its shuffled table in storage order: the
    first tuple of each storage page pays one sequential I/O, later tuples
    of the page are RAM accesses.  An index-sampled tuple jumps anywhere
    and pays a random I/O. *)
-let ripple_tracer ?(model = Cost_model.default) ~clock () =
+let ripple_tracer ~clock () =
   check_virtual "Sim.ripple_tracer" clock;
   fun ~pos:_ ~slot ~sequential ->
     Timer.advance clock
-      (if not sequential then model.Cost_model.random_io
-       else if slot mod model.Cost_model.rows_per_page = 0 then model.Cost_model.seq_io
-       else model.Cost_model.ram_access)
+      (if not sequential then model.random_io
+       else if slot mod model.rows_per_page = 0 then model.seq_io
+       else model.ram_access)
 
 let export_gauges t m =
   let g name v = Wj_obs.Gauge.set (Wj_obs.Metrics.gauge m name) v in

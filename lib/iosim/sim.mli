@@ -12,13 +12,13 @@
 type t
 
 val create :
-  ?model:Cost_model.t ->
   pool:Wj_storage.Buffer_pool.t ->
   clock:Wj_util.Timer.t ->
   unit ->
   t
 (** A simulation charging [clock] for the faults of [pool], the pool the
-    run's paged tables read through.  Faults taken before [create] (an
+    run's paged tables read through, at the prices of
+    {!Cost_model.default}.  Faults taken before [create] (an
     index build's scans, say) are never charged; the pool's statistics
     must not be reset while the simulation charges.  [clock] must be
     virtual (see {!Wj_util.Timer.virtual_}). *)
@@ -37,7 +37,6 @@ val sink : ?metrics:Wj_obs.Metrics.t -> t -> Wj_obs.Sink.t
     [sim.charged_seconds]) on every [Report] and [Stopped] event. *)
 
 val ripple_tracer :
-  ?model:Cost_model.t ->
   clock:Wj_util.Timer.t ->
   unit ->
   pos:int ->
@@ -45,10 +44,11 @@ val ripple_tracer :
   sequential:bool ->
   unit
 (** Tracer for {!Wj_ripple.Ripple.run}, charging [clock] per retrieved
-    tuple.  A sequentially scanned tuple at scan slot [slot] is the first
-    of its storage page when [slot mod rows_per_page = 0] and costs one
-    sequential I/O; any other costs RAM time.  An index-sampled tuple
-    costs one random I/O.  [clock] must be virtual. *)
+    tuple at the prices of {!Cost_model.default}.  A sequentially scanned
+    tuple at scan slot [slot] is the first of its storage page when
+    [slot mod rows_per_page = 0] and costs one sequential I/O; any other
+    costs RAM time.  An index-sampled tuple costs one random I/O.  [clock]
+    must be virtual. *)
 
 val charged_seconds : t -> float
 (** Total virtual time charged through this simulation's {!sink} since

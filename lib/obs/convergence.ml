@@ -23,8 +23,7 @@ type attribution = {
   share : float;
 }
 
-let create ?(capacity = 512) () =
-  { ci = Timeseries.create ~capacity (); plans = Hashtbl.create 8; order = [] }
+let create () = { ci = Timeseries.create (); plans = Hashtbl.create 8; order = [] }
 
 let find_plan t label : plan =
   match Hashtbl.find_opt t.plans label with
@@ -125,13 +124,13 @@ let attribution t =
    and essentially never completes a walk: its observations carry almost
    no information, yet each attempt costs index probes.  The optimizer's
    trial round-robin and the report renderers surface these. *)
-let stalled ?(min_attempts = 64) ?(max_success_rate = 0.01) t =
+let stalled t =
   List.filter_map
     (fun a ->
       let rate =
         if a.attempts = 0 then 0.0
         else float_of_int a.successes /. float_of_int a.attempts
       in
-      if a.attempts >= min_attempts && rate <= max_success_rate then Some a.plan
+      if a.attempts >= 64 && rate <= 0.01 then Some a.plan
       else None)
     (attribution t)

@@ -30,8 +30,9 @@ type attribution = {
           shares sum to 1 when any variance was observed *)
 }
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the CI time series (default 512). *)
+val create : unit -> t
+(** The CI time series holds at most 512 points (the default of
+    {!Timeseries.create}). *)
 
 val register_plan : t -> string -> unit
 (** Declare a plan label (idempotent).  Registration fixes the
@@ -78,7 +79,6 @@ val attribution : t -> attribution list
 
 val total_attempts : t -> int
 
-val stalled : ?min_attempts:int -> ?max_success_rate:float -> t -> string list
-(** Plans with at least [min_attempts] (default 64) attempts whose
-    success rate is at or below [max_success_rate] (default 0.01) —
-    walk plans burning probes without producing observations. *)
+val stalled : t -> string list
+(** Plans with at least 64 attempts whose success rate is at or below
+    0.01 — walk plans burning probes without producing observations. *)

@@ -23,6 +23,3 @@ type t = {
   estimate : float;
   half_width : float;
 }
-
-val success_rate : t -> float
-(** [successes / walks]; 0 when no work was performed yet. *)

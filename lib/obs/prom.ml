@@ -75,7 +75,7 @@ let kind_name = function
   | Metrics.Histogram _ -> "histogram"
   | Metrics.Gauge _ -> "gauge"
 
-let render ?(namespace = "wj_") m =
+let render m =
   (* Group series by exposed family name.  [Metrics.families] is sorted
      by registry name; scoped variants of one family ("session0.x",
      "session1.x", "x") collapse into one group, so collect first, then
@@ -87,10 +87,7 @@ let render ?(namespace = "wj_") m =
   List.iter
     (fun (name, fam) ->
       let base, labels = split_scope name in
-      let exposed = namespace ^ sanitize base in
-      let exposed =
-        if exposed <> "" && is_digit exposed.[0] then "_" ^ exposed else exposed
-      in
+      let exposed = "wj_" ^ sanitize base in
       match Hashtbl.find_opt groups exposed with
       | Some cell -> cell := (labels, fam) :: !cell
       | None ->

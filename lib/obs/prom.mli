@@ -16,8 +16,7 @@
     - ["tenant.<name>.submitted"] → [wj_tenant_submitted{tenant="<name>"}].
 
     Everything else is sanitized ([.] and any other character outside
-    [[a-zA-Z0-9_:]] becomes [_]) and prefixed with the [namespace]
-    (default ["wj_"]).
+    [[a-zA-Z0-9_:]] becomes [_]) and prefixed with ["wj_"].
 
     Bucket semantics: {!Histogram} buckets are indexed by small
     integers (a failure depth, a log₂-millisecond latency class), so
@@ -28,7 +27,7 @@
     all-zero buckets are elided (the [+Inf] line still carries the full
     count), keeping the exposition compact for wide histograms. *)
 
-val render : ?namespace:string -> Metrics.t -> string
+val render : Metrics.t -> string
 (** The complete exposition document, terminated by a newline.
     Deterministic for a given registry state: families sort by exposed
     name, series within a family by original registry name.  If two

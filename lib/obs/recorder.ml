@@ -1,7 +1,6 @@
 type t = {
   metrics : Metrics.t;
   trace : Trace.t option;
-  series_capacity : int;
   series : (string, Timeseries.t) Hashtbl.t;
   mutable series_order : string list;  (* reversed registration order *)
   last_counter : (string, int) Hashtbl.t;
@@ -11,14 +10,12 @@ type t = {
   clock : Wj_util.Timer.t;
 }
 
-let create ?(series_capacity = 512) ?(tracing = false) ?(trace_capacity = 8192) ?clock
-    ?metrics () =
+let create ?(tracing = false) ?clock ?metrics () =
   let clock = match clock with Some c -> c | None -> Wj_util.Timer.wall () in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   {
     metrics;
-    trace = (if tracing then Some (Trace.create ~capacity:trace_capacity ~clock ()) else None);
-    series_capacity;
+    trace = (if tracing then Some (Trace.create ~clock ()) else None);
     series = Hashtbl.create 32;
     series_order = [];
     last_counter = Hashtbl.create 32;
@@ -37,7 +34,7 @@ let find_series t name =
   match Hashtbl.find_opt t.series name with
   | Some s -> s
   | None ->
-    let s = Timeseries.create ~capacity:t.series_capacity () in
+    let s = Timeseries.create () in
     Hashtbl.add t.series name s;
     t.series_order <- name :: t.series_order;
     s
@@ -49,7 +46,7 @@ let convergence t ~scope =
   match Hashtbl.find_opt t.convergence scope with
   | Some c -> c
   | None ->
-    let c = Convergence.create ~capacity:t.series_capacity () in
+    let c = Convergence.create () in
     Hashtbl.add t.convergence scope c;
     t.convergence_order <- scope :: t.convergence_order;
     c

@@ -20,17 +20,16 @@
 type t
 
 val create :
-  ?series_capacity:int ->
   ?tracing:bool ->
-  ?trace_capacity:int ->
   ?clock:Wj_util.Timer.t ->
   ?metrics:Metrics.t ->
   unit ->
   t
-(** [series_capacity] (default 512) bounds every time series and CI
-    trajectory.  [tracing] (default [false]) enables the span buffer of
-    [trace_capacity] (default 8192) events — off by default because span
-    recording, unlike time-series sampling, touches producer fast paths.
+(** Every time series and CI trajectory holds at most 512 points (the
+    default of {!Timeseries.create}).  [tracing] (default [false]) enables
+    a span buffer of 8192 events (the default of {!Trace.create}) — off by
+    default because span recording, unlike time-series sampling, touches
+    producer fast paths.
     [clock] (default: fresh wall clock) provides the sample x-axis and
     trace timestamps.  [metrics] defaults to a fresh registry. *)
 

@@ -16,13 +16,15 @@ type report = Wj_obs.Progress.t = {
   half_width : float;
 }
 
-let run ?(seed = 7) ?(confidence = 0.95) ?target ?(max_time = 10.0)
-    ?(max_samples = max_int) ?clock ?start ?(sink = Wj_obs.Sink.noop) q registry =
+let confidence = 0.95
+
+let run ?(seed = 7) ?target ?(max_time = 10.0) ?(max_samples = max_int) ?start q
+    registry =
   (match q.Query.agg with
   | Estimator.Sum | Estimator.Count -> ()
   | Estimator.Avg | Estimator.Variance | Estimator.Stdev ->
     invalid_arg "Index_ripple.run: only SUM and COUNT are supported");
-  let clock = match clock with Some c -> c | None -> Timer.wall () in
+  let clock = Timer.wall () in
   let prng = Prng.create (seed lxor 0x495250) in  (* "IRP" *)
   let plans = Walk_plan.enumerate q registry in
   let plan =
@@ -83,7 +85,6 @@ let run ?(seed = 7) ?(confidence = 0.95) ?target ?(max_time = 10.0)
   let (_ : Driver.stop_reason) =
     Driver.run
       ~polls:{ Driver.default_polls with cancel_mask = 0 }
-      ~sink ~progress:make_report
       ?target_reached:
         (Option.map
            (fun tgt () ->

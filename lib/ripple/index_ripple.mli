@@ -21,17 +21,14 @@ type report = Wj_obs.Progress.t = {
 
 val run :
   ?seed:int ->
-  ?confidence:float ->
   ?target:Wj_stats.Target.t ->
   ?max_time:float ->
   ?max_samples:int ->
-  ?clock:Wj_util.Timer.t ->
   ?start:int ->
-  ?sink:Wj_obs.Sink.t ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
   report
 (** [start] picks the sampled table position (default: the first position
-    of the first enumerated walk plan).  [sink] observes the driver loop;
-    defaults to {!Wj_obs.Sink.noop}.  Supports SUM and COUNT.
+    of the first enumerated walk plan).  The interval is at 95%
+    confidence and [max_time] is wall time.  Supports SUM and COUNT.
     Raises [Invalid_argument] when no walk plan starts at [start]. *)

@@ -173,9 +173,9 @@ let check_joins q =
       | Query.Band _ -> invalid_arg "Ripple.run: only equality joins are supported")
     q.Query.joins
 
-let run ?(seed = 99) ?(confidence = 0.95) ?(mode = Random_order) ?target
-    ?(max_time = 10.0) ?(max_rounds = max_int) ?(report_every = infinity) ?on_report
-    ?clock ?tuple_tracer ?(sink = Wj_obs.Sink.noop) q registry =
+let run ?(seed = 99) ?(mode = Random_order) ?target ?(max_time = 10.0)
+    ?(max_rounds = max_int) ?(report_every = infinity) ?on_report ?clock ?tuple_tracer
+    q registry =
   check_agg q;
   check_joins q;
   let clock = match clock with Some c -> c | None -> Timer.wall () in
@@ -310,7 +310,7 @@ let run ?(seed = 99) ?(confidence = 0.95) ?(mode = Random_order) ?target
       end
     | Estimator.Variance | Estimator.Stdev -> assert false
   in
-  let z = Wj_util.Normal.z_of_confidence confidence in
+  let z = Wj_util.Normal.z_of_confidence 0.95 in
   let make_report () =
     let est, sd = current () in
     {
@@ -357,7 +357,6 @@ let run ?(seed = 99) ?(confidence = 0.95) ?(mode = Random_order) ?target
   let (_ : Driver.stop_reason) =
     Driver.run
       ~polls:{ Driver.target_mask = 255; report_mask = 255; cancel_mask = 0 }
-      ~sink ~progress:make_report
       ?target_reached:
         (Option.map
            (fun tgt () ->

@@ -43,7 +43,6 @@ type outcome = {
 
 val run :
   ?seed:int ->
-  ?confidence:float ->
   ?mode:mode ->
   ?target:Wj_stats.Target.t ->
   ?max_time:float ->
@@ -52,12 +51,10 @@ val run :
   ?on_report:(report -> unit) ->
   ?clock:Wj_util.Timer.t ->
   ?tuple_tracer:(pos:int -> slot:int -> sequential:bool -> unit) ->
-  ?sink:Wj_obs.Sink.t ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
   outcome
-(** [sink] observes the driver loop (report ticks, [Report] progress events,
-    stop reasons); defaults to {!Wj_obs.Sink.noop}.
+(** Intervals are at 95% confidence.
 
     [tuple_tracer ~pos ~slot ~sequential] fires on every retrieved tuple
     (I/O simulation hook): [slot] is the storage position — the scan cursor

@@ -112,15 +112,3 @@ let half_width t ~confidence =
     let z = Wj_util.Normal.z_of_confidence confidence in
     z *. sqrt (variance_of_walk t) /. sqrt (float_of_int count)
   end
-
-let interval t ~confidence =
-  let e = estimate t and h = half_width t ~confidence in
-  (e -. h, e +. h)
-
-let merge a b =
-  if a.agg <> b.agg then invalid_arg "Estimator.merge: aggregate mismatch";
-  {
-    agg = a.agg;
-    moments = Moments.merge a.moments b.moments;
-    successes = a.successes + b.successes;
-  }

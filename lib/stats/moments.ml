@@ -63,17 +63,3 @@ let sample_variance t i = sample_covariance t i i
 
 let covariance_matrix t =
   Array.init t.dim (fun i -> Array.init t.dim (fun j -> sample_covariance t i j))
-
-let merge a b =
-  if a.dim <> b.dim then invalid_arg "Moments.merge: dimension mismatch";
-  let out = create ~dim:a.dim in
-  out.count <- a.count + b.count;
-  for i = 0 to a.dim - 1 do
-    kadd out.sums.(i) (ksum a.sums.(i));
-    kadd out.sums.(i) (ksum b.sums.(i))
-  done;
-  for k = 0 to tri_size a.dim - 1 do
-    kadd out.cross.(k) (ksum a.cross.(k));
-    kadd out.cross.(k) (ksum b.cross.(k))
-  done;
-  out

@@ -43,6 +43,3 @@ val sample_covariance : t -> int -> int -> float
 
 val covariance_matrix : t -> float array array
 (** dim x dim sample covariance matrix. *)
-
-val merge : t -> t -> t
-(** Moments of the concatenated streams. *)

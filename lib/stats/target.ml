@@ -13,11 +13,6 @@ let relative ?(confidence = 0.95) frac =
   if frac <= 0.0 then invalid_arg "Target.relative: fraction must be positive";
   { confidence; width = Relative frac }
 
-let absolute ?(confidence = 0.95) bound =
-  check_confidence confidence;
-  if bound <= 0.0 then invalid_arg "Target.absolute: bound must be positive";
-  { confidence; width = Absolute bound }
-
 let reached t ~estimate ~half_width =
   Float.is_finite estimate
   && Float.is_finite half_width

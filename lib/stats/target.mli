@@ -14,8 +14,6 @@ type t = { confidence : float; width : width }
 val relative : ?confidence:float -> float -> t
 (** [relative 0.01] targets ±1% at 95% confidence (the paper's default). *)
 
-val absolute : ?confidence:float -> float -> t
-
 val reached : t -> estimate:float -> half_width:float -> bool
 (** True when the interval is tight enough.  A non-finite estimate or
     half-width never satisfies the target. *)

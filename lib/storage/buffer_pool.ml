@@ -37,7 +37,11 @@ let create ?(page_bytes = 256) ~capacity () =
   {
     cap = capacity;
     page_bytes;
-    table = Tbl.create (2 * capacity);
+    (* Grows with the resident pages, so an unbounded pool costs about 4 KB
+       before its first fault.  512 buckets is above the minor heap's
+       largest block (256 words), so every bucket array the table grows
+       through is allocated in the major heap. *)
+    table = Tbl.create 512;
     sentinel = make_sentinel ();
     readers = [||];
     nreaders = 0;
@@ -135,8 +139,10 @@ let reset_stats t =
   t.hit_count <- 0;
   t.miss_count <- 0
 
+(* [Tbl.clear] keeps the grown bucket array: a pool refilled after a
+   clear faults without resizing its table again. *)
 let clear t =
-  Tbl.reset t.table;
+  Tbl.clear t.table;
   t.sentinel.next <- t.sentinel;
   t.sentinel.prev <- t.sentinel;
   reset_stats t

@@ -31,100 +31,3 @@ let split_line ?(separator = ',') line =
   if !in_quotes then fail 0 "unterminated quoted field";
   flush_field ();
   List.rev !fields
-
-let render_line ?(separator = ',') fields =
-  let needs_quoting s =
-    String.exists (fun c -> c = separator || c = '"' || c = '\n' || c = '\r') s
-  in
-  let render s =
-    if needs_quoting s then begin
-      let buf = Buffer.create (String.length s + 2) in
-      Buffer.add_char buf '"';
-      String.iter
-        (fun c ->
-          if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"';
-      Buffer.contents buf
-    end
-    else s
-  in
-  String.concat (String.make 1 separator) (List.map render fields)
-
-(* Parses and stages one cell straight into the table's typed column
-   (empty text is NULL).  Cells staged before a failure are rolled back by
-   the caller. *)
-let push_cell ~line ~table ~col ty text =
-  if text = "" then Table.push_null table ~col
-  else
-    match ty with
-    | Value.TInt -> (
-      match int_of_string_opt (String.trim text) with
-      | Some n -> Table.push_int table ~col n
-      | None -> fail line "expected an integer, got %S" text)
-    | Value.TFloat -> (
-      match float_of_string_opt (String.trim text) with
-      | Some f -> Table.push_float table ~col f
-      | None -> fail line "expected a number, got %S" text)
-    | Value.TStr -> Table.push_str table ~col text
-
-let load_rows ?(separator = ',') ?(trailing_separator = false) ~schema ~table path =
-  let ic = open_in path in
-  let inserted = ref 0 in
-  let arity = Schema.arity schema in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let line_no = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr line_no;
-           if String.trim line <> "" then begin
-             let fields = split_line ~separator line in
-             let fields =
-               if trailing_separator then
-                 match List.rev fields with
-                 | "" :: rest -> List.rev rest
-                 | _ -> fields
-               else fields
-             in
-             if List.length fields <> arity then
-               fail !line_no "expected %d fields, got %d" arity (List.length fields);
-             (try
-                List.iteri
-                  (fun col text ->
-                    push_cell ~line:!line_no ~table ~col (Schema.ty_of schema col)
-                      text)
-                  fields;
-                ignore (Table.commit_row table)
-              with
-             | Csv_error _ as e ->
-               Table.rollback_row table;
-               raise e
-             | Invalid_argument msg ->
-               Table.rollback_row table;
-               fail !line_no "%s" msg);
-             incr inserted
-           end
-         done
-       with End_of_file -> ());
-      !inserted)
-
-let cell_to_string = function
-  | Value.Int n -> string_of_int n
-  | Value.Float f -> Printf.sprintf "%.12g" f
-  | Value.Str s -> s
-  | Value.Null -> ""
-
-let save_rows ?(separator = ',') ~table path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Table.iteri
-        (fun _ row ->
-          output_string oc
-            (render_line ~separator (Array.to_list (Array.map cell_to_string row)));
-          output_char oc '\n')
-        table)

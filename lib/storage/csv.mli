@@ -1,10 +1,9 @@
-(** CSV / delimiter-separated import and export for tables.
+(** Splitting delimiter-separated records.
 
     Covers both ordinary CSV (quoted fields, escaped quotes) and the
     pipe-separated [.tbl] format produced by TPC-H's dbgen (a trailing
-    delimiter and no quoting).  Values are parsed according to the target
-    schema: [TInt] and [TFloat] columns through the numeric parsers,
-    [TStr] verbatim; empty fields load as [Null]. *)
+    delimiter and no quoting), which [Wj_tpch.Tbl_loader] reads through
+    {!split_line}. *)
 
 exception Csv_error of string * int  (** message, 1-based line number *)
 
@@ -12,23 +11,3 @@ val split_line : ?separator:char -> string -> string list
 (** Split one record.  Fields may be double-quoted; [""] inside a quoted
     field is an escaped quote.  Raises {!Csv_error} (line 0) on an
     unterminated quote. *)
-
-val render_line : ?separator:char -> string list -> string
-(** Inverse of {!split_line}: quotes fields containing the separator,
-    quotes or newlines. *)
-
-val load_rows :
-  ?separator:char ->
-  ?trailing_separator:bool ->
-  schema:Schema.t ->
-  table:Table.t ->
-  string ->
-  int
-(** [load_rows ~schema ~table path] parses every line of [path] into
-    [table] (which must have schema [schema]) and returns the number of
-    rows inserted.  [trailing_separator] accepts dbgen-style records that
-    end with the separator.  Raises {!Csv_error} on arity or parse
-    failures, [Sys_error] on I/O failures. *)
-
-val save_rows : ?separator:char -> table:Table.t -> string -> unit
-(** Write every row of [table] to [path], one record per line. *)

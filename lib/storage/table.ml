@@ -368,10 +368,9 @@ let write_null_file t ~col path ~page_bytes =
   Segment.put_bytes w packed;
   Segment.close_writer w
 
-let write_pages ?(rows_per_page = Segment.default_rows_per_page) t ~dir =
+let write_pages t ~dir =
   if is_paged t then read_only_error t "write_pages";
-  if rows_per_page <= 0 then
-    invalid_arg "Table.write_pages: rows_per_page must be positive";
+  let rows_per_page = Segment.default_rows_per_page in
   let page_bytes = rows_per_page * 8 in
   let tdir = table_dir ~dir ~name:t.name in
   mkdir_p tdir;

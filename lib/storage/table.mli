@@ -10,7 +10,7 @@
 
     Two write paths exist: the {!Value.t} row shim ({!insert}) kept for
     SQL/exec/display code, and the typed column writers
-    ({!push_int}/{!push_float}/{!push_str}/{!push_null} + {!commit_row})
+    ({!push_int}/{!push_float}/{!push_str} + {!commit_row})
     that bulk loaders use to fill columns without materializing a boxed
     value per cell.  Random-walk hot paths read through {!cursor}
     snapshots and compiled readers, never through [Value.t].
@@ -43,8 +43,6 @@ val push_float : t -> col:int -> float -> unit
 val push_str : t -> col:int -> string -> unit
 (** Appends one cell to the column; raises [Invalid_argument] when the
     column has a different type. *)
-
-val push_null : t -> col:int -> unit
 
 val commit_row : t -> int
 (** Seals the staged row and returns its id.  Raises [Invalid_argument]
@@ -126,14 +124,14 @@ val is_paged : t -> bool
 (** True when the table's columns are segment-backed (read-only; every
     data read faults through the owning buffer pool). *)
 
-val write_pages : ?rows_per_page:int -> t -> dir:string -> unit
+val write_pages : t -> dir:string -> unit
 (** Writes an in-memory table to [dir/<name>/] as fixed-size column
     segments: a text superblock (schema, row count, page geometry),
     one [col<i>.dat] of 8-byte slots per column, a null bitmap
     [col<i>.nulls] per column, and a [col<i>.dict] string dictionary per
-    [TStr] column.  [rows_per_page] defaults to
-    {!Segment.default_rows_per_page} (32, matching the iosim cost
-    model).  Raises [Invalid_argument] on an already-paged table. *)
+    [TStr] column.  A page holds {!Segment.default_rows_per_page} rows
+    (32, matching the iosim cost model).  Raises [Invalid_argument] on an
+    already-paged table. *)
 
 val open_paged : pool:Buffer_pool.t -> dir:string -> name:string -> t
 (** Reopens a table written by {!write_pages}.  Data pages fault through

@@ -16,11 +16,6 @@ let to_int = function
   | Int n -> n
   | Float _ | Str _ | Null -> invalid_arg "Value.to_int: not an Int"
 
-let to_float = function
-  | Int n -> float_of_int n
-  | Float f -> f
-  | Str _ | Null -> invalid_arg "Value.to_float: not numeric"
-
 let equal a b =
   match (a, b) with
   | Int x, Int y -> x = y

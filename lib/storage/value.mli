@@ -19,9 +19,6 @@ val type_of : t -> ty option
 val to_int : t -> int
 (** Raises [Invalid_argument] unless the value is [Int]. *)
 
-val to_float : t -> float
-(** Numeric coercion: [Int n -> float n], [Float f -> f]; raises otherwise. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order: Null < Int/Float (numeric order, cross-type compared

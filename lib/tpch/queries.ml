@@ -11,7 +11,6 @@ type variant =
   | Scaled of float
   | Extra of Query.predicate list
 
-let tables_of = function Q3 -> 3 | Q7 -> 6 | Q10 -> 4
 let name_of = function Q3 -> "Q3" | Q7 -> "Q7" | Q10 -> "Q10"
 
 let ci table name = Table.column_index table name

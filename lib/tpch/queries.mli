@@ -38,9 +38,6 @@ val build :
 (** [group_by_segment] adds GROUP BY c_mktsegment (only Q3 and Q10 have a
     customer table; raises [Invalid_argument] for Q7). *)
 
-val tables_of : spec -> int
-(** Number of tables in the join (3, 6, 4). *)
-
 val name_of : spec -> string
 
 val registry : Wj_core.Query.t -> Wj_core.Registry.t

@@ -6,8 +6,7 @@ type t = { mutable words : int array; mutable any : bool }
 
 let bits_per_word = Sys.int_size
 
-let create ?(capacity = 0) () =
-  { words = Array.make (max 1 ((capacity / bits_per_word) + 1)) 0; any = false }
+let create () = { words = Array.make 1 0; any = false }
 
 let ensure t w =
   if w >= Array.length t.words then begin

@@ -3,8 +3,8 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] is in bits. *)
+val create : unit -> t
+(** An empty set of one word; it grows on {!set}. *)
 
 val set : t -> int -> unit
 val clear : t -> int -> unit

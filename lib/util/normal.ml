@@ -1,5 +1,3 @@
-let pdf x = exp (-0.5 *. x *. x) /. sqrt (2.0 *. Float.pi)
-
 (* Abramowitz & Stegun 7.1.26 for erf, max absolute error 1.5e-7 — ample for
    confidence reporting where sampling noise dominates. *)
 let erf x =
@@ -18,7 +16,7 @@ let erf x =
 let cdf x = 0.5 *. (1.0 +. erf (x /. sqrt 2.0))
 
 (* Acklam's rational approximation to the normal inverse CDF, then one Halley
-   refinement step using the accurate pdf/cdf pair. *)
+   refinement step using the cdf and the density. *)
 let quantile p =
   if not (p > 0.0 && p < 1.0) then invalid_arg "Normal.quantile: p must lie in (0,1)";
   let a =

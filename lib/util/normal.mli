@@ -4,9 +4,6 @@
     intervals: the half-width is [z_alpha * sigma / sqrt n] where [z_alpha]
     is the (alpha+1)/2 quantile of N(0,1) (Appendix A, Eq. 5). *)
 
-val pdf : float -> float
-(** Density of N(0,1). *)
-
 val cdf : float -> float
 (** Distribution function of N(0,1), accurate to ~1e-7 (Hart/Cody-style
     rational approximation of erfc). *)

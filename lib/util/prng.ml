@@ -44,7 +44,6 @@ let[@inline] next t =
   set t 3 (rotl s3 45);
   result
 
-let bits64 t = next t
 let split t = of_splitmix (ref (next t))
 
 (* 62 uniform random bits as a non-negative OCaml int. *)
@@ -64,30 +63,12 @@ let int t bound =
     !r mod bound
   end
 
-let int_in_range t ~lo ~hi =
-  if lo > hi then invalid_arg "Prng.int_in_range: lo > hi";
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   (* 53 random bits scaled into [0, 1). *)
   let mantissa = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   bound *. (float_of_int mantissa *. 0x1p-53)
 
 let bool t = Int64.logand (next t) 1L = 1L
-let bernoulli t p = float t 1.0 < p
-
-let exponential t rate =
-  if rate <= 0. then invalid_arg "Prng.exponential: rate must be positive";
-  let u = 1.0 -. float t 1.0 in
-  -.log u /. rate
-
-let gaussian t =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float t 1.0 in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
@@ -96,7 +77,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int t (Array.length a))

@@ -8,10 +8,9 @@
     uniforms.
 
     Drawing is allocation-free: the state is a 32-byte buffer read and
-    written through unboxed [int64] primitives, so {!int}, {!float},
-    {!bool} and {!bernoulli} allocate nothing on the OCaml heap.  Only
-    {!bits64} boxes its [int64] result.  A walk step draws through {!int},
-    so the walker's hot path stays off the minor heap. *)
+    written through unboxed [int64] primitives, so {!int}, {!float} and
+    {!bool} allocate nothing on the OCaml heap.  A walk step draws through
+    {!int}, so the walker's hot path stays off the minor heap. *)
 
 type t
 (** Mutable generator state. *)
@@ -27,33 +26,15 @@ val split : t -> t
     [split] are statistically independent of the parent's subsequent
     output. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound); requires [bound > 0].
     Uses rejection sampling, so there is no modulo bias; the rejection
     loop is a plain loop, not a closure. *)
-
-val int_in_range : t -> lo:int -> hi:int -> int
-(** Uniform on the inclusive range [lo, hi]; requires [lo <= hi]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform on [0, bound). *)
 
 val bool : t -> bool
 
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is true with probability [p]. *)
-
-val exponential : t -> float -> float
-(** [exponential t rate] samples Exp(rate). *)
-
-val gaussian : t -> float
-(** Standard normal via Box–Muller. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -5,7 +5,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 let create () = { data = [||]; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
@@ -27,49 +26,9 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    Some t.data.(t.len)
-  end
-
-let clear t =
-  t.data <- [||];
-  t.len <- 0
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
 let to_array t = Array.sub t.data 0 t.len
-
-let map f t =
-  let out = { data = [||]; len = 0 } in
-  iter (fun x -> push out (f x)) t;
-  out
-
-let exists p t =
-  let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
-  loop 0
-
-let of_array a = { data = Array.copy a; len = Array.length a }
-let to_list t = Array.to_list (to_array t)
-
-let sort cmp t =
-  let a = to_array t in
-  Array.sort cmp a;
-  Array.blit a 0 t.data 0 t.len

@@ -64,7 +64,7 @@ let brute_chain f =
     r1;
   !acc
 
-let chain_true_sum () = List.fold_left ( +. ) 0.0 (brute_chain (fun _ _ t3 -> Value.to_float t3.(1)))
+let chain_true_sum () = List.fold_left ( +. ) 0.0 (brute_chain (fun _ _ t3 -> float_of_int (Value.to_int t3.(1))))
 let chain_true_count () = List.length (brute_chain (fun _ _ _ -> ()))
 
 (* ---- Query ----------------------------------------------------------- *)
@@ -756,7 +756,8 @@ let test_online_absolute_target_needs_success () =
   let out =
     Online.run_session
       (Run_config.make ~seed:4 ~max_walks:500 ~max_time:30.0
-         ~target:(Wj_stats.Target.absolute 1.0) ~plan_choice:Online.First_enumerated ())
+         ~target:{ Wj_stats.Target.confidence = 0.95; width = Absolute 1.0 }
+         ~plan_choice:Online.First_enumerated ())
       q reg
   in
   Alcotest.(check int) "no successes" 0 out.final.successes;

@@ -296,9 +296,9 @@ let test_quota_rejection () =
       wait_busy ();
       let resp, lines = query d sql ~extra:[ ("seed", Json.Int 3) ] in
       Alcotest.(check int) "queue-full second query" 429 resp.Http.status;
-      Alcotest.(check bool)
-        "has Retry-After" true
-        (List.mem_assoc "retry-after" resp.Http.resp_headers);
+      Alcotest.(check (option string))
+        "Retry-After: 1" (Some "1")
+        (List.assoc_opt "retry-after" resp.Http.resp_headers);
       (match lines with
       | [ err ] ->
         Alcotest.(check (option string)) "error code" (Some "rejected") (jstr "code" err)

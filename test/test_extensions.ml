@@ -219,61 +219,6 @@ let test_csv_split_errors () =
   with Csv.Csv_error (msg, _) ->
     Alcotest.(check string) "message" "unterminated quoted field" msg
 
-let csv_roundtrip =
-  QCheck.Test.make ~name:"split_line (render_line fields) = fields" ~count:500
-    QCheck.(
-      list_of_size (Gen.int_range 1 6)
-        (string_gen_of_size (Gen.int_range 0 8) Gen.printable))
-    (fun fields ->
-      let fields = List.map (String.map (fun c -> if c = '\n' || c = '\r' then '_' else c)) fields in
-      Csv.split_line (Csv.render_line fields) = fields)
-
-let test_csv_table_roundtrip () =
-  let schema =
-    Schema.make
-      [ { Schema.name = "id"; ty = Value.TInt }; { name = "price"; ty = TFloat };
-        { name = "label"; ty = TStr } ]
-  in
-  let t = Table.create ~name:"t" ~schema () in
-  ignore (Table.insert t [| Int 1; Float 2.5; Str "plain" |]);
-  ignore (Table.insert t [| Int (-7); Float 1e6; Str "with,comma" |]);
-  ignore (Table.insert t [| Null; Null; Str {|quote"inside|} |]);
-  let path = Filename.temp_file "wj_csv" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Csv.save_rows ~table:t path;
-      let t2 = Table.create ~name:"t2" ~schema () in
-      let n = Csv.load_rows ~schema ~table:t2 path in
-      Alcotest.(check int) "rows loaded" 3 n;
-      Table.iteri
-        (fun i row ->
-          Alcotest.(check bool)
-            (Printf.sprintf "row %d equal" i)
-            true
-            (Array.for_all2
-               (fun a b ->
-                 match (a, b) with
-                 | Value.Str "" , Value.Null | Value.Null, Value.Str "" -> true
-                 | _ -> Value.equal a b)
-               row (Table.row t2 i)))
-        t)
-
-let test_csv_load_errors () =
-  let schema = Schema.make [ { Schema.name = "id"; ty = Value.TInt } ] in
-  let path = Filename.temp_file "wj_csv" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "12\nnot_a_number\n";
-      close_out oc;
-      let t = Table.create ~name:"t" ~schema () in
-      try
-        ignore (Csv.load_rows ~schema ~table:t path);
-        Alcotest.fail "expected Csv_error"
-      with Csv.Csv_error (_, line) -> Alcotest.(check int) "error line" 2 line)
-
 (* ---- Tbl_loader -------------------------------------------------------- *)
 
 let write_file path contents =
@@ -503,9 +448,6 @@ let () =
         [
           Alcotest.test_case "split basics" `Quick test_csv_split_basics;
           Alcotest.test_case "split errors" `Quick test_csv_split_errors;
-          QCheck_alcotest.to_alcotest csv_roundtrip;
-          Alcotest.test_case "table roundtrip" `Quick test_csv_table_roundtrip;
-          Alcotest.test_case "load errors" `Quick test_csv_load_errors;
         ] );
       ( "tbl_loader",
         [

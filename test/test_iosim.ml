@@ -125,6 +125,12 @@ let test_pool_heavy_churn () =
   done;
   Alcotest.(check int) "tail resident" cap (Buffer_pool.hits p)
 
+(* A pool sized to hold every page of a large dataset (2,232,700 pages)
+   must not pay for that capacity before it holds a page. *)
+let test_pool_capacity_not_preallocated () =
+  let words = Obj.reachable_words (Obj.repr (Buffer_pool.create ~capacity:2_232_700 ())) in
+  Alcotest.(check bool) (Printf.sprintf "%d words" words) true (words < 1_000)
+
 (* ---- Cost_model ------------------------------------------------------ *)
 
 let test_cost_model () =
@@ -314,6 +320,8 @@ let () =
             test_pool_eviction_keeps_counters;
           Alcotest.test_case "validation" `Quick test_pool_validation;
           Alcotest.test_case "heavy churn" `Quick test_pool_heavy_churn;
+          Alcotest.test_case "capacity not preallocated" `Quick
+            test_pool_capacity_not_preallocated;
         ] );
       ("cost_model", [ Alcotest.test_case "arithmetic" `Quick test_cost_model ]);
       ( "sim",

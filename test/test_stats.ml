@@ -20,7 +20,8 @@ let test_moments_vs_naive () =
   let m = Moments.create ~dim:2 in
   let xs = ref [] and ys = ref [] in
   for _ = 1 to 500 do
-    let x = Prng.float prng 10.0 and y = Prng.gaussian prng in
+    let x = Prng.float prng 10.0 in
+    let y = (0.5 *. x) +. Prng.float prng 2.0 in
     xs := x :: !xs;
     ys := y :: !ys;
     Moments.add m [| x; y |]
@@ -50,21 +51,6 @@ let test_moments_zeros () =
     (Moments.sample_variance m 0);
   Alcotest.check_raises "negative" (Invalid_argument "Moments.add_zeros: negative count")
     (fun () -> Moments.add_zeros m (-1))
-
-let test_moments_merge () =
-  let a = Moments.create ~dim:1 and b = Moments.create ~dim:1 in
-  let all = Moments.create ~dim:1 in
-  let prng = Prng.create 4 in
-  for i = 1 to 100 do
-    let x = Prng.float prng 5.0 in
-    Moments.add (if i mod 2 = 0 then a else b) [| x |];
-    Moments.add all [| x |]
-  done;
-  let merged = Moments.merge a b in
-  Alcotest.(check int) "n" (Moments.n all) (Moments.n merged);
-  Alcotest.(check (float 1e-9)) "mean" (Moments.mean all 0) (Moments.mean merged 0);
-  Alcotest.(check (float 1e-9)) "variance" (Moments.sample_variance all 0)
-    (Moments.sample_variance merged 0)
 
 let test_moments_edge_cases () =
   let m = Moments.create ~dim:1 in
@@ -110,7 +96,7 @@ let run_estimator agg ~fail_prob ~n ~seed =
   let est = Estimator.create agg in
   let prng = Prng.create seed in
   for _ = 1 to n do
-    if Prng.bernoulli prng fail_prob then Estimator.add_failure est
+    if Prng.float prng 1.0 < fail_prob then Estimator.add_failure est
     else begin
       let i = sample_index prng nonuniform_probs in
       (* Account for the failure branch in the sampling probability. *)
@@ -210,58 +196,6 @@ let test_estimator_validation () =
   Alcotest.(check bool) "infinite CI below 2 walks" true
     (Estimator.half_width est ~confidence:0.95 = infinity)
 
-let test_estimator_merge () =
-  let a = run_estimator Estimator.Sum ~fail_prob:0.2 ~n:500 ~seed:1 in
-  let b = run_estimator Estimator.Sum ~fail_prob:0.2 ~n:700 ~seed:2 in
-  let m = Estimator.merge a b in
-  Alcotest.(check int) "n adds" 1200 (Estimator.n m);
-  Alcotest.(check int) "successes add"
-    (Estimator.successes a + Estimator.successes b)
-    (Estimator.successes m);
-  Alcotest.check_raises "agg mismatch"
-    (Invalid_argument "Estimator.merge: aggregate mismatch") (fun () ->
-      ignore (Estimator.merge a (Estimator.create Estimator.Count)))
-
-let test_estimator_merge_associative () =
-  (* Counts are exactly associative; the moment totals drop their Kahan
-     compensation at each merge, so estimates and CIs agree only to
-     floating-point noise. *)
-  let a = run_estimator Estimator.Sum ~fail_prob:0.2 ~n:400 ~seed:11 in
-  let b = run_estimator Estimator.Sum ~fail_prob:0.5 ~n:700 ~seed:12 in
-  let c = run_estimator Estimator.Sum ~fail_prob:0.1 ~n:250 ~seed:13 in
-  let l = Estimator.merge (Estimator.merge a b) c in
-  let r = Estimator.merge a (Estimator.merge b c) in
-  Alcotest.(check int) "n associative" (Estimator.n l) (Estimator.n r);
-  Alcotest.(check int) "successes associative" (Estimator.successes l)
-    (Estimator.successes r);
-  let rel x y = Float.abs (x -. y) /. Float.max 1.0 (Float.abs x) in
-  Alcotest.(check bool) "estimate associative" true
-    (rel (Estimator.estimate l) (Estimator.estimate r) < 1e-9);
-  Alcotest.(check bool) "half_width associative" true
-    (rel
-       (Estimator.half_width l ~confidence:0.95)
-       (Estimator.half_width r ~confidence:0.95)
-    < 1e-9);
-  (* Merging into an empty estimator is the bitwise identity — the parallel
-     driver relies on this for its fixed-plan seed estimator. *)
-  let m = Estimator.merge (Estimator.create Estimator.Sum) a in
-  Alcotest.(check int) "identity n" (Estimator.n a) (Estimator.n m);
-  Alcotest.(check bool) "identity estimate (bitwise)" true
-    (Int64.equal
-       (Int64.bits_of_float (Estimator.estimate a))
-       (Int64.bits_of_float (Estimator.estimate m)));
-  Alcotest.(check bool) "identity half_width (bitwise)" true
-    (Int64.equal
-       (Int64.bits_of_float (Estimator.half_width a ~confidence:0.95))
-       (Int64.bits_of_float (Estimator.half_width m ~confidence:0.95)))
-
-let test_estimator_interval () =
-  let est = run_estimator Estimator.Sum ~fail_prob:0.0 ~n:1000 ~seed:9 in
-  let lo, hi = Estimator.interval est ~confidence:0.95 in
-  let e = Estimator.estimate est in
-  Alcotest.(check bool) "ordered" true (lo <= e && e <= hi);
-  Alcotest.(check (float 1e-9)) "symmetric" (e -. lo) (hi -. e)
-
 let test_agg_to_string () =
   Alcotest.(check string) "SUM" "SUM" (Estimator.agg_to_string Estimator.Sum);
   Alcotest.(check string) "STDEV" "STDEV" (Estimator.agg_to_string Estimator.Stdev)
@@ -280,7 +214,7 @@ let test_target_relative () =
     (Target.reached t ~estimate:10.0 ~half_width:infinity)
 
 let test_target_absolute () =
-  let t = Target.absolute 5.0 in
+  let t = { Target.confidence = 0.95; width = Absolute 5.0 } in
   Alcotest.(check bool) "reached" true (Target.reached t ~estimate:0.0 ~half_width:4.9);
   Alcotest.(check bool) "not reached" false
     (Target.reached t ~estimate:0.0 ~half_width:5.1)
@@ -300,7 +234,6 @@ let () =
         [
           Alcotest.test_case "vs naive formulas" `Quick test_moments_vs_naive;
           Alcotest.test_case "bulk zeros" `Quick test_moments_zeros;
-          Alcotest.test_case "merge" `Quick test_moments_merge;
           Alcotest.test_case "edge cases" `Quick test_moments_edge_cases;
           Alcotest.test_case "kahan" `Quick test_kahan;
         ] );
@@ -316,10 +249,6 @@ let () =
           Alcotest.test_case "all failures" `Quick test_estimator_all_failures;
           Alcotest.test_case "constant weights" `Quick test_estimator_constant_weights;
           Alcotest.test_case "validation" `Quick test_estimator_validation;
-          Alcotest.test_case "merge" `Quick test_estimator_merge;
-          Alcotest.test_case "merge associativity" `Quick
-            test_estimator_merge_associative;
-          Alcotest.test_case "interval" `Quick test_estimator_interval;
           Alcotest.test_case "agg_to_string" `Quick test_agg_to_string;
         ] );
       ( "target",

@@ -22,13 +22,8 @@ let value_arb = QCheck.make ~print:Value.to_display value_gen
 
 let test_value_accessors () =
   Alcotest.(check int) "to_int" 5 (Value.to_int (Int 5));
-  Alcotest.(check (float 0.0)) "to_float of int" 5.0 (Value.to_float (Int 5));
-  Alcotest.(check (float 0.0)) "to_float" 2.5 (Value.to_float (Float 2.5));
   Alcotest.check_raises "to_int of str" (Invalid_argument "Value.to_int: not an Int")
-    (fun () -> ignore (Value.to_int (Str "a")));
-  Alcotest.check_raises "to_float of null"
-    (Invalid_argument "Value.to_float: not numeric") (fun () ->
-      ignore (Value.to_float Null))
+    (fun () -> ignore (Value.to_int (Str "a")))
 
 let test_value_equal () =
   Alcotest.(check bool) "int=int" true (Value.equal (Int 3) (Int 3));

@@ -10,29 +10,44 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* ---- Prng ------------------------------------------------------------ *)
 
+(* One raw 64-bit output of [t], read back through the public draws on
+   copies of [t]: [int] sees bits 2-62, [float] bit 63 and [bool] bit 0.
+   Bit 1 reaches only [split], so it reads as 0 here; the "split child"
+   golden pins it.  Advances [t] by one output. *)
+let raw t =
+  let mid = Prng.int (Prng.copy t) (1 lsl 61) in
+  let top = Prng.float (Prng.copy t) 1.0 >= 0.5 in
+  let low = Prng.bool t in
+  Int64.(
+    logor (shift_left (of_int mid) 2)
+      (logor (if top then min_int else 0L) (if low then 1L else 0L)))
+
+(* A golden raw output as {!raw} reads it. *)
+let without_bit1 x = Int64.logand x (-3L)
+
 let test_prng_deterministic () =
   let a = Prng.create 123 and b = Prng.create 123 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
+    Alcotest.(check int64) "same stream" (raw a) (raw b)
   done
 
 let test_prng_seed_sensitivity () =
   let a = Prng.create 1 and b = Prng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Prng.bits64 a = Prng.bits64 b then incr same
+    if raw a = raw b then incr same
   done;
   Alcotest.(check bool) "different seeds diverge" true (!same < 2)
 
 let test_prng_copy_independent () =
   let a = Prng.create 5 in
-  ignore (Prng.bits64 a);
+  ignore (raw a);
   let b = Prng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Prng.bits64 a) (Prng.bits64 b);
-  ignore (Prng.bits64 a);
+  Alcotest.(check int64) "copy continues identically" (raw a) (raw b);
+  ignore (raw a);
   (* advancing a does not touch b *)
   let before = Prng.copy b in
-  Alcotest.(check int64) "b unaffected" (Prng.bits64 before) (Prng.bits64 b)
+  Alcotest.(check int64) "b unaffected" (raw before) (raw b)
 
 let test_prng_int_bounds () =
   let t = Prng.create 9 in
@@ -61,14 +76,6 @@ let test_prng_int_uniform () =
         (abs (c - (n / 10)) < n / 10 / 20))
     buckets
 
-let test_prng_int_in_range () =
-  let t = Prng.create 77 in
-  for _ = 1 to 1000 do
-    let x = Prng.int_in_range t ~lo:(-5) ~hi:5 in
-    Alcotest.(check bool) "in [-5,5]" true (x >= -5 && x <= 5)
-  done;
-  Alcotest.(check int) "degenerate range" 3 (Prng.int_in_range t ~lo:3 ~hi:3)
-
 let test_prng_float_bounds () =
   let t = Prng.create 13 in
   for _ = 1 to 10_000 do
@@ -86,40 +93,6 @@ let test_prng_float_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 0.5" true (Float.abs (mean -. 0.5) < 0.01)
 
-let test_prng_bernoulli () =
-  let t = Prng.create 3 in
-  let n = 100_000 in
-  let hits = ref 0 in
-  for _ = 1 to n do
-    if Prng.bernoulli t 0.3 then incr hits
-  done;
-  let p = float_of_int !hits /. float_of_int n in
-  Alcotest.(check bool) "p near 0.3" true (Float.abs (p -. 0.3) < 0.01)
-
-let test_prng_gaussian_moments () =
-  let t = Prng.create 8 in
-  let n = 200_000 in
-  let sum = ref 0.0 and sum2 = ref 0.0 in
-  for _ = 1 to n do
-    let x = Prng.gaussian t in
-    sum := !sum +. x;
-    sum2 := !sum2 +. (x *. x)
-  done;
-  let mean = !sum /. float_of_int n in
-  let var = (!sum2 /. float_of_int n) -. (mean *. mean) in
-  Alcotest.(check bool) "mean near 0" true (Float.abs mean < 0.02);
-  Alcotest.(check bool) "variance near 1" true (Float.abs (var -. 1.0) < 0.03)
-
-let test_prng_exponential_mean () =
-  let t = Prng.create 15 in
-  let n = 100_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    sum := !sum +. Prng.exponential t 2.0
-  done;
-  let mean = !sum /. float_of_int n in
-  Alcotest.(check bool) "mean near 1/2" true (Float.abs (mean -. 0.5) < 0.02)
-
 let test_prng_shuffle_is_permutation () =
   let t = Prng.create 44 in
   let a = Array.init 100 Fun.id in
@@ -134,18 +107,9 @@ let test_prng_split_independent () =
   let child = Prng.split parent in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Prng.bits64 parent = Prng.bits64 child then incr same
+    if raw parent = raw child then incr same
   done;
   Alcotest.(check bool) "streams differ" true (!same < 2)
-
-let test_prng_pick () =
-  let t = Prng.create 2 in
-  let a = [| 10; 20; 30 |] in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "member" true (Array.mem (Prng.pick t a) a)
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Prng.pick: empty array") (fun () ->
-      ignore (Prng.pick t [||]))
 
 (* The stream as it was when the generator kept its state in mutable
    [int64] fields: any rewrite of the generator must reproduce it bit for
@@ -153,17 +117,19 @@ let test_prng_pick () =
 let test_prng_stream_golden () =
   let bits seed =
     let t = Prng.create seed in
-    List.init 8 (fun _ -> Prng.bits64 t)
+    List.init 8 (fun _ -> raw t)
   in
   Alcotest.(check (list int64)) "seed 0 bits64"
-    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
-      7684712102626143532L; -4925340083591827879L; -4640532413560118L;
-      7788427924976520344L; -8565655843838424513L ]
+    (List.map without_bit1
+       [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+         7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+         7788427924976520344L; -8565655843838424513L ])
     (bits 0);
   Alcotest.(check (list int64)) "seed 7 bits64"
-    [ -5523389002881075622L; 5142052590334782674L; -2958351167216911978L;
-      -348685429060373952L; -168598097271454952L; -2346906591474643895L;
-      1120678062349637716L; 1926500276298015196L ]
+    (List.map without_bit1
+       [ -5523389002881075622L; 5142052590334782674L; -2958351167216911978L;
+         -348685429060373952L; -168598097271454952L; -2346906591474643895L;
+         1120678062349637716L; 1926500276298015196L ])
     (bits 7);
   let t = Prng.create 7 in
   let ints bound = List.init 8 (fun _ -> Prng.int t bound) in
@@ -183,10 +149,11 @@ let test_prng_stream_golden () =
     (List.init 4 (fun _ -> Prng.float t 1.0));
   let child = Prng.split t in
   Alcotest.(check (list int64)) "split child"
-    [ 8986292124482823037L; -4261760201174626866L; 4302356401162474852L;
-      -7541595251715800006L ]
-    (List.init 4 (fun _ -> Prng.bits64 child));
-  Alcotest.(check int64) "parent after split" (-3256719437563326032L) (Prng.bits64 t)
+    (List.map without_bit1
+       [ 8986292124482823037L; -4261760201174626866L; 4302356401162474852L;
+         -7541595251715800006L ])
+    (List.init 4 (fun _ -> raw child));
+  Alcotest.(check int64) "parent after split" (without_bit1 (-3256719437563326032L)) (raw t)
 
 let test_prng_int_allocation_free () =
   let t = Prng.create 1 in
@@ -210,7 +177,7 @@ let test_prng_int_allocation_free () =
 
 let test_vec_push_get () =
   let v = Vec.create () in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
+  Alcotest.(check int) "empty" 0 (Vec.length v);
   for i = 0 to 999 do
     Vec.push v (i * 2)
   done;
@@ -229,62 +196,34 @@ let test_vec_bounds () =
   Alcotest.check_raises "set oob" (Invalid_argument "Vec.set: index out of bounds")
     (fun () -> Vec.set v 5 0)
 
-let test_vec_pop () =
-  let v = Vec.of_array [| 1; 2; 3 |] in
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Vec.pop v);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Vec.pop v);
-  Alcotest.(check int) "length" 1 (Vec.length v);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Vec.pop v);
-  Alcotest.(check (option int)) "pop empty" None (Vec.pop v)
-
 let test_vec_set () =
-  let v = Vec.of_array [| 1; 2; 3 |] in
+  let v = Vec.create () in
+  List.iter (Vec.push v) [ 1; 2; 3 ];
   Vec.set v 1 42;
-  Alcotest.(check (list int)) "set" [ 1; 42; 3 ] (Vec.to_list v)
-
-let test_vec_iter_fold_map () =
-  let v = Vec.of_array [| 1; 2; 3; 4 |] in
-  Alcotest.(check int) "fold sum" 10 (Vec.fold_left ( + ) 0 v);
-  let collected = ref [] in
-  Vec.iteri (fun i x -> collected := (i, x) :: !collected) v;
-  Alcotest.(check int) "iteri count" 4 (List.length !collected);
-  let doubled = Vec.map (fun x -> x * 2) v in
-  Alcotest.(check (list int)) "map" [ 2; 4; 6; 8 ] (Vec.to_list doubled);
-  Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 3) v);
-  Alcotest.(check bool) "not exists" false (Vec.exists (fun x -> x = 9) v)
-
-let test_vec_sort_clear () =
-  let v = Vec.of_array [| 3; 1; 2 |] in
-  Vec.sort compare v;
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Vec.to_list v);
-  Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.length v)
+  Alcotest.(check (array int)) "set" [| 1; 42; 3 |] (Vec.to_array v)
 
 let vec_model_test =
   QCheck.Test.make ~name:"vec behaves like a list" ~count:500
-    QCheck.(list (int_range 0 2))
+    QCheck.(list (pair (int_range 0 2) small_nat))
     (fun ops ->
       let v = Vec.create () in
-      let model = ref [] in
+      let model = ref [||] in
       List.iteri
-        (fun i op ->
+        (fun i (op, j) ->
+          let n = Array.length !model in
           match op with
           | 0 ->
             Vec.push v i;
-            model := !model @ [ i ]
-          | 1 -> (
-            match (Vec.pop v, !model) with
-            | None, [] -> ()
-            | Some x, l when l <> [] ->
-              let last = List.nth l (List.length l - 1) in
-              if x <> last then QCheck.Test.fail_report "pop mismatch";
-              model := List.filteri (fun j _ -> j < List.length l - 1) l
-            | _ -> QCheck.Test.fail_report "pop/model disagree on emptiness")
+            model := Array.append !model [| i |]
+          | 1 when n > 0 ->
+            Vec.set v (j mod n) i;
+            !model.(j mod n) <- i
           | _ ->
-            if Vec.length v <> List.length !model then
-              QCheck.Test.fail_report "length mismatch")
+            if Vec.length v <> n then QCheck.Test.fail_report "length mismatch";
+            if n > 0 && Vec.get v (j mod n) <> !model.(j mod n) then
+              QCheck.Test.fail_report "get mismatch")
         ops;
-      Vec.to_list v = !model)
+      Vec.to_array v = !model)
 
 (* ---- Normal ---------------------------------------------------------- *)
 
@@ -322,10 +261,6 @@ let test_normal_quantile_domain () =
     (fun () -> ignore (Normal.quantile 0.0));
   Alcotest.check_raises "p=1" (Invalid_argument "Normal.quantile: p must lie in (0,1)")
     (fun () -> ignore (Normal.quantile 1.0))
-
-let test_normal_pdf () =
-  check_float "pdf(0)" 0.3989422804014327 (Normal.pdf 0.0);
-  Alcotest.(check (float 1e-9)) "symmetry" (Normal.pdf 1.3) (Normal.pdf (-1.3))
 
 (* ---- Timer ----------------------------------------------------------- *)
 
@@ -501,15 +436,10 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy_independent;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "int uniform" `Slow test_prng_int_uniform;
-          Alcotest.test_case "int_in_range" `Quick test_prng_int_in_range;
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "float mean" `Slow test_prng_float_mean;
-          Alcotest.test_case "bernoulli" `Slow test_prng_bernoulli;
-          Alcotest.test_case "gaussian moments" `Slow test_prng_gaussian_moments;
-          Alcotest.test_case "exponential mean" `Slow test_prng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_is_permutation;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
-          Alcotest.test_case "pick" `Quick test_prng_pick;
           Alcotest.test_case "stream golden" `Quick test_prng_stream_golden;
           Alcotest.test_case "int allocation-free" `Quick test_prng_int_allocation_free;
         ] );
@@ -517,10 +447,7 @@ let () =
         [
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
-          Alcotest.test_case "pop" `Quick test_vec_pop;
           Alcotest.test_case "set" `Quick test_vec_set;
-          Alcotest.test_case "iter/fold/map" `Quick test_vec_iter_fold_map;
-          Alcotest.test_case "sort/clear" `Quick test_vec_sort_clear;
           QCheck_alcotest.to_alcotest vec_model_test;
         ] );
       ( "normal",
@@ -530,7 +457,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_normal_roundtrip;
           Alcotest.test_case "z_of_confidence" `Quick test_normal_z_of_confidence;
           Alcotest.test_case "quantile domain" `Quick test_normal_quantile_domain;
-          Alcotest.test_case "pdf" `Quick test_normal_pdf;
         ] );
       ( "timer",
         [
